@@ -1,0 +1,194 @@
+package sim_test
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"hash"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"safesense/internal/campaign"
+	"safesense/internal/sim"
+	"safesense/internal/trace"
+)
+
+// goldenFingerprintFile pins the numerics of the paper's four figure
+// scenarios. It is regenerated only with `go test ./internal/sim -run
+// TestGoldenFingerprint -update`, and every regeneration is a reviewed
+// diff: the match below is exact, with no tolerance, so any change to the
+// order of floating-point operations anywhere in the closed loop shows.
+var goldenFingerprintFile = filepath.Join("testdata", "golden_fingerprint.json")
+
+// goldenSeeds is the fixed seed set every figure variant runs at.
+var goldenSeeds = []int64{1, 2, 3, 5, 8}
+
+// goldenRun is one run's fingerprint: the scalar outcomes at full
+// precision plus a SHA-256 over everything the run emits step by step.
+type goldenRun struct {
+	Name               string  `json:"name"`
+	Seed               int64   `json:"seed"`
+	DetectedAt         int     `json:"detected_at"`
+	FalsePositives     int     `json:"false_positives"`
+	FalseNegatives     int     `json:"false_negatives"`
+	CollisionAt        int     `json:"collision_at"`
+	MinGap             float64 `json:"min_gap"`
+	EstimateSteps      int     `json:"estimate_steps"`
+	EstimateDistRMSE   float64 `json:"estimate_dist_rmse"`
+	EstimateVelRMSE    float64 `json:"estimate_vel_rmse"`
+	EstimateDistMaxErr float64 `json:"estimate_dist_max_err"`
+	EstimateVelMaxErr  float64 `json:"estimate_vel_max_err"`
+	FinalFollowerSpeed float64 `json:"final_follower_speed"`
+	FinalGap           float64 `json:"final_gap"`
+	// StepsSHA256 hashes every trace series, the CRA event log and the
+	// flight timeline, bit for bit.
+	StepsSHA256 string `json:"steps_sha256"`
+}
+
+type goldenFingerprint struct {
+	Runs []goldenRun `json:"runs"`
+	// CampaignAggregateSHA256 hashes the aggregate JSON of
+	// goldenCampaignSpec, which adds the phased leader, off-schedule
+	// onsets and the fast adversary to the figure points above.
+	CampaignAggregateSHA256 string `json:"campaign_aggregate_sha256"`
+}
+
+func goldenCampaignSpec() campaign.Spec {
+	return campaign.Spec{
+		Name:           "golden",
+		BaseSeed:       11,
+		Replicates:     2,
+		Attacks:        []string{campaign.AttackDoS, campaign.AttackDelay, campaign.AttackFastAdversary, campaign.AttackNone},
+		Leaders:        []string{campaign.LeaderConst, campaign.LeaderPhased},
+		Onsets:         []int{175, 182},
+		JammerPowersMW: []float64{10, 100},
+	}
+}
+
+func fingerprint(t *testing.T) goldenFingerprint {
+	t.Helper()
+	figures := []sim.Scenario{sim.Fig2aDoS(), sim.Fig2bDelay(), sim.Fig3aDoS(), sim.Fig3bDelay()}
+	var fp goldenFingerprint
+	for _, fig := range figures {
+		for _, s := range []sim.Scenario{fig, sim.Baseline(fig), sim.Undefended(fig)} {
+			for _, seed := range goldenSeeds {
+				s.Seed = seed
+				res, err := sim.Run(s)
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", s.Name, seed, err)
+				}
+				fp.Runs = append(fp.Runs, goldenRun{
+					Name:               s.Name,
+					Seed:               seed,
+					DetectedAt:         res.DetectedAt,
+					FalsePositives:     res.Accuracy.FalsePositives,
+					FalseNegatives:     res.Accuracy.FalseNegatives,
+					CollisionAt:        res.CollisionAt,
+					MinGap:             res.MinGap,
+					EstimateSteps:      res.EstimateSteps,
+					EstimateDistRMSE:   res.EstimateDistRMSE,
+					EstimateVelRMSE:    res.EstimateVelRMSE,
+					EstimateDistMaxErr: res.EstimateDistMaxErr,
+					EstimateVelMaxErr:  res.EstimateVelMaxErr,
+					FinalFollowerSpeed: res.FinalFollowerSpeed,
+					FinalGap:           res.FinalGap,
+					StepsSHA256:        stepsHash(res),
+				})
+			}
+		}
+	}
+	sum, err := campaign.Run(context.Background(), goldenCampaignSpec(), campaign.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := json.Marshal(sum.Aggregate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256(agg)
+	fp.CampaignAggregateSHA256 = hex.EncodeToString(h[:])
+	return fp
+}
+
+// stepsHash digests the run's per-step output. Floats go in as their bit
+// patterns so a difference in the last ulp (or in the sign of a zero)
+// changes the hash.
+func stepsHash(res *sim.Result) string {
+	h := sha256.New()
+	for _, set := range []*trace.Set{res.Distance, res.Velocity, res.Speeds} {
+		for _, name := range set.Names() {
+			s := set.Series(name)
+			fmt.Fprintf(h, "series %s %d\n", name, s.Len())
+			for i, k := range s.T {
+				writeWords(h, uint64(k), math.Float64bits(s.Y[i]))
+			}
+		}
+	}
+	for _, ev := range res.Events {
+		fmt.Fprintf(h, "event %d %t %d %t %t\n", ev.K, ev.Challenged, ev.State, ev.Detected, ev.ClearedNow)
+	}
+	for _, ev := range res.Flight {
+		fmt.Fprintf(h, "flight %d %s %x %q\n", ev.K, ev.Kind, math.Float64bits(ev.Value), ev.Detail)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func writeWords(h hash.Hash, words ...uint64) {
+	var b [8]byte
+	for _, w := range words {
+		binary.LittleEndian.PutUint64(b[:], w)
+		h.Write(b[:])
+	}
+}
+
+// TestGoldenFingerprint is the numeric oracle: Fig 2a/2b/3a/3b, each
+// defended, no-attack baseline and undefended, over goldenSeeds, plus a
+// small campaign grid, must reproduce the checked-in fingerprint exactly.
+func TestGoldenFingerprint(t *testing.T) {
+	got, err := json.MarshalIndent(fingerprint(t), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	// The -update flag is declared by the package's internal tests,
+	// which share this test binary.
+	if f := flag.Lookup("update"); f != nil && f.Value.String() == "true" {
+		if err := os.WriteFile(goldenFingerprintFile, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenFingerprintFile)
+	if err != nil {
+		t.Fatalf("%v (run with -update to generate)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	var gotFP, wantFP goldenFingerprint
+	if err := json.Unmarshal(got, &gotFP); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(want, &wantFP); err != nil {
+		t.Fatalf("decode %s: %v", goldenFingerprintFile, err)
+	}
+	if len(gotFP.Runs) != len(wantFP.Runs) {
+		t.Fatalf("fingerprint has %d runs, golden %d", len(gotFP.Runs), len(wantFP.Runs))
+	}
+	for i, g := range gotFP.Runs {
+		if w := wantFP.Runs[i]; g != w {
+			t.Errorf("%s seed %d drifted:\n got  %+v\n want %+v", w.Name, w.Seed, g, w)
+		}
+	}
+	if gotFP.CampaignAggregateSHA256 != wantFP.CampaignAggregateSHA256 {
+		t.Errorf("campaign aggregate hash %s, golden %s",
+			gotFP.CampaignAggregateSHA256, wantFP.CampaignAggregateSHA256)
+	}
+	t.Errorf("fingerprint differs from %s (run with -update to regenerate after review)", goldenFingerprintFile)
+}
