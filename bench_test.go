@@ -238,12 +238,12 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 // --- Kernel microbenchmarks ---------------------------------------------
 //
 // Each resolves the registered suite scenario of the same workload; the
-// RLS benchmark's reported ns/op covers a full 256-regressor cycle (see
-// the scenario's Ops and the ns/logical-op metric for per-update cost).
+// recovery-estimator benchmark's reported ns/op covers a full 301-step
+// run (see the scenario's Ops and the ns/logical-op metric for per-step
+// cost).
 
-func BenchmarkRLSUpdateOrder8(b *testing.B) { benchSuiteScenario(b, "kernel_rls_update_order8") }
-func BenchmarkDetectorStep(b *testing.B)    { benchSuiteScenario(b, "kernel_cra_check") }
-func BenchmarkRootMUSIC256(b *testing.B)    { benchSuiteScenario(b, "kernel_root_music_256") }
-func BenchmarkFFT1024(b *testing.B)         { benchSuiteScenario(b, "kernel_fft_1024") }
-func BenchmarkSynthesizeSweep(b *testing.B) { benchSuiteScenario(b, "kernel_synthesize_sweep") }
-func BenchmarkSimStep(b *testing.B)         { benchSuiteScenario(b, "kernel_sim_step") }
+func BenchmarkRecoveryEstimator(b *testing.B) { benchSuiteScenario(b, "kernel_recovery_estimator") }
+func BenchmarkDetectorStep(b *testing.B)      { benchSuiteScenario(b, "kernel_cra_check") }
+func BenchmarkRootMUSIC256(b *testing.B)      { benchSuiteScenario(b, "kernel_root_music_256") }
+func BenchmarkFFT1024(b *testing.B)           { benchSuiteScenario(b, "kernel_fft_1024") }
+func BenchmarkSynthesizeSweep(b *testing.B)   { benchSuiteScenario(b, "kernel_synthesize_sweep") }

@@ -215,3 +215,17 @@ func TestSpacingEquilibriumZeroAccel(t *testing.T) {
 		t.Fatalf("equilibrium ADes = %v, want 0", cmd.ADes)
 	}
 }
+
+func TestControllerStepZeroAlloc(t *testing.T) {
+	ctl, err := NewController(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := 60.0
+	if avg := testing.AllocsPerRun(200, func() {
+		d -= 0.1
+		ctl.Step(d, -0.4, 29, true)
+	}); avg != 0 {
+		t.Fatalf("Controller.Step: %v allocs/op, want 0", avg)
+	}
+}

@@ -3,8 +3,6 @@ package estimate
 import (
 	"fmt"
 	"math"
-
-	"safesense/internal/mat"
 )
 
 // Predictor wraps an RLS filter into the measurement estimator of the
@@ -27,12 +25,12 @@ import (
 // noisy roots stray outside the unit circle) diverges exponentially over
 // the paper's ~2-minute attack window.
 type Predictor struct {
-	rls   *RLS
+	rls   RLS
 	cfg   PredictorConfig
-	shift *mat.Dense // one-step basis translation matrix
-	n     int        // samples observed since the last reset
-	ahead int        // free-run steps since the last Observe
-	wall  int        // wall-clock step of the last Observe/SkipStep/Predict
+	shift []float64 // one-step basis translation matrix (row-major, shared by clones)
+	n     int       // samples observed since the last reset
+	ahead int       // free-run steps since the last Observe
+	wall  int       // wall-clock step of the last Observe/SkipStep/Predict
 
 	// CUSUM change detection state (see PredictorConfig.ChangeDetect).
 	sigma2 float64 // EWMA of squared residuals
@@ -100,25 +98,25 @@ func NewPredictor(cfg PredictorConfig) (*Predictor, error) {
 		return nil, err
 	}
 	return &Predictor{
-		rls:   r,
+		rls:   *r,
 		cfg:   cfg,
 		shift: shiftMatrix(cfg.Degree, 1/cfg.TimeScale),
 		wall:  -1,
 	}, nil
 }
 
-// shiftMatrix returns M with M[j][i] = C(i, j) s^(i-j) for j <= i: the
-// basis-change that moves the polynomial origin forward by s, so a sample
-// previously at tau = 0 sits at tau = -s afterwards. Derivation: with
+// shiftMatrix returns the row-major M with M[j][i] = C(i, j) s^(i-j) for
+// j <= i: the basis-change that moves the polynomial origin forward by s,
+// so a sample previously at tau = 0 sits at tau = -s afterwards. With
 // tau_old = tau_new + s, w_new[j] = sum_{i>=j} C(i, j) s^(i-j) w_old[i]
 // keeps w_new^T h(tau_new) == w_old^T h(tau_old).
-func shiftMatrix(degree int, s float64) *mat.Dense {
+func shiftMatrix(degree int, s float64) []float64 {
 	n := degree + 1
-	m := mat.NewDense(n, n)
+	m := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		c := 1.0
 		for j := i; j >= 0; j-- {
-			m.Set(j, i, c*math.Pow(s, float64(i-j)))
+			m[j*n+i] = c * math.Pow(s, float64(i-j))
 			c = c * float64(j) / float64(i-j+1)
 		}
 	}
@@ -126,9 +124,11 @@ func shiftMatrix(degree int, s float64) *mat.Dense {
 }
 
 // nowBasis is the regressor for "the current step" in recentered
-// coordinates: [1, 0, 0, ...].
+// coordinates: [1, 0, 0, ...]. Like horizonBasis it fills the filter's
+// regressor buffer, valid until the next basis call.
 func (p *Predictor) nowBasis() []float64 {
-	h := make([]float64, p.cfg.Degree+1)
+	h := p.rls.h
+	clear(h)
 	h[0] = 1
 	return h
 }
@@ -136,7 +136,7 @@ func (p *Predictor) nowBasis() []float64 {
 // horizonBasis evaluates the basis at j steps ahead of the current origin.
 func (p *Predictor) horizonBasis(j int) []float64 {
 	tau := float64(j) / p.cfg.TimeScale
-	h := make([]float64, p.cfg.Degree+1)
+	h := p.rls.h
 	v := 1.0
 	for i := range h {
 		h[i] = v
@@ -156,20 +156,15 @@ func (p *Predictor) Ready() bool { return p.n >= p.cfg.Degree+1 }
 // before free-running — otherwise corrupted samples absorbed between
 // attack onset and detection would poison the extrapolated trend.
 func (p *Predictor) Clone() *Predictor {
-	return &Predictor{
-		rls:         p.rls.Clone(),
-		cfg:         p.cfg,
-		shift:       p.shift, // immutable
-		n:           p.n,
-		ahead:       p.ahead,
-		wall:        p.wall,
-		sigma2:      p.sigma2,
-		sigmaN:      p.sigmaN,
-		gPos:        p.gPos,
-		gNeg:        p.gNeg,
-		resets:      p.resets,
-		freeRunning: p.freeRunning,
-	}
+	c := p.clone()
+	return &c
+}
+
+// clone copies the predictor by value: one allocation, the filter buffer.
+func (p *Predictor) clone() Predictor {
+	c := *p
+	c.rls = p.rls.clone()
+	return c
 }
 
 // Resets returns how many CUSUM-triggered refits have occurred.
@@ -177,6 +172,8 @@ func (p *Predictor) Resets() int { return p.resets }
 
 // Observe trains on a trusted measurement (no attack in progress) and
 // returns the one-step-ahead prediction that was made for it.
+//
+//safesense:hotpath
 func (p *Predictor) Observe(y float64) (pred float64, err error) {
 	p.freeRunning = false
 	// Advance the basis origin by every elapsed step, including any
@@ -201,13 +198,11 @@ func (p *Predictor) Observe(y float64) (pred float64, err error) {
 		// so the level (the current fitted value, which after the reset's
 		// Update below absorbs the newest sample too) is preserved and
 		// only the higher-order weights and the covariance reset.
-		w := p.rls.Weights()
-		for i := 1; i < len(w); i++ {
-			w[i] = 0
+		// (cfg.Delta was validated when the filter was built.)
+		for i := 1; i < len(p.rls.w); i++ {
+			p.rls.w[i] = 0
 		}
-		if err := p.rls.SetState(w, p.cfg.Delta); err != nil {
-			return 0, err
-		}
+		p.rls.reset(p.cfg.Delta)
 		p.n, p.sigma2, p.sigmaN, p.gPos, p.gNeg = 0, 0, 0, 0, 0
 		p.resets++
 		if _, _, err := p.rls.Update(p.nowBasis(), y); err != nil {
@@ -252,6 +247,8 @@ func (p *Predictor) regimeChanged(e float64) bool {
 // Predict produces the next estimated measurement while the sensor is under
 // attack (Algorithm 2 line 11) by evaluating the frozen fit one more step
 // ahead. Successive calls free-run forward in time.
+//
+//safesense:hotpath
 func (p *Predictor) Predict() float64 {
 	p.freeRunning = true
 	p.ahead++
@@ -264,6 +261,8 @@ func (p *Predictor) Predict() float64 {
 // instants — the radar produced no measurement, but wall-clock time still
 // passed, and without the skip every later prediction would lag truth by
 // one step per elapsed challenge.
+//
+//safesense:hotpath
 func (p *Predictor) SkipStep() { p.ahead++; p.wall++ }
 
 // Wall returns the wall-clock step of the last Observe, SkipStep, or
@@ -283,7 +282,7 @@ func (p *Predictor) Slope() float64 {
 	if p.cfg.Degree < 1 {
 		return 0
 	}
-	return p.rls.Weights()[1] / p.cfg.TimeScale
+	return p.rls.w[1] / p.cfg.TimeScale
 }
 
 // PairPredictor bundles two Predictors for the radar's (distance,

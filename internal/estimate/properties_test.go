@@ -52,8 +52,9 @@ func TestTranslatePredictionInvariance(t *testing.T) {
 // identity.
 func TestShiftMatrixInverseProperty(t *testing.T) {
 	for _, deg := range []int{0, 1, 2, 3} {
-		fwd := shiftMatrix(deg, 0.125)
-		bwd := shiftMatrix(deg, -0.125)
+		n := deg + 1
+		fwd := mat.NewDenseData(n, n, shiftMatrix(deg, 0.125))
+		bwd := mat.NewDenseData(n, n, shiftMatrix(deg, -0.125))
 		if !fwd.Mul(bwd).EqualApprox(mat.Identity(deg+1), 1e-12) {
 			t.Fatalf("degree %d: shift not invertible", deg)
 		}

@@ -18,8 +18,8 @@ package estimate
 // what the paper's "estimated radar data" curves show tracking the
 // no-attack trajectory.
 type RecoveryEstimator struct {
-	dist   *Predictor // distance trend, used to seed the integration
-	leader *Predictor // leader-speed trend
+	dist   Predictor // distance trend, used to seed the integration
+	leader Predictor // leader-speed trend
 
 	estD   float64
 	seeded bool
@@ -57,11 +57,13 @@ func NewRecoveryEstimator(cfg PredictorConfig) (*RecoveryEstimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RecoveryEstimator{dist: d, leader: l}, nil
+	return &RecoveryEstimator{dist: *d, leader: *l}, nil
 }
 
 // Observe trains on a trusted radar measurement (d, dv) with the follower's
 // own speed vF. It resets any free-run in progress.
+//
+//safesense:hotpath
 func (r *RecoveryEstimator) Observe(d, dv, vF float64) error {
 	if r.freeRunning {
 		r.freeRunning = false
@@ -96,6 +98,8 @@ func (r *RecoveryEstimator) Wall() int { return r.dist.Wall() }
 // so integrating the distance against the *current* follower speed over
 // them would be meaningless — the next real Predict re-seeds the distance
 // from the extrapolated trend instead.
+//
+//safesense:hotpath
 func (r *RecoveryEstimator) CatchUp() {
 	r.leader.Predict()
 	r.dist.Predict()
@@ -107,6 +111,8 @@ func (r *RecoveryEstimator) CatchUp() {
 // The first call after training seeds the distance from the RLS distance
 // trend; subsequent calls integrate the kinematics. The leader speed is
 // clamped at zero (vehicles do not reverse) and the distance at zero.
+//
+//safesense:hotpath
 func (r *RecoveryEstimator) Predict(vF float64) (d, dv float64) {
 	if !r.freeRunning {
 		r.freeRunning = true
@@ -133,14 +139,10 @@ func (r *RecoveryEstimator) Predict(vF float64) (d, dv float64) {
 }
 
 // Clone deep-copies the estimator (see Predictor.Clone for why the
-// simulation snapshots it at verified-clean challenge instants).
+// simulation snapshots it at verified-clean challenge instants). It costs
+// three allocations: the estimator and one buffer per RLS filter.
 func (r *RecoveryEstimator) Clone() *RecoveryEstimator {
-	return &RecoveryEstimator{
-		dist:         r.dist.Clone(),
-		leader:       r.leader.Clone(),
-		estD:         r.estD,
-		seeded:       r.seeded,
-		freeRunning:  r.freeRunning,
-		onTransition: r.onTransition,
-	}
+	c := *r
+	c.dist, c.leader = r.dist.clone(), r.leader.clone()
+	return &c
 }

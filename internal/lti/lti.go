@@ -13,7 +13,6 @@ package lti
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"safesense/internal/mat"
 	"safesense/internal/noise"
@@ -141,23 +140,4 @@ func (s *System) Controllable() bool {
 // (spectral radius of A strictly below 1, within a small tolerance).
 func (s *System) Stable() bool {
 	return mat.SpectralRadius(s.A, 0) < 1-1e-9
-}
-
-// DiscretizeFirstOrderLag returns the one-state discrete system matching
-// the paper's lower-level controller transfer function
-//
-//	a_F(s)/a_des(s) = K1 / (Ti s + 1)
-//
-// sampled with period dt by exact zero-order-hold discretization:
-//
-//	a_F[k+1] = phi a_F[k] + (1-phi) K1 a_des[k],  phi = exp(-dt/Ti).
-func DiscretizeFirstOrderLag(k1, ti, dt float64) (*System, error) {
-	if ti <= 0 || dt <= 0 {
-		return nil, errors.New("lti: Ti and dt must be positive")
-	}
-	phi := math.Exp(-dt / ti)
-	a := mat.NewDenseData(1, 1, []float64{phi})
-	b := mat.NewDenseData(1, 1, []float64{(1 - phi) * k1})
-	c := mat.NewDenseData(1, 1, []float64{1})
-	return NewSystem(a, b, c, nil)
 }

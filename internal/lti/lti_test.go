@@ -3,7 +3,6 @@ package lti
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"safesense/internal/mat"
 	"safesense/internal/noise"
@@ -150,66 +149,5 @@ func TestStable(t *testing.T) {
 	unstable, _ := NewSystem(mat.Diag([]float64{1.1, 0.2}), b, c, nil)
 	if unstable.Stable() {
 		t.Fatal("expanding mode must be unstable")
-	}
-}
-
-func TestDiscretizeFirstOrderLag(t *testing.T) {
-	// The paper's lower-level controller: K1 = 1.0, Ti = 1.008.
-	s, err := DiscretizeFirstOrderLag(1.0, 1.008, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phi := math.Exp(-1.0 / 1.008)
-	if math.Abs(s.A.At(0, 0)-phi) > 1e-12 {
-		t.Fatalf("A = %v, want %v", s.A.At(0, 0), phi)
-	}
-	// DC gain must equal K1: steady state under constant input u:
-	// x* = phi x* + (1-phi) K1 u  =>  x* = K1 u.
-	x := []float64{0}
-	for i := 0; i < 200; i++ {
-		x = s.Step(x, []float64{2.5})
-	}
-	if math.Abs(x[0]-2.5) > 1e-6 {
-		t.Fatalf("DC gain: settled at %v, want 2.5", x[0])
-	}
-	if !s.Stable() {
-		t.Fatal("first-order lag must be stable")
-	}
-}
-
-func TestDiscretizeFirstOrderLagValidation(t *testing.T) {
-	if _, err := DiscretizeFirstOrderLag(1, 0, 1); err == nil {
-		t.Fatal("Ti=0 should fail")
-	}
-	if _, err := DiscretizeFirstOrderLag(1, 1, -1); err == nil {
-		t.Fatal("dt<0 should fail")
-	}
-}
-
-func TestFirstOrderLagTracksWithinBoundProperty(t *testing.T) {
-	// For any bounded input, the lag output stays within the input's
-	// historical bounds (first-order low-pass property, K1 = 1).
-	f := func(seed int64) bool {
-		src := noise.NewSource(seed)
-		s, _ := DiscretizeFirstOrderLag(1.0, 1.008, 1.0)
-		x := []float64{0}
-		lo, hi := 0.0, 0.0
-		for k := 0; k < 200; k++ {
-			u := src.Uniform(-3, 3)
-			if u < lo {
-				lo = u
-			}
-			if u > hi {
-				hi = u
-			}
-			x = s.Step(x, []float64{u})
-			if x[0] < lo-1e-9 || x[0] > hi+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }

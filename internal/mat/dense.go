@@ -277,14 +277,3 @@ func (m *Dense) String() string {
 	}
 	return b.String()
 }
-
-// Outer returns the outer product x*y^T.
-func Outer(x, y []float64) *Dense {
-	m := NewDense(len(x), len(y))
-	for i, xv := range x {
-		for j, yv := range y {
-			m.data[i*m.cols+j] = xv * yv
-		}
-	}
-	return m
-}

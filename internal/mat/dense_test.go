@@ -158,7 +158,8 @@ func TestTraceDiagOuter(t *testing.T) {
 	if math.Abs(d.Trace()-6) > 1e-12 {
 		t.Fatalf("Trace = %v", d.Trace())
 	}
-	o := Outer([]float64{1, 2}, []float64{3, 4, 5})
+	// The outer product x y^T as a column times a row.
+	o := NewDenseData(2, 1, []float64{1, 2}).Mul(NewDenseData(1, 3, []float64{3, 4, 5}))
 	want := NewDenseData(2, 3, []float64{3, 4, 5, 6, 8, 10})
 	if !o.EqualApprox(want, 0) {
 		t.Fatalf("Outer = %v", o)

@@ -106,7 +106,7 @@ func TestRank(t *testing.T) {
 		t.Fatalf("Rank(I4) = %d", r)
 	}
 	// Rank-1 matrix.
-	a := Outer([]float64{1, 2, 3}, []float64{4, 5, 6})
+	a := NewDenseData(3, 1, []float64{1, 2, 3}).Mul(NewDenseData(1, 3, []float64{4, 5, 6}))
 	if r := Rank(a, 1e-10); r != 1 {
 		t.Fatalf("Rank(outer) = %d", r)
 	}

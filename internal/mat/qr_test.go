@@ -88,9 +88,6 @@ func TestVecOps(t *testing.T) {
 	if got := SubVec(y, x); !feq(got[0], 3) || !feq(got[2], 3) {
 		t.Fatalf("SubVec = %v", got)
 	}
-	if got := ScaleVec(2, x); !feq(got[1], 4) {
-		t.Fatalf("ScaleVec = %v", got)
-	}
 	z := []float64{1, 1, 1}
 	Axpy(2, x, z)
 	if !feq(z[0], 3) || !feq(z[2], 7) {

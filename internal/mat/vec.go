@@ -75,15 +75,6 @@ func SubVec(x, y []float64) []float64 {
 	return out
 }
 
-// ScaleVec returns s*x as a new slice.
-func ScaleVec(s float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = s * v
-	}
-	return out
-}
-
 // Axpy computes y += a*x in place.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {

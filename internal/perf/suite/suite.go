@@ -12,6 +12,7 @@ package suite
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"safesense/internal/campaign"
 	"safesense/internal/cra"
@@ -133,28 +134,39 @@ func registerKernels(g *perf.Registry) {
 	})
 
 	g.MustRegister(perf.Scenario{
-		Name:  "kernel_rls_update_order8",
+		Name:  "kernel_recovery_estimator",
 		Group: GroupKernel,
-		Doc:   "RLS covariance update, order 8, over a 256-regressor cycle.",
-		Ops:   256,
+		Doc: "RecoveryEstimator at DefaultPredictorConfig over one Fig 2a-shaped run: " +
+			"182 trusted Observe steps, then 119 free-run Predict steps.",
+		Ops: recoverySteps,
 		Setup: func() (func(r *perf.Rep) error, error) {
-			rls, err := estimate.NewRLS(8, 0.98, 1)
+			fresh, err := estimate.NewRecoveryEstimator(estimate.DefaultPredictorConfig())
 			if err != nil {
 				return nil, err
 			}
-			// Cycle pre-generated regressors: repeating one forever leaves
-			// the orthogonal subspace unexcited and the forgetting factor
-			// winds the covariance up, which is not the usage measured.
+			// A closing gap at a constant rate, measured with closed-form
+			// radar noise at ~100 m, seen from a follower at 29 m/s.
+			const vF, dv = 29.0, -0.25
 			src := noise.NewSource(1)
-			hs := make([][]float64, 256)
-			for i := range hs {
-				hs[i] = src.GaussianVec(8, 0, 1)
+			d := make([]float64, recoveryOnset)
+			v := make([]float64, recoveryOnset)
+			for k := range d {
+				d[k] = src.Gaussian(100+dv*float64(k), 0.5)
+				v[k] = src.Gaussian(dv, 0.12)
 			}
 			return func(*perf.Rep) error {
-				for _, h := range hs {
-					if _, _, err := rls.Update(h, 1.0); err != nil {
+				est := fresh.Clone()
+				for k := range d {
+					if err := est.Observe(d[k], v[k], vF); err != nil {
 						return err
 					}
+				}
+				var estD float64
+				for k := recoveryOnset; k < recoverySteps; k++ {
+					estD, _ = est.Predict(vF)
+				}
+				if truth := 100 + dv*float64(recoverySteps-1); math.Abs(estD-truth) > 5 {
+					return fmt.Errorf("final estimate %.2f m, truth %.2f m", estD, truth)
 				}
 				return nil
 			}, nil
@@ -193,30 +205,14 @@ func registerKernels(g *perf.Registry) {
 			}, nil
 		},
 	})
-
-	g.MustRegister(perf.Scenario{
-		Name:  "kernel_sim_step",
-		Group: GroupKernel,
-		Doc:   "Per-step cost of the Fig 2a closed loop (one run / 301 steps).",
-		Ops:   301,
-		Setup: func() (func(r *perf.Rep) error, error) {
-			s := sim.Fig2aDoS()
-			if s.Steps != 301 {
-				return nil, fmt.Errorf("Fig2aDoS has %d steps, scenario assumes 301", s.Steps)
-			}
-			return func(r *perf.Rep) error {
-				res, err := sim.Run(s)
-				if err != nil {
-					return err
-				}
-				if res.DetectedAt != paperDetectionStep {
-					return fmt.Errorf("DetectedAt = %d, want %d", res.DetectedAt, paperDetectionStep)
-				}
-				return nil
-			}, nil
-		},
-	})
 }
+
+// recoveryOnset and recoverySteps shape the recovery-estimator kernel
+// like the paper's Fig 2a run: attack detected at k = 182 of 301 steps.
+const (
+	recoveryOnset = 182
+	recoverySteps = 301
+)
 
 // campaignSpec is the 64-job Figure 2a/2b grid the throughput scenarios
 // sweep: DoS + delay attacks x 2 onsets x 16 seeds.

@@ -10,8 +10,8 @@ func TestDefaultRegistryShape(t *testing.T) {
 	g := Default()
 	want := []string{
 		"fig2a_dos", "fig2b_delay", "fig3a_dos", "fig3b_delay",
-		"kernel_root_music_256", "kernel_fft_1024", "kernel_rls_update_order8",
-		"kernel_cra_check", "kernel_synthesize_sweep", "kernel_sim_step",
+		"kernel_root_music_256", "kernel_fft_1024", "kernel_recovery_estimator",
+		"kernel_cra_check", "kernel_synthesize_sweep",
 		"campaign_w1", "campaign_w2", "campaign_w4", "campaign_w8",
 	}
 	got := g.Scenarios()
@@ -79,7 +79,7 @@ func TestSuiteDeterministic(t *testing.T) {
 // path `safesense-perf run` takes, minus the repetition count.
 func TestKernelsThroughRunner(t *testing.T) {
 	g := Default()
-	scenarios, err := g.Match("^kernel_(fft_1024|cra_check|rls_update_order8)$")
+	scenarios, err := g.Match("^kernel_(fft_1024|cra_check|recovery_estimator)$")
 	if err != nil {
 		t.Fatal(err)
 	}

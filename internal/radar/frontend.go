@@ -53,26 +53,24 @@ func DefaultClosedFormModel() ClosedFormModel {
 	return ClosedFormModel{DistStdRef: 0.5, VelStdRef: 0.12, RefDist: 100}
 }
 
-// Stds returns the distance and velocity noise standard deviations at
-// distance d.
-func (c ClosedFormModel) Stds(p Params, d float64) (stdD, stdV float64) {
-	refSNR := p.ReceivedPower(c.RefDist, p.TargetRCS) / p.NoiseFloor()
-	snr := p.ReceivedPower(d, p.TargetRCS) / p.NoiseFloor()
-	scale := math.Sqrt(refSNR / snr)
-	return c.DistStdRef * scale, c.VelStdRef * scale
-}
-
 // FrontEnd is the CRA-modified radar front end: a Params set, a challenge
 // schedule driving the pseudo-random binary modulation m(t), and a noise
 // source. It produces the *clean* (pre-attack) measurement stream; attacks
 // from internal/attack transform its output the way a jammer or spoofer
 // transforms the physical channel.
 type FrontEnd struct {
-	Params   Params
 	Schedule prbs.Schedule
-	Model    ClosedFormModel
 
-	src *noise.Source
+	params Params
+	model  ClosedFormModel
+	src    *noise.Source
+
+	// Range-independent terms of the link budget, fixed at construction:
+	// Eqn 9's constants for the target RCS, the receiver noise floor and
+	// the SNR at model.RefDist.
+	budget     linkBudget
+	noiseFloor float64
+	refSNR     float64
 }
 
 // NewFrontEnd validates the radar parameters and builds a front end.
@@ -86,7 +84,25 @@ func NewFrontEnd(p Params, sched prbs.Schedule, src *noise.Source) (*FrontEnd, e
 	if src == nil {
 		return nil, errors.New("radar: nil noise source")
 	}
-	return &FrontEnd{Params: p, Schedule: sched, Model: DefaultClosedFormModel(), src: src}, nil
+	f := &FrontEnd{
+		Schedule:   sched,
+		params:     p,
+		model:      DefaultClosedFormModel(),
+		src:        src,
+		budget:     p.linkBudget(p.TargetRCS),
+		noiseFloor: p.NoiseFloor(),
+	}
+	f.refSNR = f.budget.receivedPower(f.model.RefDist) / f.noiseFloor
+	return f, nil
+}
+
+// link returns the received power at in-range distance d and the
+// distance and velocity noise standard deviations the closed-form model
+// assigns it: anchored at model.RefDist and scaling as 1/sqrt(SNR).
+func (f *FrontEnd) link(d float64) (pr, stdD, stdV float64) {
+	pr = f.budget.receivedPower(d)
+	scale := math.Sqrt(f.refSNR / (pr / f.noiseFloor))
+	return pr, f.model.DistStdRef * scale, f.model.VelStdRef * scale
 }
 
 // Observe produces the step-k measurement for a true target at distance
@@ -96,6 +112,8 @@ func NewFrontEnd(p Params, sched prbs.Schedule, src *noise.Source) (*FrontEnd, e
 // the receiver reports (0, 0) at the noise floor — the zero spikes of the
 // paper's figures. Outside the operating range the radar reports the range
 // limit at the noise floor (no detectable return).
+//
+//safesense:hotpath
 func (f *FrontEnd) Observe(k int, dTrue, vRelTrue float64) Measurement {
 	challenge := f.Schedule.Challenge(k)
 	if challenge {
@@ -105,17 +123,17 @@ func (f *FrontEnd) Observe(k int, dTrue, vRelTrue float64) Measurement {
 			Power:     f.noisePowerSample(),
 		}
 	}
-	if !f.Params.InRange(dTrue) {
+	if !f.params.InRange(dTrue) {
 		// No return: clamp the report to the range limit.
-		d := math.Min(math.Max(dTrue, f.Params.MinRangeM), f.Params.MaxRangeM)
+		d := math.Min(math.Max(dTrue, f.params.MinRangeM), f.params.MaxRangeM)
 		return Measurement{K: k, Distance: d, RelVelocity: 0, Power: f.noisePowerSample()}
 	}
-	stdD, stdV := f.Model.Stds(f.Params, dTrue)
+	pr, stdD, stdV := f.link(dTrue)
 	return Measurement{
 		K:           k,
 		Distance:    f.src.Gaussian(dTrue, stdD),
 		RelVelocity: f.src.Gaussian(vRelTrue, stdV),
-		Power:       f.Params.ReceivedPower(dTrue, f.Params.TargetRCS),
+		Power:       pr,
 	}
 }
 
@@ -123,7 +141,7 @@ func (f *FrontEnd) Observe(k int, dTrue, vRelTrue float64) Measurement {
 // estimate (chi-squared spread around NoiseFloor), so challenge instants
 // are near zero but not exactly zero, as in real hardware.
 func (f *FrontEnd) noisePowerSample() float64 {
-	nf := f.Params.NoiseFloor()
+	nf := f.noiseFloor
 	v := f.src.Gaussian(nf, nf/4)
 	if v < 0 {
 		v = 0
@@ -135,5 +153,5 @@ func (f *FrontEnd) noisePowerSample() float64 {
 // transmission, quiet channel" from "energy present": a safe multiple of
 // the noise floor, far below any in-range target return or jammer.
 func (f *FrontEnd) ZeroThreshold() float64 {
-	return 10 * f.Params.NoiseFloor()
+	return 10 * f.noiseFloor
 }

@@ -139,11 +139,29 @@ func (p Params) ReceivedPower(d, sigma float64) float64 {
 	if d <= 0 {
 		return math.Inf(1)
 	}
+	return p.linkBudget(sigma).receivedPower(d)
+}
+
+// linkBudget holds the range-independent terms of Eqn 9.
+type linkBudget struct {
+	num     float64 // Pt G^2 lambda^2 sigma
+	fourPi3 float64 // (4 pi)^3
+	loss    float64 // L
+}
+
+func (p Params) linkBudget(sigma float64) linkBudget {
 	g := units.DBToLinear(p.AntennaGainDBi)
-	l := units.DBToLinear(p.SystemLossDB)
-	num := p.TransmitPowerW * g * g * p.WavelengthM * p.WavelengthM * sigma
-	den := math.Pow(4*math.Pi, 3) * math.Pow(d, 4) * l
-	return num / den
+	return linkBudget{
+		num:     p.TransmitPowerW * g * g * p.WavelengthM * p.WavelengthM * sigma,
+		fourPi3: math.Pow(4*math.Pi, 3),
+		loss:    units.DBToLinear(p.SystemLossDB),
+	}
+}
+
+// receivedPower evaluates Eqn 9 at distance d > 0. It keeps math.Pow(d, 4):
+// d*d*d*d rounds differently.
+func (b linkBudget) receivedPower(d float64) float64 {
+	return b.num / (b.fourPi3 * math.Pow(d, 4) * b.loss)
 }
 
 // NoiseFloor returns the receiver noise power in the sampled baseband

@@ -188,15 +188,45 @@ func TestNewFrontEndValidation(t *testing.T) {
 }
 
 func TestClosedFormModelStds(t *testing.T) {
-	p := BoschLRR2()
+	fe := newTestFrontEnd(t, prbs.NewFixedSchedule(), 1)
 	m := DefaultClosedFormModel()
-	d100, v100 := m.Stds(p, 100)
+	_, d100, v100 := fe.link(100)
 	if math.Abs(d100-m.DistStdRef) > 1e-9 || math.Abs(v100-m.VelStdRef) > 1e-9 {
 		t.Fatalf("reference stds = (%v, %v)", d100, v100)
 	}
-	d200, _ := m.Stds(p, 200)
+	_, d200, _ := fe.link(200)
 	// 1/sqrt(SNR) scaling: doubling distance quadruples the std.
 	if math.Abs(d200/d100-4) > 1e-6 {
 		t.Fatalf("std scaling = %v, want 4", d200/d100)
+	}
+}
+
+// TestFrontEndLinkBudgetBitExact: the link terms NewFrontEnd caches must
+// reproduce the uncached radar equation and SNR scaling bit for bit over
+// the whole operating range.
+func TestFrontEndLinkBudgetBitExact(t *testing.T) {
+	p := BoschLRR2()
+	fe := newTestFrontEnd(t, prbs.NewFixedSchedule(), 1)
+	m := DefaultClosedFormModel()
+	for d := p.MinRangeM; d <= p.MaxRangeM; d += 0.37 {
+		refSNR := p.ReceivedPower(m.RefDist, p.TargetRCS) / p.NoiseFloor()
+		snr := p.ReceivedPower(d, p.TargetRCS) / p.NoiseFloor()
+		scale := math.Sqrt(refSNR / snr)
+		pr, stdD, stdV := fe.link(d)
+		if pr != p.ReceivedPower(d, p.TargetRCS) || stdD != m.DistStdRef*scale || stdV != m.VelStdRef*scale {
+			t.Fatalf("d = %v: link (%v, %v, %v), uncached (%v, %v, %v)", d,
+				pr, stdD, stdV, p.ReceivedPower(d, p.TargetRCS), m.DistStdRef*scale, m.VelStdRef*scale)
+		}
+	}
+}
+
+func TestFrontEndObserveZeroAlloc(t *testing.T) {
+	fe := newTestFrontEnd(t, prbs.PaperFigureSchedule(), 2)
+	k := 0
+	if avg := testing.AllocsPerRun(300, func() {
+		fe.Observe(k, 80+float64(k%150), -0.5) // in range, out of range and challenge steps
+		k++
+	}); avg != 0 {
+		t.Fatalf("Observe: %v allocs/op, want 0", avg)
 	}
 }

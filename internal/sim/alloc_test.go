@@ -64,3 +64,20 @@ func TestFlightRecorderEndStepZeroAlloc(t *testing.T) {
 	// store.
 	assertZeroAllocs(t, "endStep", func() { fr.endStep(st) })
 }
+
+// TestRunAllocationCeiling bounds a whole closed-form figure run: the
+// per-step path (radar, CRA, estimator, controller, series appends) is
+// allocation-free, so what remains is per-run setup plus one estimator
+// snapshot per clean challenge instant.
+func TestRunAllocationCeiling(t *testing.T) {
+	const ceiling = 100
+	s := Fig2aDoS()
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := Run(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > ceiling {
+		t.Fatalf("Run(Fig2aDoS): %v allocs/run, want <= %d", avg, ceiling)
+	}
+}

@@ -182,10 +182,17 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 	vEst := res.Velocity.Add(SeriesEstimated)
 	spF := res.Speeds.Add(SeriesFollower)
 	spL := res.Speeds.Add(SeriesLeader)
+	reserve(s.Steps, dTrue, dMeas, dEst, vTrue, vMeas, vEst, spF, spL)
 
 	// Held values bridge challenge instants when no measurement exists.
 	heldD, heldV := s.InitialGap, 0.0
-	var estD, estV, truthD, truthV []float64
+	// Ground truth at the steps dEst and vEst hold, for the estimate
+	// error metrics.
+	var truthD, truthV []float64
+	if s.Defended {
+		res.Events = make([]cra.Event, 0, s.Steps)
+		truthD, truthV = make([]float64, 0, s.Steps), make([]float64, 0, s.Steps)
+	}
 
 	// Rollback bookkeeping: CRA verifies the channel only at challenge
 	// instants, so when an attack is detected every sample since the last
@@ -280,8 +287,6 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 				res.EstimateSteps++
 				dEst.Append(k, useD)
 				vEst.Append(k, useV)
-				estD = append(estD, useD)
-				estV = append(estV, useV)
 				truthD = append(truthD, d)
 				truthV = append(truthV, dv)
 				gapErr := useD - d
@@ -366,11 +371,11 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 
 	res.FinalFollowerSpeed = follower.Velocity
 	res.FinalGap = vehicle.Gap(leader, follower)
-	if len(estD) > 0 {
-		res.EstimateDistRMSE, _ = stats.RMSE(estD, truthD)
-		res.EstimateVelRMSE, _ = stats.RMSE(estV, truthV)
-		res.EstimateDistMaxErr, _ = stats.MaxAbsErr(estD, truthD)
-		res.EstimateVelMaxErr, _ = stats.MaxAbsErr(estV, truthV)
+	if len(truthD) > 0 {
+		res.EstimateDistRMSE, _ = stats.RMSE(dEst.Y, truthD)
+		res.EstimateVelRMSE, _ = stats.RMSE(vEst.Y, truthV)
+		res.EstimateDistMaxErr, _ = stats.MaxAbsErr(dEst.Y, truthD)
+		res.EstimateVelMaxErr, _ = stats.MaxAbsErr(vEst.Y, truthV)
 	}
 	if s.Defended {
 		res.Accuracy = cra.EvaluateAtChallenges(res.Events, func(k int) bool {
@@ -388,6 +393,19 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// reserve gives each series room for steps samples, carved from one
+// backing array per column so the run's traces cost two allocations.
+// Full slice expressions cap each series, so growing one past steps
+// reallocates instead of overwriting its neighbour.
+func reserve(steps int, series ...*trace.Series) {
+	ts := make([]int, steps*len(series))
+	ys := make([]float64, steps*len(series))
+	for i, s := range series {
+		lo, hi := i*steps, (i+1)*steps
+		s.T, s.Y = ts[lo:lo:hi], ys[lo:lo:hi]
+	}
 }
 
 func buildAttack(s Scenario, src *noise.Source) (attack.Attack, error) {

@@ -9,6 +9,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"safesense/internal/attack"
 	"safesense/internal/estimate"
@@ -108,6 +109,12 @@ func (s Scenario) Validate() error {
 	}
 	if s.LeaderProfile == nil {
 		return errors.New("sim: nil leader profile")
+	}
+	// NaN slips through every ordered comparison below.
+	for _, v := range [...]float64{s.LeaderSpeed, s.SetSpeed, s.InitialGap, s.Attack.OffsetM} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return errors.New("sim: speeds, initial gap and attack offset must be finite")
+		}
 	}
 	if s.LeaderSpeed < 0 || s.SetSpeed <= 0 {
 		return errors.New("sim: speeds must be positive")

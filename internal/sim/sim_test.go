@@ -46,6 +46,34 @@ func TestScenarioValidate(t *testing.T) {
 	}
 }
 
+func TestScenarioValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*Scenario)
+	}{
+		{"nan leader speed", func(s *Scenario) { s.LeaderSpeed = nan }},
+		{"inf leader speed", func(s *Scenario) { s.LeaderSpeed = inf }},
+		{"nan set speed", func(s *Scenario) { s.SetSpeed = nan }},
+		{"inf set speed", func(s *Scenario) { s.SetSpeed = inf }},
+		{"nan initial gap", func(s *Scenario) { s.InitialGap = nan }},
+		{"inf initial gap", func(s *Scenario) { s.InitialGap = inf }},
+		{"nan offset", func(s *Scenario) { s.Attack.OffsetM = nan }},
+		{"inf offset", func(s *Scenario) { s.Attack.OffsetM = inf }},
+		{"-inf offset", func(s *Scenario) { s.Attack.OffsetM = -inf }},
+	}
+	for _, tc := range cases {
+		s := Fig2bDelay()
+		tc.edit(&s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
+		if _, err := Run(s); err == nil {
+			t.Errorf("%s: Run accepted it", tc.name)
+		}
+	}
+}
+
 func TestAttackKindString(t *testing.T) {
 	if NoAttack.String() != "none" || DoSAttack.String() != "dos" || DelayAttack.String() != "delay" {
 		t.Fatal("kind strings")
