@@ -4,10 +4,29 @@ import (
 	"math"
 	"testing"
 
-	"safesense/internal/dsp/spectrum"
+	"safesense/internal/dsp/fft"
 	"safesense/internal/noise"
 	"safesense/internal/radar"
 )
+
+// periodogram is the rectangular-window periodogram |FFT(x)|^2 / N, the
+// spectrum CA-CFAR runs on.
+func periodogram(x []complex128) []float64 {
+	psd := make([]float64, len(x))
+	for i, v := range fft.Forward(x) {
+		psd[i] = (real(v)*real(v) + imag(v)*imag(v)) / float64(len(x))
+	}
+	return psd
+}
+
+// binHz is the frequency of DFT bin k of n at sample rate fs; bins above
+// n/2 are negative frequencies.
+func binHz(k, n int, fs float64) float64 {
+	if k > n/2 {
+		k -= n
+	}
+	return float64(k) * fs / float64(n)
+}
 
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
@@ -41,8 +60,7 @@ func TestDetectFindsStrongTone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psd, freqs := spectrum.Periodogram(sweep.Up, nil, p.SampleRateHz)
-	hits, err := Detect(psd, DefaultConfig())
+	hits, err := Detect(periodogram(sweep.Up), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +75,7 @@ func TestDetectFindsStrongTone(t *testing.T) {
 		}
 	}
 	fbUp, _ := p.BeatFrequencies(100, 0)
-	if got := freqs[best.Bin]; math.Abs(got-fbUp) > 2*p.SampleRateHz/512 {
+	if got := binHz(best.Bin, 512, p.SampleRateHz); math.Abs(got-fbUp) > 2*p.SampleRateHz/512 {
 		t.Fatalf("CFAR peak at %v Hz, want %v", got, fbUp)
 	}
 }
@@ -70,8 +88,7 @@ func TestFalseAlarmRateNearDesign(t *testing.T) {
 	var spectra [][]float64
 	for i := 0; i < 60; i++ {
 		x := src.ComplexNoiseVec(512, 1)
-		psd, _ := spectrum.Periodogram(x, nil, 1)
-		spectra = append(spectra, psd)
+		spectra = append(spectra, periodogram(x))
 	}
 	rate, err := FalseAlarmRate(spectra, cfg)
 	if err != nil {
@@ -103,9 +120,9 @@ func TestJammedSpectrumRaisesNoiseEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psdClean, _ := spectrum.Periodogram(sweep.Up, nil, p.SampleRateHz)
-	jammed := radar.AddNoiseSweep(sweep, 1e-9, src) // jam ≫ return
-	psdJam, _ := spectrum.Periodogram(jammed.Up, nil, p.SampleRateHz)
+	psdClean := periodogram(sweep.Up)
+	jammed := radar.AddNoiseSweep(sweep, 1e-9, src) // jam ≫ return, in place
+	psdJam := periodogram(jammed.Up)
 
 	cfg := DefaultConfig()
 	hitsClean, err := Detect(psdClean, cfg)

@@ -17,17 +17,27 @@ import (
 // Any length is accepted; power-of-two lengths use radix-2, others use
 // Bluestein. The input is not modified.
 func Forward(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
+	if len(x) == 0 {
 		return nil
 	}
-	out := make([]complex128, n)
+	out := make([]complex128, len(x))
 	copy(out, x)
-	if isPow2(n) {
-		radix2(out, false)
-		return out
+	ForwardInPlace(out)
+	return out
+}
+
+// ForwardInPlace overwrites x with its DFT, with Forward's numerics.
+// Power-of-two lengths transform in place without allocating; other
+// lengths run Bluestein in temporary buffers and copy the result back.
+func ForwardInPlace(x []complex128) {
+	if len(x) == 0 {
+		return
 	}
-	return bluestein(out, false)
+	if isPow2(len(x)) {
+		radix2(x, false)
+		return
+	}
+	copy(x, bluestein(x, false))
 }
 
 // Inverse returns the inverse DFT with 1/N normalization, so
@@ -58,21 +68,6 @@ func ForwardReal(x []float64) []complex128 {
 		c[i] = complex(v, 0)
 	}
 	return Forward(c)
-}
-
-// FreqBins returns the frequency in Hz of each DFT bin for a signal sampled
-// at fs Hz, using the unshifted convention: bins [0, n/2] are non-negative
-// frequencies, bins above n/2 are negative.
-func FreqBins(n int, fs float64) []float64 {
-	out := make([]float64, n)
-	for k := range out {
-		if k <= n/2 {
-			out[k] = float64(k) * fs / float64(n)
-		} else {
-			out[k] = float64(k-n) * fs / float64(n)
-		}
-	}
-	return out
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }

@@ -156,6 +156,27 @@ func TestForwardDoesNotMutate(t *testing.T) {
 	}
 }
 
+func TestForwardInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 8, 12, 64} { // radix-2 and Bluestein
+		x := randSignal(rng, n)
+		want := naiveDFT(x)
+		ForwardInPlace(x)
+		if e := maxErr(x, want); e > 1e-8 {
+			t.Fatalf("n=%d: max error %v vs naive DFT", n, e)
+		}
+	}
+	x := randSignal(rng, 128)
+	buf := make([]complex128, len(x))
+	allocs := testing.AllocsPerRun(50, func() {
+		copy(buf, x)
+		ForwardInPlace(buf)
+	})
+	if allocs != 0 {
+		t.Fatalf("ForwardInPlace(128): %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestEmptyInput(t *testing.T) {
 	if Forward(nil) != nil {
 		t.Fatal("Forward(nil) should be nil")
@@ -173,16 +194,6 @@ func TestForwardReal(t *testing.T) {
 	}
 	if cmplx.Abs(spec[0]) > 1e-12 || cmplx.Abs(spec[2]) > 1e-12 {
 		t.Fatalf("leakage into DC/Nyquist: %v", spec)
-	}
-}
-
-func TestFreqBins(t *testing.T) {
-	f := FreqBins(8, 800)
-	want := []float64{0, 100, 200, 300, 400, -300, -200, -100}
-	for i := range want {
-		if math.Abs(f[i]-want[i]) > 1e-9 {
-			t.Fatalf("FreqBins = %v, want %v", f, want)
-		}
 	}
 }
 

@@ -1,130 +1,104 @@
-// Package spectrum implements periodogram power spectral density estimation
-// and peak picking with parabolic interpolation — the FFT-based
-// beat-frequency extractor that the radar ablation compares against
-// root-MUSIC.
+// Package spectrum implements the FFT-based beat-frequency extractor that
+// the radar ablation compares against root-MUSIC: the dominant peak of a
+// windowed periodogram, refined by parabolic interpolation.
 package spectrum
 
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"safesense/internal/dsp/fft"
-	"safesense/internal/dsp/window"
 )
 
-// Periodogram returns the windowed periodogram |FFT(w.x)|^2 / (N*U) of the
-// signal and the frequency of each bin for sample rate fs. U is the window
-// power normalization so white noise yields a flat density.
-func Periodogram(x []complex128, w []float64, fs float64) (psd, freqs []float64) {
-	n := len(x)
-	if n == 0 {
-		return nil, nil
-	}
-	if w == nil {
-		w = window.Rect(n)
-	}
+var (
+	// ErrNoPeak reports a periodogram with no positive local maximum
+	// (an empty or all-zero signal).
+	ErrNoPeak = errors.New("spectrum: no peaks found")
+	// ErrLength reports a window or scratch buffer whose length differs
+	// from the signal's.
+	ErrLength = errors.New("spectrum: window/scratch length differs from signal length")
+)
+
+// WindowPower returns the power normalization U = sum(w^2)/N of a window,
+// which makes the periodogram of white noise flat at the noise power.
+func WindowPower(w []float64) float64 {
 	u := 0.0
 	for _, v := range w {
 		u += v * v
 	}
-	u /= float64(n)
-	spec := fft.Forward(window.Apply(x, w))
-	psd = make([]float64, n)
-	for i, v := range spec {
-		psd[i] = (real(v)*real(v) + imag(v)*imag(v)) / (float64(n) * u)
-	}
-	return psd, fft.FreqBins(n, fs)
+	return u / float64(len(w))
 }
 
-// Peak is a located spectral peak.
-type Peak struct {
-	// Freq is the interpolated peak frequency in Hz.
-	Freq float64
-	// Power is the peak PSD value.
-	Power float64
-	// Bin is the integer bin index of the maximum.
-	Bin int
-}
-
-// FindPeaks locates up to k local maxima of the PSD, strongest first, and
-// refines each frequency by parabolic interpolation over log power. Peaks
-// closer than minSepBins bins to an already accepted stronger peak are
-// suppressed.
-func FindPeaks(psd, freqs []float64, k, minSepBins int) ([]Peak, error) {
-	n := len(psd)
-	if n != len(freqs) {
-		return nil, errors.New("spectrum: psd/freqs length mismatch")
+// DominantFrequency returns the frequency in Hz of the strongest peak of
+// the windowed periodogram |FFT(w.x)|^2 / (N*U) of x sampled at fs, where
+// u = WindowPower(w). It windows x into scratch, transforms scratch in
+// place, and picks the peak in one pass over the periodogram's local
+// maxima; among equal maxima the lowest bin wins. The peak is refined by
+// parabolic interpolation over log power. w and scratch must have len(x);
+// x is not modified. For power-of-two lengths it does not allocate.
+//
+//safesense:hotpath
+func DominantFrequency(x []complex128, w []float64, u, fs float64, scratch []complex128) (float64, error) {
+	n := len(x)
+	if len(w) != n || len(scratch) != n {
+		return 0, ErrLength
 	}
-	if k <= 0 {
-		return nil, errors.New("spectrum: k must be positive")
+	if n == 0 {
+		return 0, ErrNoPeak
 	}
-	type cand struct {
-		bin int
-		p   float64
+	for i, v := range x {
+		scratch[i] = v * complex(w[i], 0)
 	}
-	var cands []cand
+	fft.ForwardInPlace(scratch)
+	norm := float64(n) * u
+	bin, peak := -1, 0.0
+	prev, cur := binPower(scratch[n-1], norm), binPower(scratch[0], norm)
 	for i := 0; i < n; i++ {
-		prev := psd[(i-1+n)%n]
-		next := psd[(i+1)%n]
-		if psd[i] >= prev && psd[i] >= next && psd[i] > 0 {
-			cands = append(cands, cand{i, psd[i]})
+		next := binPower(scratch[(i+1)%n], norm)
+		// A local maximum beating every earlier one; starting from
+		// peak = 0 also rejects non-positive (and NaN) bins.
+		if cur >= prev && cur >= next && cur > peak {
+			bin, peak = i, cur
 		}
+		prev, cur = cur, next
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].p > cands[b].p })
-	var out []Peak
-	for _, c := range cands {
-		if len(out) == k {
-			break
-		}
-		ok := true
-		for _, p := range out {
-			if binDist(c.bin, p.Bin, n) < minSepBins {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		out = append(out, Peak{
-			Freq:  interpolate(psd, freqs, c.bin),
-			Power: c.p,
-			Bin:   c.bin,
-		})
+	if bin < 0 {
+		return 0, ErrNoPeak
 	}
-	if len(out) == 0 {
-		return nil, errors.New("spectrum: no peaks found")
-	}
-	return out, nil
+	return interpolate(scratch, norm, bin, fs), nil
 }
 
-func binDist(a, b, n int) int {
-	d := a - b
-	if d < 0 {
-		d = -d
+// binPower is one periodogram bin: |X[k]|^2 normalized by N*U.
+func binPower(v complex128, norm float64) float64 {
+	return (real(v)*real(v) + imag(v)*imag(v)) / norm
+}
+
+// binFreq is the frequency in Hz of DFT bin k of n at sample rate fs,
+// unshifted: bins [0, n/2] are non-negative, bins above n/2 negative.
+func binFreq(k, n int, fs float64) float64 {
+	if k <= n/2 {
+		return float64(k) * fs / float64(n)
 	}
-	if n-d < d {
-		d = n - d
-	}
-	return d
+	return float64(k-n) * fs / float64(n)
 }
 
 // interpolate refines the peak location with a parabolic fit over log power
 // on the three bins around the maximum, then converts the fractional bin to
 // frequency assuming uniform bin spacing.
-func interpolate(psd, freqs []float64, bin int) float64 {
-	n := len(psd)
-	im := (bin - 1 + n) % n
-	ip := (bin + 1) % n
+func interpolate(spec []complex128, norm float64, bin int, fs float64) float64 {
+	n := len(spec)
+	p0 := binPower(spec[bin], norm)
+	pm := binPower(spec[(bin-1+n)%n], norm)
+	pp := binPower(spec[(bin+1)%n], norm)
+	f0 := binFreq(bin, n, fs)
 	// Exact-bin tones leave only FFT round-off in the neighbors; parabolic
 	// interpolation over those junk values adds noise, so skip it.
-	if psd[im] < psd[bin]*1e-9 && psd[ip] < psd[bin]*1e-9 {
-		return freqs[bin]
+	if n == 1 || pm < p0*1e-9 && pp < p0*1e-9 {
+		return f0
 	}
-	ym := safeLog(psd[im])
-	y0 := safeLog(psd[bin])
-	yp := safeLog(psd[ip])
+	ym := safeLog(pm)
+	y0 := safeLog(p0)
+	yp := safeLog(pp)
 	den := ym - 2*y0 + yp
 	delta := 0.0
 	if den != 0 {
@@ -135,12 +109,9 @@ func interpolate(psd, freqs []float64, bin int) float64 {
 			delta = -0.5
 		}
 	}
-	// Uniform spacing: df from adjacent bins (watch the wrap at n/2).
-	df := freqs[1] - freqs[0]
-	if len(freqs) > 1 {
-		return freqs[bin] + delta*df
-	}
-	return freqs[bin]
+	// Uniform spacing: df from adjacent bins.
+	df := binFreq(1, n, fs) - binFreq(0, n, fs)
+	return f0 + delta*df
 }
 
 func safeLog(x float64) float64 {
@@ -148,28 +119,4 @@ func safeLog(x float64) float64 {
 		return -745 // log of smallest positive double
 	}
 	return math.Log(x)
-}
-
-// DominantFrequency returns the interpolated frequency of the strongest
-// peak of the windowed periodogram of x.
-func DominantFrequency(x []complex128, w []float64, fs float64) (float64, error) {
-	psd, freqs := Periodogram(x, w, fs)
-	peaks, err := FindPeaks(psd, freqs, 1, 1)
-	if err != nil {
-		return 0, err
-	}
-	return peaks[0].Freq, nil
-}
-
-// TotalPower integrates the PSD over all bins (Parseval-consistent power
-// estimate in signal units).
-func TotalPower(psd []float64) float64 {
-	s := 0.0
-	for _, v := range psd {
-		s += v
-	}
-	if len(psd) == 0 {
-		return 0
-	}
-	return s / float64(len(psd))
 }

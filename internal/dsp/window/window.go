@@ -8,15 +8,6 @@ import "math"
 // Func generates an n-point window.
 type Func func(n int) []float64
 
-// Rect returns the all-ones rectangular window.
-func Rect(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 // Hann returns the n-point Hann window.
 func Hann(n int) []float64 {
 	return raisedCosine(n, 0.5, 0.5)
@@ -51,19 +42,6 @@ func raisedCosine(n int, a0, a1 float64) []float64 {
 		w[i] = a0 - a1*math.Cos(2*math.Pi*float64(i)/float64(n-1))
 	}
 	return w
-}
-
-// Apply multiplies the signal by the window element-wise, returning a new
-// slice. It panics if the lengths differ.
-func Apply(signal []complex128, w []float64) []complex128 {
-	if len(signal) != len(w) {
-		panic("window: length mismatch")
-	}
-	out := make([]complex128, len(signal))
-	for i, v := range signal {
-		out[i] = v * complex(w[i], 0)
-	}
-	return out
 }
 
 // CoherentGain returns the window's coherent gain (mean of the window),

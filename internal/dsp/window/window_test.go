@@ -9,7 +9,7 @@ func TestWindowLengths(t *testing.T) {
 	for _, f := range []struct {
 		name string
 		fn   Func
-	}{{"Rect", Rect}, {"Hann", Hann}, {"Hamming", Hamming}, {"Blackman", Blackman}} {
+	}{{"Hann", Hann}, {"Hamming", Hamming}, {"Blackman", Blackman}} {
 		for _, n := range []int{1, 2, 7, 64} {
 			w := f.fn(n)
 			if len(w) != n {
@@ -52,7 +52,7 @@ func TestHammingEndpoints(t *testing.T) {
 }
 
 func TestWindowsBounded(t *testing.T) {
-	for _, f := range []Func{Rect, Hann, Hamming, Blackman} {
+	for _, f := range []Func{Hann, Hamming, Blackman} {
 		for _, v := range f(101) {
 			if v < -1e-12 || v > 1+1e-12 {
 				t.Fatalf("window value out of [0,1]: %v", v)
@@ -61,42 +61,13 @@ func TestWindowsBounded(t *testing.T) {
 	}
 }
 
-// ceq reports exact complex equality. The oracle values below are
-// products with 0, 0.5, and 1 — all exact in IEEE-754 — so exact
-// comparison is the intended check.
-//
-//safesense:floatcmp-helper
-func ceq(a, b complex128) bool { return a == b }
-
-// feq is ceq for float64 oracle values.
+// feq reports exact float64 equality; a one-point window is exactly 1.
 //
 //safesense:floatcmp-helper
 func feq(a, b float64) bool { return a == b }
 
-func TestApply(t *testing.T) {
-	sig := []complex128{1 + 1i, 2, 3i}
-	w := []float64{1, 0.5, 0}
-	got := Apply(sig, w)
-	if !ceq(got[0], 1+1i) || !ceq(got[1], 1) || got[2] != 0 {
-		t.Fatalf("Apply = %v", got)
-	}
-	// Input must not be mutated.
-	if !ceq(sig[1], 2) {
-		t.Fatal("Apply mutated input")
-	}
-}
-
-func TestApplyPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Apply([]complex128{1}, []float64{1, 2})
-}
-
 func TestCoherentGain(t *testing.T) {
-	if g := CoherentGain(Rect(10)); math.Abs(g-1) > 1e-12 {
+	if g := CoherentGain([]float64{1, 1, 1, 1}); math.Abs(g-1) > 1e-12 {
 		t.Fatalf("rect gain = %v", g)
 	}
 	// Hann coherent gain -> 0.5 for large n.

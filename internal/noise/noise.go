@@ -53,15 +53,10 @@ func (s *Source) ComplexGaussian(sigma2 float64) complex128 {
 // signal's average power. The input slice is not modified; a noisy copy is
 // returned. A zero-power signal is returned unchanged (SNR is undefined).
 func (s *Source) AddAWGN(signal []complex128, snrDB float64) []complex128 {
-	p := AveragePower(signal)
 	out := make([]complex128, len(signal))
-	if p == 0 {
-		copy(out, signal)
-		return out
-	}
-	noiseP := p / units.DBToLinear(snrDB)
-	for i, v := range signal {
-		out[i] = v + s.ComplexGaussian(noiseP)
+	copy(out, signal)
+	if p := AveragePower(signal); p != 0 {
+		s.AddComplexNoise(out, p/units.DBToLinear(snrDB))
 	}
 	return out
 }
@@ -71,10 +66,32 @@ func (s *Source) AddAWGN(signal []complex128, snrDB float64) []complex128 {
 // signal is present (e.g. during a CRA challenge instant).
 func (s *Source) ComplexNoiseVec(n int, sigma2 float64) []complex128 {
 	out := make([]complex128, n)
-	for i := range out {
-		out[i] = s.ComplexGaussian(sigma2)
-	}
+	s.FillComplexNoise(out, sigma2)
 	return out
+}
+
+// FillComplexNoise overwrites x with circularly-symmetric complex Gaussian
+// samples of total per-sample power sigma2, drawing exactly as
+// ComplexGaussian does, in index order.
+//
+//safesense:hotpath
+func (s *Source) FillComplexNoise(x []complex128, sigma2 float64) {
+	sd := math.Sqrt(sigma2 / 2)
+	for i := range x {
+		x[i] = complex(sd*s.rng.NormFloat64(), sd*s.rng.NormFloat64())
+	}
+}
+
+// AddComplexNoise adds circularly-symmetric complex Gaussian noise of total
+// per-sample power sigma2 to x in place, drawing exactly as
+// ComplexGaussian does, in index order.
+//
+//safesense:hotpath
+func (s *Source) AddComplexNoise(x []complex128, sigma2 float64) {
+	sd := math.Sqrt(sigma2 / 2)
+	for i, v := range x {
+		x[i] = v + complex(sd*s.rng.NormFloat64(), sd*s.rng.NormFloat64())
+	}
 }
 
 // AveragePower returns the mean squared magnitude of the signal.

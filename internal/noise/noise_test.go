@@ -130,3 +130,40 @@ func TestComplexNoiseVecPowerProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInPlaceNoiseMatchesComplexGaussian: the in-place fill and add draw
+// the same samples, bit for bit and in the same order, as per-sample
+// ComplexGaussian calls, and allocate nothing.
+func TestInPlaceNoiseMatchesComplexGaussian(t *testing.T) {
+	const n, sigma2 = 64, 3e-13
+	ref := NewSource(9)
+	want := make([]complex128, 2*n)
+	for i := range want {
+		want[i] = ref.ComplexGaussian(sigma2)
+	}
+	src := NewSource(9)
+	filled := make([]complex128, n)
+	src.FillComplexNoise(filled, sigma2)
+	added := []complex128{1 + 2i}
+	added = append(added, make([]complex128, n-1)...)
+	src.AddComplexNoise(added, sigma2)
+	for i := 0; i < n; i++ {
+		if filled[i] != want[i] {
+			t.Fatalf("fill sample %d = %v, want %v", i, filled[i], want[i])
+		}
+		base := complex128(0)
+		if i == 0 {
+			base = 1 + 2i
+		}
+		if added[i] != base+want[n+i] {
+			t.Fatalf("add sample %d = %v, want %v", i, added[i], base+want[n+i])
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		src.FillComplexNoise(filled, sigma2)
+		src.AddComplexNoise(filled, sigma2)
+	})
+	if allocs != 0 {
+		t.Fatalf("in-place noise: %v allocs/op, want 0", allocs)
+	}
+}

@@ -83,8 +83,9 @@ func TestShiftSweepPreservesPowerProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		before := s.Power()
 		shifted := ShiftSweep(s, df)
-		return math.Abs(shifted.Power()-s.Power()) <= 1e-9*(1+s.Power())
+		return math.Abs(shifted.Power()-before) <= 1e-9*(1+before)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -34,44 +34,48 @@ func (p Params) SynthesizeSweep(d, vRel float64, n int, src *noise.Source) (Swee
 	if d <= 0 {
 		return Sweep{}, errors.New("radar: non-positive target distance")
 	}
-	fbUp, fbDown := p.BeatFrequencies(d, vRel)
-	amp := math.Sqrt(p.ReceivedPower(d, p.TargetRCS))
-	up := tone(n, fbUp, p.SampleRateHz, amp)
-	down := tone(n, fbDown, p.SampleRateHz, amp)
-	if src != nil {
-		nf := p.NoiseFloor()
-		up = addNoise(up, nf, src)
-		down = addNoise(down, nf, src)
-	}
-	return Sweep{Up: up, Down: down, Fs: p.SampleRateHz}, nil
+	s := p.newSweep(n)
+	p.fillTarget(s, d, vRel, p.NoiseFloor(), src)
+	return s, nil
 }
 
 // SynthesizeSilence produces the receiver output during a CRA challenge
 // instant when nothing was transmitted: thermal noise only.
 func (p Params) SynthesizeSilence(n int, src *noise.Source) Sweep {
-	nf := p.NoiseFloor()
-	return Sweep{
-		Up:   src.ComplexNoiseVec(n, nf),
-		Down: src.ComplexNoiseVec(n, nf),
-		Fs:   p.SampleRateHz,
+	s := p.newSweep(n)
+	fillSilence(s, p.NoiseFloor(), src)
+	return s
+}
+
+func (p Params) newSweep(n int) Sweep {
+	return Sweep{Up: make([]complex128, n), Down: make([]complex128, n), Fs: p.SampleRateHz}
+}
+
+// fillTarget overwrites s with the target's two beat tones plus, when src
+// is non-nil, thermal noise of power nf: up segment first, then down.
+func (p Params) fillTarget(s Sweep, d, vRel, nf float64, src *noise.Source) {
+	fbUp, fbDown := p.BeatFrequencies(d, vRel)
+	amp := math.Sqrt(p.ReceivedPower(d, p.TargetRCS))
+	fillTone(s.Up, fbUp, p.SampleRateHz, amp)
+	fillTone(s.Down, fbDown, p.SampleRateHz, amp)
+	if src != nil {
+		src.AddComplexNoise(s.Up, nf)
+		src.AddComplexNoise(s.Down, nf)
 	}
 }
 
-func tone(n int, f, fs, amp float64) []complex128 {
-	x := make([]complex128, n)
+// fillSilence overwrites s with thermal noise of power nf: up segment
+// first, then down.
+func fillSilence(s Sweep, nf float64, src *noise.Source) {
+	src.FillComplexNoise(s.Up, nf)
+	src.FillComplexNoise(s.Down, nf)
+}
+
+func fillTone(x []complex128, f, fs, amp float64) {
 	w := 2 * math.Pi * f / fs
 	for i := range x {
 		x[i] = cmplx.Rect(amp, w*float64(i))
 	}
-	return x
-}
-
-func addNoise(x []complex128, noisePower float64, src *noise.Source) []complex128 {
-	out := make([]complex128, len(x))
-	for i, v := range x {
-		out[i] = v + src.ComplexGaussian(noisePower)
-	}
-	return out
 }
 
 // Power returns the average received power across both segments, the
@@ -89,28 +93,63 @@ type BeatExtractor interface {
 }
 
 // FFTExtractor estimates each segment's beat frequency from the dominant
-// peak of a Hann-windowed periodogram with parabolic interpolation.
-type FFTExtractor struct{}
+// peak of a Hann-windowed periodogram with parabolic interpolation. The
+// zero value builds its window and scratch on every call;
+// NewSignalFrontEnd gives its FFTExtractor a workspace sized to the sweep,
+// so extraction there allocates nothing.
+type FFTExtractor struct {
+	ws *fftWorkspace
+}
+
+// fftWorkspace is what spectrum.DominantFrequency reuses across sweeps of
+// one segment length: the Hann window, its power normalization and the
+// spectrum scratch.
+type fftWorkspace struct {
+	window  []float64
+	power   float64
+	scratch []complex128
+}
+
+func newFFTWorkspace(n int) *fftWorkspace {
+	w := window.Hann(n)
+	return &fftWorkspace{window: w, power: spectrum.WindowPower(w), scratch: make([]complex128, n)}
+}
 
 // Name implements BeatExtractor.
 func (FFTExtractor) Name() string { return "fft" }
 
 // Extract implements BeatExtractor.
-func (FFTExtractor) Extract(s Sweep) (float64, float64, error) {
-	w := window.Hann(len(s.Up))
-	fbUp, err := spectrum.DominantFrequency(s.Up, w, s.Fs)
+//
+//safesense:hotpath
+func (e FFTExtractor) Extract(s Sweep) (float64, float64, error) {
+	fbUp, err := e.segment(s.Up, s.Fs)
 	if err != nil {
-		return 0, 0, fmt.Errorf("radar: up-segment: %w", err)
+		return 0, 0, &segmentError{segment: "up", err: err}
 	}
-	if len(s.Down) != len(s.Up) {
-		w = window.Hann(len(s.Down))
-	}
-	fbDown, err := spectrum.DominantFrequency(s.Down, w, s.Fs)
+	fbDown, err := e.segment(s.Down, s.Fs)
 	if err != nil {
-		return 0, 0, fmt.Errorf("radar: down-segment: %w", err)
+		return 0, 0, &segmentError{segment: "down", err: err}
 	}
 	return fbUp, fbDown, nil
 }
+
+func (e FFTExtractor) segment(x []complex128, fs float64) (float64, error) {
+	ws := e.ws
+	if ws == nil || len(ws.window) != len(x) {
+		ws = newFFTWorkspace(len(x))
+	}
+	return spectrum.DominantFrequency(x, ws.window, ws.power, fs, ws.scratch)
+}
+
+// segmentError reports which sweep segment beat extraction failed on.
+type segmentError struct {
+	segment string // "up" or "down"
+	err     error
+}
+
+func (e *segmentError) Error() string { return "radar: " + e.segment + "-segment: " + e.err.Error() }
+
+func (e *segmentError) Unwrap() error { return e.err }
 
 // MUSICExtractor estimates each segment's beat frequency with root-MUSIC,
 // the paper's choice ("The root MUSIC algorithm is used to extract beat
@@ -135,11 +174,11 @@ func (m MUSICExtractor) Extract(s Sweep) (float64, float64, error) {
 	}
 	fbUp, err := segmentFreq(est, s.Up, s.Fs)
 	if err != nil {
-		return 0, 0, fmt.Errorf("radar: up-segment: %w", err)
+		return 0, 0, &segmentError{segment: "up", err: err}
 	}
 	fbDown, err := segmentFreq(est, s.Down, s.Fs)
 	if err != nil {
-		return 0, 0, fmt.Errorf("radar: down-segment: %w", err)
+		return 0, 0, &segmentError{segment: "down", err: err}
 	}
 	return fbUp, fbDown, nil
 }

@@ -3,6 +3,7 @@ package radar
 import (
 	"errors"
 	"math"
+	"math/cmplx"
 
 	"safesense/internal/noise"
 	"safesense/internal/prbs"
@@ -13,7 +14,10 @@ import (
 // way a jammer's energy or a spoofer's counterfeit reflection would.
 type SweepCorruptor interface {
 	// CorruptSweep transforms the receiver's sweep at step k. challenge
-	// reports whether the radar suppressed its own transmission.
+	// reports whether the radar suppressed its own transmission. The
+	// sweep from SignalFrontEnd.ObserveSweep aliases the front end's
+	// buffers: implementations transform it in place and return it, and
+	// the result is valid until the next ObserveSweep.
 	CorruptSweep(k int, s Sweep, challenge bool) Sweep
 }
 
@@ -22,19 +26,27 @@ type SweepCorruptor interface {
 // challenge instant), lets a SweepCorruptor transform it, and extracts the
 // measurement with a configurable beat estimator — the chain the paper
 // implements with the MATLAB Phased Array Toolbox plus root MUSIC.
+//
+// The front end owns the two segment buffers every sweep is synthesized
+// into, and caches the noise floor and quiet-channel threshold, so the
+// per-step chain ObserveSweep → CorruptSweep → Measure allocates nothing
+// with the FFT extractor.
 type SignalFrontEnd struct {
-	Params   Params
 	Schedule prbs.Schedule
 	// Extractor recovers the beat frequencies (FFTExtractor or
 	// MUSICExtractor).
 	Extractor BeatExtractor
-	// Samples per sweep segment.
-	Samples int
 
-	src *noise.Source
+	params     Params
+	src        *noise.Source
+	sweep      Sweep   // segment buffers ObserveSweep overwrites
+	noiseFloor float64 // params.NoiseFloor()
+	zeroThresh float64 // 10 × the noise floor
 }
 
-// NewSignalFrontEnd validates and builds the signal-level front end.
+// NewSignalFrontEnd validates and builds the signal-level front end with
+// samples per sweep segment. A zero-value FFTExtractor gets a workspace
+// sized to the segments, so its extraction reuses one window and scratch.
 func NewSignalFrontEnd(p Params, sched prbs.Schedule, ext BeatExtractor, samples int, src *noise.Source) (*SignalFrontEnd, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -51,24 +63,37 @@ func NewSignalFrontEnd(p Params, sched prbs.Schedule, ext BeatExtractor, samples
 	if src == nil {
 		return nil, errors.New("radar: nil noise source")
 	}
-	return &SignalFrontEnd{Params: p, Schedule: sched, Extractor: ext, Samples: samples, src: src}, nil
+	if fe, ok := ext.(FFTExtractor); ok && fe.ws == nil {
+		ext = FFTExtractor{ws: newFFTWorkspace(samples)}
+	}
+	nf := p.NoiseFloor()
+	return &SignalFrontEnd{
+		Schedule:   sched,
+		Extractor:  ext,
+		params:     p,
+		src:        src,
+		sweep:      p.newSweep(samples),
+		noiseFloor: nf,
+		zeroThresh: 10 * nf,
+	}, nil
 }
 
 // ObserveSweep produces the receiver's raw sweep at step k for the true
 // target, before any attack: thermal noise only at challenge instants or
-// out of range, the dechirped target return otherwise.
+// out of range, the dechirped target return otherwise. The returned sweep
+// aliases the front end's segment buffers and is valid until the next
+// ObserveSweep, which overwrites it.
+//
+//safesense:hotpath
 func (f *SignalFrontEnd) ObserveSweep(k int, dTrue, vRelTrue float64) (s Sweep, challenge bool) {
 	challenge = f.Schedule.Challenge(k)
-	if challenge || !f.Params.InRange(dTrue) {
-		return f.Params.SynthesizeSilence(f.Samples, f.src), challenge
+	// InRange implies a positive distance (Validate requires MinRangeM > 0).
+	if challenge || !f.params.InRange(dTrue) {
+		fillSilence(f.sweep, f.noiseFloor, f.src)
+	} else {
+		f.params.fillTarget(f.sweep, dTrue, vRelTrue, f.noiseFloor, f.src)
 	}
-	sw, err := f.Params.SynthesizeSweep(dTrue, vRelTrue, f.Samples, f.src)
-	if err != nil {
-		// Validated parameters and an in-range target cannot fail;
-		// degrade to silence rather than panic.
-		return f.Params.SynthesizeSilence(f.Samples, f.src), challenge
-	}
-	return sw, challenge
+	return f.sweep, challenge
 }
 
 // Measure runs beat extraction on a (possibly corrupted) sweep and returns
@@ -77,21 +102,24 @@ func (f *SignalFrontEnd) ObserveSweep(k int, dTrue, vRelTrue float64) (s Sweep, 
 // response), and clamps physically impossible extractions to the
 // receiver's unambiguous limits, as the anti-aliasing chain of a real
 // FMCW receiver would.
+//
+//safesense:hotpath
 func (f *SignalFrontEnd) Measure(k int, s Sweep, challenge bool) Measurement {
 	m := Measurement{K: k, Challenge: challenge, Power: s.Power()}
-	if m.Power <= f.ZeroThreshold() {
+	if m.Power <= f.zeroThresh {
 		return m // quiet channel: zero output
 	}
+	//safesense:allow hotpathalloc root-MUSIC allocates per sweep (out of scope); FFTExtractor.Extract is its own hot-path root
 	fbUp, fbDown, err := f.Extractor.Extract(s)
 	if err != nil {
 		// Extraction failure on a hot channel: report saturated garbage
 		// (the controller-facing equivalent of a blinded receiver).
-		m.Distance = f.Params.MaxRangeM
+		m.Distance = f.params.MaxRangeM
 		m.RelVelocity = 0
 		return m
 	}
-	d, v := f.Params.FromBeats(fbUp, fbDown)
-	maxD := f.Params.MaxRangeM * 1.2
+	d, v := f.params.FromBeats(fbUp, fbDown)
+	maxD := f.params.MaxRangeM * 1.2
 	m.Distance = clampF(d, 0, maxD)
 	m.RelVelocity = clampF(v, -60, 60)
 	return m
@@ -105,60 +133,61 @@ func (f *SignalFrontEnd) Observe(k int, dTrue, vRelTrue float64) Measurement {
 
 // ZeroThreshold returns the detector's quiet-channel power threshold.
 func (f *SignalFrontEnd) ZeroThreshold() float64 {
-	return 10 * f.Params.NoiseFloor()
+	return f.zeroThresh
 }
 
 func clampF(v, lo, hi float64) float64 {
 	return math.Min(math.Max(v, lo), hi)
 }
 
-// ShiftSweep returns a copy of the sweep with both segments shifted in
-// frequency by df Hz — the effect of injecting extra round-trip delay
+// ShiftSweep shifts both segments of the sweep in frequency by df Hz, in
+// place, and returns it — the effect of injecting extra round-trip delay
 // tau into the reflection, since an FMCW dechirper maps delay to beat
 // frequency by df = tau * Bs / Ts.
+//
+//safesense:hotpath
 func ShiftSweep(s Sweep, df float64) Sweep {
-	out := Sweep{
-		Up:   shiftTone(s.Up, df, s.Fs),
-		Down: shiftTone(s.Down, df, s.Fs),
-		Fs:   s.Fs,
-	}
-	return out
+	shiftTone(s.Up, df, s.Fs)
+	shiftTone(s.Down, df, s.Fs)
+	return s
 }
 
-func shiftTone(x []complex128, df, fs float64) []complex128 {
-	out := make([]complex128, len(x))
+func shiftTone(x []complex128, df, fs float64) {
 	w := 2 * math.Pi * df / fs
 	for i, v := range x {
 		s, c := math.Sincos(w * float64(i))
-		out[i] = v * complex(c, s)
+		x[i] = v * complex(c, s)
 	}
-	return out
 }
 
-// AddNoiseSweep returns a copy of the sweep with circularly-symmetric
-// Gaussian noise of the given per-sample power added to both segments —
-// the effect of broadband jamming energy reaching the receiver.
+// AddNoiseSweep adds circularly-symmetric Gaussian noise of the given
+// per-sample power to both segments of the sweep, in place (up segment
+// first), and returns it — the effect of broadband jamming energy reaching
+// the receiver.
+//
+//safesense:hotpath
 func AddNoiseSweep(s Sweep, power float64, src *noise.Source) Sweep {
-	return Sweep{
-		Up:   addNoise(s.Up, power, src),
-		Down: addNoise(s.Down, power, src),
-		Fs:   s.Fs,
-	}
+	src.AddComplexNoise(s.Up, power)
+	src.AddComplexNoise(s.Down, power)
+	return s
 }
 
-// AddToneSweep returns a copy of the sweep with a complex tone of the given
-// frequency and power added to both segments — a spoofer's counterfeit
-// return landing in the dechirped band.
+// AddToneSweep adds a complex tone of the given frequency and power to both
+// segments of the sweep, in place, and returns it — a spoofer's
+// counterfeit return landing in the dechirped band. The tone restarts its
+// phase every len(s.Up) samples.
+//
+//safesense:hotpath
 func AddToneSweep(s Sweep, freq, power float64) Sweep {
 	amp := math.Sqrt(power)
-	n := len(s.Up)
-	t := tone(n, freq, s.Fs, amp)
-	add := func(x []complex128) []complex128 {
-		out := make([]complex128, len(x))
-		for i, v := range x {
-			out[i] = v + t[i%n]
-		}
-		return out
+	w := 2 * math.Pi * freq / s.Fs
+	addTone(s.Up, len(s.Up), w, amp)
+	addTone(s.Down, len(s.Up), w, amp)
+	return s
+}
+
+func addTone(x []complex128, period int, w, amp float64) {
+	for i, v := range x {
+		x[i] = v + cmplx.Rect(amp, w*float64(i%period))
 	}
-	return Sweep{Up: add(s.Up), Down: add(s.Down), Fs: s.Fs}
 }

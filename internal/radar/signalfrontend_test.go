@@ -112,9 +112,9 @@ func TestAddNoiseSweepRaisesPower(t *testing.T) {
 	if jammed.Power() < 100*before {
 		t.Fatalf("jamming power not visible: %v -> %v", before, jammed.Power())
 	}
-	// Original sweep untouched.
-	if s.Power() != before {
-		t.Fatal("AddNoiseSweep mutated input")
+	// The jam lands in place: the returned sweep is the one passed in.
+	if &jammed.Up[0] != &s.Up[0] || &jammed.Down[0] != &s.Down[0] || s.Power() != jammed.Power() {
+		t.Fatal("AddNoiseSweep did not transform its sweep in place")
 	}
 }
 
