@@ -247,3 +247,4 @@ func BenchmarkDetectorStep(b *testing.B)      { benchSuiteScenario(b, "kernel_cr
 func BenchmarkRootMUSIC256(b *testing.B)      { benchSuiteScenario(b, "kernel_root_music_256") }
 func BenchmarkFFT1024(b *testing.B)           { benchSuiteScenario(b, "kernel_fft_1024") }
 func BenchmarkSynthesizeSweep(b *testing.B)   { benchSuiteScenario(b, "kernel_synthesize_sweep") }
+func BenchmarkSignalMeasure(b *testing.B)     { benchSuiteScenario(b, "kernel_signal_measure") }

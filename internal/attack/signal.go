@@ -21,7 +21,9 @@ var (
 // the jammer's Eqn 10 received power floods both sweep segments as
 // broadband noise, regardless of whether the radar transmitted — which is
 // exactly what blinds the beat extractor and what lights up a challenge
-// instant.
+// instant. The noise is added to s in place.
+//
+//safesense:hotpath
 func (a *DoS) CorruptSweep(k int, s radar.Sweep, challenge bool) radar.Sweep {
 	if !a.Active(k) {
 		return s
@@ -38,7 +40,10 @@ func (a *DoS) CorruptSweep(k int, s radar.Sweep, challenge bool) radar.Sweep {
 // +OffsetMeters of range with unchanged Doppler. At a challenge instant
 // the radar transmitted nothing, but the spoofer's replay chain is still
 // radiating a counterfeit tone (derived from the previous probe), which
-// the CRA detector sees as energy on a supposedly quiet channel.
+// the CRA detector sees as energy on a supposedly quiet channel. Both
+// transform s in place.
+//
+//safesense:hotpath
 func (a *DelayInjection) CorruptSweep(k int, s radar.Sweep, challenge bool) radar.Sweep {
 	if !a.Active(k) {
 		return s

@@ -205,6 +205,28 @@ func registerKernels(g *perf.Registry) {
 			}, nil
 		},
 	})
+
+	g.MustRegister(perf.Scenario{
+		Name:  "kernel_signal_measure",
+		Group: GroupKernel,
+		Doc: "One signal-level radar step: SignalFrontEnd.ObserveSweep + Measure " +
+			"at 128 samples per segment with the FFT extractor, target at 100 m.",
+		Ops: 1,
+		Setup: func() (func(r *perf.Rep) error, error) {
+			sfe, err := radar.NewSignalFrontEnd(radar.BoschLRR2(), prbs.NewFixedSchedule(),
+				radar.FFTExtractor{}, 128, noise.NewSource(5))
+			if err != nil {
+				return nil, err
+			}
+			return func(*perf.Rep) error {
+				s, challenge := sfe.ObserveSweep(1, 100, -1.5)
+				if m := sfe.Measure(1, s, challenge); math.Abs(m.Distance-100) > 3 {
+					return fmt.Errorf("measured %.2f m, truth 100 m", m.Distance)
+				}
+				return nil
+			}, nil
+		},
+	})
 }
 
 // recoveryOnset and recoverySteps shape the recovery-estimator kernel

@@ -81,3 +81,21 @@ func TestRunAllocationCeiling(t *testing.T) {
 		t.Fatalf("Run(Fig2aDoS): %v allocs/run, want <= %d", avg, ceiling)
 	}
 }
+
+// TestSignalRunAllocationCeiling is TestRunAllocationCeiling for the
+// signal-level pipeline: sweep synthesis, jamming and FFT beat extraction
+// run in front-end-owned buffers, so a run allocates no more than the
+// closed-form one plus the front end's setup.
+func TestSignalRunAllocationCeiling(t *testing.T) {
+	const ceiling = 100
+	s := Fig2aDoS()
+	s.SignalLevel = true
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := Run(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > ceiling {
+		t.Fatalf("Run(signal-level Fig2aDoS): %v allocs/run, want <= %d", avg, ceiling)
+	}
+}
