@@ -20,6 +20,9 @@ var (
 	// finite and positive: P lost definiteness or holds non-finite
 	// entries, and updating w with it would poison the estimate.
 	ErrConversionFactor = errors.New("estimate: conversion factor not finite and positive (P lost definiteness)")
+	// ErrNonFiniteMeasurement reports a desired output y that is NaN or
+	// infinite: the error e would carry it into w.
+	ErrNonFiniteMeasurement = errors.New("estimate: measurement not finite")
 )
 
 // RLS is the exponentially-weighted recursive least squares filter of
@@ -113,10 +116,16 @@ func (r *RLS) Predict(h []float64) float64 {
 //	w_k   = w_{k-1} + kGain e
 //	P_k   = (P_{k-1} - kGain g^T) / lambda
 //
+// A non-finite y (ErrNonFiniteMeasurement) or gamma (ErrConversionFactor)
+// fails the update and leaves the state untouched.
+//
 //safesense:hotpath
 func (r *RLS) Update(h []float64, y float64) (pred, e float64, err error) {
 	if len(h) != r.n {
 		return 0, 0, ErrRegressorLength
+	}
+	if math.IsNaN(y) || math.IsInf(y, 0) {
+		return 0, 0, ErrNonFiniteMeasurement
 	}
 	n, w, p, g, kGain := r.n, r.w, r.p, r.g, r.k
 	mulVec(g, p, h, n)

@@ -70,6 +70,31 @@ func TestRLSUpdateRejectsBadConversionFactor(t *testing.T) {
 	}
 }
 
+// TestRLSUpdateRejectsNonFiniteMeasurement: a NaN or infinite y must
+// fail the update and leave w and P untouched; gamma alone cannot catch
+// it because it does not depend on y.
+func TestRLSUpdateRejectsNonFiniteMeasurement(t *testing.T) {
+	for _, y := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		r, _ := NewRLS(2, 0.99, 1)
+		if _, _, err := r.Update([]float64{1, 0.5}, 3); err != nil {
+			t.Fatal(err)
+		}
+		w, p := r.Weights(), append([]float64(nil), r.p...)
+		if _, _, err := r.Update([]float64{1, 1}, y); !errors.Is(err, ErrNonFiniteMeasurement) {
+			t.Errorf("y=%v: Update error = %v, want ErrNonFiniteMeasurement", y, err)
+		}
+		if got := r.Weights(); got[0] != w[0] || got[1] != w[1] {
+			t.Errorf("y=%v: weights changed to %v on a failed update (were %v)", y, got, w)
+		}
+		for i := range p {
+			if r.p[i] != p[i] {
+				t.Errorf("y=%v: P changed on a failed update", y)
+				break
+			}
+		}
+	}
+}
+
 // denseRLS is the matrix-form Algorithm 1 the in-place RLS replaced, kept
 // as the reference its results must match bit for bit.
 type denseRLS struct {
