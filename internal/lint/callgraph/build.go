@@ -364,7 +364,7 @@ func (b *builder) edge(caller, callee *Node, pos token.Pos, kind EdgeKind) {
 }
 
 // displayName renders the short chain form: "sim.RunContext",
-// "obs.(*Timer).Start".
+// "obs.(*Histogram).Observe".
 func displayName(u *Unit, fd *ast.FuncDecl, obj *types.Func) string {
 	pkg := u.Pkg.Name()
 	sig, ok := obj.Type().(*types.Signature)

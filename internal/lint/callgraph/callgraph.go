@@ -16,7 +16,7 @@
 // produce distinct go/types object graphs, so *types.Func pointer
 // identity does not hold across packages. Nodes are therefore keyed by
 // types.Func.FullName() — a stable, path-qualified string
-// ("safesense/internal/dsp.Window", "(*safesense/internal/obs.Timer).Start")
+// ("safesense/internal/dsp.Window", "(*safesense/internal/obs.Histogram).Observe")
 // that is identical in both universes. A use in one package resolves to
 // the defining node in another by name, never by pointer.
 //
@@ -102,7 +102,7 @@ type Node struct {
 	// functions, the parent's ID plus "$<ordinal>" for literals.
 	ID string
 	// Display is the short human form used in diagnostic chains:
-	// "sim.RunContext", "obs.(*Timer).Start", "sim.RunContext$1".
+	// "sim.RunContext", "obs.(*Histogram).Observe", "sim.RunContext$1".
 	Display string
 	// RelPath is the module-relative path of the defining unit.
 	RelPath string

@@ -45,26 +45,8 @@ func TestHistogramHotPathZeroAlloc(t *testing.T) {
 
 func TestLabeledFastPathZeroAlloc(t *testing.T) {
 	// The labeled With() lookup may allocate; the returned child must
-	// not. Callers on per-step paths hold the child, exactly like the
-	// sim package does with its phase timers.
+	// not. Callers on per-step paths hold the child.
 	v := NewRegistry().Counter("alloc_test_labeled_total", "", "phase")
 	c := v.With("cra_check")
 	allocAssert(t, "labeled Counter.Inc", 0, func() { c.Inc() })
-}
-
-func TestSpanHotPathZeroAlloc(t *testing.T) {
-	timer := NewTimer("alloc_test_phase")
-	allocAssert(t, "Timer.Start+Span.End", 0, func() {
-		sp := timer.Start()
-		_ = sp.End()
-	})
-
-	h := NewRegistry().Histogram("alloc_test_span_seconds", "", DefBuckets).With()
-	allocAssert(t, "StartSpan+End into histogram", 0, func() {
-		sp := StartSpan(h)
-		_ = sp.End()
-	})
-
-	var zero Span
-	allocAssert(t, "zero Span.End", 0, func() { _ = zero.End() })
 }

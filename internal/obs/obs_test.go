@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestWritePrometheusGolden pins the exposition format: counter, gauge,
@@ -168,41 +167,6 @@ func TestReRegistrationReturnsSameFamily(t *testing.T) {
 		}
 	}()
 	r.Gauge("same_total", "now a gauge", "k")
-}
-
-func TestTimerAndSpan(t *testing.T) {
-	tm := NewTimer("phase_x")
-	for i := 0; i < 3; i++ {
-		sp := tm.Start()
-		time.Sleep(time.Millisecond)
-		if d := sp.End(); d <= 0 {
-			t.Fatalf("span duration = %v", d)
-		}
-	}
-	if tm.Calls() != 3 || tm.Total() < 3*time.Millisecond {
-		t.Errorf("timer = %d calls, %v total", tm.Calls(), tm.Total())
-	}
-	if tm.Name() != "phase_x" {
-		t.Errorf("name = %q", tm.Name())
-	}
-	tm.Reset()
-	if tm.Calls() != 0 || tm.Total() != 0 {
-		t.Error("reset did not zero the timer")
-	}
-
-	r := NewRegistry()
-	h := r.Histogram("span_seconds", "", nil).With()
-	sp := StartSpan(h)
-	time.Sleep(time.Millisecond)
-	sp.End()
-	if h.Count() != 1 || h.Sum() <= 0 {
-		t.Errorf("span histogram count=%d sum=%g", h.Count(), h.Sum())
-	}
-
-	var zero Span
-	if zero.End() != 0 {
-		t.Error("zero span must be inert")
-	}
 }
 
 func TestPublishExpvarIdempotent(t *testing.T) {

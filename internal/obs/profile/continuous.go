@@ -127,10 +127,15 @@ func (p *Profiler) ingest(raw []byte) {
 
 // publishShares refreshes the phase-share gauges from one summary:
 // every whitelisted phase is set (zeroing phases that took no samples
-// this window) and the remainder folds into OtherPhase.
+// this window) and the remainder folds into OtherPhase. A whitelisted
+// phase named OtherPhase (the simulator's own remainder phase) is part
+// of that remainder, not a second writer of its gauge.
 func (p *Profiler) publishShares(sum *Summary) {
 	var accounted float64
 	for _, phase := range p.opts.Phases {
+		if phase == OtherPhase {
+			continue
+		}
 		share := sum.PhaseShare(phase)
 		accounted += share
 		metricPhaseCPUShare.With(phase).Set(share)

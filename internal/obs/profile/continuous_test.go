@@ -76,3 +76,21 @@ func TestProfilerCapturesAndTerminates(t *testing.T) {
 		t.Fatalf("window = %d", meta.WindowNanos)
 	}
 }
+
+// TestPublishSharesFoldsOtherPhase: a whitelist that names the "other"
+// phase must not have its labeled share overwrite the remainder bucket;
+// the gauge reports labeled other plus unlabeled samples.
+func TestPublishSharesFoldsOtherPhase(t *testing.T) {
+	p := NewProfiler(ProfilerOptions{Phases: []string{"radar_synthesis", OtherPhase}})
+	p.publishShares(&Summary{Total: 10, Phases: []LabelShare{
+		{Value: "radar_synthesis", Share: 0.5},
+		{Value: OtherPhase, Share: 0.3},
+		{Value: Unlabeled, Share: 0.2},
+	}})
+	if got := metricPhaseCPUShare.With("radar_synthesis").Value(); got != 0.5 {
+		t.Errorf("radar_synthesis share = %v, want 0.5", got)
+	}
+	if got := metricPhaseCPUShare.With(OtherPhase).Value(); got != 0.5 {
+		t.Errorf("other share = %v, want 0.5 (labeled other + unlabeled)", got)
+	}
+}

@@ -1,6 +1,14 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"math"
+	"testing"
+	"time"
+
+	"safesense/internal/cra"
+	"safesense/internal/obs/profile"
+)
 
 // phaseByName indexes a breakdown for assertions.
 func phaseByName(t *testing.T, phases []PhaseTiming, name string) PhaseTiming {
@@ -19,8 +27,8 @@ func TestRunPhaseBreakdownFastPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Phases) != 5 {
-		t.Fatalf("phases = %d, want 5 (%v)", len(res.Phases), res.Phases)
+	if len(res.Phases) != 6 {
+		t.Fatalf("phases = %d, want 6 (%v)", len(res.Phases), res.Phases)
 	}
 	steps := res.Scenario.Steps
 
@@ -41,13 +49,13 @@ func TestRunPhaseBreakdownFastPipeline(t *testing.T) {
 		t.Errorf("beat extraction calls = %d, want 0 on the fast pipeline", ext.Calls)
 	}
 	// A defended DoS run trains and free-runs the RLS predictor, and the
-	// span total must cover the separately tracked RLSTime.
+	// phase total is the reported RLSTime.
 	rls := phaseByName(t, res.Phases, PhaseRLSEstimation)
 	if rls.Calls == 0 {
 		t.Error("rls estimation never ran on a defended run")
 	}
-	if rls.Seconds < res.RLSTime.Seconds() {
-		t.Errorf("rls phase %.9fs < RLSTime %.9fs", rls.Seconds, res.RLSTime.Seconds())
+	if rls.Seconds != res.RLSTime.Seconds() {
+		t.Errorf("rls phase %.9fs != RLSTime %.9fs", rls.Seconds, res.RLSTime.Seconds())
 	}
 	if total := TotalSeconds(res.Phases); total <= 0 {
 		t.Errorf("total instrumented time = %g", total)
@@ -86,4 +94,114 @@ func TestRunPhaseBreakdownUndefended(t *testing.T) {
 	if rls := phaseByName(t, res.Phases, PhaseRLSEstimation); rls.Calls != 0 {
 		t.Errorf("rls calls = %d on an undefended run", rls.Calls)
 	}
+}
+
+// countingClock swaps the tracker's clock for one that advances 1 ns per
+// read, so every phase visit lasts exactly 1 ns and the run's tracker
+// wall equals its number of reads.
+func countingClock(t *testing.T) *int {
+	t.Helper()
+	reads := new(int)
+	orig := since
+	since = func(time.Time) time.Duration {
+		*reads++
+		return time.Duration(*reads)
+	}
+	t.Cleanup(func() { since = orig })
+	return reads
+}
+
+// TestPhaseAccounting pins the tracker's bookkeeping: exact entry counts
+// per phase, one clock read per boundary, phases summing to the tracker
+// wall, RLSTime equal to the rls_estimation total, and the defended
+// closed-form step within its budget of six reads.
+func TestPhaseAccounting(t *testing.T) {
+	undefended := Fig2aDoS()
+	undefended.Defended = false
+	signal := Fig2aDoS()
+	signal.SignalLevel = true
+	cases := []struct {
+		name     string
+		s        Scenario
+		maxReads int // per step, 0 for no budget
+	}{
+		{"defended", Fig2aDoS(), 6},
+		{"undefended", undefended, 6},
+		{"signal", signal, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reads := countingClock(t)
+			res, err := Run(tc.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := tc.s.Steps
+			// RLS runs on every accepted measurement (Observe) and every
+			// estimate delivered under attack (Predict).
+			rlsCalls := res.EstimateSteps
+			for _, ev := range res.Events {
+				if ev.State != cra.UnderAttack && !ev.Challenged {
+					rlsCalls++
+				}
+			}
+			want := map[string]int{
+				PhaseRadarSynthesis: steps,
+				PhaseVehicleStep:    steps,
+				PhaseRLSEstimation:  rlsCalls,
+				// Setup, then once after the measurement (or detector)
+				// and once after the vehicle step.
+				PhaseOther: 2*steps + 1,
+			}
+			if tc.s.SignalLevel {
+				want[PhaseBeatExtraction] = steps
+			}
+			if tc.s.Defended {
+				want[PhaseCRACheck] = steps
+			}
+			var sum time.Duration
+			for _, p := range res.Phases {
+				if p.Calls != want[p.Phase] {
+					t.Errorf("%s: %d calls, want %d", p.Phase, p.Calls, want[p.Phase])
+				}
+				// Each visit spans exactly one tick of the counting clock.
+				ns := time.Duration(math.Round(p.Seconds * 1e9))
+				if ns != time.Duration(p.Calls) {
+					t.Errorf("%s: %v over %d calls, want 1ns each", p.Phase, ns, p.Calls)
+				}
+				sum += ns
+			}
+			// The tracker wall is the last read's value: the read count.
+			if wall := time.Duration(*reads); sum != wall {
+				t.Errorf("phases sum to %v, tracker wall %v", sum, wall)
+			}
+			if got := TotalSeconds(res.Phases); math.Abs(got-time.Duration(*reads).Seconds()) > 1e-15 {
+				t.Errorf("TotalSeconds = %g, want %g", got, time.Duration(*reads).Seconds())
+			}
+			if rls := phaseByName(t, res.Phases, PhaseRLSEstimation); rls.Seconds != res.RLSTime.Seconds() {
+				t.Errorf("RLSTime %v != rls_estimation total %gs", res.RLSTime, rls.Seconds)
+			}
+			if tc.maxReads > 0 && *reads > tc.maxReads*steps+2 {
+				t.Errorf("%d clock reads over %d steps, budget %d per step", *reads, steps, tc.maxReads)
+			}
+		})
+	}
+}
+
+// TestPhaseEnterZeroAlloc guards the per-boundary hot path with
+// profiling off and with phase labels on.
+func TestPhaseEnterZeroAlloc(t *testing.T) {
+	check := func(name string) {
+		tr := startPhases(context.Background())
+		defer tr.stop()
+		i := 0
+		assertZeroAllocs(t, name, func() {
+			tr.enter(i % numPhases)
+			i++
+		})
+	}
+	check("enter")
+	profile.Enable()
+	defer profile.Disable()
+	check("enter with phase labels")
 }
