@@ -27,8 +27,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# lint runs the repo's own stdlib-only analyzers (cmd/safesense-lint)
-# plus go vet and the gofmt check — the full static gate.
+# lint runs the repo's own stdlib-only analyzers (cmd/safesense-lint),
+# deadcode included, plus go vet and the gofmt check — the full static
+# gate.
 lint: vet fmt-check
 	$(GO) run ./cmd/safesense-lint ./...
 
@@ -51,10 +52,9 @@ race-hot:
 
 # fuzz-smoke runs each fuzz target briefly so the corpora and oracles
 # can't bit-rot; CI runs this on every push. Longer local sessions:
-#   go test -fuzz=FuzzReadCSV -fuzztime=5m ./internal/trace
+#   go test -fuzz=FuzzDecodeSpec -fuzztime=5m ./internal/campaign
 FUZZ_TIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZ_TIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSpec -fuzztime=$(FUZZ_TIME) ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeLease -fuzztime=$(FUZZ_TIME) ./internal/dist
 	$(GO) test -run='^$$' -fuzz=FuzzSSEFrame -fuzztime=$(FUZZ_TIME) ./internal/obs/stream
@@ -73,7 +73,7 @@ dist-smoke:
 # mid-lease-reporting workers run a 64-job campaign while an SSE client
 # follows the stream endpoint; progress must be monotone, partials must
 # validate, and the terminal frame's aggregate must be byte-identical to
-# the single-node oracle. Runs under -race so the hub's lock-free
+# the single-node oracle. Runs under -race so the hub's
 # publish path is exercised against live subscribers.
 stream-smoke:
 	$(GO) test -race -run='^TestStreamSmoke$$' -count=1 -v ./internal/dist

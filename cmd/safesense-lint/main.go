@@ -14,6 +14,9 @@
 //	              no fresh context.Background()/TODO() roots
 //	goroleak      every goroutine in the long-lived layers has a
 //	              provable termination path
+//	deadcode      every function is reachable from a main/init, a var
+//	              initializer, the root package's API, or another
+//	              package's test
 //
 // It is built purely on go/parser + go/types + go/importer, so it
 // needs nothing outside the standard library. The module is parsed,

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
@@ -262,9 +261,7 @@ func writeError(w http.ResponseWriter, r *http.Request, code int, err error) {
 // at cfg.MaxBodyBytes.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := obs.DecodeStrict(r.Body, v); err != nil {
 		return fmt.Errorf("decoding request body: %w", err)
 	}
 	return nil
@@ -278,28 +275,6 @@ func decodeStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
-}
-
-// vcsRevision extracts the VCS commit the binary was built from, when the
-// toolchain stamped one ("" otherwise — e.g. go test binaries).
-func vcsRevision() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return ""
-	}
-	var rev, modified string
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			modified = s.Value
-		}
-	}
-	if rev != "" && modified == "true" {
-		rev += "-dirty"
-	}
-	return rev
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -319,7 +294,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds":    time.Since(s.started).Seconds(),
 		"go_version":        runtime.Version(),
 	}
-	if rev := vcsRevision(); rev != "" {
+	if rev := profile.VCSRevision(); rev != "" {
 		resp["vcs_revision"] = rev
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -122,6 +122,38 @@ func TestRunEndpointRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestTrailingDataRejected pins the strict body contract on both JSON
+// endpoints: anything after the request object but whitespace is a 400,
+// whether garbage or a second concatenated object.
+func TestTrailingDataRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	bodies := map[string]string{
+		"/v1/run":       `{"attack":"none","leader":"const","steps":20,"seed":1}`,
+		"/v1/campaigns": `{"spec":{"steps":20,"replicates":1,"attacks":["none"],"onsets":[10]},"discard_outcomes":true}`,
+	}
+	okCode := map[string]int{"/v1/run": http.StatusOK, "/v1/campaigns": http.StatusAccepted}
+	for path, body := range bodies {
+		for _, tail := range []string{" trailing garbage", body, "]"} {
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body+tail)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s with trailing %q: status = %d, want 400", path, tail, resp.StatusCode)
+			}
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body+" \n\t\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != okCode[path] {
+			t.Errorf("%s with trailing whitespace: status = %d, want %d", path, resp.StatusCode, okCode[path])
+		}
+	}
+}
+
 // pollCampaign polls the status endpoint until the campaign reaches a
 // terminal state.
 func pollCampaign(t *testing.T, base, id string) StatusResponse {

@@ -119,9 +119,6 @@ func NewUpperController(cfg Config) (*UpperController, error) {
 	return &UpperController{cfg: cfg}, nil
 }
 
-// Config returns the controller configuration.
-func (u *UpperController) Config() Config { return u.cfg }
-
 // Step computes the step command from the radar measurement (d, dv) and the
 // trusted own-speed measurement vF. Pass hasTarget = false when the radar
 // reports no vehicle ahead (pure speed control).

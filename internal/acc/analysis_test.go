@@ -4,31 +4,94 @@ import (
 	"math"
 	"testing"
 
+	"safesense/internal/mat"
 	"safesense/internal/units"
 )
 
+// linearizedLoop expresses the spacing-mode car-following loop as the
+// discrete-time LTI system of the paper's Section 3,
+//
+//	x_{k+1} = A x_k + B u_k,   y_k = C x_k,
+//
+// with state x = [d, vF, aF] (gap, follower speed, realized acceleration),
+// input u = vL (leader speed), and output y = d (the radar's distance
+// channel, C = [1 0 0]). The affine offset d0 is dropped by linearizing
+// about the equilibrium gap d* = d0 + tau_h vL.
+//
+// Dynamics, with T the sample period, phi = exp(-T/Ti) the lower-level lag
+// pole, and c = T/(tau_h K1) the CTH gain:
+//
+//	a_des = (c/T) (d - d0 + vL - (1 + tau_h) vF)
+//	aF'   = phi aF + (1 - phi) K1 a_des
+//	vF'   = vF + T aF'
+//	d'    = d + T (vL - vF')
+//
+// It is the oracle the tests below hold the nonlinear controller to.
+func linearizedLoop(cfg Config) (a, b *mat.Dense, err error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	tSamp := cfg.SamplePeriod
+	phi := math.Exp(-tSamp / cfg.TimeConstant)
+	// a_des = g (d + vL - (1+tau_h) vF) with g = 1/(tau_h K1) per second;
+	// inj is the lower-level injection of a_des into aF'.
+	inj := (1 - phi) * cfg.Gain / (cfg.HeadwayTime * cfg.Gain)
+	a = mat.NewDenseData(3, 3, []float64{
+		1 - tSamp*tSamp*inj, -tSamp * (1 - tSamp*inj*(1+cfg.HeadwayTime)), -tSamp * tSamp * phi,
+		tSamp * inj, 1 - tSamp*inj*(1+cfg.HeadwayTime), tSamp * phi,
+		inj, -inj * (1 + cfg.HeadwayTime), phi,
+	})
+	b = mat.NewDenseData(3, 1, []float64{tSamp * (1 - tSamp*inj), tSamp * inj, inj})
+	return a, b, nil
+}
+
+// linStep advances the linearized loop one sample under leader speed vL.
+func linStep(a, b *mat.Dense, x []float64, vL float64) []float64 {
+	return mat.AddVec(a.MulVec(x), b.MulVec([]float64{vL}))
+}
+
+// det3 is the 3x3 determinant (rule of Sarrus).
+func det3(m *mat.Dense) float64 {
+	at := m.At
+	return at(0, 0)*(at(1, 1)*at(2, 2)-at(1, 2)*at(2, 1)) -
+		at(0, 1)*(at(1, 0)*at(2, 2)-at(1, 2)*at(2, 0)) +
+		at(0, 2)*(at(1, 0)*at(2, 1)-at(1, 1)*at(2, 0))
+}
+
 func TestLinearizedClosedLoopStable(t *testing.T) {
-	sys, err := LinearizedClosedLoop(cfg(), 0)
+	a, _, err := linearizedLoop(cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sys.Stable() {
+	if mat.SpectralRadius(a, 0) >= 1-1e-9 {
 		t.Fatal("the paper's controller gains must yield a Schur-stable loop")
 	}
 }
 
 func TestLinearizedClosedLoopObservableControllable(t *testing.T) {
-	sys, err := LinearizedClosedLoop(cfg(), 0.5)
+	a, b, err := linearizedLoop(cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Observable through the radar's distance channel — the property the
-	// related work ([1] in the paper) requires for secure estimation.
-	if !sys.Observable() {
+	// related work ([1] in the paper) requires for secure estimation:
+	// the rows C, CA, CA^2 (C = [1 0 0]) span the state space.
+	a2 := a.Mul(a)
+	obs := mat.NewDense(3, 3)
+	obs.SetRow(0, []float64{1, 0, 0})
+	obs.SetRow(1, a.Row(0))
+	obs.SetRow(2, a2.Row(0))
+	if math.Abs(det3(obs)) < 1e-12 {
 		t.Fatal("distance-observed loop must be observable")
 	}
-	// Controllable from the leader-speed input.
-	if !sys.Controllable() {
+	// Controllable from the leader-speed input: B, AB, A^2 B span it.
+	ctrb := mat.NewDense(3, 3)
+	for j, col := range [][]float64{b.Col(0), a.MulVec(b.Col(0)), a2.MulVec(b.Col(0))} {
+		for i, v := range col {
+			ctrb.Set(i, j, v)
+		}
+	}
+	if math.Abs(det3(ctrb)) < 1e-12 {
 		t.Fatal("loop must be controllable from vL")
 	}
 }
@@ -36,17 +99,16 @@ func TestLinearizedClosedLoopObservableControllable(t *testing.T) {
 func TestLinearizedEquilibriumMatchesCTH(t *testing.T) {
 	// Drive the linearized system with constant vL; the gap must settle
 	// at the CTH set point relative to the linearization offset: since
-	// the affine d0 is dropped, the linear system settles at d = tau_h*vL
-	// + d0 once the offset is re-added via EquilibriumGap.
+	// the affine d0 is dropped, the linear system settles at d = tau_h*vL.
 	c := cfg()
-	sys, err := LinearizedClosedLoop(c, 0)
+	a, b, err := linearizedLoop(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vL := 20.0
 	x := []float64{0, 0, 0}
 	for k := 0; k < 2000; k++ {
-		x = sys.Step(x, []float64{vL})
+		x = linStep(a, b, x, vL)
 	}
 	// Steady state of the linear part: d* - d0 = tau_h * vL + ... Verify
 	// via the defining equations instead: vF* = vL and aF* = 0.
@@ -62,17 +124,13 @@ func TestLinearizedEquilibriumMatchesCTH(t *testing.T) {
 	if math.Abs(x[0]-c.HeadwayTime*vL) > 1e-5 {
 		t.Fatalf("steady linear gap %v, want %v", x[0], c.HeadwayTime*vL)
 	}
-	// The physical equilibrium gap adds d0 back.
-	if got := EquilibriumGap(c, vL); math.Abs(got-(5+3*vL)) > 1e-12 {
-		t.Fatalf("EquilibriumGap = %v", got)
-	}
 }
 
 func TestLinearizedMatchesNonlinearSimulation(t *testing.T) {
 	// In spacing mode, away from saturations and standstill, the full
 	// controller + kinematics should follow the linearized model closely.
 	c := cfg()
-	sys, err := LinearizedClosedLoop(c, 0)
+	a, b, err := linearizedLoop(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +140,8 @@ func TestLinearizedMatchesNonlinearSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	vL := units.MphToMps(60)
-	// Start near equilibrium with a small perturbation.
-	dPhys := EquilibriumGap(c, vL) + 3
+	// Start near the CTH equilibrium gap d0 + tau_h vL, perturbed.
+	dPhys := c.StopDistance + c.HeadwayTime*vL + 3
 	vF := vL - 0.5
 	aF := 0.0
 	// Linear state is the deviation-free absolute gap minus d0.
@@ -97,7 +155,7 @@ func TestLinearizedMatchesNonlinearSimulation(t *testing.T) {
 		vF += aF * c.SamplePeriod
 		dPhys += (vL - vF) * c.SamplePeriod
 
-		x = sys.Step(x, []float64{vL})
+		x = linStep(a, b, x, vL)
 		if math.Abs((x[0]+c.StopDistance)-dPhys) > 0.75 {
 			t.Fatalf("k=%d: linear gap %v vs nonlinear %v", k, x[0]+c.StopDistance, dPhys)
 		}
@@ -110,7 +168,7 @@ func TestLinearizedMatchesNonlinearSimulation(t *testing.T) {
 func TestLinearizedRejectsBadConfig(t *testing.T) {
 	bad := cfg()
 	bad.HeadwayTime = 0
-	if _, err := LinearizedClosedLoop(bad, 0); err == nil {
+	if _, _, err := linearizedLoop(bad); err == nil {
 		t.Fatal("invalid config should fail")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"safesense/internal/radar"
-	"safesense/internal/units"
 )
 
 // Signal-level attack channel: the same adversaries expressed as transforms
@@ -60,18 +59,6 @@ func (a *DelayInjection) CorruptSweep(k int, s radar.Sweep, challenge bool) rada
 		return radar.AddToneSweep(s, fb+df, leak)
 	}
 	return radar.ShiftSweep(s, df)
-}
-
-// BeatShiftHz returns the beat-frequency shift the configured extra delay
-// produces on both FMCW slopes.
-func (a *DelayInjection) BeatShiftHz() float64 {
-	return a.ExtraDelaySec * a.Radar.SweepBandwidthHz / a.Radar.SweepTimeSec
-}
-
-// OffsetFromShift converts a beat shift back to meters for verification:
-// d = c * Ts * df / (2 * Bs).
-func OffsetFromShift(p radar.Params, df float64) float64 {
-	return units.SpeedOfLight * p.SweepTimeSec * df / (2 * p.SweepBandwidthHz)
 }
 
 // FastAdversary is the adversary the paper's conclusion concedes defeats

@@ -31,7 +31,7 @@ func TestLMSConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := l.Weights()
+	got := l.w
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 0.02 {
 			t.Fatalf("weights = %v, want %v", got, want)
@@ -120,9 +120,9 @@ func TestKalmanTracksConstantVelocityTruth(t *testing.T) {
 
 func TestKalmanPredictGrowsCovariance(t *testing.T) {
 	kf, _ := NewConstantVelocityKalman(1, 0.1, 1, 0)
-	before := kf.Covariance().Trace()
+	before := kf.p.Trace()
 	kf.Predict()
-	after := kf.Covariance().Trace()
+	after := kf.p.Trace()
 	if after <= before {
 		t.Fatalf("covariance should grow on predict: %v -> %v", before, after)
 	}
@@ -131,9 +131,9 @@ func TestKalmanPredictGrowsCovariance(t *testing.T) {
 func TestKalmanCovarianceShrinksOnUpdate(t *testing.T) {
 	kf, _ := NewConstantVelocityKalman(1, 0.01, 1, 0)
 	kf.Predict()
-	pre := kf.Covariance().At(0, 0)
+	pre := kf.p.At(0, 0)
 	kf.Update([]float64{0})
-	post := kf.Covariance().At(0, 0)
+	post := kf.p.At(0, 0)
 	if post >= pre {
 		t.Fatalf("position variance should shrink on update: %v -> %v", pre, post)
 	}
@@ -161,11 +161,11 @@ func TestChiSquareQuietOnCleanData(t *testing.T) {
 			t.Fatal(err)
 		}
 		if alarmed && k > 30 {
-			t.Fatalf("false alarm at %d (stat %v)", k, d.Statistic())
+			t.Fatalf("false alarm at %d", k)
 		}
 	}
-	if len(d.Detections()) > 1 {
-		t.Fatalf("spurious detections: %v", d.Detections())
+	if len(d.detections) > 1 {
+		t.Fatalf("spurious detections: %v", d.detections)
 	}
 }
 
@@ -212,14 +212,7 @@ func TestChiSquareMissesStealthyOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.Alarmed() {
+	if d.alarmed {
 		t.Fatal("chi-square should not catch a +6 m offset within 3 steps at this noise level")
-	}
-}
-
-func TestChiSquareStatisticNaNUntilFilled(t *testing.T) {
-	d, _ := NewChiSquareDetector(1, 0.05, 1, 0, 5, 5)
-	if !math.IsNaN(d.Statistic()) {
-		t.Fatal("statistic should be NaN before window fills")
 	}
 }

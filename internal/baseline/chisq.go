@@ -3,7 +3,6 @@ package baseline
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ChiSquareDetector is the residual-based detector the paper contrasts
@@ -74,27 +73,4 @@ func (d *ChiSquareDetector) Step(k int, y float64) (alarmed bool, err error) {
 		d.detections = append(d.detections, k)
 	}
 	return d.alarmed, nil
-}
-
-// Alarmed reports the current alarm state.
-func (d *ChiSquareDetector) Alarmed() bool { return d.alarmed }
-
-// Detections returns the steps at which new alarms were raised.
-func (d *ChiSquareDetector) Detections() []int {
-	out := make([]int, len(d.detections))
-	copy(out, d.detections)
-	return out
-}
-
-// Statistic returns the current windowed mean NIS (NaN until the window
-// fills).
-func (d *ChiSquareDetector) Statistic() float64 {
-	if d.filled < len(d.window) {
-		return math.NaN()
-	}
-	mean := 0.0
-	for _, v := range d.window {
-		mean += v
-	}
-	return mean / float64(len(d.window))
 }

@@ -48,9 +48,6 @@ func (k *Kalman) State() []float64 {
 	return append([]float64{}, k.x...)
 }
 
-// Covariance returns a copy of the current error covariance.
-func (k *Kalman) Covariance() *mat.Dense { return k.p.Clone() }
-
 // Predict runs the time update only (used while measurements are withheld
 // during an attack).
 func (k *Kalman) Predict() {

@@ -28,16 +28,6 @@ func NewLMS(n int, mu float64) (*LMS, error) {
 	return &LMS{w: make([]float64, n), mu: mu, eps: 1e-9}, nil
 }
 
-// Order returns the filter order.
-func (l *LMS) Order() int { return len(l.w) }
-
-// Weights returns a copy of the weights.
-func (l *LMS) Weights() []float64 {
-	out := make([]float64, len(l.w))
-	copy(out, l.w)
-	return out
-}
-
 // Predict returns w^T h without adapting.
 func (l *LMS) Predict(h []float64) float64 {
 	s := 0.0

@@ -1,13 +1,17 @@
 package campaign
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
+
+	"safesense/internal/obs"
 )
 
-// FuzzDecodeSpec feeds arbitrary bytes through the strict spec
-// decoder. For every input the decoder must not panic; for every
-// accepted spec, the grid arithmetic must be self-consistent:
+// FuzzDecodeSpec feeds arbitrary bytes down the path a campaign
+// submission takes through safesensed: the shared strict decoder into a
+// Spec, then NumJobs and Expand. For every input nothing may panic; for
+// every accepted spec, the grid arithmetic must be self-consistent:
 // NumJobs equals len(Expand()), jobs are indexed 0..n-1 in order, and
 // expanding twice yields identical jobs (the determinism contract the
 // whole campaign engine rests on).
@@ -31,8 +35,8 @@ func FuzzDecodeSpec(f *testing.F) {
 	const maxFuzzExpand = 4096
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sp, err := DecodeSpec(data)
-		if err != nil {
+		var sp Spec
+		if err := obs.DecodeStrict(bytes.NewReader(data), &sp); err != nil {
 			return
 		}
 		n, err := sp.NumJobs()

@@ -85,8 +85,3 @@ func gainFrom(p, a, b, r *mat.Dense) (*mat.Dense, error) {
 	}
 	return gramInv.Mul(bt).Mul(p).Mul(a), nil
 }
-
-// ClosedLoop returns A - B K, the regulated dynamics under u = -K x.
-func ClosedLoop(a, b, k *mat.Dense) *mat.Dense {
-	return a.Sub(b.Mul(k))
-}

@@ -28,7 +28,7 @@ func TestDLQRScalar(t *testing.T) {
 		t.Fatalf("K = %v, want %v", k.At(0, 0), wantK)
 	}
 	// Closed loop strictly stable.
-	if cl := ClosedLoop(a, b, k); math.Abs(cl.At(0, 0)) >= 1 {
+	if cl := a.Sub(b.Mul(k)); math.Abs(cl.At(0, 0)) >= 1 {
 		t.Fatalf("closed loop = %v", cl.At(0, 0))
 	}
 }
@@ -43,7 +43,7 @@ func TestDLQRStabilizesDoubleIntegrator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := ClosedLoop(a, b, k)
+	cl := a.Sub(b.Mul(k))
 	if rho := mat.SpectralRadius(cl, 0); rho >= 1-1e-9 {
 		t.Fatalf("closed-loop spectral radius %v", rho)
 	}

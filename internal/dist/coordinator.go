@@ -594,10 +594,3 @@ func (c *Coordinator) CampaignStatus(id string) (Status, bool) {
 	}
 	return st, true
 }
-
-// Campaigns lists stored campaign IDs in submission order.
-func (c *Coordinator) Campaigns() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
-}

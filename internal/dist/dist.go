@@ -42,11 +42,10 @@ package dist
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"safesense/internal/campaign"
+	"safesense/internal/obs"
 	"safesense/internal/obs/forensic"
 	"safesense/internal/obs/trace"
 )
@@ -185,16 +184,11 @@ const (
 	EventFalseNegative = "false_negative"
 )
 
-// decodeStrict parses exactly one JSON object into v: unknown fields
-// and trailing data are errors (same contract as campaign.DecodeSpec).
+// decodeStrict parses exactly one JSON object into v under the shared
+// strict wire contract (obs.DecodeStrict).
 func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := obs.DecodeStrict(bytes.NewReader(data), v); err != nil {
 		return fmt.Errorf("dist: decoding message: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return fmt.Errorf("dist: trailing data after message object")
 	}
 	return nil
 }

@@ -49,14 +49,6 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/dist/lease/complete", c.handleComplete)
 }
 
-// Handler returns a standalone mux with the coordinator routes — what
-// the in-process integration tests serve over httptest.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	c.Register(mux)
-	return mux
-}
-
 func distWriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -12,6 +12,14 @@ import (
 	"time"
 )
 
+// Handler returns a standalone mux with the coordinator routes — what
+// the in-process integration tests serve over httptest.
+func (c *Coordinator) Handler() http.Handler {
+	mux := http.NewServeMux()
+	c.Register(mux)
+	return mux
+}
+
 // TestMultiWorkerCampaign is the end-to-end distributed oracle: an
 // in-process coordinator behind httptest, three pull workers, one of
 // which is killed mid-campaign (its lease expires and is reassigned),

@@ -101,9 +101,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return &Worker{cfg: cfg, base: base, jobCache: make(map[string][]campaign.Job)}, nil
 }
 
-// ID returns the worker's effective identifier.
-func (w *Worker) ID() string { return w.cfg.ID }
-
 // Run pulls and executes leases until ctx is cancelled. Transient
 // coordinator failures back off and retry; the loop only exits with
 // ctx.Err().

@@ -37,37 +37,7 @@ func ForwardInPlace(x []complex128) {
 		radix2(x, false)
 		return
 	}
-	copy(x, bluestein(x, false))
-}
-
-// Inverse returns the inverse DFT with 1/N normalization, so
-// Inverse(Forward(x)) == x.
-func Inverse(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	copy(out, x)
-	if isPow2(n) {
-		radix2(out, true)
-	} else {
-		out = bluestein(out, true)
-	}
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
-}
-
-// ForwardReal transforms a real signal, returning the full complex spectrum.
-func ForwardReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	return Forward(c)
+	copy(x, bluestein(x))
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -110,18 +80,14 @@ func radix2(a []complex128, inverse bool) {
 
 // bluestein computes the DFT of arbitrary length via the chirp-z transform,
 // reducing to a power-of-two circular convolution.
-func bluestein(x []complex128, inverse bool) []complex128 {
+func bluestein(x []complex128) []complex128 {
 	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp: w[k] = exp(sign * i*pi*k^2/n).
+	// Chirp: w[k] = exp(-i*pi*k^2/n).
 	chirp := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		// Use k^2 mod 2n to avoid precision loss for large k.
 		k2 := (int64(k) * int64(k)) % int64(2*n)
-		chirp[k] = cmplx.Rect(1, sign*math.Pi*float64(k2)/float64(n))
+		chirp[k] = cmplx.Rect(1, -math.Pi*float64(k2)/float64(n))
 	}
 	m := 1
 	for m < 2*n-1 {

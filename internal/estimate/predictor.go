@@ -324,8 +324,3 @@ func (pp *PairPredictor) Predict() (d, v float64) {
 	}
 	return d, pp.Velocity.Predict()
 }
-
-// Clone deep-copies both channels (see Predictor.Clone).
-func (pp *PairPredictor) Clone() *PairPredictor {
-	return &PairPredictor{Distance: pp.Distance.Clone(), Velocity: pp.Velocity.Clone()}
-}

@@ -106,8 +106,7 @@ func TestLKCClosedLoopStable(t *testing.T) {
 	m, _ := NewModel(DefaultSedan(), 30, 0.02)
 	ctl, _ := NewLKC(m, LKCConfig{})
 	// A - B K spectral radius < 1.
-	k := mat.NewDenseData(1, 4, ctl.Gain())
-	cl := m.A.Sub(m.B.Mul(k))
+	cl := m.A.Sub(m.B.Mul(ctl.k))
 	if rho := mat.SpectralRadius(cl, 0); rho >= 1 {
 		t.Fatalf("closed-loop spectral radius %v", rho)
 	}

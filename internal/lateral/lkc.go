@@ -64,6 +64,3 @@ func (c *LKC) Steer(x []float64) float64 {
 	u := -mat.Dot(c.k.Row(0), x)
 	return math.Min(math.Max(u, -c.maxSteer), c.maxSteer)
 }
-
-// Gain exposes the LQR gain row (diagnostics).
-func (c *LKC) Gain() []float64 { return c.k.Row(0) }

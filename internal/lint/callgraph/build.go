@@ -16,6 +16,7 @@ func Build(fset *token.FileSet, units []*Unit) *Graph {
 	g := &Graph{
 		Fset:   fset,
 		Nodes:  make(map[string]*Node),
+		Units:  units,
 		Cache:  make(map[string]any),
 		byFunc: make(map[string]*Node),
 	}

@@ -155,6 +155,9 @@ type Edge struct {
 type Graph struct {
 	Fset  *token.FileSet
 	Nodes map[string]*Node
+	// Units are the analysis units the graph was built over, in load
+	// order.
+	Units []*Unit
 	// Cache lets analyzers memoize derived facts (e.g. per-node direct
 	// violations) for the graph's lifetime, which the driver scopes to
 	// one lint run across all analyzers.

@@ -86,19 +86,14 @@ type Options struct {
 	Timing bool
 }
 
-// Run loads the module rooted at root and applies the analyzers to the
-// packages matching the given patterns (none means the whole module).
-// The entire module is parsed and type-checked exactly once — and the
-// call graph built exactly once — regardless of how many analyzers run
-// or how narrow the patterns are, because the transitive analyzers need
-// whole-module visibility to follow calls out of the matched set. Load
-// or type-check failures abort with an error — a tree that does not
-// compile has no lint verdict.
-func Run(root string, patterns []string, analyzers []*Analyzer, includeTests bool) (*Report, error) {
-	return RunOpts(root, patterns, analyzers, Options{IncludeTests: includeTests})
-}
-
-// RunOpts is Run with the full option set.
+// RunOpts loads the module rooted at root and applies the analyzers to
+// the packages matching the given patterns (none means the whole
+// module). The entire module is parsed and type-checked exactly once —
+// and the call graph built exactly once — regardless of how many
+// analyzers run or how narrow the patterns are, because the transitive
+// analyzers need whole-module visibility to follow calls out of the
+// matched set. Load or type-check failures abort with an error — a tree
+// that does not compile has no lint verdict.
 func RunOpts(root string, patterns []string, analyzers []*Analyzer, opts Options) (*Report, error) {
 	timing := &Timing{Analyzers: make(map[string]float64)}
 

@@ -32,7 +32,7 @@ func TestRunReportsTypeErrors(t *testing.T) {
 		"go.mod":  "module example.com/broken\n\ngo 1.22\n",
 		"main.go": "package main\n\nfunc main() { undefinedIdent() }\n",
 	})
-	_, err := lint.Run(root, nil, lint.All(), true)
+	_, err := lint.RunOpts(root, nil, lint.All(), lint.Options{IncludeTests: true})
 	if err == nil {
 		t.Fatal("expected a type-check error, got nil")
 	}
@@ -42,7 +42,7 @@ func TestRunReportsTypeErrors(t *testing.T) {
 }
 
 func TestRunRejectsMissingGoMod(t *testing.T) {
-	if _, err := lint.Run(t.TempDir(), nil, lint.All(), true); err == nil {
+	if _, err := lint.RunOpts(t.TempDir(), nil, lint.All(), lint.Options{IncludeTests: true}); err == nil {
 		t.Fatal("expected an error for a directory without go.mod")
 	}
 }
@@ -52,7 +52,7 @@ func TestRunRejectsUnmatchedPattern(t *testing.T) {
 		"go.mod":  "module example.com/tiny\n\ngo 1.22\n",
 		"main.go": "package main\n\nfunc main() {}\n",
 	})
-	_, err := lint.Run(root, []string{"internal/nope/..."}, lint.All(), true)
+	_, err := lint.RunOpts(root, []string{"internal/nope/..."}, lint.All(), lint.Options{IncludeTests: true})
 	if err == nil || !strings.Contains(err.Error(), "matched no packages") {
 		t.Fatalf("expected a matched-no-packages error, got %v", err)
 	}
@@ -63,7 +63,7 @@ func TestRunCleanModule(t *testing.T) {
 		"go.mod":  "module example.com/tiny\n\ngo 1.22\n",
 		"main.go": "package main\n\nfunc main() {}\n",
 	})
-	report, err := lint.Run(root, nil, lint.All(), true)
+	report, err := lint.RunOpts(root, nil, lint.All(), lint.Options{IncludeTests: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +86,17 @@ func TestJSONShape(t *testing.T) {
 
 import "time"
 
-func stamp() time.Time { return time.Now() }
+func Stamp() time.Time { return time.Now() }
 `,
-		"main.go": "package main\n\nfunc main() {}\n",
+		"main.go": `package main
+
+import "example.com/shape/internal/sim"
+
+func main() { _ = sim.Stamp() }
+`,
 	})
 
-	report, err := lint.Run(root, nil, lint.All(), true)
+	report, err := lint.RunOpts(root, nil, lint.All(), lint.Options{IncludeTests: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +150,17 @@ func TestPatternFiltering(t *testing.T) {
 
 import "time"
 
-func stamp() time.Time { return time.Now() }
+func Stamp() time.Time { return time.Now() }
 `,
-		"cmd/app/main.go": "package main\n\nfunc main() {}\n",
+		"cmd/app/main.go": `package main
+
+import "example.com/filter/internal/sim"
+
+func main() { _ = sim.Stamp() }
+`,
 	})
 
-	report, err := lint.Run(root, []string{"cmd/..."}, lint.All(), true)
+	report, err := lint.RunOpts(root, []string{"cmd/..."}, lint.All(), lint.Options{IncludeTests: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +168,7 @@ func stamp() time.Time { return time.Now() }
 		t.Fatalf("cmd/... should be clean, got %v", report.Diagnostics)
 	}
 
-	report, err = lint.Run(root, []string{"internal/sim"}, lint.All(), true)
+	report, err = lint.RunOpts(root, []string{"internal/sim"}, lint.All(), lint.Options{IncludeTests: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +186,12 @@ func TestIncludeTestsToggle(t *testing.T) {
 
 func Step() int { return 1 }
 `,
+		"main.go": `package main
+
+import "example.com/toggle/internal/sim"
+
+func main() { _ = sim.Step() }
+`,
 		"internal/sim/sim_test.go": `package sim
 
 import (
@@ -192,14 +208,14 @@ func TestStep(t *testing.T) {
 `,
 	})
 
-	with, err := lint.Run(root, nil, lint.All(), true)
+	with, err := lint.RunOpts(root, nil, lint.All(), lint.Options{IncludeTests: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(with.Diagnostics) != 1 {
 		t.Fatalf("with tests: diagnostics = %v, want the time.Now finding", with.Diagnostics)
 	}
-	without, err := lint.Run(root, nil, lint.All(), false)
+	without, err := lint.RunOpts(root, nil, lint.All(), lint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"safesense/internal/lint"
+	"safesense/internal/lint/callgraph"
 )
 
 // fixtureCases pairs each analyzer with its golden package under
@@ -104,7 +105,8 @@ func TestGoldenFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)
 			}
-			diags := lint.RunAnalyzers(units, []*lint.Analyzer{fc.analyzer})
+			graph := callgraph.Build(loader.Fset(), lint.GraphUnits(units))
+			diags := lint.RunAnalyzersGraph(units, graph, []*lint.Analyzer{fc.analyzer}, nil)
 			wants := parseWants(t, dir)
 			if len(wants) == 0 {
 				t.Fatal("fixture declares no want markers")

@@ -221,26 +221,11 @@ func GraphUnits(pkgs []*Package) []*callgraph.Unit {
 	return units
 }
 
-// RunAnalyzers executes every applicable analyzer over the loaded
-// packages and returns the findings sorted by position. The call graph
-// is built over exactly these packages; the driver uses
-// RunAnalyzersGraph to analyze a pattern-filtered subset against a
-// module-wide graph.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	var fset *token.FileSet
-	if len(pkgs) > 0 {
-		fset = pkgs[0].Fset
-	} else {
-		fset = token.NewFileSet()
-	}
-	graph := callgraph.Build(fset, GraphUnits(pkgs))
-	return RunAnalyzersGraph(pkgs, graph, analyzers, nil)
-}
-
 // RunAnalyzersGraph executes every applicable analyzer over the given
 // (possibly pattern-filtered) packages, sharing one prebuilt call
-// graph. When timings is non-nil, each analyzer's cumulative wall time
-// is accumulated into it by name.
+// graph, and returns the findings sorted by position. When timings is
+// non-nil, each analyzer's cumulative wall time is accumulated into it
+// by name.
 func RunAnalyzersGraph(pkgs []*Package, graph *callgraph.Graph, analyzers []*Analyzer, timings map[string]float64) []Diagnostic {
 	if timings != nil {
 		// Every analyzer appears in the breakdown, even when its scoped
@@ -289,7 +274,7 @@ func RunAnalyzersGraph(pkgs []*Package, graph *callgraph.Graph, analyzers []*Ana
 	return diags
 }
 
-// All returns the six safesense analyzers.
+// All returns the seven safesense analyzers.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
@@ -298,5 +283,6 @@ func All() []*Analyzer {
 		MetricLabels,
 		CtxFlow,
 		GoroLeak,
+		DeadCode,
 	}
 }

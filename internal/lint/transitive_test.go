@@ -24,7 +24,7 @@ func transitiveFixtureRoot(t *testing.T) string {
 // sim.Step and an fmt allocation reached from //safesense:hotpath
 // sim.Record, each reported with its complete call chain.
 func TestTransitiveChains(t *testing.T) {
-	report, err := lint.Run(transitiveFixtureRoot(t), nil, lint.All(), false)
+	report, err := lint.RunOpts(transitiveFixtureRoot(t), nil, lint.All(), lint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func assertChain(t *testing.T, d lint.Diagnostic, want []string) {
 // TestTransitiveJSONShape checks the machine interface: the chain rides
 // a structured "chain" array alongside the usual fields.
 func TestTransitiveJSONShape(t *testing.T) {
-	report, err := lint.Run(transitiveFixtureRoot(t), nil, lint.All(), false)
+	report, err := lint.RunOpts(transitiveFixtureRoot(t), nil, lint.All(), lint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Package mat implements the small dense real linear algebra kernel used by
 // the safesense estimators, controllers, and plant models.
 //
-// It is deliberately minimal: row-major dense matrices, the factorizations
-// required by the RLS/Kalman estimators (LU, Cholesky, QR) and a symmetric
-// Jacobi eigendecomposition that internal/cmat builds on for the Hermitian
-// eigenproblem inside root-MUSIC. All dimensions in this project are tiny
+// It is deliberately minimal: row-major dense matrices, the LU
+// factorization behind the Kalman and LQR inverses, and a symmetric
+// Jacobi eigendecomposition that internal/cmat builds on for the
+// Hermitian eigenproblem inside root-MUSIC. All dimensions in this project are tiny
 // (covariance matrices of order <= 64), so clarity wins over blocking or
 // SIMD tricks.
 package mat
@@ -61,12 +61,6 @@ func Diag(d []float64) *Dense {
 
 // Dims returns the row and column counts.
 func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
-
-// Rows returns the number of rows.
-func (m *Dense) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Dense) Cols() int { return m.cols }
 
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {

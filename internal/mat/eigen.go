@@ -114,7 +114,7 @@ func offDiagNorm(m *Dense) float64 {
 // evaluated by repeated squaring with normalization: after m squarings it
 // reports ||A^(2^m)||_F^(1/2^m). Unlike plain power iteration this converges
 // for complex eigenvalue pairs, which the closed-loop ACC dynamics have.
-// It is used for discrete-time stability checks in internal/lti.
+// It is the discrete-time stability check of the closed-loop tests.
 func SpectralRadius(a *Dense, squarings int) float64 {
 	n, c := a.Dims()
 	if n != c {

@@ -111,57 +111,3 @@ func TestSpectralRadiusZeroAndNilpotent(t *testing.T) {
 		t.Fatalf("SpectralRadius(nilpotent) = %v, want ~0", got)
 	}
 }
-
-func TestCholeskySolve(t *testing.T) {
-	// SPD matrix.
-	a := NewDenseData(3, 3, []float64{4, 2, 0, 2, 5, 1, 0, 1, 3})
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := ch.L()
-	if !l.Mul(l.T()).EqualApprox(a, 1e-10) {
-		t.Fatal("L*L^T != A")
-	}
-	want := []float64{1, -2, 3}
-	b := a.MulVec(want)
-	got, err := ch.SolveVec(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("solve = %v, want %v", got, want)
-		}
-	}
-	// LogDet consistency with LU determinant.
-	if math.Abs(math.Exp(ch.LogDet())-Det(a)) > 1e-8*math.Abs(Det(a)) {
-		t.Fatal("LogDet mismatch")
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
-	if _, err := NewCholesky(a); err == nil {
-		t.Fatal("expected ErrNotPositiveDefinite")
-	}
-}
-
-func TestCholeskyProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(6)
-		// Build SPD as B^T*B + eps*I.
-		b := randDense(rng, n+2, n)
-		a := b.T().Mul(b).Add(Identity(n).Scale(1e-3))
-		ch, err := NewCholesky(a)
-		if err != nil {
-			return false
-		}
-		l := ch.L()
-		return l.Mul(l.T()).EqualApprox(a, 1e-8*(1+a.MaxAbs()))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -11,9 +11,8 @@ var ErrSingular = errors.New("mat: matrix is singular to working precision")
 
 // LU holds an LU factorization with partial pivoting: P*A = L*U.
 type LU struct {
-	lu   *Dense
-	piv  []int
-	sign int // +1 or -1, parity of the permutation
+	lu  *Dense
+	piv []int
 }
 
 // NewLU factorizes the square matrix a. It returns ErrSingular if a pivot
@@ -28,7 +27,6 @@ func NewLU(a *Dense) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest magnitude in column k at/below row k.
 		p, maxv := k, math.Abs(lu.At(k, k))
@@ -45,7 +43,6 @@ func NewLU(a *Dense) (*LU, error) {
 				lu.data[k*n+j], lu.data[p*n+j] = lu.data[p*n+j], lu.data[k*n+j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -59,7 +56,7 @@ func NewLU(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // SolveVec solves A*x = b for x.
@@ -115,25 +112,6 @@ func (f *LU) Solve(b *Dense) (*Dense, error) {
 	return out, nil
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	n := f.lu.rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// Solve solves the linear system a*x = b.
-func Solve(a *Dense, b []float64) ([]float64, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveVec(b)
-}
-
 // Inverse returns the inverse of a, or ErrSingular.
 func Inverse(a *Dense) (*Dense, error) {
 	f, err := NewLU(a)
@@ -141,60 +119,4 @@ func Inverse(a *Dense) (*Dense, error) {
 		return nil, err
 	}
 	return f.Solve(Identity(a.rows))
-}
-
-// Det returns the determinant of a. A singular matrix yields 0.
-func Det(a *Dense) float64 {
-	f, err := NewLU(a)
-	if err != nil {
-		return 0
-	}
-	return f.Det()
-}
-
-// Rank estimates the rank of a using column-pivoted Gaussian elimination
-// with the relative tolerance tol (e.g. 1e-10). It is used by the
-// observability and controllability tests of internal/lti.
-func Rank(a *Dense, tol float64) int {
-	m := a.Clone()
-	r, c := m.Dims()
-	scale := m.MaxAbs()
-	if scale == 0 {
-		return 0
-	}
-	thresh := tol * scale
-	rank := 0
-	row := 0
-	for col := 0; col < c && row < r; col++ {
-		// Find pivot in this column.
-		p, maxv := -1, thresh
-		for i := row; i < r; i++ {
-			if v := math.Abs(m.At(i, col)); v > maxv {
-				p, maxv = i, v
-			}
-		}
-		if p < 0 {
-			continue
-		}
-		if p != row {
-			for j := 0; j < c; j++ {
-				tmp := m.At(row, j)
-				m.Set(row, j, m.At(p, j))
-				m.Set(p, j, tmp)
-			}
-		}
-		pv := m.At(row, col)
-		for i := row + 1; i < r; i++ {
-			f := m.At(i, col) / pv
-			if f == 0 {
-				continue
-			}
-			for j := col; j < c; j++ {
-				m.Set(i, j, m.At(i, j)-f*m.At(row, j))
-			}
-		}
-		rank++
-		row++
-	}
-	return rank
 }

@@ -11,12 +11,16 @@ import (
 func TestSolveKnownSystem(t *testing.T) {
 	// 2x + y = 5; x + 3y = 10 -> x = 1, y = 3.
 	a := NewDenseData(2, 2, []float64{2, 1, 1, 3})
-	x, err := Solve(a, []float64{5, 10})
+	f, err := NewLU(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := f.SolveVec([]float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
-		t.Fatalf("Solve = %v, want [1 3]", x)
+		t.Fatalf("SolveVec = %v, want [1 3]", x)
 	}
 }
 
@@ -33,8 +37,11 @@ func TestSolveResidualProperty(t *testing.T) {
 		for i := range want {
 			want[i] = rng.NormFloat64()
 		}
-		b := a.MulVec(want)
-		got, err := Solve(a, b)
+		f, err := NewLU(a)
+		if err != nil {
+			return false
+		}
+		got, err := f.SolveVec(a.MulVec(want))
 		if err != nil {
 			return false
 		}
@@ -68,55 +75,6 @@ func TestSingularDetection(t *testing.T) {
 	a := NewDenseData(2, 2, []float64{1, 2, 2, 4})
 	if _, err := Inverse(a); !errors.Is(err, ErrSingular) {
 		t.Fatalf("expected ErrSingular, got %v", err)
-	}
-	if d := Det(a); d != 0 {
-		t.Fatalf("Det of singular = %v", d)
-	}
-}
-
-func TestDet(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{3, 1, 4, 2})
-	if d := Det(a); math.Abs(d-2) > 1e-12 {
-		t.Fatalf("Det = %v, want 2", d)
-	}
-	// Determinant changes sign under a row swap; LU pivoting must track it.
-	b := NewDenseData(2, 2, []float64{4, 2, 3, 1})
-	if d := Det(b); math.Abs(d+2) > 1e-12 {
-		t.Fatalf("Det = %v, want -2", d)
-	}
-}
-
-func TestDetProductProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(5)
-		a := randDense(rng, n, n)
-		b := randDense(rng, n, n)
-		dab := Det(a.Mul(b))
-		da, db := Det(a), Det(b)
-		return math.Abs(dab-da*db) <= 1e-8*(1+math.Abs(da*db))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRank(t *testing.T) {
-	if r := Rank(Identity(4), 1e-10); r != 4 {
-		t.Fatalf("Rank(I4) = %d", r)
-	}
-	// Rank-1 matrix.
-	a := NewDenseData(3, 1, []float64{1, 2, 3}).Mul(NewDenseData(1, 3, []float64{4, 5, 6}))
-	if r := Rank(a, 1e-10); r != 1 {
-		t.Fatalf("Rank(outer) = %d", r)
-	}
-	if r := Rank(NewDense(3, 3), 1e-10); r != 0 {
-		t.Fatalf("Rank(0) = %d", r)
-	}
-	// Wide matrix with two independent rows.
-	w := NewDenseData(2, 4, []float64{1, 0, 1, 0, 0, 1, 0, 1})
-	if r := Rank(w, 1e-10); r != 2 {
-		t.Fatalf("Rank(wide) = %d", r)
 	}
 }
 

@@ -7,38 +7,31 @@ import (
 	"testing/quick"
 )
 
-// TestLUAndQRAgreeOnSquareSystems: two independent factorizations must
-// produce the same solution for well-conditioned square systems.
-func TestLUAndQRAgreeOnSquareSystems(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(6)
-		a := randDense(rng, n, n)
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+float64(n)+2)
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		xLU, err1 := Solve(a, b)
-		xQR, err2 := LeastSquares(a, b)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		for i := range xLU {
-			if math.Abs(xLU[i]-xQR[i]) > 1e-8*(1+math.Abs(xLU[i])) {
-				return false
+// cofactorDet is the Laplace-expansion determinant: slow, but an oracle
+// independent of every factorization in the package.
+func cofactorDet(a *Dense) float64 {
+	n, _ := a.Dims()
+	if n == 1 {
+		return a.At(0, 0)
+	}
+	det, sign := 0.0, 1.0
+	for j := 0; j < n; j++ {
+		minor := NewDense(n-1, n-1)
+		for r := 1; r < n; r++ {
+			for c, mc := 0, 0; c < n; c++ {
+				if c != j {
+					minor.Set(r-1, mc, a.At(r, c))
+					mc++
+				}
 			}
 		}
-		return true
+		det += sign * a.At(0, j) * cofactorDet(minor)
+		sign = -sign
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+	return det
 }
 
-// TestEigenDetConsistency: the product of eigenvalues equals the LU
+// TestEigenDetConsistency: the product of eigenvalues equals the
 // determinant for symmetric matrices.
 func TestEigenDetConsistency(t *testing.T) {
 	f := func(seed int64) bool {
@@ -53,40 +46,8 @@ func TestEigenDetConsistency(t *testing.T) {
 		for _, v := range vals {
 			prod *= v
 		}
-		det := Det(a)
+		det := cofactorDet(a)
 		return math.Abs(prod-det) <= 1e-7*(1+math.Abs(det))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCholeskyLUSolveAgree: SPD systems solved via Cholesky and LU agree.
-func TestCholeskyLUSolveAgree(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(6)
-		b0 := randDense(rng, n+2, n)
-		a := b0.T().Mul(b0).Add(Identity(n).Scale(0.5))
-		rhs := make([]float64, n)
-		for i := range rhs {
-			rhs[i] = rng.NormFloat64()
-		}
-		ch, err := NewCholesky(a)
-		if err != nil {
-			return false
-		}
-		x1, err1 := ch.SolveVec(rhs)
-		x2, err2 := Solve(a, rhs)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		for i := range x1 {
-			if math.Abs(x1[i]-x2[i]) > 1e-7*(1+math.Abs(x2[i])) {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -102,26 +63,6 @@ func TestSpectralRadiusSubmultiplicative(t *testing.T) {
 		return SpectralRadius(a, 0) <= a.FrobeniusNorm()*(1+1e-9)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRankBounds: rank never exceeds min(rows, cols) and matches full rank
-// for identity-padded matrices.
-func TestRankBounds(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := 1 + rng.Intn(6)
-		c := 1 + rng.Intn(6)
-		a := randDense(rng, r, c)
-		rk := Rank(a, 1e-10)
-		minDim := r
-		if c < r {
-			minDim = c
-		}
-		return rk >= 0 && rk <= minDim
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,7 +2,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 )
 
 // Vector helpers. Vectors are plain []float64 so callers can build them with
@@ -19,36 +18,6 @@ func Dot(x, y []float64) float64 {
 		s += v * y[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	// Scaled accumulation avoids overflow for large components.
-	scale, ssq := 0.0, 1.0
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			ssq = 1 + ssq*(scale/a)*(scale/a)
-			scale = a
-		} else {
-			ssq += (a / scale) * (a / scale)
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
-// NormInf returns the maximum absolute component of x.
-func NormInf(x []float64) float64 {
-	m := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // AddVec returns x + y as a new slice.

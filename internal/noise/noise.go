@@ -105,9 +105,3 @@ func AveragePower(signal []complex128) float64 {
 	}
 	return p / float64(len(signal))
 }
-
-// SNRFromPowers returns the SNR in dB given signal and noise powers in
-// consistent linear units.
-func SNRFromPowers(signalW, noiseW float64) float64 {
-	return units.LinearToDB(signalW / noiseW)
-}

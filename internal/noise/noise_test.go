@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"safesense/internal/units"
 )
 
 func TestSourceDeterminism(t *testing.T) {
@@ -86,7 +88,7 @@ func TestAddAWGNSNR(t *testing.T) {
 			np += real(d)*real(d) + imag(d)*imag(d)
 		}
 		np /= float64(n)
-		gotSNR := SNRFromPowers(AveragePower(sig), np)
+		gotSNR := units.LinearToDB(AveragePower(sig) / np)
 		if math.Abs(gotSNR-snr) > 0.3 {
 			t.Fatalf("realized SNR = %v dB, want %v dB", gotSNR, snr)
 		}

@@ -23,7 +23,6 @@
 package forensic
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -50,7 +49,7 @@ const (
 	KindManual = "manual"
 )
 
-// Wire-format bounds enforced by ValidateCapture/DecodeCapture so a
+// Wire-format bounds enforced by ValidateCapture so a
 // hostile or buggy peer cannot make a coordinator allocate absurd
 // state. The sim recorder's own caps (8 dumps of 32 steps) sit well
 // inside these.
@@ -198,34 +197,6 @@ func ValidateCapture(c Capture) error {
 	}
 	if len(c.Phases) > MaxCapturePhases {
 		return fmt.Errorf("forensic: %d phases exceed the %d cap", len(c.Phases), MaxCapturePhases)
-	}
-	return nil
-}
-
-// DecodeCapture strictly parses one capture off the wire: unknown
-// fields are errors and every bound is enforced before the value is
-// trusted. This is the decoder FuzzDecodeCapture drives.
-func DecodeCapture(data []byte) (Capture, error) {
-	var c Capture
-	if err := strictUnmarshal(data, &c); err != nil {
-		return Capture{}, err
-	}
-	if err := ValidateCapture(c); err != nil {
-		return Capture{}, err
-	}
-	return c, nil
-}
-
-// strictUnmarshal rejects unknown fields (same contract as the dist
-// wire decoders).
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("forensic: decoding capture: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("forensic: trailing data after capture object")
 	}
 	return nil
 }

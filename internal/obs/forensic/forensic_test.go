@@ -121,9 +121,9 @@ func TestDecodeCaptureStrict(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	got, err := DecodeCapture(data)
+	got, err := decodeWire(data)
 	if err != nil {
-		t.Fatalf("DecodeCapture: %v", err)
+		t.Fatalf("decodeWire: %v", err)
 	}
 	h1, _ := c.Hash()
 	h2, err := got.Hash()
@@ -131,13 +131,13 @@ func TestDecodeCaptureStrict(t *testing.T) {
 		t.Fatalf("decoded capture hash %s (err %v), want %s", h2, err, h1)
 	}
 
-	if _, err := DecodeCapture([]byte(`{"schema":1,"unknown_field":true}`)); err == nil {
+	if _, err := decodeWire([]byte(`{"schema":1,"unknown_field":true}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
-	if _, err := DecodeCapture(append(data, []byte(`{}`)...)); err == nil {
+	if _, err := decodeWire(append(data, []byte(`{}`)...)); err == nil {
 		t.Error("trailing data accepted")
 	}
-	if _, err := DecodeCapture([]byte(`{"schema":1}`)); err == nil {
+	if _, err := decodeWire([]byte(`{"schema":1}`)); err == nil {
 		t.Error("capture without kinds/point accepted")
 	}
 }

@@ -1,15 +1,27 @@
 package forensic
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
+
+	"safesense/internal/obs"
 )
 
-// FuzzDecodeCapture drives the strict wire decoder with arbitrary
-// bytes. Oracles: a successful decode must satisfy ValidateCapture,
-// hash deterministically, and round-trip through Marshal/Decode onto
-// the same content address — the property the fleet-wide dedup rests
-// on.
+// decodeWire takes bytes down the path a worker-shipped capture takes
+// into Store.Put: the shared strict decoder, then ValidateCapture.
+func decodeWire(data []byte) (Capture, error) {
+	var c Capture
+	if err := obs.DecodeStrict(bytes.NewReader(data), &c); err != nil {
+		return Capture{}, err
+	}
+	return c, ValidateCapture(c)
+}
+
+// FuzzDecodeCapture drives the capture wire path with arbitrary bytes.
+// Oracles: an accepted capture must hash deterministically and
+// round-trip through Marshal and the wire path onto the same content
+// address — the property the fleet-wide dedup rests on.
 func FuzzDecodeCapture(f *testing.F) {
 	seed := testCapture(7)
 	if data, err := json.Marshal(seed); err == nil {
@@ -23,12 +35,9 @@ func FuzzDecodeCapture(f *testing.F) {
 	f.Add([]byte(`{"schema":1,"kinds":["x"],"point":"p","unknown":1}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeCapture(data)
+		c, err := decodeWire(data)
 		if err != nil {
 			return
-		}
-		if verr := ValidateCapture(c); verr != nil {
-			t.Fatalf("decoded capture fails validation: %v", verr)
 		}
 		h1, err := c.Hash()
 		if err != nil {
@@ -38,7 +47,7 @@ func FuzzDecodeCapture(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded capture does not re-marshal: %v", err)
 		}
-		c2, err := DecodeCapture(out)
+		c2, err := decodeWire(out)
 		if err != nil {
 			t.Fatalf("re-marshaled capture does not decode: %v", err)
 		}

@@ -11,8 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"safesense/internal/sim"
 )
 
 // DefaultBudgetBytes is the store's default resident-capture budget.
@@ -491,18 +489,4 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
-}
-
-// LiveBytes returns the encoded bytes of the resident captures.
-func (s *Store) LiveBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.liveBytes
-}
-
-// Kinds returns the sim anomaly kinds in recorder order — a helper
-// for callers enumerating the store's bounded kind vocabulary.
-func Kinds() []string {
-	return []string{sim.AnomalyCollision, sim.AnomalyFalsePositive, sim.AnomalyFalseNegative,
-		KindLatencyOutlier, KindManual}
 }

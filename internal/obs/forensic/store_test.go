@@ -77,8 +77,8 @@ func TestStoreEvictionPriority(t *testing.T) {
 	putCapture(t, s, testCapture(4, sim.AnomalyFalseNegative), true)
 	putCapture(t, s, testCapture(5, sim.AnomalyFalseNegative), true)
 
-	if s.LiveBytes() > budget {
-		t.Fatalf("LiveBytes %d over budget %d", s.LiveBytes(), budget)
+	if s.liveBytes > budget {
+		t.Fatalf("live bytes %d over budget %d", s.liveBytes, budget)
 	}
 	if _, ok := s.Get(collision); !ok {
 		t.Error("collision capture evicted before lower-priority kinds")
@@ -281,22 +281,6 @@ func TestStoreListFiltersAndPaging(t *testing.T) {
 	past, total := s.List(Query{Offset: 100})
 	if total != 6 || len(past) != 0 {
 		t.Fatalf("past-the-end page = %d/%d, want 0 of 6", len(past), total)
-	}
-}
-
-func TestKindsVocabulary(t *testing.T) {
-	kinds := Kinds()
-	want := map[string]bool{
-		sim.AnomalyCollision: true, sim.AnomalyFalsePositive: true,
-		sim.AnomalyFalseNegative: true, KindLatencyOutlier: true, KindManual: true,
-	}
-	if len(kinds) != len(want) {
-		t.Fatalf("Kinds() = %v, want the %d-kind vocabulary", kinds, len(want))
-	}
-	for _, k := range kinds {
-		if !want[k] {
-			t.Errorf("unexpected kind %q", k)
-		}
 	}
 }
 

@@ -230,10 +230,3 @@ func (s *Store) Len() int {
 	defer s.mu.Unlock()
 	return len(s.entries)
 }
-
-// LiveBytes returns the resident raw bytes.
-func (s *Store) LiveBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.liveBytes
-}

@@ -31,8 +31,8 @@ func TestStorePutGetDedup(t *testing.T) {
 	if again.ID != meta.ID || again.Seq <= meta.Seq {
 		t.Fatalf("dedup must refresh recency: %+v vs %+v", again, meta)
 	}
-	if s.Len() != 1 || s.LiveBytes() != int64(len(raw)) {
-		t.Fatalf("len=%d bytes=%d", s.Len(), s.LiveBytes())
+	if s.Len() != 1 || s.liveBytes != int64(len(raw)) {
+		t.Fatalf("len=%d bytes=%d", s.Len(), s.liveBytes)
 	}
 
 	got, rawBack, ok := s.Get(meta.ID)
@@ -68,8 +68,8 @@ func TestStoreEvictsOldestFirst(t *testing.T) {
 			t.Fatalf("capture %s evicted out of order", id)
 		}
 	}
-	if s.LiveBytes() > 250 {
-		t.Fatalf("live bytes %d over budget", s.LiveBytes())
+	if s.liveBytes > 250 {
+		t.Fatalf("live bytes %d over budget", s.liveBytes)
 	}
 }
 
@@ -87,4 +87,10 @@ func TestStoreListNewestFirst(t *testing.T) {
 			t.Fatalf("list not newest-first: %+v", list)
 		}
 	}
+}
+
+func TestVCSRevisionDoesNotPanic(t *testing.T) {
+	// Test binaries usually carry no VCS stamp; the call must still be
+	// safe and return a plain string.
+	_ = VCSRevision()
 }

@@ -54,6 +54,11 @@ type Hub struct {
 	mu   sync.Mutex
 	subs atomic.Pointer[[]*Subscriber]
 
+	// pubMu serializes Publish, so every subscriber receives events in
+	// ID order even when several goroutines publish at once (a resumed
+	// stream replays from the last ID its client saw).
+	pubMu sync.Mutex
+
 	dropped atomic.Uint64
 }
 
@@ -83,6 +88,8 @@ func (h *Hub) Publish(topic, typ string, data []byte) uint64 {
 		return 0
 	}
 	ev := &Event{Topic: topic, Type: typ, Data: data}
+	h.pubMu.Lock()
+	defer h.pubMu.Unlock()
 	ev.ID = h.seq.Add(1)
 	h.ring[(ev.ID-1)&h.mask].Store(ev)
 	metricPublished.With().Inc()
@@ -178,10 +185,6 @@ func (h *Hub) Subscribe(topic string, buffer int) *Subscriber {
 // Events is the delivery channel. It is never closed: consumers stop by
 // selecting on their own context and calling Close.
 func (s *Subscriber) Events() <-chan *Event { return s.ch }
-
-// Dropped returns how many events this subscriber lost to a full
-// buffer.
-func (s *Subscriber) Dropped() uint64 { return s.dropped.Load() }
 
 // Close unregisters the subscriber. Idempotent. The events channel is
 // left open (a concurrent Publish may still hold the old subscriber

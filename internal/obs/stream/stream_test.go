@@ -163,7 +163,7 @@ func TestHubStalledSubscriberShedsLoad(t *testing.T) {
 	}
 	// The stalled subscriber holds at most its buffer; everything else
 	// must have been dropped, not blocked on.
-	if got := stalled.Dropped(); got < total-1 {
+	if got := stalled.dropped.Load(); got < total-1 {
 		t.Fatalf("stalled subscriber dropped %d events, want >= %d", got, total-1)
 	}
 	published, dropped, _ := h.Stats()

@@ -102,14 +102,6 @@ func (s *Span) TraceID() string {
 	return s.rec.TraceID
 }
 
-// SpanID returns the span's own ID ("" for an inert span).
-func (s *Span) SpanID() string {
-	if s == nil {
-		return ""
-	}
-	return s.rec.SpanID
-}
-
 // Sampled reports whether the span will be kept by the store on End.
 func (s *Span) Sampled() bool { return s != nil && s.sampled }
 
@@ -200,24 +192,6 @@ type always struct{}
 
 func (always) Sample(string) bool { return true }
 
-// everyN keeps the head of every window of n traces: the 1st, the
-// n+1st, ... — classic head sampling, decided before any span ends.
-type everyN struct {
-	n uint64
-	c atomic.Uint64
-}
-
-func (s *everyN) Sample(string) bool { return (s.c.Add(1)-1)%s.n == 0 }
-
-// SampleEveryN returns a head sampler keeping 1 of every n root spans
-// (n <= 1 keeps everything).
-func SampleEveryN(n int) Sampler {
-	if n <= 1 {
-		return always{}
-	}
-	return &everyN{n: uint64(n)}
-}
-
 // Store is a bounded ring buffer of completed spans. When full, the
 // oldest span is evicted. All methods are safe for concurrent use.
 type Store struct {
@@ -237,8 +211,7 @@ type Store struct {
 const DefaultCapacity = 4096
 
 // NewStore returns a store keeping at most capacity completed spans
-// (capacity < 1 means DefaultCapacity). Sampling defaults to keeping
-// everything; see SetSampler.
+// (capacity < 1 means DefaultCapacity) and sampling every trace.
 func NewStore(capacity int) *Store {
 	if capacity < 1 {
 		capacity = DefaultCapacity
@@ -254,14 +227,6 @@ var defaultStore = sync.OnceValue(func() *Store { return NewStore(DefaultCapacit
 // Default returns the process-wide store (what safesensed serves at
 // /debug/traces).
 func Default() *Store { return defaultStore() }
-
-// SetSampler installs the head sampler applied to subsequent Root calls.
-func (st *Store) SetSampler(s Sampler) {
-	if s == nil {
-		s = always{}
-	}
-	st.sampler.Store(&s)
-}
 
 // Root opens a new trace rooted at this store. traceID may be supplied
 // by the caller (e.g. an inbound X-Request-ID header); empty means a
@@ -371,13 +336,6 @@ func (st *Store) Import(recs []SpanRecord) int {
 		added++
 	}
 	return added
-}
-
-// Len returns the number of stored spans.
-func (st *Store) Len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.n
 }
 
 // Records returns the stored spans, oldest first.

@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -28,7 +29,7 @@ func TestIDsAreHexAndDistinct(t *testing.T) {
 func TestRootAndChildLinkage(t *testing.T) {
 	st := NewStore(16)
 	ctx, root := st.Root(context.Background(), "root", "")
-	if root.TraceID() == "" || root.SpanID() == "" {
+	if root.TraceID() == "" || root.rec.SpanID == "" {
 		t.Fatal("root span missing IDs")
 	}
 	if !root.Sampled() {
@@ -103,8 +104,8 @@ func TestDoubleEndIsIdempotent(t *testing.T) {
 	_, root := st.Root(context.Background(), "r", "")
 	root.End()
 	root.End()
-	if st.Len() != 1 {
-		t.Fatalf("double End stored %d spans, want 1", st.Len())
+	if len(st.Records()) != 1 {
+		t.Fatalf("double End stored %d spans, want 1", len(st.Records()))
 	}
 }
 
@@ -118,8 +119,8 @@ func TestRingEvictionAndOrdering(t *testing.T) {
 		_, s := st.Root(context.Background(), fmt.Sprintf("span-%d", i), "")
 		s.End()
 	}
-	if st.Len() != capacity {
-		t.Fatalf("Len = %d, want %d", st.Len(), capacity)
+	if len(st.Records()) != capacity {
+		t.Fatalf("Len = %d, want %d", len(st.Records()), capacity)
 	}
 	recs := st.Records()
 	if len(recs) != capacity {
@@ -133,9 +134,21 @@ func TestRingEvictionAndOrdering(t *testing.T) {
 	}
 }
 
+// everyN keeps the head of every window of n traces: the 1st, the
+// n+1st, ... — classic head sampling, decided before any span ends.
+type everyN struct {
+	n uint64
+	c atomic.Uint64
+}
+
+func (s *everyN) Sample(string) bool { return (s.c.Add(1)-1)%s.n == 0 }
+
+// setSampler installs a head sampler applied to subsequent Root calls.
+func setSampler(st *Store, s Sampler) { st.sampler.Store(&s) }
+
 func TestHeadSampling(t *testing.T) {
 	st := NewStore(16)
-	st.SetSampler(SampleEveryN(3))
+	setSampler(st, &everyN{n: 3})
 	kept := 0
 	for i := 0; i < 9; i++ {
 		_, s := st.Root(context.Background(), "r", "")
@@ -153,7 +166,7 @@ func TestHeadSampling(t *testing.T) {
 	}
 	// Children inherit the head decision.
 	st2 := NewStore(16)
-	st2.SetSampler(SampleEveryN(2))
+	setSampler(st2, &everyN{n: 2})
 	ctx, root := st2.Root(context.Background(), "kept", "")
 	_, child := StartSpan(ctx, "c")
 	if !child.Sampled() {
@@ -168,7 +181,7 @@ func TestHeadSampling(t *testing.T) {
 	}
 	child.End()
 	root.End()
-	if got := st2.Len(); got != 2 {
+	if got := len(st2.Records()); got != 2 {
 		t.Errorf("stored %d spans, want 2 (the sampled root + child only)", got)
 	}
 }
@@ -219,7 +232,7 @@ func BenchmarkInertSpan(b *testing.B) {
 
 func TestStatsCounters(t *testing.T) {
 	st := NewStore(2)
-	st.SetSampler(SampleEveryN(2))
+	setSampler(st, &everyN{n: 2})
 	for i := 0; i < 6; i++ {
 		_, s := st.Root(context.Background(), "r", "")
 		s.End()

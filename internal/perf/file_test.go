@@ -124,12 +124,6 @@ func TestReadWaiversFile(t *testing.T) {
 	}
 }
 
-func TestVCSRevisionDoesNotPanic(t *testing.T) {
-	// Test binaries usually carry no VCS stamp; the call must still be
-	// safe and return a plain string.
-	_ = VCSRevision()
-}
-
 func TestShortRev(t *testing.T) {
 	if got := shortRev("0123456789abcdef0123"); got != "0123456789ab" {
 		t.Errorf("shortRev = %q", got)

@@ -14,7 +14,6 @@ package perf
 
 import (
 	"runtime"
-	"runtime/debug"
 )
 
 // SchemaVersion identifies the BENCH_*.json document layout. Bump it on
@@ -117,14 +116,6 @@ func (s *ScenarioResult) Samples(metric string) []float64 {
 	return s.Extra[metric]
 }
 
-// Metrics lists the scenario's populated metric names: the core three
-// followed by the Extra keys in sorted order.
-func (s *ScenarioResult) Metrics() []string {
-	out := []string{MetricNsPerOp, MetricAllocsPerOp, MetricBytesPerOp}
-	out = append(out, sortedKeys(s.Extra)...)
-	return out
-}
-
 // Core metric names.
 const (
 	MetricNsPerOp     = "ns_per_op"
@@ -140,26 +131,3 @@ const (
 	ExtraGCCyclesDelta  = "gc_cycles_delta"
 	ExtraGCPauseSeconds = "gc_pause_delta_seconds"
 )
-
-// VCSRevision extracts the commit the binary was built from, "" when the
-// toolchain stamped none (e.g. `go test` binaries); a locally modified
-// tree gets a "-dirty" suffix.
-func VCSRevision() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return ""
-	}
-	var rev, modified string
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			modified = s.Value
-		}
-	}
-	if rev != "" && modified == "true" {
-		rev += "-dirty"
-	}
-	return rev
-}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"safesense/internal/obs"
+	"safesense/internal/obs/profile"
 )
 
 // wallClock is the runner's injected time source (the same seam idiom
@@ -185,7 +186,7 @@ func (r *Runner) RunSuite(scenarios []Scenario) (*Run, error) {
 	run := &Run{
 		SchemaVersion: SchemaVersion,
 		CreatedAt:     r.now().UTC().Format(time.RFC3339),
-		VCSRevision:   VCSRevision(),
+		VCSRevision:   profile.VCSRevision(),
 		Host:          ReadHost(),
 		Config: Config{
 			Reps:         r.cfg.Reps,

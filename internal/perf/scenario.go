@@ -3,7 +3,6 @@ package perf
 import (
 	"fmt"
 	"regexp"
-	"sort"
 )
 
 // Scenario is one registered perf workload. Setup builds fresh state
@@ -123,15 +122,4 @@ func (g *Registry) Match(pattern string) ([]Scenario, error) {
 		}
 	}
 	return out, nil
-}
-
-// sortedKeys returns a map's keys in sorted order (map iteration order
-// must never reach serialized output).
-func sortedKeys(m map[string][]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -31,20 +31,6 @@ func New(coeffs ...complex128) Poly {
 	return Poly{C: c}
 }
 
-// FromRoots builds the monic polynomial with the given roots.
-func FromRoots(roots ...complex128) Poly {
-	c := []complex128{1}
-	for _, r := range roots {
-		next := make([]complex128, len(c)+1)
-		for i, v := range c {
-			next[i+1] += v
-			next[i] -= r * v
-		}
-		c = next
-	}
-	return Poly{C: c}
-}
-
 // Degree returns the polynomial degree (0 for constants, including the zero
 // polynomial).
 func (p Poly) Degree() int {
@@ -61,18 +47,6 @@ func (p Poly) Eval(z complex128) complex128 {
 		acc = acc*z + p.C[i]
 	}
 	return acc
-}
-
-// Derivative returns p'.
-func (p Poly) Derivative() Poly {
-	if len(p.C) <= 1 {
-		return Poly{C: []complex128{0}}
-	}
-	d := make([]complex128, len(p.C)-1)
-	for i := 1; i < len(p.C); i++ {
-		d[i-1] = complex(float64(i), 0) * p.C[i]
-	}
-	return Poly{C: d}
 }
 
 // Monic returns p scaled so its leading coefficient is 1. It returns an

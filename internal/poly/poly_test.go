@@ -9,6 +9,21 @@ import (
 	"testing/quick"
 )
 
+// FromRoots builds the monic polynomial with the given roots — the
+// oracle the root-finder tests recover known roots from.
+func FromRoots(roots ...complex128) Poly {
+	c := []complex128{1}
+	for _, r := range roots {
+		next := make([]complex128, len(c)+1)
+		for i, v := range c {
+			next[i+1] += v
+			next[i] -= r * v
+		}
+		c = next
+	}
+	return Poly{C: c}
+}
+
 // sortByArg orders roots lexicographically by (re, im) so two root
 // sets can be compared element-wise. The != here is a sort tie-break,
 // not an approximate-equality check.
@@ -60,18 +75,6 @@ func TestEvalHorner(t *testing.T) {
 	}
 	if got := p.Eval(0); cmplx.Abs(got-1) > 1e-12 {
 		t.Fatalf("Eval(0) = %v", got)
-	}
-}
-
-func TestDerivative(t *testing.T) {
-	p := New(5, 3, 0, 2) // 5 + 3z + 2z^3
-	d := p.Derivative()  // 3 + 6z^2
-	if !ceq(d.C[0], 3) || d.C[1] != 0 || !ceq(d.C[2], 6) {
-		t.Fatalf("Derivative = %v", d.C)
-	}
-	c := New(7)
-	if dc := c.Derivative(); dc.Eval(100) != 0 {
-		t.Fatal("derivative of constant must be 0")
 	}
 }
 

@@ -35,7 +35,6 @@ var taps = map[int]uint32{
 type LFSR struct {
 	state uint32
 	mask  uint32
-	n     int
 }
 
 // NewLFSR returns an n-stage maximal-length LFSR (3 <= n <= 16) seeded with
@@ -50,14 +49,8 @@ func NewLFSR(n int, seed uint32) (*LFSR, error) {
 	if s == 0 {
 		s = 1
 	}
-	return &LFSR{state: s, mask: mask, n: n}, nil
+	return &LFSR{state: s, mask: mask}, nil
 }
-
-// Len returns the register length in bits.
-func (l *LFSR) Len() int { return l.n }
-
-// Period returns the sequence period 2^n - 1.
-func (l *LFSR) Period() int { return (1 << uint(l.n)) - 1 }
 
 // NextBit advances the register one step and returns the output bit.
 func (l *LFSR) NextBit() int {
@@ -68,15 +61,3 @@ func (l *LFSR) NextBit() int {
 	}
 	return out
 }
-
-// NextBits returns the next k output bits.
-func (l *LFSR) NextBits(k int) []int {
-	bits := make([]int, k)
-	for i := range bits {
-		bits[i] = l.NextBit()
-	}
-	return bits
-}
-
-// State returns the current register state.
-func (l *LFSR) State() uint32 { return l.state }

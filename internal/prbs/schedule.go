@@ -2,7 +2,6 @@ package prbs
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Schedule decides, for each discrete time step k, whether the radar issues
@@ -18,40 +17,19 @@ type Schedule interface {
 // pinned so the attack onset at k = 182 is probed immediately.
 type FixedSchedule struct {
 	set map[int]bool
-	ks  []int
 }
 
 // NewFixedSchedule builds a schedule from the given challenge steps.
 func NewFixedSchedule(steps ...int) *FixedSchedule {
 	s := &FixedSchedule{set: make(map[int]bool, len(steps))}
 	for _, k := range steps {
-		if !s.set[k] {
-			s.set[k] = true
-			s.ks = append(s.ks, k)
-		}
+		s.set[k] = true
 	}
-	sort.Ints(s.ks)
 	return s
 }
 
 // Challenge implements Schedule.
 func (s *FixedSchedule) Challenge(k int) bool { return s.set[k] }
-
-// Steps returns the sorted challenge steps.
-func (s *FixedSchedule) Steps() []int {
-	out := make([]int, len(s.ks))
-	copy(out, s.ks)
-	return out
-}
-
-// NextAfter returns the first challenge step >= k, or -1 if none.
-func (s *FixedSchedule) NextAfter(k int) int {
-	i := sort.SearchInts(s.ks, k)
-	if i == len(s.ks) {
-		return -1
-	}
-	return s.ks[i]
-}
 
 // LFSRSchedule derives challenge instants from an m-sequence: step k is a
 // challenge when a window of LFSR bits is all zero, giving an average

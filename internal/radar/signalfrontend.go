@@ -125,12 +125,6 @@ func (f *SignalFrontEnd) Measure(k int, s Sweep, challenge bool) Measurement {
 	return m
 }
 
-// Observe is the convenience composition for attack-free operation.
-func (f *SignalFrontEnd) Observe(k int, dTrue, vRelTrue float64) Measurement {
-	s, challenge := f.ObserveSweep(k, dTrue, vRelTrue)
-	return f.Measure(k, s, challenge)
-}
-
 // ZeroThreshold returns the detector's quiet-channel power threshold.
 func (f *SignalFrontEnd) ZeroThreshold() float64 {
 	return f.zeroThresh

@@ -8,6 +8,12 @@ import (
 	"safesense/internal/prbs"
 )
 
+// Observe is the attack-free composition of ObserveSweep and Measure.
+func (f *SignalFrontEnd) Observe(k int, dTrue, vRelTrue float64) Measurement {
+	s, challenge := f.ObserveSweep(k, dTrue, vRelTrue)
+	return f.Measure(k, s, challenge)
+}
+
 func newSFE(t *testing.T, sched prbs.Schedule, ext BeatExtractor, seed int64) *SignalFrontEnd {
 	t.Helper()
 	sfe, err := NewSignalFrontEnd(BoschLRR2(), sched, ext, 128, noise.NewSource(seed))

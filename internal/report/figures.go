@@ -100,25 +100,3 @@ func (f *FigureResult) Render(w io.Writer, opt trace.PlotOptions) error {
 	_, err := io.WriteString(w, f.Summary())
 	return err
 }
-
-// AllFigures reproduces the full Figure 2/3 family.
-func AllFigures() ([]*FigureResult, error) {
-	specs := []struct {
-		id   string
-		scen sim.Scenario
-	}{
-		{"fig2a", sim.Fig2aDoS()},
-		{"fig2b", sim.Fig2bDelay()},
-		{"fig3a", sim.Fig3aDoS()},
-		{"fig3b", sim.Fig3bDelay()},
-	}
-	out := make([]*FigureResult, 0, len(specs))
-	for _, s := range specs {
-		f, err := Figure(s.id, s.scen)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}

@@ -65,23 +65,21 @@ func abs(x float64) float64 {
 }
 
 func TestAllFigures(t *testing.T) {
-	figs, err := AllFigures()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(figs) != 4 {
-		t.Fatalf("got %d figures", len(figs))
-	}
-	ids := map[string]bool{}
-	for _, f := range figs {
-		ids[f.ID] = true
-		if f.Defended.DetectedAt != 182 {
-			t.Fatalf("%s: detected at %d", f.ID, f.Defended.DetectedAt)
+	for _, s := range []struct {
+		id   string
+		scen sim.Scenario
+	}{
+		{"fig2a", sim.Fig2aDoS()},
+		{"fig2b", sim.Fig2bDelay()},
+		{"fig3a", sim.Fig3aDoS()},
+		{"fig3b", sim.Fig3bDelay()},
+	} {
+		f, err := Figure(s.id, s.scen)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, id := range []string{"fig2a", "fig2b", "fig3a", "fig3b"} {
-		if !ids[id] {
-			t.Fatalf("missing %s", id)
+		if f.ID != s.id || f.Defended.DetectedAt != 182 {
+			t.Fatalf("%s: id %q, detected at %d", s.id, f.ID, f.Defended.DetectedAt)
 		}
 	}
 }

@@ -69,9 +69,6 @@ func TimeOfFlight(d float64) float64 { return 2 * d / SpeedOfSound }
 // DistanceFromTOF inverts TimeOfFlight.
 func DistanceFromTOF(tof float64) float64 { return tof * SpeedOfSound / 2 }
 
-// RangeNoiseStd returns the 1-sigma distance noise.
-func (p Params) RangeNoiseStd() float64 { return p.TimingStdSec * SpeedOfSound / 2 }
-
 // Measurement is one ranger sample.
 type Measurement struct {
 	K int
@@ -83,10 +80,6 @@ type Measurement struct {
 	// Challenge marks suppressed-transmission instants.
 	Challenge bool
 }
-
-// IsQuiet reports whether the channel level is consistent with no
-// transmission (threshold in the same units as Level).
-func (m Measurement) IsQuiet(threshold float64) bool { return m.Level <= threshold }
 
 // FrontEnd is the CRA-modified ultrasonic front end.
 type FrontEnd struct {
@@ -185,52 +178,5 @@ func (a *DelayEcho) Corrupt(k int, clean Measurement) Measurement {
 		return out
 	}
 	out.Distance = clean.Distance + a.ExtraM
-	return out
-}
-
-// Jam floods the transducer with continuous ultrasound (the demonstrated
-// ultrasonic DoS): reported distances collapse to near-zero garbage and
-// every challenge window reads hot.
-type Jam struct {
-	Start, End int
-	// Level is the jamming acoustic level (zero means 10x the echo).
-	Level float64
-
-	src *noise.Source
-}
-
-// NewJam validates and builds the jammer.
-func NewJam(start, end int, level float64, src *noise.Source) (*Jam, error) {
-	if end < start {
-		return nil, fmt.Errorf("sonar: window [%d, %d] inverted", start, end)
-	}
-	if src == nil {
-		return nil, errors.New("sonar: nil noise source")
-	}
-	if level == 0 {
-		level = 10
-	}
-	if level <= 0 {
-		return nil, errors.New("sonar: jam level must be positive")
-	}
-	return &Jam{Start: start, End: end, Level: level, src: src}, nil
-}
-
-// Active implements Attack.
-func (a *Jam) Active(k int) bool { return k >= a.Start && k <= a.End }
-
-// Name implements Attack.
-func (a *Jam) Name() string { return "jam" }
-
-// Corrupt implements Attack.
-func (a *Jam) Corrupt(k int, clean Measurement) Measurement {
-	if !a.Active(k) {
-		return clean
-	}
-	out := clean
-	out.Level = clean.Level + a.Level
-	// A saturated correlator triggers on the jammer's continuous energy:
-	// the reported range collapses to an arbitrary short reading.
-	out.Distance = a.src.Uniform(0, 0.5)
 	return out
 }

@@ -26,21 +26,6 @@ func RMSE(a, b []float64) (float64, error) {
 	return math.Sqrt(s / float64(len(a))), nil
 }
 
-// MAE returns the mean absolute error.
-func MAE(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(a) == 0 {
-		return 0, errors.New("stats: empty input")
-	}
-	s := 0.0
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s / float64(len(a)), nil
-}
-
 // MaxAbsErr returns the largest absolute difference.
 func MaxAbsErr(a, b []float64) (float64, error) {
 	if len(a) != len(b) {
@@ -68,33 +53,6 @@ func Mean(x []float64) float64 {
 		s += v
 	}
 	return s / float64(len(x))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	s := 0.0
-	for _, v := range x {
-		s += (v - m) * (v - m)
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
-// Min and Max of a slice (0 for empty input).
-func Min(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Max returns the maximum of a slice (0 for empty input).
@@ -204,15 +162,4 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.Counts[i]++
 	h.N++
-}
-
-// BinEdges returns the len(Counts)+1 bin boundaries.
-func (h *Histogram) BinEdges() []float64 {
-	edges := make([]float64, len(h.Counts)+1)
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i := range edges {
-		edges[i] = h.Lo + float64(i)*w
-	}
-	edges[len(edges)-1] = h.Hi
-	return edges
 }

@@ -34,16 +34,9 @@ func TestRMSE(t *testing.T) {
 func TestMAEAndMaxAbs(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{2, 0, 3}
-	mae, err := MAE(a, b)
-	if err != nil || math.Abs(mae-1) > 1e-12 {
-		t.Fatalf("MAE = %v", mae)
-	}
 	mx, err := MaxAbsErr(a, b)
 	if err != nil || math.Abs(mx-2) > 1e-12 {
 		t.Fatalf("MaxAbsErr = %v", mx)
-	}
-	if _, err := MAE(nil, nil); err == nil {
-		t.Fatal("empty MAE should fail")
 	}
 	if _, err := MaxAbsErr([]float64{1}, []float64{}); err == nil {
 		t.Fatal("mismatch MaxAbsErr should fail")
@@ -51,7 +44,7 @@ func TestMAEAndMaxAbs(t *testing.T) {
 }
 
 func TestMetricOrderingProperty(t *testing.T) {
-	// MAE <= RMSE <= MaxAbsErr for any data.
+	// RMSE <= MaxAbsErr for any data.
 	f := func(a, b []float64) bool {
 		n := len(a)
 		if len(b) < n {
@@ -66,10 +59,9 @@ func TestMetricOrderingProperty(t *testing.T) {
 				return true
 			}
 		}
-		mae, _ := MAE(x, y)
 		rmse, _ := RMSE(x, y)
 		mx, _ := MaxAbsErr(x, y)
-		return mae <= rmse*(1+1e-12) && rmse <= mx*(1+1e-12)+1e-300
+		return rmse <= mx*(1+1e-12)+1e-300
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -81,21 +73,18 @@ func TestMeanStdDev(t *testing.T) {
 	if m := Mean(x); math.Abs(m-5) > 1e-12 {
 		t.Fatalf("Mean = %v", m)
 	}
-	if s := StdDev(x); math.Abs(s-2) > 1e-12 {
-		t.Fatalf("StdDev = %v", s)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Fatal("empty Mean/StdDev should be 0")
+	if Mean(nil) != 0 {
+		t.Fatal("empty Mean should be 0")
 	}
 }
 
 func TestMinMax(t *testing.T) {
 	x := []float64{3, -1, 7}
-	if !feq(Min(x), -1) || !feq(Max(x), 7) {
-		t.Fatalf("Min/Max = %v/%v", Min(x), Max(x))
+	if !feq(Max(x), 7) {
+		t.Fatalf("Max = %v", Max(x))
 	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("empty Min/Max should be 0")
+	if Max(nil) != 0 {
+		t.Fatal("empty Max should be 0")
 	}
 }
 
@@ -171,10 +160,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if h.N != 8 {
 		t.Fatalf("N = %d, want 8 (NaN ignored)", h.N)
-	}
-	edges := h.BinEdges()
-	if len(edges) != 6 || edges[0] != 0 || !feq(edges[5], 10) || !feq(edges[1], 2) {
-		t.Fatalf("BinEdges = %v", edges)
 	}
 	if _, err := NewHistogram(0, 10, 0); err == nil {
 		t.Fatal("zero bins should fail")

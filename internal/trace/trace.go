@@ -4,13 +4,11 @@
 package trace
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -37,29 +35,6 @@ func (s *Series) At(t int) (float64, bool) {
 		return s.Y[i], true
 	}
 	return 0, false
-}
-
-// MinMax returns the value range of the series, ignoring NaNs. It returns
-// (0, 0) for an empty series.
-func (s *Series) MinMax() (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	any := false
-	for _, v := range s.Y {
-		if math.IsNaN(v) {
-			continue
-		}
-		any = true
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if !any {
-		return 0, 0
-	}
-	return lo, hi
 }
 
 // Set is an ordered collection of series sharing a time axis.
@@ -145,7 +120,7 @@ func (st *Set) WriteCSV(w io.Writer) error {
 
 func csvEscape(s string) string {
 	// A bare \r must be quoted too: unquoted it merges with the line
-	// terminator and the name comes back different on re-read.
+	// terminator and a CSV reader gets a different name back.
 	if strings.ContainsAny(s, ",\"\n\r") {
 		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 	}
@@ -185,55 +160,4 @@ func (st *Set) Dump() SetDump {
 		d.Series = append(d.Series, sd)
 	}
 	return d
-}
-
-// ReadCSV parses a Set previously written with WriteCSV: a "t,name,..."
-// header followed by one row per time stamp, empty cells meaning "no
-// sample". Title and axis labels are not stored in the CSV format, so they
-// come back empty. Series order follows the header.
-func ReadCSV(r io.Reader) (*Set, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1 // validated manually for a better error
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading CSV header: %w", err)
-	}
-	if len(header) < 2 || header[0] != "t" {
-		return nil, fmt.Errorf("trace: malformed CSV header %q", header)
-	}
-	st := NewSet("", "", "")
-	series := make([]*Series, len(header)-1)
-	for i, name := range header[1:] {
-		if st.Series(name) != nil {
-			return nil, fmt.Errorf("trace: duplicate series %q in CSV header", name)
-		}
-		series[i] = st.Add(name)
-	}
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading CSV line %d: %w", line, err)
-		}
-		if len(row) != len(header) {
-			return nil, fmt.Errorf("trace: CSV line %d has %d cells, header has %d", line, len(row), len(header))
-		}
-		tstamp, err := strconv.Atoi(row[0])
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV line %d: bad time stamp %q", line, row[0])
-		}
-		for i, cell := range row[1:] {
-			if cell == "" {
-				continue
-			}
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: CSV line %d, series %q: bad value %q", line, series[i].Name, cell)
-			}
-			series[i].Append(tstamp, v)
-		}
-	}
-	return st, nil
 }

@@ -21,22 +21,6 @@ func TestSeriesAppendAt(t *testing.T) {
 	}
 }
 
-func TestSeriesMinMax(t *testing.T) {
-	var s Series
-	s.Append(0, 3)
-	s.Append(1, math.NaN())
-	s.Append(2, -1)
-	lo, hi := s.MinMax()
-	if lo != -1 || hi != 3 {
-		t.Fatalf("MinMax = %v, %v", lo, hi)
-	}
-	var empty Series
-	lo, hi = empty.MinMax()
-	if lo != 0 || hi != 0 {
-		t.Fatalf("empty MinMax = %v, %v", lo, hi)
-	}
-}
-
 func TestSetAddIdempotent(t *testing.T) {
 	st := NewSet("t", "x", "y")
 	a := st.Add("a")
@@ -159,89 +143,56 @@ func TestRenderASCIIConstantSeries(t *testing.T) {
 	}
 }
 
-func TestReadCSVRoundTrip(t *testing.T) {
-	st := NewSet("round-trip", "t", "v")
+func TestWriteCSVQuotingAndOrder(t *testing.T) {
+	// Columns follow series insertion order, not name order; names with
+	// a comma, quote, CR or LF are quoted with doubled inner quotes;
+	// sparse series leave empty cells; values print in shortest %g form.
+	st := NewSet("csv", "t", "v")
+	z := st.Add("zeta")
+	q := st.Add(`say "hi", twice`)
+	cr := st.Add("cr\rname")
+	lf := st.Add("lf\nname")
 	a := st.Add("alpha")
-	b := st.Add("beta,quoted")
-	c := st.Add("gamma")
-	for k := 0; k < 20; k++ {
-		a.Append(k, float64(k)*0.25)
-		if k%3 == 0 {
-			b.Append(k, -float64(k)) // sparse series → empty cells
-		}
+	for k := 0; k < 4; k++ {
+		z.Append(k, float64(k)*0.25)
 	}
-	c.Append(5, 1e-7)
-	c.Append(7, 123456.789)
+	q.Append(0, -3)
+	q.Append(3, 1e-7)
+	cr.Append(2, 123456.789)
+	lf.Append(1, 1)
+	a.Append(3, 2)
 
 	var sb strings.Builder
 	if err := st.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantNames := st.Names()
-	gotNames := got.Names()
-	if len(gotNames) != len(wantNames) {
-		t.Fatalf("series count = %d, want %d", len(gotNames), len(wantNames))
-	}
-	for i := range wantNames {
-		if gotNames[i] != wantNames[i] {
-			t.Fatalf("series %d = %q, want %q", i, gotNames[i], wantNames[i])
-		}
-		ws, gs := st.Series(wantNames[i]), got.Series(wantNames[i])
-		if gs.Len() != ws.Len() {
-			t.Fatalf("series %q length = %d, want %d", wantNames[i], gs.Len(), ws.Len())
-		}
-		for j := range ws.T {
-			if gs.T[j] != ws.T[j] || gs.Y[j] != ws.Y[j] {
-				t.Fatalf("series %q sample %d = (%d, %g), want (%d, %g)",
-					wantNames[i], j, gs.T[j], gs.Y[j], ws.T[j], ws.Y[j])
-			}
-		}
+	want := "t,zeta,\"say \"\"hi\"\", twice\",\"cr\rname\",\"lf\nname\",alpha\n" +
+		"0,0,-3,,,\n" +
+		"1,0.25,,,1,\n" +
+		"2,0.5,,123456.789,,\n" +
+		"3,0.75,1e-07,,,2\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("WriteCSV =\n%q\nwant\n%q", got, want)
 	}
 }
 
-func TestReadCSVNaNSkipped(t *testing.T) {
-	// WriteCSV renders NaN as an empty cell; ReadCSV must simply omit the
-	// sample rather than fail.
+func TestWriteCSVNaNGaps(t *testing.T) {
+	// NaN renders as an empty cell, like a missing sample; a time stamp
+	// that carries only NaN still gets its row.
 	st := NewSet("nan", "t", "v")
-	s := st.Add("x")
-	s.Append(0, 1)
-	s.Append(1, math.NaN())
-	s.Append(2, 3)
+	x := st.Add("x")
+	y := st.Add("y")
+	x.Append(0, 1)
+	x.Append(1, math.NaN())
+	x.Append(2, 3)
+	y.Append(0, math.NaN())
+	y.Append(2, math.Inf(1))
 	var sb strings.Builder
 	if err := st.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := got.Series("x")
-	if gs.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (NaN dropped)", gs.Len())
-	}
-	if _, ok := gs.At(1); ok {
-		t.Fatal("NaN sample should be absent")
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty input":   "",
-		"bad header":    "x,alpha\n0,1\n",
-		"no series":     "t\n0\n",
-		"dup series":    "t,a,a\n0,1,2\n",
-		"bad timestamp": "t,a\nzero,1\n",
-		"bad value":     "t,a\n0,one\n",
-		"short row":     "t,a,b\n0,1\n",
-	}
-	for name, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: want error", name)
-		}
+	if got, want := sb.String(), "t,x,y\n0,1,\n1,,\n2,3,+Inf\n"; got != want {
+		t.Fatalf("WriteCSV = %q, want %q", got, want)
 	}
 }
 

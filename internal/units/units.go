@@ -54,19 +54,12 @@ func DBToLinear(db float64) float64 { return math.Pow(10, db/10) }
 // a zero ratio and NaN for negative ratios, matching 10*log10.
 func LinearToDB(ratio float64) float64 { return 10 * math.Log10(ratio) }
 
-// DBmToWatts converts a power level in dBm (dB relative to 1 mW) to watts.
-func DBmToWatts(dbm float64) float64 { return 1e-3 * DBToLinear(dbm) }
-
 // WattsToDBm converts a power level in watts to dBm.
 func WattsToDBm(w float64) float64 { return LinearToDB(w / 1e-3) }
 
 // ThermalNoisePower returns the thermal noise floor kTB in watts for a
 // receiver of bandwidth bw (Hz) at temperature temp (K).
 func ThermalNoisePower(temp, bw float64) float64 { return Boltzmann * temp * bw }
-
-// WavelengthFor returns the wavelength in meters of a carrier at frequency
-// f (Hz).
-func WavelengthFor(f float64) float64 { return SpeedOfLight / f }
 
 // RoundTripDelay returns the two-way propagation delay tau = 2d/c for a
 // target at distance d meters.

@@ -1,14 +1,11 @@
 // Package vehicle models the longitudinal dynamics of the car-following
 // case study (Section 6.1): point-mass kinematics integrated per Eqns
-// 15–17, the leader's acceleration profiles used in Figures 2 and 3, and
-// the intelligent-driver model (IDM) the paper's car-following setup
-// enhances with the hierarchical ACC controller.
+// 15–17, and the leader's acceleration profiles used in Figures 2 and 3.
 package vehicle
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // State is a vehicle's longitudinal state.
@@ -119,47 +116,3 @@ func (p *PhasedProfile) Accel(k int) float64 {
 
 // Name implements Profile.
 func (p *PhasedProfile) Name() string { return p.Label }
-
-// IDM is the intelligent-driver car-following model the paper's case study
-// builds on (Treiber et al.). It maps the gap, own speed, and approach rate
-// into an acceleration.
-type IDM struct {
-	// DesiredSpeed v0 (m/s).
-	DesiredSpeed float64
-	// TimeHeadway T (s).
-	TimeHeadway float64
-	// MaxAccel a (m/s^2).
-	MaxAccel float64
-	// ComfortDecel b (m/s^2, positive).
-	ComfortDecel float64
-	// MinGap s0 (m).
-	MinGap float64
-	// Exponent delta (dimensionless, typically 4).
-	Exponent float64
-}
-
-// DefaultIDM returns standard highway IDM parameters.
-func DefaultIDM(desiredSpeed float64) IDM {
-	return IDM{
-		DesiredSpeed: desiredSpeed,
-		TimeHeadway:  1.5,
-		MaxAccel:     1.4,
-		ComfortDecel: 2.0,
-		MinGap:       2.0,
-		Exponent:     4,
-	}
-}
-
-// Accel returns the IDM acceleration for own speed v, gap s to the leader,
-// and approach rate dv = v - vLeader (positive while closing).
-func (m IDM) Accel(v, s, dv float64) float64 {
-	if s <= 0 {
-		s = 1e-3 // collision regime: maximal braking below
-	}
-	sStar := m.MinGap + v*m.TimeHeadway + v*dv/(2*math.Sqrt(m.MaxAccel*m.ComfortDecel))
-	if sStar < m.MinGap {
-		sStar = m.MinGap
-	}
-	free := math.Pow(v/m.DesiredSpeed, m.Exponent)
-	return m.MaxAccel * (1 - free - (sStar/s)*(sStar/s))
-}

@@ -118,66 +118,3 @@ func TestLeaderStopsUnderConstantDecel(t *testing.T) {
 		t.Fatalf("leader still moving at 300 s: %v m/s", s.Velocity)
 	}
 }
-
-func TestIDMFreeRoad(t *testing.T) {
-	m := DefaultIDM(30)
-	// Huge gap, at desired speed: acceleration ~ 0.
-	if a := m.Accel(30, 1e6, 0); math.Abs(a) > 0.01 {
-		t.Fatalf("free-road accel at v0 = %v, want ~0", a)
-	}
-	// Below desired speed with huge gap: accelerate.
-	if a := m.Accel(15, 1e6, 0); a <= 0 {
-		t.Fatalf("free-road accel below v0 = %v, want > 0", a)
-	}
-}
-
-func TestIDMBrakesWhenClosing(t *testing.T) {
-	m := DefaultIDM(30)
-	// Close gap, closing fast: strong braking.
-	if a := m.Accel(30, 20, 5); a >= 0 {
-		t.Fatalf("closing accel = %v, want < 0", a)
-	}
-	// Tiny/zero gap handled without blow-up.
-	if a := m.Accel(30, 0, 5); !(a < 0) || math.IsInf(a, 0) || math.IsNaN(a) {
-		t.Fatalf("zero-gap accel = %v", a)
-	}
-}
-
-func TestIDMEquilibriumGapIncreasesWithSpeed(t *testing.T) {
-	m := DefaultIDM(40)
-	// Find equilibrium gap (a = 0, dv = 0) at two speeds by bisection.
-	eq := func(v float64) float64 {
-		lo, hi := m.MinGap, 1e4
-		for i := 0; i < 100; i++ {
-			mid := (lo + hi) / 2
-			if m.Accel(v, mid, 0) < 0 {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
-	if g10, g25 := eq(10), eq(25); g25 <= g10 {
-		t.Fatalf("equilibrium gap must grow with speed: %v vs %v", g10, g25)
-	}
-}
-
-func TestIDMNoCollisionInFollowing(t *testing.T) {
-	// Pure-IDM follower behind a braking leader: gap stays positive.
-	m := DefaultIDM(32)
-	leader := State{Position: 60, Velocity: 25}
-	follower := State{Position: 0, Velocity: 25}
-	for k := 0; k < 600; k++ {
-		la := -0.5
-		if leader.Velocity <= 0 {
-			la = 0
-		}
-		leader = leader.Step(la, 1)
-		a := m.Accel(follower.Velocity, Gap(leader, follower), -RelVelocity(leader, follower))
-		follower = follower.Step(a, 1)
-		if Gap(leader, follower) <= 0 {
-			t.Fatalf("collision at %d", k)
-		}
-	}
-}
