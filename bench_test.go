@@ -183,22 +183,10 @@ func BenchmarkA5LimitationDemo(b *testing.B) {
 	}
 }
 
-// --- S1: the Fig 2a scenario through the signal-level pipeline ----------
+// --- S1: the Fig 2a and 2b scenarios through the signal-level pipeline --
 
-func BenchmarkS1SignalPipeline(b *testing.B) {
-	s := sim.Fig2aDoS()
-	s.SignalLevel = true
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.DetectedAt != 182 {
-			b.Fatalf("DetectedAt = %d", res.DetectedAt)
-		}
-	}
-}
+func BenchmarkS1SignalPipeline(b *testing.B)      { benchSuiteScenario(b, "s1_signal_dos") }
+func BenchmarkS1SignalPipelineDelay(b *testing.B) { benchSuiteScenario(b, "s1_signal_delay") }
 
 // --- Extension benchmarks ------------------------------------------------
 
@@ -247,4 +235,5 @@ func BenchmarkDetectorStep(b *testing.B)      { benchSuiteScenario(b, "kernel_cr
 func BenchmarkRootMUSIC256(b *testing.B)      { benchSuiteScenario(b, "kernel_root_music_256") }
 func BenchmarkFFT1024(b *testing.B)           { benchSuiteScenario(b, "kernel_fft_1024") }
 func BenchmarkSynthesizeSweep(b *testing.B)   { benchSuiteScenario(b, "kernel_synthesize_sweep") }
+func BenchmarkBeatExtract128(b *testing.B)    { benchSuiteScenario(b, "kernel_beat_extract_128") }
 func BenchmarkSignalMeasure(b *testing.B)     { benchSuiteScenario(b, "kernel_signal_measure") }

@@ -50,15 +50,36 @@ func (j Jammer) Validate() error {
 //
 //	P_jammer = Pj Gj lambda^2 G B / ((4 pi)^2 d^2 Bj Lj)
 func (j Jammer) ReceivedPower(p radar.Params, d float64) float64 {
+	return j.budget(p).receivedPower(d)
+}
+
+// jamBudget holds the distance-independent terms of Eqn 10 for one
+// jammer and victim radar, so an attack computes them once.
+type jamBudget struct {
+	num      float64 // Pj Gj lambda^2 G B
+	fourPiSq float64 // (4 pi)^2
+	bj       float64 // Bj
+	lj       float64 // Lj
+}
+
+func (j Jammer) budget(p radar.Params) jamBudget {
+	gj := units.DBToLinear(j.AntennaGainDBi)
+	g := units.DBToLinear(p.AntennaGainDBi)
+	return jamBudget{
+		num:      j.PeakPowerW * gj * p.WavelengthM * p.WavelengthM * g * p.OperatingBandwidthHz,
+		fourPiSq: math.Pow(4*math.Pi, 2),
+		bj:       j.BandwidthHz,
+		lj:       units.DBToLinear(j.LossDB),
+	}
+}
+
+// receivedPower evaluates Eqn 10 at distance d, in ReceivedPower's
+// original left-to-right order so every value is bit-identical.
+func (b jamBudget) receivedPower(d float64) float64 {
 	if d <= 0 {
 		return math.Inf(1)
 	}
-	gj := units.DBToLinear(j.AntennaGainDBi)
-	g := units.DBToLinear(p.AntennaGainDBi)
-	lj := units.DBToLinear(j.LossDB)
-	num := j.PeakPowerW * gj * p.WavelengthM * p.WavelengthM * g * p.OperatingBandwidthHz
-	den := math.Pow(4*math.Pi, 2) * d * d * j.BandwidthHz * lj
-	return num / den
+	return b.num / (b.fourPiSq * d * d * b.bj * b.lj)
 }
 
 // PowerRatio returns Ps / P_jammer per Eqn 11:

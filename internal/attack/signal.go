@@ -27,9 +27,7 @@ func (a *DoS) CorruptSweep(k int, s radar.Sweep, challenge bool) radar.Sweep {
 	if !a.Active(k) {
 		return s
 	}
-	d := (a.Radar.MinRangeM + a.Radar.MaxRangeM) / 2
-	jam := a.Jammer.ReceivedPower(a.Radar, d)
-	return radar.AddNoiseSweep(s, jam, a.src)
+	return radar.AddNoiseSweep(s, a.midJamW, a.src)
 }
 
 // CorruptSweep implements radar.SweepCorruptor for the spoofer. During
@@ -47,18 +45,12 @@ func (a *DelayInjection) CorruptSweep(k int, s radar.Sweep, challenge bool) rada
 	if !a.Active(k) {
 		return s
 	}
-	df := a.ExtraDelaySec * a.Radar.SweepBandwidthHz / a.Radar.SweepTimeSec
 	if challenge {
 		// Counterfeit of the previous probe: a tone at a mid-range beat
 		// plus the injected shift, at the spoofer's one-way link power.
-		fb, _ := a.Radar.BeatFrequencies((a.Radar.MinRangeM+a.Radar.MaxRangeM)/2, 0)
-		leak := a.counterfeitPower((a.Radar.MinRangeM + a.Radar.MaxRangeM) / 2)
-		if a.KnowsSchedule {
-			leak /= 10
-		}
-		return radar.AddToneSweep(s, fb+df, leak)
+		return a.leak.Add(s, a.leakPower())
 	}
-	return radar.ShiftSweep(s, df)
+	return a.shift.Mix(s)
 }
 
 // FastAdversary is the adversary the paper's conclusion concedes defeats

@@ -2,11 +2,13 @@ package attack
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"safesense/internal/noise"
 	"safesense/internal/prbs"
 	"safesense/internal/radar"
+	"safesense/internal/units"
 )
 
 func TestDoSCorruptSweepFloodsChannel(t *testing.T) {
@@ -101,8 +103,11 @@ func TestFastAdversaryEvadesChallenges(t *testing.T) {
 }
 
 // TestCorruptSweepZeroAlloc guards the //safesense:hotpath sweep-level
-// attacks on a front-end-owned sweep, after one warm-up call: DoS
-// jamming, the delay spoofer's shift, and its challenge-leak tone.
+// attacks on a front-end-owned sweep: DoS jamming, the delay spoofer's
+// shift, and its challenge-leak tone. One warm-up call builds the
+// spoofer's table for the sweep length; after it nothing allocates,
+// including alternating shift and leak steps, which keep separate
+// tables.
 func TestCorruptSweepZeroAlloc(t *testing.T) {
 	p := radar.BoschLRR2()
 	src := noise.NewSource(3)
@@ -130,9 +135,110 @@ func TestCorruptSweepZeroAlloc(t *testing.T) {
 		{"delay challenge leak", delay, true},
 	} {
 		f := func() { c.atk.CorruptSweep(150, s, c.challenge) }
-		f()
+		f() // the one-time table build
 		if avg := testing.AllocsPerRun(200, f); avg != 0 {
 			t.Errorf("%s CorruptSweep: %v allocs/op, want 0", c.name, avg)
 		}
+	}
+	alternate := func() {
+		delay.CorruptSweep(150, s, false)
+		delay.CorruptSweep(151, s, true)
+	}
+	if avg := testing.AllocsPerRun(200, alternate); avg != 0 {
+		t.Errorf("alternating delay shift and leak: %v allocs/op, want 0", avg)
+	}
+}
+
+// TestDelayCorruptSweepMatchesPerSample: the spoofer's hoisted constants
+// and tables reproduce the per-step computation they replace — the beat
+// shift df = tau*Bs/Ts applied with one math.Sincos per sample, and the
+// challenge leak rebuilt with cmplx.Rect per sample at the mid-range
+// counterfeit power — bit for bit, at several sweep lengths and offsets,
+// for both the plain and the schedule-aware spoofer.
+func TestDelayCorruptSweepMatchesPerSample(t *testing.T) {
+	p := radar.BoschLRR2()
+	src := noise.NewSource(4)
+	for _, n := range []int{64, 128, 256} {
+		for _, offset := range []float64{3, 6, 12.5} {
+			for _, smart := range []bool{false, true} {
+				a, err := NewDelayInjection(Window{Start: 0, End: 10}, offset, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.KnowsSchedule = smart
+				tau := units.RoundTripDelay(offset)
+				df := tau * p.SweepBandwidthHz / p.SweepTimeSec
+				mid := (p.MinRangeM + p.MaxRangeM) / 2
+				fb, _ := p.BeatFrequencies(mid, 0)
+				g := units.DBToLinear(p.AntennaGainDBi)
+				leak := p.TransmitPowerW * g * g * p.WavelengthM * p.WavelengthM /
+					(math.Pow(4*math.Pi, 2) * mid * mid)
+				if smart {
+					leak /= 10
+				}
+				for step, challenge := range []bool{false, true, false, true} {
+					s, err := p.SynthesizeSweep(100, -1, n, src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := radar.Sweep{Up: append([]complex128{}, s.Up...), Down: append([]complex128{}, s.Down...), Fs: s.Fs}
+					for _, x := range [][]complex128{want.Up, want.Down} {
+						for i, v := range x {
+							if challenge {
+								x[i] = v + cmplx.Rect(math.Sqrt(leak), 2*math.Pi*(fb+df)/s.Fs*float64(i))
+							} else {
+								sin, cos := math.Sincos(2 * math.Pi * df / s.Fs * float64(i))
+								x[i] = v * complex(cos, sin)
+							}
+						}
+					}
+					got := a.CorruptSweep(step, s, challenge)
+					if !sameSweep(got, want) {
+						t.Fatalf("n=%d offset=%v smart=%v challenge=%v: sweep differs from per-sample synthesis",
+							n, offset, smart, challenge)
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameSweep(a, b radar.Sweep) bool {
+	for i := range b.Up {
+		if a.Up[i] != b.Up[i] || a.Down[i] != b.Down[i] {
+			return false
+		}
+	}
+	return len(a.Up) == len(b.Up) && len(a.Down) == len(b.Down)
+}
+
+// TestDoSHoistedBudgetBitExact: the jamming power the DoS attack fixes
+// at construction equals Jammer.ReceivedPower evaluated per step — at
+// the measured distance, at the mid-range fallback, and in the sweep
+// jammer's noise.
+func TestDoSHoistedBudgetBitExact(t *testing.T) {
+	p := radar.BoschLRR2()
+	j := PaperJammer()
+	mid := (p.MinRangeM + p.MaxRangeM) / 2
+	a, err := NewDoS(Window{Start: 0, End: 10}, j, p, noise.NewSource(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []float64{0, 12.5, 95, 199} {
+		clean := radar.Measurement{K: 1, Distance: d, Power: 1e-13}
+		dist := d
+		if d <= 0 {
+			dist = mid
+		}
+		if got, want := a.Corrupt(1, clean).Power, clean.Power+j.ReceivedPower(p, dist); got != want {
+			t.Fatalf("d=%v: received power %v, want %v", d, got, want)
+		}
+	}
+	s := p.SynthesizeSilence(128, noise.NewSource(6))
+	want := radar.Sweep{Up: append([]complex128{}, s.Up...), Down: append([]complex128{}, s.Down...), Fs: s.Fs}
+	radar.AddNoiseSweep(want, j.ReceivedPower(p, mid), noise.NewSource(7))
+	a, _ = NewDoS(Window{Start: 0, End: 10}, j, p, noise.NewSource(7))
+	if !sameSweep(a.CorruptSweep(1, s, false), want) {
+		t.Fatal("sweep jamming differs from noise at Jammer.ReceivedPower(mid)")
 	}
 }

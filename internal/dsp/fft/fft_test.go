@@ -2,6 +2,7 @@ package fft
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -233,5 +234,115 @@ func TestHermitianSymmetryForRealInput(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recurrenceRadix2 is the reference radix-2 kernel the plans replace: it
+// recomputes the bit-reversal permutation and regenerates every stage's
+// twiddles by the recurrence w *= wBase on each call. inverse selects the
+// conjugate twiddles (no normalization).
+func recurrenceRadix2(a []complex128, inverse bool) {
+	n := len(a)
+	if n == 1 {
+		return
+	}
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := 0; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			a[i], a[j] = a[j], a[i]
+		}
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := sign * 2 * math.Pi / float64(size)
+		wBase := cmplx.Rect(1, step)
+		for start := 0; start < n; start += size {
+			w := complex(1, 0)
+			for k := 0; k < half; k++ {
+				u := a[start+k]
+				v := a[start+k+half] * w
+				a[start+k] = u + v
+				a[start+k+half] = u - v
+				w *= wBase
+			}
+		}
+	}
+}
+
+// recurrenceBluestein is bluestein over recurrenceRadix2.
+func recurrenceBluestein(x []complex128) []complex128 {
+	n := len(x)
+	chirp := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		k2 := (int64(k) * int64(k)) % int64(2*n)
+		chirp[k] = cmplx.Rect(1, -math.Pi*float64(k2)/float64(n))
+	}
+	m := 1
+	for m < 2*n-1 {
+		m <<= 1
+	}
+	a := make([]complex128, m)
+	b := make([]complex128, m)
+	for k := 0; k < n; k++ {
+		a[k] = x[k] * chirp[k]
+		b[k] = cmplx.Conj(chirp[k])
+	}
+	for k := 1; k < n; k++ {
+		b[m-k] = cmplx.Conj(chirp[k])
+	}
+	recurrenceRadix2(a, false)
+	recurrenceRadix2(b, false)
+	for i := range a {
+		a[i] *= b[i]
+	}
+	recurrenceRadix2(a, true)
+	invM := complex(1/float64(m), 0)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		out[k] = a[k] * invM * chirp[k]
+	}
+	return out
+}
+
+// sameValues reports whether got and want are equal element by element
+// under ==, with no tolerance, and the first index that differs.
+//
+//safesense:floatcmp-helper
+func sameValues(got, want []complex128) (int, bool) {
+	for i := range want {
+		if got[i] != want[i] {
+			return i, false
+		}
+	}
+	return -1, len(got) == len(want)
+}
+
+// TestPlanMatchesRecurrence: the table-driven kernel reproduces the
+// recurrence kernel bit for bit, forward and inverse, at every
+// power-of-two length up to 4096, and so does Bluestein built on it.
+func TestPlanMatchesRecurrence(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for n := 2; n <= 4096; n <<= 1 {
+		for _, inverse := range []bool{false, true} {
+			x := randSignal(rng, n)
+			want := append([]complex128{}, x...)
+			recurrenceRadix2(want, inverse)
+			planFor(n).transform(x, inverse)
+			if i, ok := sameValues(x, want); !ok {
+				t.Fatalf("n=%d inverse=%v: bin %d = %v, recurrence %v", n, inverse, i, x[i], want[i])
+			}
+		}
+	}
+	for _, n := range []int{3, 33, 100, 1000} {
+		x := randSignal(rng, n)
+		got, want := Forward(x), recurrenceBluestein(x)
+		if i, ok := sameValues(got, want); !ok {
+			t.Fatalf("Bluestein n=%d: bin %d = %v, recurrence %v", n, i, got[i], want[i])
+		}
 	}
 }

@@ -35,7 +35,8 @@ func WindowPower(w []float64) float64 {
 // place, and picks the peak in one pass over the periodogram's local
 // maxima; among equal maxima the lowest bin wins. The peak is refined by
 // parabolic interpolation over log power. w and scratch must have len(x);
-// x is not modified. For power-of-two lengths it does not allocate.
+// x is not modified. For power-of-two lengths it does not allocate once
+// the length's FFT plan exists.
 //
 //safesense:hotpath
 func DominantFrequency(x []complex128, w []float64, u, fs float64, scratch []complex128) (float64, error) {
@@ -46,15 +47,22 @@ func DominantFrequency(x []complex128, w []float64, u, fs float64, scratch []com
 	if n == 0 {
 		return 0, ErrNoPeak
 	}
+	// A real window scales each part; the complex product with w[i]+0i
+	// would differ only in the sign of a zero.
+	w, scratch = w[:n], scratch[:n]
 	for i, v := range x {
-		scratch[i] = v * complex(w[i], 0)
+		scratch[i] = complex(real(v)*w[i], imag(v)*w[i])
 	}
 	fft.ForwardInPlace(scratch)
 	norm := float64(n) * u
 	bin, peak := -1, 0.0
 	prev, cur := binPower(scratch[n-1], norm), binPower(scratch[0], norm)
 	for i := 0; i < n; i++ {
-		next := binPower(scratch[(i+1)%n], norm)
+		j := i + 1
+		if j == n {
+			j = 0
+		}
+		next := binPower(scratch[j], norm)
 		// A local maximum beating every earlier one; starting from
 		// peak = 0 also rejects non-positive (and NaN) bins.
 		if cur >= prev && cur >= next && cur > peak {

@@ -1,5 +1,6 @@
 // Package suite defines the repo's registered perf scenarios: the four
-// figure-level closed-loop runs, the hot kernels, and campaign
+// figure-level closed-loop runs and their signal-level Fig 2a/2b
+// counterparts, the hot kernels, and campaign
 // throughput at several worker counts. Both `safesense-perf` and the
 // root-package benchmarks (bench_test.go) drive this one registry, so
 // BENCH documents and `go test -bench` measure identical workloads.
@@ -95,6 +96,21 @@ func registerFigures(g *perf.Registry) {
 		"Figure 3a: DoS attack, decelerate-then-accelerate leader, defended.", sim.Fig3aDoS))
 	g.MustRegister(figureScenario("fig3b_delay",
 		"Figure 3b: delay attack, decelerate-then-accelerate leader, defended.", sim.Fig3bDelay))
+	g.MustRegister(figureScenario("s1_signal_dos",
+		"Figure 2a at signal level (S1): DoS jamming of the synthesized sweeps, FFT beat extraction.",
+		signalLevel(sim.Fig2aDoS)))
+	g.MustRegister(figureScenario("s1_signal_delay",
+		"Figure 2b at signal level (S1): delay spoofing of the synthesized sweeps, FFT beat extraction.",
+		signalLevel(sim.Fig2bDelay)))
+}
+
+// signalLevel switches a figure scenario to the signal-level radar.
+func signalLevel(mk func() sim.Scenario) func() sim.Scenario {
+	return func() sim.Scenario {
+		s := mk()
+		s.SignalLevel = true
+		return s
+	}
 }
 
 func registerKernels(g *perf.Registry) {
@@ -202,6 +218,28 @@ func registerKernels(g *perf.Registry) {
 			return func(*perf.Rep) error {
 				_, err := p.SynthesizeSweep(100, -1.5, 256, src)
 				return err
+			}, nil
+		},
+	})
+
+	g.MustRegister(perf.Scenario{
+		Name:  "kernel_beat_extract_128",
+		Group: GroupKernel,
+		Doc: "SignalFrontEnd.Measure alone on one fixed 128-sample sweep pair (target at 100 m): " +
+			"sweep power plus FFT beat extraction, timed apart from synthesis.",
+		Ops: 1,
+		Setup: func() (func(r *perf.Rep) error, error) {
+			sfe, err := radar.NewSignalFrontEnd(radar.BoschLRR2(), prbs.NewFixedSchedule(),
+				radar.FFTExtractor{}, 128, noise.NewSource(6))
+			if err != nil {
+				return nil, err
+			}
+			s, challenge := sfe.ObserveSweep(1, 100, -1.5)
+			return func(*perf.Rep) error {
+				if m := sfe.Measure(1, s, challenge); math.Abs(m.Distance-100) > 3 {
+					return fmt.Errorf("measured %.2f m, truth 100 m", m.Distance)
+				}
+				return nil
 			}, nil
 		},
 	})

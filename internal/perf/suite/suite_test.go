@@ -10,8 +10,10 @@ func TestDefaultRegistryShape(t *testing.T) {
 	g := Default()
 	want := []string{
 		"fig2a_dos", "fig2b_delay", "fig3a_dos", "fig3b_delay",
+		"s1_signal_dos", "s1_signal_delay",
 		"kernel_root_music_256", "kernel_fft_1024", "kernel_recovery_estimator",
-		"kernel_cra_check", "kernel_synthesize_sweep", "kernel_signal_measure",
+		"kernel_cra_check", "kernel_synthesize_sweep", "kernel_beat_extract_128",
+		"kernel_signal_measure",
 		"campaign_w1", "campaign_w2", "campaign_w4", "campaign_w8",
 	}
 	got := g.Scenarios()

@@ -1,8 +1,12 @@
 package radar
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"safesense/internal/noise"
 	"safesense/internal/prbs"
 )
 
@@ -25,21 +29,52 @@ func TestObserveSweepZeroAlloc(t *testing.T) {
 	assertZeroAllocs(t, "ObserveSweep out of range", func() { sfe.ObserveSweep(4, 1e4, 0) })
 }
 
+// TestMeasureFFTZeroAlloc: at each segment length, once the first
+// Measure has built the length's FFT plan, extraction allocates
+// nothing — and the plan is shared, so a second front end of the same
+// length allocates nothing from its very first Measure.
 func TestMeasureFFTZeroAlloc(t *testing.T) {
-	sfe := newSFE(t, prbs.NewFixedSchedule(), FFTExtractor{}, 2)
-	s, challenge := sfe.ObserveSweep(3, 100, -1.5)
-	if s.Power() <= sfe.ZeroThreshold() {
-		t.Fatal("target sweep below the quiet threshold: Measure would skip extraction")
+	for _, n := range []int{64, 128, 256} {
+		var fes [2]*SignalFrontEnd
+		for i := range fes {
+			fe, err := NewSignalFrontEnd(BoschLRR2(), prbs.NewFixedSchedule(), FFTExtractor{}, n, noise.NewSource(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fes[i] = fe
+		}
+		s, challenge := fes[0].ObserveSweep(3, 100, -1.5)
+		if s.Power() <= fes[0].ZeroThreshold() {
+			t.Fatal("target sweep below the quiet threshold: Measure would skip extraction")
+		}
+		name := fmt.Sprintf("Measure (FFT, %d samples)", n)
+		assertZeroAllocs(t, name, func() { fes[0].Measure(3, s, challenge) })
+		if got := mallocs(func() { fes[1].Measure(3, s, challenge) }); got != 0 {
+			t.Errorf("%s: second front end's first call made %d allocations, want 0 (plan rebuilt?)", name, got)
+		}
 	}
-	assertZeroAllocs(t, "Measure (FFT, 128 samples)", func() { sfe.Measure(3, s, challenge) })
 }
 
+// mallocs counts the heap allocations of one call of f, without the
+// warm-up call testing.AllocsPerRun makes.
+func mallocs(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSweepTransformsZeroAlloc: once a Tone's table is built (the
+// warm-up call), mixing and adding it allocate nothing.
 func TestSweepTransformsZeroAlloc(t *testing.T) {
 	sfe := newSFE(t, prbs.NewFixedSchedule(), FFTExtractor{}, 3)
 	s, _ := sfe.ObserveSweep(1, 100, -1.5)
+	shift, tone := NewTone(1e3), NewTone(1e4)
 	assertZeroAllocs(t, "AddNoiseSweep", func() { AddNoiseSweep(s, 1e-12, sfe.src) })
-	assertZeroAllocs(t, "ShiftSweep", func() { ShiftSweep(s, 1e3) })
-	assertZeroAllocs(t, "AddToneSweep", func() { AddToneSweep(s, 1e4, 1e-12) })
+	assertZeroAllocs(t, "Tone.Mix", func() { shift.Mix(s) })
+	assertZeroAllocs(t, "Tone.Add", func() { tone.Add(s, 1e-12) })
 }
 
 // TestFFTExtractorWorkspaceBitExact: the front end's workspace changes

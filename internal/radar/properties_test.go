@@ -84,7 +84,8 @@ func TestShiftSweepPreservesPowerProperty(t *testing.T) {
 			return false
 		}
 		before := s.Power()
-		shifted := ShiftSweep(s, df)
+		shift := NewTone(df)
+		shifted := shift.Mix(s)
 		return math.Abs(shifted.Power()-before) <= 1e-9*(1+before)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

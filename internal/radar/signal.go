@@ -35,7 +35,7 @@ func (p Params) SynthesizeSweep(d, vRel float64, n int, src *noise.Source) (Swee
 		return Sweep{}, errors.New("radar: non-positive target distance")
 	}
 	s := p.newSweep(n)
-	p.fillTarget(s, d, vRel, p.NoiseFloor(), src)
+	p.fillTarget(s, d, vRel, p.ReceivedPower(d, p.TargetRCS), p.NoiseFloor(), src)
 	return s, nil
 }
 
@@ -51,11 +51,12 @@ func (p Params) newSweep(n int) Sweep {
 	return Sweep{Up: make([]complex128, n), Down: make([]complex128, n), Fs: p.SampleRateHz}
 }
 
-// fillTarget overwrites s with the target's two beat tones plus, when src
-// is non-nil, thermal noise of power nf: up segment first, then down.
-func (p Params) fillTarget(s Sweep, d, vRel, nf float64, src *noise.Source) {
+// fillTarget overwrites s with the target's two beat tones at received
+// power pr plus, when src is non-nil, thermal noise of power nf: up
+// segment first, then down.
+func (p Params) fillTarget(s Sweep, d, vRel, pr, nf float64, src *noise.Source) {
 	fbUp, fbDown := p.BeatFrequencies(d, vRel)
-	amp := math.Sqrt(p.ReceivedPower(d, p.TargetRCS))
+	amp := math.Sqrt(pr)
 	fillTone(s.Up, fbUp, p.SampleRateHz, amp)
 	fillTone(s.Down, fbDown, p.SampleRateHz, amp)
 	if src != nil {

@@ -28,9 +28,9 @@ type SweepCorruptor interface {
 // implements with the MATLAB Phased Array Toolbox plus root MUSIC.
 //
 // The front end owns the two segment buffers every sweep is synthesized
-// into, and caches the noise floor and quiet-channel threshold, so the
-// per-step chain ObserveSweep → CorruptSweep → Measure allocates nothing
-// with the FFT extractor.
+// into, and caches the target's link budget, the noise floor and the
+// quiet-channel threshold, so the per-step chain ObserveSweep →
+// CorruptSweep → Measure allocates nothing with the FFT extractor.
 type SignalFrontEnd struct {
 	Schedule prbs.Schedule
 	// Extractor recovers the beat frequencies (FFTExtractor or
@@ -39,9 +39,10 @@ type SignalFrontEnd struct {
 
 	params     Params
 	src        *noise.Source
-	sweep      Sweep   // segment buffers ObserveSweep overwrites
-	noiseFloor float64 // params.NoiseFloor()
-	zeroThresh float64 // 10 × the noise floor
+	sweep      Sweep      // segment buffers ObserveSweep overwrites
+	budget     linkBudget // params.linkBudget(params.TargetRCS)
+	noiseFloor float64    // params.NoiseFloor()
+	zeroThresh float64    // 10 × the noise floor
 }
 
 // NewSignalFrontEnd validates and builds the signal-level front end with
@@ -73,6 +74,7 @@ func NewSignalFrontEnd(p Params, sched prbs.Schedule, ext BeatExtractor, samples
 		params:     p,
 		src:        src,
 		sweep:      p.newSweep(samples),
+		budget:     p.linkBudget(p.TargetRCS),
 		noiseFloor: nf,
 		zeroThresh: 10 * nf,
 	}, nil
@@ -91,7 +93,7 @@ func (f *SignalFrontEnd) ObserveSweep(k int, dTrue, vRelTrue float64) (s Sweep, 
 	if challenge || !f.params.InRange(dTrue) {
 		fillSilence(f.sweep, f.noiseFloor, f.src)
 	} else {
-		f.params.fillTarget(f.sweep, dTrue, vRelTrue, f.noiseFloor, f.src)
+		f.params.fillTarget(f.sweep, dTrue, vRelTrue, f.budget.receivedPower(dTrue), f.noiseFloor, f.src)
 	}
 	return f.sweep, challenge
 }
@@ -134,26 +136,6 @@ func clampF(v, lo, hi float64) float64 {
 	return math.Min(math.Max(v, lo), hi)
 }
 
-// ShiftSweep shifts both segments of the sweep in frequency by df Hz, in
-// place, and returns it — the effect of injecting extra round-trip delay
-// tau into the reflection, since an FMCW dechirper maps delay to beat
-// frequency by df = tau * Bs / Ts.
-//
-//safesense:hotpath
-func ShiftSweep(s Sweep, df float64) Sweep {
-	shiftTone(s.Up, df, s.Fs)
-	shiftTone(s.Down, df, s.Fs)
-	return s
-}
-
-func shiftTone(x []complex128, df, fs float64) {
-	w := 2 * math.Pi * df / fs
-	for i, v := range x {
-		s, c := math.Sincos(w * float64(i))
-		x[i] = v * complex(c, s)
-	}
-}
-
 // AddNoiseSweep adds circularly-symmetric Gaussian noise of the given
 // per-sample power to both segments of the sweep, in place (up segment
 // first), and returns it — the effect of broadband jamming energy reaching
@@ -166,22 +148,70 @@ func AddNoiseSweep(s Sweep, power float64, src *noise.Source) Sweep {
 	return s
 }
 
-// AddToneSweep adds a complex tone of the given frequency and power to both
-// segments of the sweep, in place, and returns it — a spoofer's
-// counterfeit return landing in the dechirped band. The tone restarts its
-// phase every len(s.Up) samples.
+// Tone is one complex tone amp*exp(2*pi*i*freq*k/fs), k in [0, n),
+// tabulated the first time a sweep asks for it: the per-attack constant
+// a sweep-level spoofer applies at every attacked step. The table is
+// rebuilt only when the segment length, sample rate or amplitude asked
+// for changes, so a steady run does no trigonometry and no allocation
+// after its first use. Each sample is cmplx.Rect(amp, w*k) with
+// w = 2*pi*freq/fs, so Mix and Add match per-sample synthesis bit for
+// bit. A Tone serves one of Mix or Add (they ask for different
+// amplitudes) and is not safe for concurrent use.
+type Tone struct {
+	freq    float64
+	fs, amp float64 // sample rate and amplitude samples was built for
+	samples []complex128
+}
+
+// NewTone returns the tone at freq Hz; its table is built on first use.
+func NewTone(freq float64) Tone { return Tone{freq: freq} }
+
+// Mix multiplies both segments of the sweep by the unit-amplitude tone,
+// in place, and returns it — a frequency shift by freq Hz, the effect of
+// injecting extra round-trip delay tau into the reflection, since an
+// FMCW dechirper maps delay to beat frequency by df = tau * Bs / Ts.
 //
 //safesense:hotpath
-func AddToneSweep(s Sweep, freq, power float64) Sweep {
-	amp := math.Sqrt(power)
-	w := 2 * math.Pi * freq / s.Fs
-	addTone(s.Up, len(s.Up), w, amp)
-	addTone(s.Down, len(s.Up), w, amp)
+func (t *Tone) Mix(s Sweep) Sweep {
+	for _, x := range [2][]complex128{s.Up, s.Down} {
+		p := t.table(len(x), s.Fs, 1)
+		for i, v := range x {
+			x[i] = v * p[i]
+		}
+	}
 	return s
 }
 
-func addTone(x []complex128, period int, w, amp float64) {
-	for i, v := range x {
-		x[i] = v + cmplx.Rect(amp, w*float64(i%period))
+// Add adds the tone at the given per-sample power to both segments of
+// the sweep, in place, and returns it — a spoofer's counterfeit return
+// landing in the dechirped band. Each segment starts at phase zero.
+//
+//safesense:hotpath
+func (t *Tone) Add(s Sweep, power float64) Sweep {
+	amp := math.Sqrt(power)
+	for _, x := range [2][]complex128{s.Up, s.Down} {
+		p := t.table(len(x), s.Fs, amp)
+		for i, v := range x {
+			x[i] = v + p[i]
+		}
 	}
+	return s
+}
+
+// table returns the tone's n samples at sample rate fs and amplitude
+// amp, rebuilding them when any of the three differs from the last call.
+func (t *Tone) table(n int, fs, amp float64) []complex128 {
+	if len(t.samples) == n && t.fs == fs && t.amp == amp {
+		return t.samples
+	}
+	if cap(t.samples) < n {
+		t.samples = make([]complex128, n)
+	}
+	t.samples = t.samples[:n]
+	w := 2 * math.Pi * t.freq / fs
+	for i := range t.samples {
+		t.samples[i] = cmplx.Rect(amp, w*float64(i))
+	}
+	t.fs, t.amp = fs, amp
+	return t.samples
 }

@@ -2,6 +2,7 @@ package radar
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"safesense/internal/noise"
@@ -95,7 +96,8 @@ func TestShiftSweepMovesBeatFrequency(t *testing.T) {
 	}
 	// Shift corresponding to +6 m: df = tau * Bs / Ts.
 	df := (2 * 6.0 / 299792458.0) * p.SweepBandwidthHz / p.SweepTimeSec
-	shifted := ShiftSweep(s, df)
+	shift := NewTone(df)
+	shifted := shift.Mix(s)
 	fbUp, fbDown, err := (FFTExtractor{}).Extract(shifted)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +131,8 @@ func TestAddToneSweepPowerAndFrequency(t *testing.T) {
 	src := noise.NewSource(6)
 	s := p.SynthesizeSilence(256, src)
 	fb, _ := p.BeatFrequencies(101, 0)
-	spoofed := AddToneSweep(s, fb, 1e-9)
+	tone := NewTone(fb)
+	spoofed := tone.Add(s, 1e-9)
 	fbUp, fbDown, err := (FFTExtractor{}).Extract(spoofed)
 	if err != nil {
 		t.Fatal(err)
@@ -153,5 +156,62 @@ func TestSignalMeasureClampsGarbage(t *testing.T) {
 	}
 	if math.Abs(m.RelVelocity) > 60 {
 		t.Fatalf("garbage velocity %v outside clamp", m.RelVelocity)
+	}
+}
+
+// TestToneMatchesPerSampleSynthesis: a Tone's table reproduces what the
+// sweep transforms computed per sample before tables — Mix the phasor
+// complex(cos, sin) of math.Sincos, Add cmplx.Rect — bit for bit, across
+// lengths, frequencies, sample rates and powers. Cases sharing a
+// frequency reuse one Tone pair, so table rebuilds are covered too.
+func TestToneMatchesPerSampleSynthesis(t *testing.T) {
+	src := noise.NewSource(8)
+	type tones struct{ mix, add Tone }
+	byFreq := map[float64]*tones{}
+	for _, c := range []struct {
+		n            int
+		freq, fs, pw float64
+	}{
+		{128, 4.3e5, 2e6, 1e-9},
+		{128, 4.3e5, 2e6, 1e-9},  // cache hit
+		{256, 4.3e5, 2e6, 1e-9},  // new length
+		{256, 4.3e5, 1e6, 1e-9},  // new sample rate
+		{256, 4.3e5, 1e6, 1e-10}, // new power
+		{32, 1e3, 2e6, 1},
+		{256, -7.7e4, 2e6, 3.5e-12},
+		{100, 1.234567e5, 2e6, 1e-7},
+	} {
+		tt := byFreq[c.freq]
+		if tt == nil {
+			tt = &tones{NewTone(c.freq), NewTone(c.freq)}
+			byFreq[c.freq] = tt
+		}
+		up, down := src.ComplexNoiseVec(c.n, 1), src.ComplexNoiseVec(c.n, 1)
+		sweep := func() Sweep {
+			return Sweep{Up: append([]complex128{}, up...), Down: append([]complex128{}, down...), Fs: c.fs}
+		}
+		wantMix, wantAdd := sweep(), sweep()
+		w := 2 * math.Pi * c.freq / c.fs
+		amp := math.Sqrt(c.pw)
+		for _, x := range [][]complex128{wantMix.Up, wantMix.Down} {
+			for i, v := range x {
+				s, co := math.Sincos(w * float64(i))
+				x[i] = v * complex(co, s)
+			}
+		}
+		for _, x := range [][]complex128{wantAdd.Up, wantAdd.Down} {
+			for i, v := range x {
+				x[i] = v + cmplx.Rect(amp, w*float64(i))
+			}
+		}
+		mixed, added := tt.mix.Mix(sweep()), tt.add.Add(sweep(), c.pw)
+		for i := range up {
+			if mixed.Up[i] != wantMix.Up[i] || mixed.Down[i] != wantMix.Down[i] {
+				t.Fatalf("%+v: Mix sample %d differs from per-sample Sincos", c, i)
+			}
+			if added.Up[i] != wantAdd.Up[i] || added.Down[i] != wantAdd.Down[i] {
+				t.Fatalf("%+v: Add sample %d differs from per-sample cmplx.Rect", c, i)
+			}
+		}
 	}
 }
