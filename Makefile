@@ -5,7 +5,7 @@ GO ?= go
 # without letting coverage rot.
 COVER_MIN ?= 78
 
-.PHONY: all build test race race-hot vet fmt-check lint lint-self lint-json fuzz-smoke dist-smoke stream-smoke forensic-smoke profile-smoke bench bench-smoke bench-check bench-capture perf-baseline cover check
+.PHONY: all build test race race-hot vet fmt-check lint lint-self lint-json fuzz-smoke dist-smoke stream-smoke forensic-smoke profile-smoke bench bench-smoke bench-check bench-capture perf-baseline cover loc check
 
 all: check
 
@@ -73,10 +73,13 @@ dist-smoke:
 # mid-lease-reporting workers run a 64-job campaign while an SSE client
 # follows the stream endpoint; progress must be monotone, partials must
 # validate, and the terminal frame's aggregate must be byte-identical to
-# the single-node oracle. Runs under -race so the hub's
-# publish path is exercised against live subscribers.
+# the single-node oracle. Both stream routes serve through one function
+# (campaign.ServeStream), so the local route's live and finished-campaign
+# stream tests run here too. Runs under -race so the hub's publish path
+# is exercised against live subscribers.
 stream-smoke:
 	$(GO) test -race -run='^TestStreamSmoke$$' -count=1 -v ./internal/dist
+	$(GO) test -race -run='^(TestCampaignStreamLive|TestCampaignStreamFinished)$$' -count=1 -v ./cmd/safesensed
 
 # forensic-smoke is the anomaly-forensics gate: two workers run a
 # collision-bearing sweep, the coordinator must end up with the
@@ -137,5 +140,13 @@ cover:
 	echo "total coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' \
 		|| { echo "coverage $$total% is below the $(COVER_MIN)% floor"; exit 1; }
+
+# loc prints the non-test and test Go line counts of the tracked files,
+# lint fixtures and the servebench module excluded: the net-line figure
+# each change reports.
+loc:
+	@files="$$(git ls-files '*.go' | grep -v -e '^internal/lint/testdata/' -e '^servebench/')"; \
+	echo "non-test: $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l)"; \
+	echo "test:     $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l)"
 
 check: build lint test race cover

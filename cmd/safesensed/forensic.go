@@ -11,6 +11,7 @@ import (
 	"strconv"
 
 	"safesense/internal/campaign"
+	"safesense/internal/obs"
 	"safesense/internal/obs/forensic"
 )
 
@@ -42,14 +43,14 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	limit := defaultAnomalyLimit
 	if n, ok, err := queryInt(r, "limit"); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		obs.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	} else if ok {
 		limit = min(max(n, 1), maxAnomalyLimit)
 	}
 	offset := 0
 	if n, ok, err := queryInt(r, "offset"); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		obs.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	} else if ok {
 		offset = n
@@ -62,7 +63,7 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 		Offset:   offset,
 		Limit:    limit,
 	})
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"anomalies": metas,
 		"total":     total,
 		"offset":    offset,
@@ -77,10 +78,10 @@ func (s *Server) handleAnomaly(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	c, ok := s.cfg.Forensic.Get(hash)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("no capture %q", hash))
+		obs.WriteError(w, r, http.StatusNotFound, fmt.Errorf("no capture %q", hash))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"hash": hash, "capture": c})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"hash": hash, "capture": c})
 }
 
 // handleAnomalyReplay re-runs a capture's grid point from its seed and
@@ -92,16 +93,16 @@ func (s *Server) handleAnomalyReplay(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	c, ok := s.cfg.Forensic.Get(hash)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("no capture %q", hash))
+		obs.WriteError(w, r, http.StatusNotFound, fmt.Errorf("no capture %q", hash))
 		return
 	}
 	rep, err := campaign.ReplayDiff(r.Context(), hash, c)
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
+		obs.WriteError(w, r, http.StatusInternalServerError, err)
 		return
 	}
 	s.reqLog(r.Context()).Info("capture replayed",
 		"hash", hash, "identical", rep.Identical,
 		"stored_events", rep.StoredEvents, "fresh_events", rep.FreshEvents)
-	writeJSON(w, http.StatusOK, rep)
+	obs.WriteJSON(w, http.StatusOK, rep)
 }

@@ -214,7 +214,7 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 				}
 				s.metrics.panics.Inc()
 				if rec.status == 0 {
-					writeError(rec, r, http.StatusInternalServerError, fmt.Errorf("internal error"))
+					obs.WriteError(rec, r, http.StatusInternalServerError, fmt.Errorf("internal error"))
 				}
 				log.Error("handler panic",
 					"method", r.Method, "path", r.URL.Path, "panic", fmt.Sprint(p))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"safesense/internal/obs"
 	"safesense/internal/obs/profile"
 )
 
@@ -22,24 +23,24 @@ type ProfilesResponse struct {
 // metadata (summaries included — they are small and precomputed).
 func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Profiles == nil {
-		writeError(w, r, http.StatusNotFound, errProfilingDisabled)
+		obs.WriteError(w, r, http.StatusNotFound, errProfilingDisabled)
 		return
 	}
 	list := s.cfg.Profiles.List()
-	writeJSON(w, http.StatusOK, ProfilesResponse{Profiles: list, Total: len(list)})
+	obs.WriteJSON(w, http.StatusOK, ProfilesResponse{Profiles: list, Total: len(list)})
 }
 
 // handleProfile serves GET /v1/profiles/{id}: the raw pprof bytes,
 // ready for `go tool pprof http://.../v1/profiles/<id>`.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Profiles == nil {
-		writeError(w, r, http.StatusNotFound, errProfilingDisabled)
+		obs.WriteError(w, r, http.StatusNotFound, errProfilingDisabled)
 		return
 	}
 	id := r.PathValue("id")
 	meta, raw, ok := s.cfg.Profiles.Get(id)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("no profile capture %q", id))
+		obs.WriteError(w, r, http.StatusNotFound, fmt.Errorf("no profile capture %q", id))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -59,16 +60,16 @@ type ProfileSummaryResponse struct {
 // digest.
 func (s *Server) handleProfileSummary(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Profiles == nil {
-		writeError(w, r, http.StatusNotFound, errProfilingDisabled)
+		obs.WriteError(w, r, http.StatusNotFound, errProfilingDisabled)
 		return
 	}
 	id := r.PathValue("id")
 	meta, _, ok := s.cfg.Profiles.Get(id)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("no profile capture %q", id))
+		obs.WriteError(w, r, http.StatusNotFound, fmt.Errorf("no profile capture %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, ProfileSummaryResponse{Capture: meta, Summary: meta.Summary})
+	obs.WriteJSON(w, http.StatusOK, ProfileSummaryResponse{Capture: meta, Summary: meta.Summary})
 }
 
 // shortID abbreviates a content hash for filenames.

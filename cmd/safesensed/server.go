@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -112,33 +111,24 @@ const (
 	statusCancelled = "cancelled"
 )
 
-// CampaignEvent is one audit-log entry of a stored campaign: lifecycle
-// transitions plus per-job incidents derived from the outcomes (the
-// flight-recorder view at campaign granularity). Served by
-// GET /v1/campaigns/{id}/events.
+// CampaignEvent is one audit-log entry of a stored campaign, served by
+// GET /v1/campaigns/{id}/events and, for incidents, as the local
+// stream's flight frames. A job incident (campaign.Incidents) carries
+// its job_index; a lifecycle transition (submitted, then the terminal
+// status reused verbatim as its kind) carries job_index -1, no job.
 type CampaignEvent struct {
 	Time time.Time `json:"time"`
-	Kind string    `json:"kind"`
-	// JobIndex and Seed identify the job for per-job incident events.
-	JobIndex int   `json:"job_index,omitempty"`
-	Seed     int64 `json:"seed,omitempty"`
-	// K is the simulation timestep of the incident, when it has one.
-	K      int    `json:"k,omitempty"`
-	Detail string `json:"detail,omitempty"`
+	campaign.Incident
 }
 
-// Campaign event kinds (beyond the lifecycle statuses, which are reused
-// verbatim as kinds).
-const (
-	eventSubmitted     = "submitted"
-	eventCollision     = "collision"
-	eventFalsePositive = "false_positive"
-	eventFalseNegative = "false_negative"
-)
+// eventSubmitted is the first lifecycle kind; the terminal statuses
+// follow it as kinds.
+const eventSubmitted = "submitted"
 
-// maxCampaignEvents caps a campaign's event log; a sweep designed to
-// crash every run must not grow the store unboundedly.
-const maxCampaignEvents = 256
+// lifecycleEvent builds a lifecycle audit entry.
+func lifecycleEvent(t time.Time, kind, detail string) CampaignEvent {
+	return CampaignEvent{Time: t, Incident: campaign.Incident{Kind: kind, JobIndex: -1, Detail: detail}}
+}
 
 // entry is one stored campaign.
 type entry struct {
@@ -168,7 +158,7 @@ func (e *entry) terminal() bool { return e.Status != statusRunning }
 
 // addEvent appends to the campaign's bounded event log. Callers hold s.mu.
 func (e *entry) addEvent(ev CampaignEvent) {
-	if len(e.Events) < maxCampaignEvents {
+	if len(e.Events) < campaign.MaxEventLog {
 		e.Events = append(e.Events, ev)
 	}
 }
@@ -241,22 +231,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.S
 // Drain blocks until every in-flight campaign goroutine has exited.
 func (s *Server) Drain() { s.wg.Wait() }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError renders the error payload, stamping the request ID so a
-// failure report can be matched to its log records and trace.
-func writeError(w http.ResponseWriter, r *http.Request, code int, err error) {
-	body := map[string]string{"error": err.Error()}
-	if id := obstrace.ID(r.Context()); id != "" {
-		body["request_id"] = id
-	}
-	writeJSON(w, code, body)
-}
-
 // decodeBody strictly decodes one JSON object into v, bounding the body
 // at cfg.MaxBodyBytes.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
@@ -265,16 +239,6 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 		return fmt.Errorf("decoding request body: %w", err)
 	}
 	return nil
-}
-
-// decodeStatus maps a decodeBody failure to its HTTP status: 413 when the
-// body blew the size cap, 400 otherwise.
-func decodeStatus(err error) int {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -297,7 +261,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if rev := profile.VCSRevision(); rev != "" {
 		resp["vcs_revision"] = rev
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // Trace-list bounds: the default keeps the payload small for humans
@@ -314,17 +278,17 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if id := r.URL.Query().Get("trace"); id != "" {
 		spans := s.traces.Trace(id)
 		if len(spans) == 0 {
-			writeError(w, r, http.StatusNotFound, fmt.Errorf("no recorded trace %q", id))
+			obs.WriteError(w, r, http.StatusNotFound, fmt.Errorf("no recorded trace %q", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"trace_id": id, "spans": spans})
+		obs.WriteJSON(w, http.StatusOK, map[string]any{"trace_id": id, "spans": spans})
 		return
 	}
 	limit := defaultTraceLimit
 	if q := r.URL.Query().Get("limit"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 1 {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("limit must be a positive integer, got %q", q))
+			obs.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("limit must be a positive integer, got %q", q))
 			return
 		}
 		limit = min(n, maxTraceLimit)
@@ -335,7 +299,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		sums = sums[total-limit:]
 	}
 	stats := s.traces.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"traces":        sums,
 		"total":         total,
 		"dropped_roots": stats.DroppedRoots,
@@ -355,28 +319,28 @@ type RunRequest struct {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, r, decodeStatus(err), err)
+		obs.WriteError(w, r, obs.BodyStatus(err), err)
 		return
 	}
 	scenario, err := req.Point.Scenario()
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		obs.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	if err := scenario.Validate(); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		obs.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	res, err := sim.RunContext(r.Context(), scenario)
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
+		obs.WriteError(w, r, http.StatusInternalServerError, err)
 		return
 	}
 	s.reqLog(r.Context()).Info("run finished",
 		"scenario", req.Point.Label(), "seed", req.Point.Seed,
 		"detected_at", res.DetectedAt, "collision_at", res.CollisionAt,
 		"flight_events", len(res.Flight))
-	writeJSON(w, http.StatusOK, report.Summarize(res, req.IncludeTraces))
+	obs.WriteJSON(w, http.StatusOK, report.Summarize(res, req.IncludeTraces))
 }
 
 // SubmitRequest asks for an async campaign sweep.
@@ -398,16 +362,16 @@ type SubmitResponse struct {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, r, decodeStatus(err), err)
+		obs.WriteError(w, r, obs.BodyStatus(err), err)
 		return
 	}
 	jobs, err := req.Spec.NumJobs()
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		obs.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	if jobs > s.cfg.MaxJobs {
-		writeError(w, r, http.StatusBadRequest,
+		obs.WriteError(w, r, http.StatusBadRequest,
 			fmt.Errorf("campaign expands to %d jobs, server cap is %d", jobs, s.cfg.MaxJobs))
 		return
 	}
@@ -432,7 +396,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		cancel()
 		cspan.End()
-		writeError(w, r, http.StatusServiceUnavailable,
+		obs.WriteError(w, r, http.StatusServiceUnavailable,
 			fmt.Errorf("campaign store full (%d running)", s.cfg.MaxCampaigns))
 		return
 	}
@@ -446,8 +410,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		CreatedAt: time.Now(),
 		cancel:    cancel,
 	}
-	e.addEvent(CampaignEvent{Time: e.CreatedAt, Kind: eventSubmitted,
-		Detail: fmt.Sprintf("%d jobs on %d workers", jobs, workers)})
+	e.addEvent(lifecycleEvent(e.CreatedAt, eventSubmitted,
+		fmt.Sprintf("%d jobs on %d workers", jobs, workers)))
 	s.campaigns[e.ID] = e
 	s.order = append(s.order, e.ID)
 	s.mu.Unlock()
@@ -460,7 +424,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.reqLog(r.Context()).Info("campaign submitted",
 		"id", e.ID, "jobs", jobs, "workers", workers, "name", req.Spec.Name)
-	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: e.ID, Jobs: jobs, URL: "/v1/campaigns/" + e.ID})
+	obs.WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: e.ID, Jobs: jobs, URL: "/v1/campaigns/" + e.ID})
 }
 
 // evictLocked makes room for one more campaign, dropping the oldest
@@ -480,41 +444,10 @@ func (s *Server) evictLocked() bool {
 	return false
 }
 
-// jobEvents derives one outcome's incident events: collisions and
-// detector confusion, each attributed to the job's index and seed so
-// the run is reproducible from the event alone.
-func jobEvents(o campaign.Outcome, now time.Time) []CampaignEvent {
-	var evs []CampaignEvent
-	if o.CollisionAt >= 0 {
-		evs = append(evs, CampaignEvent{Time: now, Kind: eventCollision,
-			JobIndex: o.Index, Seed: o.Point.Seed, K: o.CollisionAt, Detail: o.Label})
-	}
-	if o.FalsePositives > 0 {
-		evs = append(evs, CampaignEvent{Time: now, Kind: eventFalsePositive,
-			JobIndex: o.Index, Seed: o.Point.Seed,
-			Detail: fmt.Sprintf("%s: %d false positives", o.Label, o.FalsePositives)})
-	}
-	if o.FalseNegatives > 0 {
-		evs = append(evs, CampaignEvent{Time: now, Kind: eventFalseNegative,
-			JobIndex: o.Index, Seed: o.Point.Seed,
-			Detail: fmt.Sprintf("%s: %d false negatives", o.Label, o.FalseNegatives)})
-	}
-	return evs
-}
-
-// outcomeEvents derives the per-job incident events of a whole sweep.
-func outcomeEvents(sum *campaign.Summary, now time.Time) []CampaignEvent {
-	var evs []CampaignEvent
-	for _, o := range sum.Outcomes {
-		evs = append(evs, jobEvents(o, now)...)
-	}
-	return evs
-}
-
 func (s *Server) runCampaign(ctx context.Context, cspan *obstrace.Span, e *entry, workers int, discard bool) {
 	defer s.wg.Done()
 	defer cspan.End()
-	streamer := newCampaignStreamer(s.cfg.Streams, e.ID, e.Jobs)
+	streamer := newCampaignStreamer(s, e)
 	sum, err := campaign.Run(ctx, e.Spec, campaign.Options{
 		Workers:         workers,
 		DiscardOutcomes: discard,
@@ -525,14 +458,7 @@ func (s *Server) runCampaign(ctx context.Context, cspan *obstrace.Span, e *entry
 			LatencyOutlierPct: s.cfg.ForensicLatencyPct,
 		},
 		OnOutcome: streamer.onOutcome,
-		OnStats: func(st campaign.Stats) {
-			streamer.onStats(st)
-			s.mu.Lock()
-			e.Done = st.Done
-			e.RunsPerSec = st.RunsPerSec
-			e.ETASeconds = st.ETA.Seconds()
-			s.mu.Unlock()
-		},
+		OnStats:   streamer.onStats,
 	})
 	now := time.Now()
 	s.mu.Lock()
@@ -548,12 +474,9 @@ func (s *Server) runCampaign(ctx context.Context, cspan *obstrace.Span, e *entry
 		e.Status = statusDone
 		e.Done = e.Jobs
 		e.Summary = sum
-		for _, ev := range outcomeEvents(sum, now) {
-			e.addEvent(ev)
-		}
 	}
-	e.addEvent(CampaignEvent{Time: now, Kind: e.Status, Detail: e.Err})
-	streamer.finish(e)
+	e.addEvent(lifecycleEvent(now, e.Status, e.Err))
+	streamer.finish()
 	if cspan.Sampled() {
 		cspan.SetAttr("status", e.Status)
 	}
@@ -621,10 +544,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if e == nil {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("no campaign %q", id))
+		obs.WriteError(w, r, http.StatusNotFound, fmt.Errorf("no campaign %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // EventsResponse is the campaign audit log.
@@ -646,10 +569,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if e == nil {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("no campaign %q", id))
+		obs.WriteError(w, r, http.StatusNotFound, fmt.Errorf("no campaign %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -662,11 +585,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if e == nil {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("no campaign %q", id))
+		obs.WriteError(w, r, http.StatusNotFound, fmt.Errorf("no campaign %q", id))
 		return
 	}
 	if cancel != nil {
 		cancel()
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": "cancelling"})
+	obs.WriteJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": "cancelling"})
 }

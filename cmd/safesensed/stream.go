@@ -1,63 +1,25 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
 
 	"safesense/internal/campaign"
-	"safesense/internal/obs/stream"
+	"safesense/internal/obs"
 )
 
-// SSE event types on a local campaign's topic (the campaign ID). The
-// dist coordinator publishes the same vocabulary on its topics, so one
-// client speaks both feeds.
-const (
-	streamTypeProgress = "progress"
-	streamTypePartial  = "partial"
-	streamTypeFlight   = "flight"
-	streamTypeDone     = "done"
-)
-
-// streamKeepalive is the SSE comment interval that keeps idle
-// connections alive through proxies.
-const streamKeepalive = 15 * time.Second
-
-// progressPayload is the "progress" event body.
-type progressPayload struct {
-	Campaign   string  `json:"campaign"`
-	Status     string  `json:"status"`
-	Jobs       int     `json:"jobs"`
-	Done       int     `json:"done"`
-	RunsPerSec float64 `json:"runs_per_sec,omitempty"`
-	ETASeconds float64 `json:"eta_seconds,omitempty"`
-}
-
-// donePayload is the terminal event body. Aggregate is embedded as the
-// struct itself, so its bytes inside the event equal a standalone
-// json.Marshal of the campaign aggregate — the stream's byte-identity
-// contract with a blocking run of the same spec.
-type donePayload struct {
-	Campaign       string              `json:"campaign"`
-	Status         string              `json:"status"`
-	Jobs           int                 `json:"jobs"`
-	Done           int                 `json:"done"`
-	ElapsedSeconds float64             `json:"elapsed_seconds"`
-	Error          string              `json:"error,omitempty"`
-	Aggregate      *campaign.Aggregate `json:"aggregate,omitempty"`
-}
-
-// campaignStreamer publishes a running sweep's live view: incremental
-// partial snapshots via an Accumulator, throttled progress counters,
-// and per-job flight events as they complete. All callbacks run inside
-// the engine's serialized progress section, so the counters need no
-// extra locking; publishing never blocks by the hub's contract.
+// campaignStreamer is a running local sweep's observer: it folds
+// outcomes into incremental partial snapshots via an Accumulator,
+// records each job's incidents once — into the audit log and onto the
+// stream — as the job completes, and mirrors the engine's Stats into
+// the stored entry and throttled progress frames. All callbacks run
+// inside the engine's serialized progress section, so the counters need
+// no extra locking; publishing never blocks by the hub's contract.
 type campaignStreamer struct {
-	hub  *stream.Hub
-	id   string
-	jobs int
-	acc  *campaign.Accumulator
+	s   *Server
+	e   *entry // ID and Jobs are immutable; the rest is guarded by s.mu
+	acc *campaign.Accumulator
 
 	// Throttles: progress is cheap so it goes out often; a partial
 	// snapshot pays an O(n log n) sort, so it goes out rarely. Both
@@ -70,109 +32,93 @@ type campaignStreamer struct {
 	eta  float64
 }
 
-// newCampaignStreamer sizes the throttles for the grid. A nil hub
-// yields a streamer whose publishes are no-ops (Hub methods are
-// nil-safe), keeping the engine wiring unconditional.
-func newCampaignStreamer(hub *stream.Hub, id string, jobs int) *campaignStreamer {
-	cs := &campaignStreamer{
-		hub: hub, id: id, jobs: jobs, acc: campaign.NewAccumulator(),
-		progressEvery: max(1, jobs/256),
-		partialEvery:  max(1, jobs/32),
+// newCampaignStreamer sizes the throttles for the entry's grid.
+func newCampaignStreamer(s *Server, e *entry) *campaignStreamer {
+	return &campaignStreamer{
+		s: s, e: e, acc: campaign.NewAccumulator(),
+		progressEvery: max(1, e.Jobs/256),
+		partialEvery:  max(1, e.Jobs/32),
 	}
-	return cs
 }
 
-func (cs *campaignStreamer) publish(typ string, v any) {
-	if cs.hub == nil {
-		return
-	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	cs.hub.Publish(cs.id, typ, data)
-}
-
-// onOutcome is the engine's OnOutcome hook (serialized with OnStats).
+// onOutcome is the engine's OnOutcome hook (serialized with onStats).
 func (cs *campaignStreamer) onOutcome(o campaign.Outcome) {
 	cs.acc.Add(o)
 	cs.done++
-	for _, ev := range jobEvents(o, time.Now()) {
-		cs.publish(streamTypeFlight, ev)
+	if incs := campaign.Incidents(o); len(incs) > 0 {
+		cs.recordIncidents(incs)
 	}
-	if cs.done%cs.progressEvery == 0 || cs.done == cs.jobs {
-		cs.publish(streamTypeProgress, progressPayload{
-			Campaign: cs.id, Status: statusRunning, Jobs: cs.jobs, Done: cs.done,
+	hub, id := cs.s.cfg.Streams, cs.e.ID
+	if cs.done%cs.progressEvery == 0 || cs.done == cs.e.Jobs {
+		hub.PublishJSON(id, campaign.StreamProgress, campaign.ProgressFrame{
+			Campaign: id, Status: statusRunning, Jobs: cs.e.Jobs, Done: cs.done,
 			RunsPerSec: cs.rps, ETASeconds: cs.eta,
 		})
 	}
-	if cs.done%cs.partialEvery == 0 || cs.done == cs.jobs {
-		cs.publish(streamTypePartial, cs.acc.Snapshot())
+	if cs.done%cs.partialEvery == 0 || cs.done == cs.e.Jobs {
+		hub.PublishJSON(id, campaign.StreamPartial, cs.acc.Snapshot())
 	}
 }
 
-// onStats mirrors the engine's throughput estimate into later progress
-// events (serialized with onOutcome).
+// recordIncidents appends one job's incidents to the bounded audit log
+// and publishes each as a flight frame, in completion order.
+func (cs *campaignStreamer) recordIncidents(incs []campaign.Incident) {
+	now := time.Now()
+	cs.s.mu.Lock()
+	defer cs.s.mu.Unlock()
+	for _, inc := range incs {
+		ev := CampaignEvent{Time: now, Incident: inc}
+		cs.e.addEvent(ev)
+		cs.s.cfg.Streams.PublishJSON(cs.e.ID, campaign.StreamFlight, ev)
+	}
+}
+
+// onStats mirrors the engine's throughput estimate into the stored
+// entry and later progress frames (serialized with onOutcome).
 func (cs *campaignStreamer) onStats(st campaign.Stats) {
 	cs.rps = st.RunsPerSec
 	cs.eta = st.ETA.Seconds()
+	cs.s.mu.Lock()
+	cs.e.Done = st.Done
+	cs.e.RunsPerSec = cs.rps
+	cs.e.ETASeconds = cs.eta
+	cs.s.mu.Unlock()
 }
 
-// finish publishes the terminal event. Callers hold s.mu (publishing
+// finish publishes the terminal frame. Callers hold s.mu (publishing
 // under the lock is fine — it never blocks).
-func (cs *campaignStreamer) finish(e *entry) {
-	cs.publish(streamTypeDone, terminalPayload(e))
+func (cs *campaignStreamer) finish() {
+	cs.s.cfg.Streams.PublishJSON(cs.e.ID, campaign.StreamDone, terminalFrame(cs.e))
 }
 
-// terminalPayload builds the "done" event body from a terminal entry.
-func terminalPayload(e *entry) donePayload {
-	p := donePayload{
+// terminalFrame builds the "done" payload of a terminal entry. Callers
+// hold s.mu.
+func terminalFrame(e *entry) *campaign.DoneFrame {
+	f := &campaign.DoneFrame{
 		Campaign: e.ID, Status: e.Status, Jobs: e.Jobs, Done: e.Done, Error: e.Err,
 	}
 	if e.Summary != nil {
-		p.ElapsedSeconds = e.Summary.ElapsedSeconds
-		agg := e.Summary.Aggregate
-		p.Aggregate = &agg
+		f.ElapsedSeconds = e.Summary.ElapsedSeconds
+		f.Aggregate = &e.Summary.Aggregate
 	}
-	return p
+	return f
 }
 
-// handleCampaignStream serves GET /v1/campaigns/{id}/stream: the
-// campaign's live SSE feed (progress, partial, flight, done), with
-// full-history replay from the hub's ring and Last-Event-ID resume. A
-// campaign that already finished gets one synthesized terminal frame —
-// its live events may have been evicted from the ring long ago.
+// handleCampaignStream serves GET /v1/campaigns/{id}/stream, the
+// campaign's live SSE feed (progress, partial, flight, done), through
+// the shared campaign.ServeStream.
 func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	e := s.campaigns[id]
-	var terminal *donePayload
+	var terminal *campaign.DoneFrame
 	if e != nil && e.terminal() {
-		p := terminalPayload(e)
-		terminal = &p
+		terminal = terminalFrame(e)
 	}
 	s.mu.Unlock()
 	if e == nil {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("no campaign %q", id))
+		obs.WriteError(w, r, http.StatusNotFound, fmt.Errorf("no campaign %q", id))
 		return
 	}
-	if terminal != nil {
-		data, err := json.Marshal(terminal)
-		if err != nil {
-			writeError(w, r, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		_ = stream.EncodeFrame(w, stream.Frame{Event: streamTypeDone, Data: data})
-		return
-	}
-	after, _ := stream.LastEventID(r)
-	_ = stream.Serve(w, r, s.cfg.Streams, stream.ServeOptions{
-		Topic:     id,
-		Replay:    true,
-		After:     after,
-		Keepalive: streamKeepalive,
-		Done:      func(ev *stream.Event) bool { return ev.Type == streamTypeDone },
-	})
+	campaign.ServeStream(w, r, s.cfg.Streams, id, terminal)
 }

@@ -83,8 +83,8 @@ func TestCampaignStreamLive(t *testing.T) {
 			lastID = fr.ID
 		}
 		switch fr.Event {
-		case streamTypeProgress:
-			var p progressPayload
+		case campaign.StreamProgress:
+			var p campaign.ProgressFrame
 			if err := json.Unmarshal(fr.Data, &p); err != nil {
 				t.Fatalf("progress payload: %v", err)
 			}
@@ -96,7 +96,7 @@ func TestCampaignStreamLive(t *testing.T) {
 			}
 			lastDone = p.Done
 			progress++
-		case streamTypePartial:
+		case campaign.StreamPartial:
 			var part campaign.Partial
 			if err := json.Unmarshal(fr.Data, &part); err != nil {
 				t.Fatalf("partial payload: %v", err)
@@ -108,7 +108,7 @@ func TestCampaignStreamLive(t *testing.T) {
 				t.Fatalf("partial covers %d jobs", part.Jobs)
 			}
 			partials++
-		case streamTypeDone:
+		case campaign.StreamDone:
 			doneFrame = fr.Data
 		}
 	}
@@ -117,7 +117,7 @@ func TestCampaignStreamLive(t *testing.T) {
 			progress, partials, frameKinds)
 	}
 
-	var done donePayload
+	var done campaign.DoneFrame
 	if err := json.Unmarshal(doneFrame, &done); err != nil {
 		t.Fatalf("done payload: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestCampaignStreamFinished(t *testing.T) {
 	if err != nil {
 		t.Fatalf("terminal frame: %v", err)
 	}
-	if fr.Event != streamTypeDone {
+	if fr.Event != campaign.StreamDone {
 		t.Fatalf("terminal frame event = %q, want done", fr.Event)
 	}
 	var env struct {

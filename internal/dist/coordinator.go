@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"safesense/internal/campaign"
+	"safesense/internal/obs"
 	"safesense/internal/obs/forensic"
 	"safesense/internal/obs/stream"
 	obstrace "safesense/internal/obs/trace"
@@ -71,22 +72,13 @@ func (c Config) withDefaults() Config {
 		c.Clock = wallClock
 	}
 	if c.Log == nil {
-		c.Log = slog.New(discardHandler{})
+		c.Log = slog.New(obs.DiscardHandler{})
 	}
 	if c.Traces == nil {
 		c.Traces = obstrace.Default()
 	}
 	return c
 }
-
-// discardHandler is a no-op slog.Handler (slog.DiscardHandler arrives
-// in go1.24; this keeps the floor at the module's current toolchain).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // Campaign lifecycle states.
 const (
@@ -138,16 +130,13 @@ type dcampaign struct {
 	doneJobs   int
 	merged     campaign.Partial
 	workers    map[string]*workerProgress
-	events     []Event
+	events     []campaign.Incident
 	captures   int // forensic captures newly stored for this campaign
 
 	createdAt time.Time
 	status    string
 	summary   *campaign.Summary
 }
-
-// maxCampaignEvents bounds a campaign's forwarded-event log.
-const maxCampaignEvents = 256
 
 // leaseRef resolves a lease token to its shard, even after expiry —
 // late completions carry deterministic data and stay acceptable while
@@ -457,22 +446,17 @@ func (c *Coordinator) closeCampaignLocked(d *dcampaign) {
 	metricCampaignsActive.With().Add(-1)
 	c.cfg.Log.Info("dist campaign done",
 		"id", d.id, "jobs", d.jobs, "workers", workers, "elapsed_seconds", elapsed.Seconds())
-	c.publishLocked(d.id, streamTypeDone, streamDone{
-		Campaign:       d.id,
-		Jobs:           d.jobs,
-		ElapsedSeconds: sum.ElapsedSeconds,
-		Aggregate:      sum.Aggregate,
-	})
+	c.cfg.Streams.PublishJSON(d.id, campaign.StreamDone, d.doneFrame())
 }
 
 // appendEventsLocked forwards a batch of worker flight events into the
 // campaign's bounded event log and onto the stream. Callers hold c.mu.
-func (c *Coordinator) appendEventsLocked(d *dcampaign, evs []Event) {
+func (c *Coordinator) appendEventsLocked(d *dcampaign, evs []campaign.Incident) {
 	for _, ev := range evs {
-		if len(d.events) < maxCampaignEvents {
+		if len(d.events) < campaign.MaxEventLog {
 			d.events = append(d.events, ev)
 		}
-		c.publishLocked(d.id, streamTypeFlight, ev)
+		c.cfg.Streams.PublishJSON(d.id, campaign.StreamFlight, ev)
 	}
 }
 
@@ -531,20 +515,20 @@ type LeaseStatus struct {
 
 // Status is a distributed campaign's progress report.
 type Status struct {
-	ID             string            `json:"id"`
-	TraceID        string            `json:"trace_id,omitempty"`
-	Status         string            `json:"status"`
-	Jobs           int               `json:"jobs"`
-	DoneJobs       int               `json:"done_jobs"`
-	Leases         int               `json:"leases"`
-	DoneLeases     int               `json:"done_leases"`
-	ActiveLeases   int               `json:"active_leases"`
-	Workers        []WorkerStatus    `json:"workers,omitempty"`
-	LeaseTable     []LeaseStatus     `json:"lease_table,omitempty"`
-	Events         []Event           `json:"events,omitempty"`
-	Captures       int               `json:"captures,omitempty"`
-	ElapsedSeconds float64           `json:"elapsed_seconds"`
-	Summary        *campaign.Summary `json:"summary,omitempty"`
+	ID             string              `json:"id"`
+	TraceID        string              `json:"trace_id,omitempty"`
+	Status         string              `json:"status"`
+	Jobs           int                 `json:"jobs"`
+	DoneJobs       int                 `json:"done_jobs"`
+	Leases         int                 `json:"leases"`
+	DoneLeases     int                 `json:"done_leases"`
+	ActiveLeases   int                 `json:"active_leases"`
+	Workers        []WorkerStatus      `json:"workers,omitempty"`
+	LeaseTable     []LeaseStatus       `json:"lease_table,omitempty"`
+	Events         []campaign.Incident `json:"events,omitempty"`
+	Captures       int                 `json:"captures,omitempty"`
+	ElapsedSeconds float64             `json:"elapsed_seconds"`
+	Summary        *campaign.Summary   `json:"summary,omitempty"`
 }
 
 // CampaignStatus reports one campaign ("" ok=false when unknown).
@@ -564,7 +548,7 @@ func (c *Coordinator) CampaignStatus(id string) (Status, bool) {
 		DoneJobs:   d.doneJobs,
 		Leases:     len(d.shards),
 		DoneLeases: d.doneShards,
-		Events:     append([]Event(nil), d.events...),
+		Events:     append([]campaign.Incident(nil), d.events...),
 		Captures:   d.captures,
 		Summary:    d.summary,
 	}

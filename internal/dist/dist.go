@@ -131,9 +131,9 @@ type ProgressRequest struct {
 	WorkerID string `json:"worker_id"`
 	// Done is how many of the shard's jobs have completed; it must
 	// equal Partial.Jobs.
-	Done    int              `json:"done"`
-	Partial campaign.Partial `json:"partial"`
-	Events  []Event          `json:"events,omitempty"`
+	Done    int                 `json:"done"`
+	Partial campaign.Partial    `json:"partial"`
+	Events  []campaign.Incident `json:"events,omitempty"`
 }
 
 // ProgressResponse acknowledges a progress update. Stale reports the
@@ -150,12 +150,12 @@ type ProgressResponse struct {
 // idempotently (content hash, span identity) and they never influence
 // the aggregate, so the byte-identity oracle is untouched.
 type CompleteRequest struct {
-	LeaseID  string             `json:"lease_id"`
-	WorkerID string             `json:"worker_id"`
-	Partial  campaign.Partial   `json:"partial"`
-	Events   []Event            `json:"events,omitempty"`
-	Captures []forensic.Capture `json:"captures,omitempty"`
-	Spans    []trace.SpanRecord `json:"spans,omitempty"`
+	LeaseID  string              `json:"lease_id"`
+	WorkerID string              `json:"worker_id"`
+	Partial  campaign.Partial    `json:"partial"`
+	Events   []campaign.Incident `json:"events,omitempty"`
+	Captures []forensic.Capture  `json:"captures,omitempty"`
+	Spans    []trace.SpanRecord  `json:"spans,omitempty"`
 }
 
 // CompleteResponse acknowledges a completion. Duplicate reports that
@@ -166,23 +166,6 @@ type CompleteResponse struct {
 	// CampaignDone reports that this completion closed the campaign.
 	CampaignDone bool `json:"campaign_done,omitempty"`
 }
-
-// Event is one forwarded flight-recorder incident, attributed to the
-// job that produced it so the run is reproducible from the event alone.
-type Event struct {
-	Kind     string `json:"kind"`
-	JobIndex int    `json:"job_index"`
-	Seed     int64  `json:"seed,omitempty"`
-	K        int    `json:"k,omitempty"`
-	Detail   string `json:"detail,omitempty"`
-}
-
-// Forwarded event kinds.
-const (
-	EventCollision     = "collision"
-	EventFalsePositive = "false_positive"
-	EventFalseNegative = "false_negative"
-)
 
 // decodeStrict parses exactly one JSON object into v under the shared
 // strict wire contract (obs.DecodeStrict).
@@ -333,19 +316,15 @@ func DecodeProgress(data []byte) (ProgressRequest, error) {
 	return req, nil
 }
 
-// OutcomeEvents derives the forwardable flight events from a shard's
-// outcomes: collisions and challenge confusion, truncated at
-// MaxCompleteEvents so one pathological shard cannot flood the
-// coordinator.
-func OutcomeEvents(outcomes []campaign.Outcome) []Event {
-	var evs []Event
+// OutcomeEvents derives the forwardable incidents of a shard's
+// outcomes (campaign.Incidents per job), truncated at MaxCompleteEvents
+// so one pathological shard cannot flood the coordinator.
+func OutcomeEvents(outcomes []campaign.Outcome) []campaign.Incident {
+	var evs []campaign.Incident
 	for _, o := range outcomes {
-		if len(evs) >= MaxCompleteEvents {
-			return evs
-		}
-		for _, ev := range eventsOfOutcome(o) {
+		for _, ev := range campaign.Incidents(o) {
 			if len(evs) >= MaxCompleteEvents {
-				break
+				return evs
 			}
 			evs = append(evs, ev)
 		}
@@ -353,31 +332,8 @@ func OutcomeEvents(outcomes []campaign.Outcome) []Event {
 	return evs
 }
 
-// eventsOfOutcome derives one job's forwardable events — the per-job
-// unit OutcomeEvents and the worker's live progress reporter share, so
-// an event delivered mid-lease is identical to the one a completion
-// would carry.
-func eventsOfOutcome(o campaign.Outcome) []Event {
-	var evs []Event
-	if o.CollisionAt >= 0 {
-		evs = append(evs, Event{Kind: EventCollision,
-			JobIndex: o.Index, Seed: o.Point.Seed, K: o.CollisionAt, Detail: o.Label})
-	}
-	if o.FalsePositives > 0 {
-		evs = append(evs, Event{Kind: EventFalsePositive,
-			JobIndex: o.Index, Seed: o.Point.Seed,
-			Detail: fmt.Sprintf("%s: %d false positives", o.Label, o.FalsePositives)})
-	}
-	if o.FalseNegatives > 0 {
-		evs = append(evs, Event{Kind: EventFalseNegative,
-			JobIndex: o.Index, Seed: o.Point.Seed,
-			Detail: fmt.Sprintf("%s: %d false negatives", o.Label, o.FalseNegatives)})
-	}
-	return evs
-}
-
-// eventKey is the identity progress dedup uses: events are
-// deterministic per job, so kind+job+detail names one event uniquely.
-func eventKey(ev Event) string {
+// eventKey is the identity progress dedup uses: incidents are
+// deterministic per job, so kind+job+detail names one uniquely.
+func eventKey(ev campaign.Incident) string {
 	return fmt.Sprintf("%s|%d|%s", ev.Kind, ev.JobIndex, ev.Detail)
 }

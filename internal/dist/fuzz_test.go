@@ -34,7 +34,7 @@ func FuzzDecodeLease(f *testing.F) {
 	}
 	if b, err := json.Marshal(CompleteRequest{
 		LeaseID: "d000001.0.1", WorkerID: "fuzz-worker", Partial: partial,
-		Events: []Event{{Kind: EventCollision, JobIndex: 4, Seed: 99, K: 12, Detail: "dos/onset=20"}},
+		Events: []campaign.Incident{{Kind: campaign.IncidentCollision, JobIndex: 4, Seed: 99, K: 12, Detail: "dos/onset=20"}},
 	}); err == nil {
 		f.Add(b)
 	}

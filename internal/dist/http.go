@@ -1,13 +1,12 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
-	"safesense/internal/obs/stream"
+	"safesense/internal/campaign"
+	"safesense/internal/obs"
 	obstrace "safesense/internal/obs/trace"
 )
 
@@ -49,70 +48,51 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/dist/lease/complete", c.handleComplete)
 }
 
-func distWriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func distWriteError(w http.ResponseWriter, r *http.Request, code int, err error) {
-	body := map[string]string{"error": err.Error()}
-	if id := obstrace.ID(r.Context()); id != "" {
-		body["request_id"] = id
-	}
-	distWriteJSON(w, code, body)
-}
-
-// readBody slurps a bounded request body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// decodeRequest reads the bounded request body and runs decode over it.
+// On failure it writes the error reply (413 for an oversized body, 400
+// for any other read or decode failure) and returns ok false.
+func decodeRequest[T any](w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error)) (req T, ok bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxDistBodyBytes)
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
-		return nil, fmt.Errorf("dist: reading request body: %w", err)
+		obs.WriteError(w, r, obs.BodyStatus(err), fmt.Errorf("dist: reading request body: %w", err))
+		return req, false
 	}
-	return data, nil
+	if req, err = decode(data); err != nil {
+		obs.WriteError(w, r, http.StatusBadRequest, err)
+		return req, false
+	}
+	return req, true
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	data, err := readBody(w, r)
-	if err != nil {
-		distWriteError(w, r, http.StatusRequestEntityTooLarge, err)
-		return
-	}
-	req, err := DecodeSubmit(data)
-	if err != nil {
-		distWriteError(w, r, http.StatusBadRequest, err)
+	req, ok := decodeRequest(w, r, DecodeSubmit)
+	if !ok {
 		return
 	}
 	// The campaign outlives the request; its trace root inherits the
 	// submitting request's ID so the submitter can follow the fan-out.
 	resp, err := c.Submit(req, obstrace.ID(r.Context()))
 	if err != nil {
-		distWriteError(w, r, http.StatusServiceUnavailable, err)
+		obs.WriteError(w, r, http.StatusServiceUnavailable, err)
 		return
 	}
-	distWriteJSON(w, http.StatusAccepted, resp)
+	obs.WriteJSON(w, http.StatusAccepted, resp)
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := c.CampaignStatus(id)
 	if !ok {
-		distWriteError(w, r, http.StatusNotFound, fmt.Errorf("dist: no campaign %q", id))
+		obs.WriteError(w, r, http.StatusNotFound, fmt.Errorf("dist: no campaign %q", id))
 		return
 	}
-	distWriteJSON(w, http.StatusOK, st)
+	obs.WriteJSON(w, http.StatusOK, st)
 }
 
 func (c *Coordinator) handleAcquire(w http.ResponseWriter, r *http.Request) {
-	data, err := readBody(w, r)
-	if err != nil {
-		distWriteError(w, r, http.StatusRequestEntityTooLarge, err)
-		return
-	}
-	req, err := DecodeAcquire(data)
-	if err != nil {
-		distWriteError(w, r, http.StatusBadRequest, err)
+	req, ok := decodeRequest(w, r, DecodeAcquire)
+	if !ok {
 		return
 	}
 	lease, ok := c.Acquire(req.WorkerID)
@@ -120,113 +100,70 @@ func (c *Coordinator) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	distWriteJSON(w, http.StatusOK, lease)
+	obs.WriteJSON(w, http.StatusOK, lease)
 }
 
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
-	data, err := readBody(w, r)
-	if err != nil {
-		distWriteError(w, r, http.StatusRequestEntityTooLarge, err)
-		return
-	}
-	req, err := DecodeRenew(data)
-	if err != nil {
-		distWriteError(w, r, http.StatusBadRequest, err)
+	req, ok := decodeRequest(w, r, DecodeRenew)
+	if !ok {
 		return
 	}
 	resp, err := c.Renew(req)
 	if err != nil {
 		// The lease is gone (completed or reassigned); 410 tells the
 		// worker to stop renewing and abandon or finish quietly.
-		distWriteError(w, r, http.StatusGone, err)
+		obs.WriteError(w, r, http.StatusGone, err)
 		return
 	}
-	distWriteJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
-	data, err := readBody(w, r)
-	if err != nil {
-		distWriteError(w, r, http.StatusRequestEntityTooLarge, err)
-		return
-	}
-	req, err := DecodeProgress(data)
-	if err != nil {
-		distWriteError(w, r, http.StatusBadRequest, err)
+	req, ok := decodeRequest(w, r, DecodeProgress)
+	if !ok {
 		return
 	}
 	resp, err := c.Progress(req)
 	if err != nil {
 		// Unknown lease or an impossible range: the worker's view of
 		// the lease is wrong, so stop posting (progress is best-effort).
-		distWriteError(w, r, http.StatusGone, err)
+		obs.WriteError(w, r, http.StatusGone, err)
 		return
 	}
-	distWriteJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
-// handleStream serves the campaign's live SSE feed. A finished
-// campaign gets a single synthesized terminal frame (its live "done"
-// event may have been evicted from the replay ring long ago); a
-// running one subscribes with full-history replay, deduplicated
-// against Last-Event-ID when the client is resuming, and ends when the
-// terminal event arrives.
+// handleStream serves the campaign's live SSE feed through the shared
+// campaign.ServeStream: one synthesized terminal frame once the
+// campaign is done, live frames with Last-Event-ID replay until then.
 func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st, ok := c.CampaignStatus(id)
+	terminal, ok := c.terminalFrame(id)
 	if !ok {
-		distWriteError(w, r, http.StatusNotFound, fmt.Errorf("dist: no campaign %q", id))
+		obs.WriteError(w, r, http.StatusNotFound, fmt.Errorf("dist: no campaign %q", id))
 		return
 	}
-	hub := c.cfg.Streams
-	if hub == nil {
-		distWriteError(w, r, http.StatusNotImplemented, fmt.Errorf("dist: streaming disabled on this coordinator"))
+	if c.cfg.Streams == nil {
+		obs.WriteError(w, r, http.StatusNotImplemented, fmt.Errorf("dist: streaming disabled on this coordinator"))
 		return
 	}
-	if st.Status == StatusDone && st.Summary != nil {
-		data, err := json.Marshal(streamDone{
-			Campaign: st.ID, Jobs: st.Jobs,
-			ElapsedSeconds: st.ElapsedSeconds, Aggregate: st.Summary.Aggregate,
-		})
-		if err != nil {
-			distWriteError(w, r, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		_ = stream.EncodeFrame(w, stream.Frame{Event: streamTypeDone, Data: data})
-		return
-	}
-	after, _ := stream.LastEventID(r)
-	_ = stream.Serve(w, r, hub, stream.ServeOptions{
-		Topic:     id,
-		Replay:    true,
-		After:     after,
-		Keepalive: 15 * time.Second,
-		Done:      func(ev *stream.Event) bool { return ev.Type == streamTypeDone },
-	})
+	campaign.ServeStream(w, r, c.cfg.Streams, id, terminal)
 }
 
 func (c *Coordinator) handleFleet(w http.ResponseWriter, _ *http.Request) {
 	// Fleet is a read-only snapshot; no body to decode.
-	distWriteJSON(w, http.StatusOK, c.Fleet())
+	obs.WriteJSON(w, http.StatusOK, c.Fleet())
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	data, err := readBody(w, r)
-	if err != nil {
-		distWriteError(w, r, http.StatusRequestEntityTooLarge, err)
-		return
-	}
-	req, err := DecodeComplete(data)
-	if err != nil {
-		distWriteError(w, r, http.StatusBadRequest, err)
+	req, ok := decodeRequest(w, r, DecodeComplete)
+	if !ok {
 		return
 	}
 	resp, err := c.Complete(req)
 	if err != nil {
-		distWriteError(w, r, http.StatusConflict, err)
+		obs.WriteError(w, r, http.StatusConflict, err)
 		return
 	}
-	distWriteJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }

@@ -22,10 +22,10 @@ type progressReporter struct {
 	acc   *campaign.Accumulator
 
 	mu      sync.Mutex
-	pending []Event         // collected but not yet delivered
-	total   int             // events collected over the lease, capped
-	sent    map[string]bool // keys delivered via progress posts
-	posted  int             // jobs covered by the last successful post
+	pending []campaign.Incident // collected but not yet delivered
+	total   int                 // events collected over the lease, capped
+	sent    map[string]bool     // keys delivered via progress posts
+	posted  int                 // jobs covered by the last successful post
 }
 
 func newProgressReporter(w *Worker, lease AcquireResponse) *progressReporter {
@@ -37,7 +37,7 @@ func newProgressReporter(w *Worker, lease AcquireResponse) *progressReporter {
 // posting loop reads concurrently, so the event queue takes the lock.
 func (pr *progressReporter) onOutcome(o campaign.Outcome) {
 	pr.acc.Add(o)
-	evs := eventsOfOutcome(o)
+	evs := campaign.Incidents(o)
 	if len(evs) == 0 {
 		return
 	}
@@ -117,13 +117,13 @@ func (pr *progressReporter) post(ctx context.Context) {
 // to the events no progress post has already delivered, so the
 // coordinator's campaign log sees each incident once on the common
 // path.
-func (pr *progressReporter) remainingEvents(full []Event) []Event {
+func (pr *progressReporter) remainingEvents(full []campaign.Incident) []campaign.Incident {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	if len(pr.sent) == 0 {
 		return full
 	}
-	var out []Event
+	var out []campaign.Incident
 	for _, ev := range full {
 		if !pr.sent[eventKey(ev)] {
 			out = append(out, ev)

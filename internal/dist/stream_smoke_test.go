@@ -98,8 +98,8 @@ func TestStreamSmoke(t *testing.T) {
 				progress, partials, leases, err)
 		}
 		switch fr.Event {
-		case streamTypeProgress:
-			var p streamProgress
+		case campaign.StreamProgress:
+			var p campaign.ProgressFrame
 			if err := json.Unmarshal(fr.Data, &p); err != nil {
 				t.Fatalf("progress payload: %v", err)
 			}
@@ -113,7 +113,7 @@ func TestStreamSmoke(t *testing.T) {
 			}
 			lastDone = p.Done
 			progress++
-		case streamTypePartial:
+		case campaign.StreamPartial:
 			var part campaign.Partial
 			if err := json.Unmarshal(fr.Data, &part); err != nil {
 				t.Fatalf("partial payload: %v", err)
@@ -124,7 +124,7 @@ func TestStreamSmoke(t *testing.T) {
 			partials++
 		case streamTypeLease:
 			leases++
-		case streamTypeDone:
+		case campaign.StreamDone:
 			doneFrame = fr.Data
 		}
 	}

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -9,16 +8,10 @@ import (
 	"safesense/internal/campaign"
 )
 
-// SSE event types the coordinator publishes on a campaign's topic. The
-// topic is the campaign ID, so one hub carries every campaign and a
-// subscriber sees only its own.
-const (
-	streamTypeProgress = "progress"
-	streamTypePartial  = "partial"
-	streamTypeFlight   = "flight"
-	streamTypeLease    = "lease"
-	streamTypeDone     = "done"
-)
+// streamTypeLease is the SSE event type of a lease transition, the
+// one frame the dist route adds to the campaign vocabulary
+// (campaign.StreamProgress and friends).
+const streamTypeLease = "lease"
 
 // Lease transition states carried by "lease" events.
 const (
@@ -26,19 +19,6 @@ const (
 	leaseExpired   = "expired"
 	leaseCompleted = "completed"
 )
-
-// streamProgress is the "progress" payload: overall campaign counters,
-// with Done including in-flight jobs reported mid-lease (so the number
-// is monotone during a lease, then settles to the completed-lease total
-// when the shard closes).
-type streamProgress struct {
-	Campaign   string `json:"campaign"`
-	Status     string `json:"status"`
-	Jobs       int    `json:"jobs"`
-	Done       int    `json:"done"`
-	Leases     int    `json:"leases"`
-	DoneLeases int    `json:"done_leases"`
-}
 
 // streamLease is the "lease" payload: one shard transition.
 type streamLease struct {
@@ -51,34 +31,9 @@ type streamLease struct {
 	Grants   int    `json:"grants"`
 }
 
-// streamDone is the terminal payload. Aggregate is embedded as the
-// struct itself, so its JSON bytes inside the event equal a standalone
-// json.Marshal of the campaign aggregate — the stream's byte-identity
-// contract with the single-node oracle.
-type streamDone struct {
-	Campaign       string             `json:"campaign"`
-	Jobs           int                `json:"jobs"`
-	ElapsedSeconds float64            `json:"elapsed_seconds"`
-	Aggregate      campaign.Aggregate `json:"aggregate"`
-}
-
-// publishLocked marshals v and publishes it on the campaign topic.
-// Publishing is non-blocking by the hub's contract, so it is safe (and
-// intentional) to call while holding c.mu. Callers hold c.mu.
-func (c *Coordinator) publishLocked(topic, typ string, v any) {
-	if c.cfg.Streams == nil {
-		return
-	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	c.cfg.Streams.Publish(topic, typ, data)
-}
-
 // publishLeaseLocked emits one shard transition. Callers hold c.mu.
 func (c *Coordinator) publishLeaseLocked(d *dcampaign, i int, sh *shard, state string) {
-	c.publishLocked(d.id, streamTypeLease, streamLease{
+	c.cfg.Streams.PublishJSON(d.id, streamTypeLease, streamLease{
 		Campaign: d.id, Shard: i, Start: sh.start, End: sh.end,
 		Worker: sh.worker, State: state, Grants: sh.grants,
 	})
@@ -90,12 +45,37 @@ func (c *Coordinator) publishProgressLocked(d *dcampaign) {
 	if c.cfg.Streams == nil {
 		return
 	}
-	c.publishLocked(d.id, streamTypeProgress, streamProgress{
+	c.cfg.Streams.PublishJSON(d.id, campaign.StreamProgress, campaign.ProgressFrame{
 		Campaign: d.id, Status: d.status, Jobs: d.jobs,
 		Done:   d.doneJobs + liveJobs(d),
 		Leases: len(d.shards), DoneLeases: d.doneShards,
 	})
-	c.publishLocked(d.id, streamTypePartial, livePartial(d))
+	c.cfg.Streams.PublishJSON(d.id, campaign.StreamPartial, livePartial(d))
+}
+
+// doneFrame is the campaign's terminal "done" payload. Callers hold
+// c.mu, after closeCampaignLocked has set the summary.
+func (d *dcampaign) doneFrame() campaign.DoneFrame {
+	return campaign.DoneFrame{
+		Campaign: d.id, Status: d.status, Jobs: d.jobs, Done: d.doneJobs,
+		ElapsedSeconds: d.summary.ElapsedSeconds, Aggregate: &d.summary.Aggregate,
+	}
+}
+
+// terminalFrame looks campaign id up: ok is false when it is unknown,
+// and frame is non-nil once it is done.
+func (c *Coordinator) terminalFrame(id string) (frame *campaign.DoneFrame, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d := c.campaigns[id]
+	if d == nil {
+		return nil, false
+	}
+	if d.summary != nil {
+		f := d.doneFrame()
+		frame = &f
+	}
+	return frame, true
 }
 
 // liveJobs sums the in-flight jobs reported by current lease holders.

@@ -80,7 +80,7 @@ func TestCoordinatorProgressLiveView(t *testing.T) {
 	// valid mergeable partial over the in-flight jobs.
 	var lastPartial []byte
 	for _, ev := range hub.Replay(sub.ID, 0) {
-		if ev.Type == streamTypePartial {
+		if ev.Type == campaign.StreamPartial {
 			lastPartial = ev.Data
 		}
 	}
@@ -136,7 +136,7 @@ func TestCoordinatorProgressLiveView(t *testing.T) {
 	// single-node fold of the same spec.
 	var doneData []byte
 	for _, ev := range hub.Replay(sub.ID, 0) {
-		if ev.Type == streamTypeDone {
+		if ev.Type == campaign.StreamDone {
 			doneData = ev.Data
 		}
 	}
@@ -188,7 +188,7 @@ func TestStreamEndpointFinishedCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decoding terminal frame: %v", err)
 	}
-	if fr.Event != streamTypeDone {
+	if fr.Event != campaign.StreamDone {
 		t.Fatalf("terminal frame event = %q, want done", fr.Event)
 	}
 	var env struct {

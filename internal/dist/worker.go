@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"safesense/internal/campaign"
+	"safesense/internal/obs"
 	"safesense/internal/obs/forensic"
 	obstrace "safesense/internal/obs/trace"
 )
@@ -66,7 +67,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 		c.ProgressInterval = 2 * time.Second
 	}
 	if c.Log == nil {
-		c.Log = slog.New(discardHandler{})
+		c.Log = slog.New(obs.DiscardHandler{})
 	}
 	if c.Traces == nil {
 		c.Traces = obstrace.Default()
@@ -273,17 +274,6 @@ type captureCollector struct {
 	caps []forensic.Capture
 }
 
-// capturePriority ranks a capture by its most severe kind.
-func capturePriority(c forensic.Capture) int {
-	p := 0
-	for _, k := range c.Kinds {
-		if kp := forensic.KindPriority(k); kp > p {
-			p = kp
-		}
-	}
-	return p
-}
-
 func (cc *captureCollector) add(c forensic.Capture) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -291,13 +281,14 @@ func (cc *captureCollector) add(c forensic.Capture) {
 		cc.caps = append(cc.caps, c)
 		return
 	}
-	low := 0
-	for i := 1; i < len(cc.caps); i++ {
-		if capturePriority(cc.caps[i]) < capturePriority(cc.caps[low]) {
-			low = i
+	// Displace the first resident of the lowest priority below c's.
+	low, lowPri := -1, forensic.KindPriority(forensic.PrimaryKind(c))
+	for i, r := range cc.caps {
+		if p := forensic.KindPriority(forensic.PrimaryKind(r)); p < lowPri {
+			low, lowPri = i, p
 		}
 	}
-	if capturePriority(c) > capturePriority(cc.caps[low]) {
+	if low >= 0 {
 		cc.caps[low] = c
 	}
 }

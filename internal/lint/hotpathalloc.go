@@ -43,9 +43,6 @@ var HotPathAlloc = &Analyzer{
 	Run:  runHotPathAlloc,
 }
 
-// HotPathMarker annotates a function as an allocation-free hot path.
-const HotPathMarker = "//safesense:hotpath"
-
 func runHotPathAlloc(p *Pass) {
 	facts := allocFacts(p.Graph)
 	for _, n := range unitNodes(p) {

@@ -2,7 +2,6 @@ package forensic
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -11,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"safesense/internal/obs"
 )
 
 // DefaultBudgetBytes is the store's default resident-capture budget.
@@ -100,7 +101,7 @@ func Open(opts Options) (*Store, error) {
 		opts.BudgetBytes = DefaultBudgetBytes
 	}
 	if opts.Log == nil {
-		opts.Log = slog.New(discardHandler{})
+		opts.Log = slog.New(obs.DiscardHandler{})
 	}
 	s := &Store{opts: opts, entries: make(map[string]*entry)}
 	if opts.Dir == "" {
@@ -118,15 +119,6 @@ func Open(opts Options) (*Store, error) {
 	s.publishGaugesLocked()
 	return s, nil
 }
-
-// discardHandler is a no-op slog.Handler (slog.DiscardHandler arrives
-// in go1.24; this keeps the floor at the module's current toolchain).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // Close releases the active segment file (memory-only stores are a
 // no-op). The store must not be used after Close.

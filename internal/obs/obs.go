@@ -1,7 +1,9 @@
 // Package obs is the stdlib-only observability layer: a metrics registry
 // (atomic counters, gauges, fixed-bucket histograms with labeled
-// families), Prometheus text-format exposition, expvar publication, and a
-// tiny Span/Timer API for phase timing.
+// families), Prometheus text-format exposition, expvar publication, a
+// tiny Span/Timer API for phase timing, and the JSON wire helpers every
+// safesense HTTP handler shares (DecodeStrict, BodyStatus, WriteJSON,
+// WriteError).
 //
 // The hot path is lock-free: resolving a labeled child with With() is a
 // sync.Map read, and Inc/Add/Observe are atomic operations, so callers
@@ -15,7 +17,9 @@
 package obs
 
 import (
+	"context"
 	"expvar"
+	"log/slog"
 	"sync"
 )
 
@@ -49,3 +53,13 @@ func (r *Registry) PublishExpvar(name string) {
 	}
 	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }
+
+// DiscardHandler is a no-op slog.Handler, the default logger of every
+// component whose Log option is nil (slog.DiscardHandler arrives in
+// go1.24; this keeps the floor at the module's current toolchain).
+type DiscardHandler struct{}
+
+func (DiscardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (DiscardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d DiscardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d DiscardHandler) WithGroup(string) slog.Handler           { return d }

@@ -7,6 +7,8 @@ import (
 	"log/slog"
 	"runtime/pprof"
 	"time"
+
+	"safesense/internal/obs"
 )
 
 // Continuous-profiler defaults: a 10s window every 60s keeps steady
@@ -59,7 +61,7 @@ func NewProfiler(opts ProfilerOptions) *Profiler {
 		opts.Window = opts.Interval
 	}
 	if opts.Log == nil {
-		opts.Log = slog.New(discardHandler{})
+		opts.Log = slog.New(obs.DiscardHandler{})
 	}
 	return &Profiler{opts: opts}
 }

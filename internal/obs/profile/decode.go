@@ -18,7 +18,6 @@ const MaxDecodedBytes = 64 << 20
 // Decode wraps them with positional context.
 var (
 	ErrTruncated   = errors.New("profile: truncated message")
-	ErrOverflow    = errors.New("profile: varint overflow")
 	ErrWireType    = errors.New("profile: unexpected wire type")
 	ErrStringIndex = errors.New("profile: string table index out of range")
 	ErrTooLarge    = errors.New("profile: decompressed profile exceeds MaxDecodedBytes")

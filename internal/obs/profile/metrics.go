@@ -1,11 +1,6 @@
 package profile
 
-import (
-	"context"
-	"log/slog"
-
-	"safesense/internal/obs"
-)
+import "safesense/internal/obs"
 
 var (
 	metricCaptures = obs.Default().Counter(
@@ -30,12 +25,3 @@ var (
 		"Fraction of the latest capture's CPU attributed to each pipeline phase.",
 		"phase")
 )
-
-// discardHandler is a no-op slog.Handler (slog.DiscardHandler arrives
-// in go1.24; this keeps the floor at the module's current toolchain).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"safesense/internal/obs"
 )
 
 // clock is the store's injected time source — captures are stamped for
@@ -126,7 +128,7 @@ func NewStore(opts StoreOptions) *Store {
 		opts.BudgetBytes = DefaultStoreBudgetBytes
 	}
 	if opts.Log == nil {
-		opts.Log = slog.New(discardHandler{})
+		opts.Log = slog.New(obs.DiscardHandler{})
 	}
 	return &Store{
 		opts:    opts,

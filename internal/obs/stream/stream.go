@@ -19,6 +19,7 @@
 package stream
 
 import (
+	"encoding/json"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -109,6 +110,21 @@ func (h *Hub) Publish(topic, typ string, data []byte) uint64 {
 		}
 	}
 	return ev.ID
+}
+
+// PublishJSON publishes v's JSON encoding as one event. A value that
+// does not marshal is dropped: the stream is observability, never the
+// record. Like Publish it is a no-op on a nil hub, which skips the
+// marshal too.
+func (h *Hub) PublishJSON(topic, typ string, v any) {
+	if h == nil {
+		return
+	}
+	data, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	h.Publish(topic, typ, data)
 }
 
 // LastID returns the most recently assigned event ID (0 before the

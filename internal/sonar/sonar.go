@@ -129,13 +129,6 @@ func (f *FrontEnd) noiseLevel() float64 {
 	return v
 }
 
-// Attack is a channel attack on the ultrasonic ranger.
-type Attack interface {
-	Active(k int) bool
-	Corrupt(k int, clean Measurement) Measurement
-	Name() string
-}
-
 // DelayEcho replays the echo with extra delay, inflating the reported
 // distance — the parking-sensor variant of the radar's delay injection
 // (a car appears farther while reversing). Its electronics leak into

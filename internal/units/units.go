@@ -23,19 +23,12 @@ const (
 
 // Frequency multipliers.
 const (
-	Hz  = 1.0
-	KHz = 1e3
 	MHz = 1e6
 	GHz = 1e9
 )
 
-// Length multipliers.
-const (
-	Millimeter = 1e-3
-	Centimeter = 1e-2
-	Meter      = 1.0
-	Kilometer  = 1e3
-)
+// Millimeter is the length multiplier for millimeters.
+const Millimeter = 1e-3
 
 // metersPerMile is the international mile in meters.
 const metersPerMile = 1609.344
