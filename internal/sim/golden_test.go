@@ -17,6 +17,7 @@ import (
 
 	"safesense/internal/campaign"
 	"safesense/internal/radar"
+	"safesense/internal/report"
 	"safesense/internal/sim"
 	"safesense/internal/trace"
 )
@@ -62,10 +63,23 @@ type goldenRun struct {
 
 type goldenFingerprint struct {
 	Runs []goldenRun `json:"runs"`
+	// BeatAblation holds the rows of EXPERIMENTS.md's A3 table
+	// (report.BeatAblation(16)): FFT vs root-MUSIC over 64/256 samples
+	// and 20/100/180 m.
+	BeatAblation []goldenBeatRow `json:"beat_ablation"`
 	// CampaignAggregateSHA256 hashes the aggregate JSON of
 	// goldenCampaignSpec, which adds the phased leader, off-schedule
 	// onsets and the fast adversary to the figure points above.
 	CampaignAggregateSHA256 string `json:"campaign_aggregate_sha256"`
+}
+
+// goldenBeatRow is one A3 row at full precision.
+type goldenBeatRow struct {
+	Extractor string  `json:"extractor"`
+	Samples   int     `json:"samples"`
+	Distance  float64 `json:"distance"`
+	DistRMSE  float64 `json:"dist_rmse"`
+	VelRMSE   float64 `json:"vel_rmse"`
 }
 
 func goldenCampaignSpec() campaign.Spec {
@@ -142,6 +156,19 @@ func fingerprint(t *testing.T) goldenFingerprint {
 	}
 	h := sha256.Sum256(agg)
 	fp.CampaignAggregateSHA256 = hex.EncodeToString(h[:])
+	rows, err := report.BeatAblation(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		fp.BeatAblation = append(fp.BeatAblation, goldenBeatRow{
+			Extractor: r.Extractor,
+			Samples:   r.Samples,
+			Distance:  r.Distance,
+			DistRMSE:  r.DistRMSE,
+			VelRMSE:   r.VelRMSE,
+		})
+	}
 	return fp
 }
 
@@ -179,8 +206,8 @@ func writeWords(h hash.Hash, words ...uint64) {
 // TestGoldenFingerprint is the numeric oracle: Fig 2a/2b/3a/3b, each
 // defended, no-attack baseline and undefended, over goldenSeeds on the
 // closed form and over goldenSignalSeeds at signal level (plus a 256-sample
-// and a root-MUSIC Fig 2a run), and a small campaign grid, must reproduce
-// the checked-in fingerprint exactly.
+// and a root-MUSIC Fig 2a run), a small campaign grid and the A3
+// extractor table must reproduce the checked-in fingerprint exactly.
 func TestGoldenFingerprint(t *testing.T) {
 	got, err := json.MarshalIndent(fingerprint(t), "", "  ")
 	if err != nil {
