@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSSEFrame -fuzztime=$(FUZZ_TIME) ./internal/obs/stream
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCapture -fuzztime=$(FUZZ_TIME) ./internal/obs/forensic
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeProfile -fuzztime=$(FUZZ_TIME) ./internal/obs/profile
+	$(GO) test -run='^$$' -fuzz=FuzzFrequencies -fuzztime=$(FUZZ_TIME) ./internal/dsp/music
 
 # dist-smoke is the distributed-execution gate: an in-process
 # coordinator plus two pull workers shard a 64-job campaign over the

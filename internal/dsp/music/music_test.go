@@ -3,7 +3,9 @@ package music
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"safesense/internal/noise"
 )
@@ -115,15 +117,32 @@ func TestCovarianceProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.IsHermitian(1e-10) {
+	if !isHermitian(r, 6, 1e-10) {
 		t.Fatal("covariance not Hermitian")
 	}
 	// Diagonal ~ signal power.
 	for i := 0; i < 6; i++ {
-		d := real(r.At(i, i))
+		d := real(r[i*6+i])
 		if d < 0.5 || d > 1.6 {
 			t.Fatalf("diagonal %d = %v, want ~1", i, d)
 		}
+	}
+}
+
+func TestCovarianceHermitianProperty(t *testing.T) {
+	// Forward–backward averaging keeps any sample covariance Hermitian.
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := 2 + rng.Intn(8)
+		x := make([]complex128, m+rng.Intn(40))
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		r, err := Covariance(x, m)
+		return err == nil && isHermitian(r, m, 1e-10)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -30,7 +30,6 @@ var FloatCmp = &Analyzer{
 	Paths: []string{
 		"internal/mat",
 		"internal/dsp",
-		"internal/poly",
 		"internal/stats",
 	},
 	Run: runFloatCmp,

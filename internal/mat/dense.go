@@ -2,11 +2,9 @@
 // the safesense estimators, controllers, and plant models.
 //
 // It is deliberately minimal: row-major dense matrices, the LU
-// factorization behind the Kalman and LQR inverses, and a symmetric
-// Jacobi eigendecomposition that internal/cmat builds on for the
-// Hermitian eigenproblem inside root-MUSIC. All dimensions in this project are tiny
-// (covariance matrices of order <= 64), so clarity wins over blocking or
-// SIMD tricks.
+// factorization behind the Kalman and LQR inverses, and the spectral-radius
+// stability check. All dimensions in this project are tiny, so clarity
+// wins over blocking or SIMD tricks.
 package mat
 
 import (
