@@ -152,24 +152,20 @@ func (e *segmentError) Error() string { return "radar: " + e.segment + "-segment
 
 func (e *segmentError) Unwrap() error { return e.err }
 
+// musicOrder is the covariance order root-MUSIC runs at.
+const musicOrder = 12
+
 // MUSICExtractor estimates each segment's beat frequency with root-MUSIC,
 // the paper's choice ("The root MUSIC algorithm is used to extract beat
-// frequencies from radar data").
-type MUSICExtractor struct {
-	// Order is the covariance order (default 12).
-	Order int
-}
+// frequencies from radar data"), at covariance order 12.
+type MUSICExtractor struct{}
 
 // Name implements BeatExtractor.
 func (MUSICExtractor) Name() string { return "root-music" }
 
 // Extract implements BeatExtractor.
-func (m MUSICExtractor) Extract(s Sweep) (float64, float64, error) {
-	order := m.Order
-	if order == 0 {
-		order = 12
-	}
-	est, err := music.New(music.Config{Order: order, NumSignals: 1})
+func (MUSICExtractor) Extract(s Sweep) (float64, float64, error) {
+	est, err := music.New(music.Config{Order: musicOrder, NumSignals: 1})
 	if err != nil {
 		return 0, 0, err
 	}
