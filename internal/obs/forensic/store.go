@@ -184,8 +184,20 @@ func (s *Store) replaySegments() error {
 					corrupt++
 					continue
 				}
+				if e := s.entries[hash]; e != nil {
+					// A second copy of a resident capture (an interrupted
+					// compaction, or a segment whose removal failed): its
+					// line is dead on disk; the later copy is the more
+					// recent, as a re-Put would make it.
+					s.nextSeq++
+					e.seq = s.nextSeq
+					s.deadBytes += int64(len(line) + 1)
+					continue
+				}
 				s.insertLocked(hash, *rec.Capture, int64(len(line)+1))
 			case opEvict:
+				// The tombstone's own line is dead, as in evictLocked.
+				s.deadBytes += int64(len(line) + 1)
 				if e := s.entries[rec.Hash]; e != nil {
 					s.liveBytes -= e.bytes
 					s.deadBytes += e.bytes

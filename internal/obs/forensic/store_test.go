@@ -2,6 +2,7 @@ package forensic
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -145,6 +146,45 @@ func TestStorePersistenceAcrossReopen(t *testing.T) {
 	putCapture(t, s2, testCapture(1), false)
 }
 
+// TestStoreReplayDuplicatePut: a put present in two segments (kept on
+// purpose by an interrupted compaction, or left by a failed removal)
+// replays as one resident capture counted once.
+func TestStoreReplayDuplicatePut(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	h := putCapture(t, s, testCapture(1), true)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	seg := filepath.Join(dir, fmt.Sprintf("%s%06d%s", segPrefix, 1, segSuffix))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatalf("reading segment: %v", err)
+	}
+	copySeg := filepath.Join(dir, fmt.Sprintf("%s%06d%s", segPrefix, 7, segSuffix))
+	if err := os.WriteFile(copySeg, data, 0o644); err != nil {
+		t.Fatalf("copying segment: %v", err)
+	}
+
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	if s2.Len() != 1 {
+		t.Fatalf("reopened Len = %d, want 1", s2.Len())
+	}
+	if want := s2.entries[h].bytes; s2.liveBytes != want {
+		t.Fatalf("live bytes = %d, want the one entry's %d", s2.liveBytes, want)
+	}
+	if want := int64(len(data)); s2.deadBytes != want {
+		t.Fatalf("dead bytes = %d, want the duplicate line's %d", s2.deadBytes, want)
+	}
+}
+
 func TestStoreEvictTombstoneSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	probe, _ := json.Marshal(segRecord{Op: opPut, Hash: "x", Capture: func() *Capture { c := testCapture(0); return &c }()})
@@ -159,6 +199,7 @@ func TestStoreEvictTombstoneSurvivesReopen(t *testing.T) {
 	if _, ok := s.Get(evicted); ok {
 		t.Fatal("manual capture should have been evicted in-process")
 	}
+	dead := s.deadBytes
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -173,6 +214,11 @@ func TestStoreEvictTombstoneSurvivesReopen(t *testing.T) {
 	}
 	if _, ok := s2.Get(kept); !ok {
 		t.Error("live capture lost on reopen")
+	}
+	// Replay counts the evicted put and its tombstone line as dead, as
+	// eviction did at runtime.
+	if s2.deadBytes != dead {
+		t.Errorf("replayed dead bytes = %d, want the runtime %d", s2.deadBytes, dead)
 	}
 }
 
