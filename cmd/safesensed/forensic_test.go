@@ -137,7 +137,7 @@ func TestTracesReportDropCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := decodeJSON[map[string]any](t, resp, http.StatusOK)
-	for _, key := range []string{"dropped_roots", "evicted_spans", "total"} {
+	for _, key := range []string{"evicted_spans", "total"} {
 		if _, ok := payload[key]; !ok {
 			t.Errorf("/debug/traces payload missing %q: %v", key, payload)
 		}

@@ -199,10 +199,8 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 		log := s.cfg.Log.With("request_id", id)
 		ctx = context.WithValue(ctx, loggerKey{}, log)
 		r = r.WithContext(ctx)
-		if span.Sampled() {
-			span.SetAttr("method", r.Method)
-			span.SetAttr("route", route)
-		}
+		span.SetAttr("method", r.Method)
+		span.SetAttr("route", route)
 
 		start := time.Now()
 		s.metrics.inFlight.Add(1)
@@ -224,9 +222,7 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 				status = http.StatusOK
 			}
 			elapsed := time.Since(start)
-			if span.Sampled() {
-				span.SetAttrInt("status", int64(status))
-			}
+			span.SetAttrInt("status", int64(status))
 			span.End()
 			s.metrics.requests.With(r.Method, route, statusLabel(status)).Inc()
 			s.metrics.latency.With(r.Method, route).ObserveExemplar(elapsed.Seconds(), id)

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -13,20 +16,17 @@ import (
 	"safesense/internal/obs/profile"
 )
 
-// testCapture fabricates a deterministic pprof capture and stores it.
-func testCapture(t *testing.T, store *profile.Store) profile.Capture {
+// testCapture stores the checked-in CPU capture with its summary.
+func testCapture(t *testing.T, store *profile.Store) (profile.Capture, *profile.Summary) {
 	t.Helper()
-	p := &profile.Profile{
-		SampleType: []profile.ValueType{{Type: "cpu", Unit: "nanoseconds"}},
-		Sample: []profile.Sample{{
-			LocationID: []uint64{1},
-			Value:      []int64{5_000_000},
-			Label:      []profile.Label{{Key: profile.LabelPhase, Str: "beat_extraction"}},
-		}},
-		Location: []profile.Location{{ID: 1, Line: []profile.Line{{FunctionID: 1, Line: 10}}}},
-		Function: []profile.Function{{ID: 1, Name: "radar.MUSICExtractor.Extract"}},
+	raw, err := os.ReadFile(filepath.Join("testdata", "cpu.pprof.gz"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	raw := profile.MarshalGzip(p)
+	p, err := profile.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sum, err := profile.Summarize(p, profile.SummaryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func testCapture(t *testing.T, store *profile.Store) profile.Capture {
 	if !fresh {
 		t.Fatal("fixture capture deduped unexpectedly")
 	}
-	return meta
+	return meta, sum
 }
 
 func TestProfilesEndpointsDisabled(t *testing.T) {
@@ -54,7 +54,7 @@ func TestProfilesEndpointsDisabled(t *testing.T) {
 
 func TestProfilesListAndFetch(t *testing.T) {
 	store := profile.NewStore(profile.StoreOptions{})
-	meta := testCapture(t, store)
+	meta, want := testCapture(t, store)
 	_, ts := newTestServer(t, Config{Profiles: store})
 
 	resp, err := http.Get(ts.URL + "/v1/profiles")
@@ -97,8 +97,9 @@ func TestProfilesListAndFetch(t *testing.T) {
 	if sum.Capture.ID != meta.ID || sum.Summary == nil {
 		t.Fatalf("summary = %+v", sum)
 	}
-	if got := sum.Summary.PhaseShare("beat_extraction"); got != 1 {
-		t.Fatalf("beat_extraction share = %v", got)
+	got, _ := json.Marshal(sum.Summary)
+	if wantJSON, _ := json.Marshal(want); !bytes.Equal(got, wantJSON) {
+		t.Fatalf("served summary = %s, want the capture's own %s", got, wantJSON)
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/profiles/deadbeef/summary")

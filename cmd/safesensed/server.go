@@ -258,7 +258,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds":    time.Since(s.started).Seconds(),
 		"go_version":        runtime.Version(),
 	}
-	if rev := profile.VCSRevision(); rev != "" {
+	if rev := obs.VCSRevision(); rev != "" {
 		resp["vcs_revision"] = rev
 	}
 	obs.WriteJSON(w, http.StatusOK, resp)
@@ -302,7 +302,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"traces":        sums,
 		"total":         total,
-		"dropped_roots": stats.DroppedRoots,
 		"evicted_spans": stats.EvictedSpans,
 	})
 }
@@ -416,9 +415,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, e.ID)
 	s.mu.Unlock()
 
-	if cspan.Sampled() {
-		cspan.SetAttr("campaign_id", e.ID)
-	}
+	cspan.SetAttr("campaign_id", e.ID)
 	s.wg.Add(1)
 	go s.runCampaign(ctx, cspan, e, workers, req.DiscardOutcomes)
 
@@ -477,9 +474,7 @@ func (s *Server) runCampaign(ctx context.Context, cspan *obstrace.Span, e *entry
 	}
 	e.addEvent(lifecycleEvent(now, e.Status, e.Err))
 	streamer.finish()
-	if cspan.Sampled() {
-		cspan.SetAttr("status", e.Status)
-	}
+	cspan.SetAttr("status", e.Status)
 	attrs := []any{
 		"id", e.ID, "status", e.Status, "done", e.Done, "jobs", e.Jobs,
 		"elapsed_seconds", time.Since(e.CreatedAt).Seconds(),

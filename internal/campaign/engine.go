@@ -227,11 +227,9 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Summary, error) {
 
 	ctx, cspan := obstrace.StartSpan(ctx, "campaign.run")
 	defer cspan.End()
-	if cspan.Sampled() {
-		cspan.SetAttr("campaign", spec.Name)
-		cspan.SetAttrInt("jobs", int64(len(jobs)))
-		cspan.SetAttrInt("workers", int64(workers))
-	}
+	cspan.SetAttr("campaign", spec.Name)
+	cspan.SetAttrInt("jobs", int64(len(jobs)))
+	cspan.SetAttrInt("workers", int64(workers))
 
 	metricActiveCampaigns.With().Add(1)
 	defer metricActiveCampaigns.With().Add(-1)

@@ -217,11 +217,9 @@ func (c *Coordinator) Submit(req SubmitRequest, traceID string) (SubmitResponse,
 		createdAt: c.cfg.Clock(),
 		status:    StatusRunning,
 	}
-	if span.Sampled() {
-		span.SetAttr("campaign_id", d.id)
-		span.SetAttrInt("jobs", int64(jobs))
-		span.SetAttrInt("leases", int64(len(d.shards)))
-	}
+	span.SetAttr("campaign_id", d.id)
+	span.SetAttrInt("jobs", int64(jobs))
+	span.SetAttrInt("leases", int64(len(d.shards)))
 	c.campaigns[d.id] = d
 	c.order = append(c.order, d.id)
 	c.checkpointLocked(checkpointRecord{Kind: recordCampaign, Campaign: &CampaignRecord{
@@ -438,9 +436,7 @@ func (c *Coordinator) closeCampaignLocked(d *dcampaign) {
 	}
 	d.summary = sum
 	if d.span != nil {
-		if d.span.Sampled() {
-			d.span.SetAttrInt("done_jobs", int64(d.doneJobs))
-		}
+		d.span.SetAttrInt("done_jobs", int64(d.doneJobs))
 		d.span.End()
 	}
 	metricCampaignsActive.With().Add(-1)

@@ -171,13 +171,11 @@ func (w *Worker) execute(ctx context.Context, lease AcquireResponse) error {
 	}
 	leaseCtx, span := w.cfg.Traces.Root(ctx, "dist.lease", lease.TraceID)
 	defer span.End()
-	if span.Sampled() {
-		span.SetAttr("campaign", lease.Campaign)
-		span.SetAttrInt("shard", int64(lease.Shard))
-		span.SetAttrInt("start", int64(lease.Start))
-		span.SetAttrInt("end", int64(lease.End))
-		span.SetAttr("worker", w.cfg.ID)
-	}
+	span.SetAttr("campaign", lease.Campaign)
+	span.SetAttrInt("shard", int64(lease.Shard))
+	span.SetAttrInt("start", int64(lease.Start))
+	span.SetAttrInt("end", int64(lease.End))
+	span.SetAttr("worker", w.cfg.ID)
 	jobs, err := w.jobsFor(lease)
 	if err != nil {
 		return err

@@ -120,8 +120,8 @@ func (b *builder) registerUnit(u *Unit) {
 				HotPath: docHas(fd, "//safesense:hotpath"),
 			}
 			b.g.Nodes[n.ID] = n
-			if _, taken := b.g.byFunc[obj.FullName()]; !taken {
-				b.g.byFunc[obj.FullName()] = n
+			if _, taken := b.g.byFunc[funcKey(obj)]; !taken {
+				b.g.byFunc[funcKey(obj)] = n
 			}
 			b.registerLiterals(u, n)
 		}
@@ -285,7 +285,7 @@ func (b *builder) resolveIdentRef(u *Unit, n *Node, id *ast.Ident) {
 	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
 		return
 	}
-	if callee := b.g.byFunc[obj.FullName()]; callee != nil {
+	if callee := b.g.byFunc[funcKey(obj)]; callee != nil {
 		b.edge(n, callee, id.Pos(), KindRef)
 	}
 }
@@ -301,14 +301,14 @@ func (b *builder) resolveSelRef(u *Unit, n *Node, sel *ast.SelectorExpr) {
 			return
 		}
 		if m, ok := selinfo.Obj().(*types.Func); ok {
-			if callee := b.g.byFunc[m.FullName()]; callee != nil {
+			if callee := b.g.byFunc[funcKey(m)]; callee != nil {
 				b.edge(n, callee, sel.Pos(), KindRef)
 			}
 		}
 		return
 	}
 	if obj, ok := u.Info.Uses[sel.Sel].(*types.Func); ok {
-		if callee := b.g.byFunc[obj.FullName()]; callee != nil {
+		if callee := b.g.byFunc[funcKey(obj)]; callee != nil {
 			b.edge(n, callee, sel.Pos(), KindRef)
 		}
 	}
@@ -317,7 +317,7 @@ func (b *builder) resolveSelRef(u *Unit, n *Node, sel *ast.SelectorExpr) {
 // staticEdge resolves a concrete callee object to its node (if declared
 // in a loaded unit) and records the edge.
 func (b *builder) staticEdge(n *Node, fn *types.Func, pos token.Pos) {
-	if callee := b.g.byFunc[fn.FullName()]; callee != nil {
+	if callee := b.g.byFunc[funcKey(fn)]; callee != nil {
 		b.edge(n, callee, pos, KindStatic)
 	}
 }
@@ -345,7 +345,7 @@ func (b *builder) interfaceEdges(n *Node, recv types.Type, m string, pos token.P
 		if !covers {
 			continue
 		}
-		if callee := b.g.byFunc[cand.fn.FullName()]; callee != nil {
+		if callee := b.g.byFunc[funcKey(cand.fn)]; callee != nil {
 			b.edge(n, callee, pos, KindInterface)
 		}
 	}

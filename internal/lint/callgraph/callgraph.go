@@ -175,8 +175,13 @@ func (g *Graph) NodeOf(fn *types.Func) *Node {
 	if fn == nil {
 		return nil
 	}
-	return g.byFunc[fn.FullName()]
+	return g.byFunc[funcKey(fn)]
 }
+
+// funcKey is fn's byFunc key: the full name of its generic origin, so a
+// method called on an instantiated type (Store[Capture].Put) resolves to
+// its declaration (Store[V].Put).
+func funcKey(fn *types.Func) string { return fn.Origin().FullName() }
 
 // SortedNodes returns every node ordered by ID — the deterministic
 // iteration order analyzers must use (Nodes is a map).

@@ -58,16 +58,18 @@ var Determinism = &Analyzer{
 		// campaign callbacks): it must never consult a wall clock or
 		// iterate maps into the wire — event order is the publish order.
 		"internal/obs/stream",
-		// The forensic store's dedup hashes and eviction order must be
-		// reproducible across nodes and restarts: recency is a logical
-		// sequence counter (never wall time) and listings sort before
-		// they serialize.
+		// The content-addressed store under the forensic and profile
+		// stores: eviction order must be reproducible across nodes and
+		// restarts, so recency is a logical sequence counter (never wall
+		// time) and listings sort before they serialize.
+		"internal/obs/castore",
+		// Forensic dedup hashes must be reproducible across nodes and
+		// restarts.
 		"internal/obs/forensic",
-		// The pprof decoder/encoder must be a pure function of its input
-		// bytes (summaries are diffed across hosts and the golden-fixture
-		// test byte-compares output), and the continuous profiler's store
-		// orders captures by a logical sequence counter — wall time enters
-		// only through the injected clock seam on the capture stamp.
+		// The pprof decoder must be a pure function of its input bytes
+		// (summaries are diffed across hosts and the golden-fixture test
+		// byte-compares output); wall time enters the profile store only
+		// through the injected clock seam on the capture stamp.
 		"internal/obs/profile",
 	},
 	Run: runDeterminism,

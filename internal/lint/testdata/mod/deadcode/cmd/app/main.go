@@ -8,4 +8,5 @@ import (
 
 func main() {
 	_ = other.Twice(lib.Used())
+	_ = (&lib.Box[int]{}).Get()
 }

@@ -55,3 +55,13 @@ func Unreachable() int { return orphanHelper() } // want "lib.Unreachable is unr
 
 // orphanHelper is called only from dead code.
 func orphanHelper() int { return 7 } // want "lib.orphanHelper is unreachable"
+
+// Box is a generic type whose methods are called only through an
+// instantiation.
+type Box[T any] struct{ v T }
+
+// Get is live through main's call on a Box[int].
+func (b *Box[T]) Get() T { return b.v }
+
+// Set has no caller on any instantiation.
+func (b *Box[T]) Set(v T) { b.v = v } // want "Set is unreachable"

@@ -4,14 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"log/slog"
-	"os"
-	"runtime"
-	"runtime/debug"
-	"sort"
-	"sync"
 	"time"
 
 	"safesense/internal/obs"
+	"safesense/internal/obs/castore"
 )
 
 // clock is the store's injected time source — captures are stamped for
@@ -23,53 +19,6 @@ var clock = time.Now
 // CPU captures are ~100 KiB, so the default keeps on the order of a
 // few hundred windows.
 const DefaultStoreBudgetBytes = 32 << 20
-
-// Host fingerprints the machine a capture was taken on. (Deliberately
-// a local type: internal/perf has an equivalent, but perf imports this
-// package, not the reverse.)
-type Host struct {
-	Hostname   string `json:"hostname,omitempty"`
-	OS         string `json:"os"`
-	Arch       string `json:"arch"`
-	CPUs       int    `json:"cpus"`
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-}
-
-// ReadHost captures the current process's fingerprint.
-func ReadHost() Host {
-	name, _ := os.Hostname()
-	return Host{
-		Hostname:   name,
-		OS:         runtime.GOOS,
-		Arch:       runtime.GOARCH,
-		CPUs:       runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-}
-
-// VCSRevision extracts the commit the binary was built from ("" when
-// unstamped, "-dirty" suffix on a modified tree).
-func VCSRevision() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return ""
-	}
-	var rev, modified string
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			modified = s.Value
-		}
-	}
-	if rev != "" && modified == "true" {
-		rev += "-dirty"
-	}
-	return rev
-}
 
 // Capture is one stored profile: identity, provenance stamps, and the
 // precomputed summary. The raw bytes live only inside the store and are
@@ -83,7 +32,7 @@ type Capture struct {
 	Kind        string    `json:"kind"`
 	CapturedAt  time.Time `json:"captured_at"`
 	VCSRevision string    `json:"vcs_revision,omitempty"`
-	Host        Host      `json:"host"`
+	Host        obs.Host  `json:"host"`
 	Bytes       int       `json:"bytes"`
 	// WindowNanos is how long the capture window was open.
 	WindowNanos int64    `json:"window_nanos,omitempty"`
@@ -101,25 +50,21 @@ type StoreOptions struct {
 	Log *slog.Logger
 }
 
-// storeEntry is one resident capture plus its raw bytes.
-type storeEntry struct {
+// stored is one resident capture plus its raw bytes.
+type stored struct {
 	meta Capture
 	raw  []byte
 }
 
-// Store is a content-addressed, budget-bounded in-memory capture store.
-// Profiles are ephemeral observability data — unlike forensic anomaly
-// evidence they are not persisted; a restart simply starts capturing
-// again. All methods are safe for concurrent use.
+// Store is the memory-only castore instance for profile captures, at
+// one priority tier and budgeted by raw bytes. Profiles are ephemeral
+// observability data — unlike forensic anomaly evidence they are not
+// persisted; a restart simply starts capturing again. All methods are
+// safe for concurrent use.
 type Store struct {
-	opts StoreOptions
-	host Host
+	host obs.Host
 	rev  string
-
-	mu        sync.Mutex
-	entries   map[string]*storeEntry
-	liveBytes int64
-	nextSeq   uint64
+	idx  *castore.Store[stored]
 }
 
 // NewStore builds an empty store.
@@ -127,15 +72,17 @@ func NewStore(opts StoreOptions) *Store {
 	if opts.BudgetBytes <= 0 {
 		opts.BudgetBytes = DefaultStoreBudgetBytes
 	}
-	if opts.Log == nil {
-		opts.Log = slog.New(obs.DiscardHandler{})
-	}
-	return &Store{
-		opts:    opts,
-		host:    ReadHost(),
-		rev:     VCSRevision(),
-		entries: make(map[string]*storeEntry),
-	}
+	// A memory-only store cannot fail to open.
+	idx, _ := castore.Open(castore.Config[stored]{
+		Name:      "profile",
+		Budget:    opts.BudgetBytes,
+		Log:       opts.Log,
+		Size:      func(e stored) int64 { return int64(len(e.raw)) },
+		Evicted:   func(stored) { metricEvictions.With().Inc() },
+		Live:      metricLiveCaptures.With(),
+		LiveBytes: metricLiveBytes.With(),
+	})
+	return &Store{host: obs.ReadHost(), rev: obs.VCSRevision(), idx: idx}
 }
 
 // Put stores one capture, stamping identity (content hash), sequence,
@@ -146,18 +93,10 @@ func NewStore(opts StoreOptions) *Store {
 func (s *Store) Put(raw []byte, kind string, windowNanos int64, sum *Summary) (Capture, bool) {
 	h := sha256.Sum256(raw)
 	id := hex.EncodeToString(h[:])
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e := s.entries[id]; e != nil {
-		s.nextSeq++
-		e.meta.Seq = s.nextSeq
-		return e.meta, false
-	}
-	s.nextSeq++
-	e := &storeEntry{
+	// A memory-only store with a Size function cannot fail a Put.
+	it, fresh, _ := s.idx.Put(id, stored{
 		meta: Capture{
 			ID:          id,
-			Seq:         s.nextSeq,
 			Kind:        kind,
 			CapturedAt:  clock(),
 			VCSRevision: s.rev,
@@ -167,68 +106,40 @@ func (s *Store) Put(raw []byte, kind string, windowNanos int64, sum *Summary) (C
 			Summary:     sum,
 		},
 		raw: raw,
+	})
+	if fresh {
+		metricCaptures.With().Inc()
 	}
-	s.entries[id] = e
-	s.liveBytes += int64(len(raw))
-	metricCaptures.With().Inc()
-	s.evictLocked()
-	s.publishGaugesLocked()
-	return e.meta, true
+	return withSeq(it), fresh
 }
 
-// evictLocked drops captures while the store is over budget, lowest
-// seq (least recently stored or touched) first.
-func (s *Store) evictLocked() {
-	for s.liveBytes > s.opts.BudgetBytes && len(s.entries) > 0 {
-		var victim *storeEntry
-		for _, e := range s.entries {
-			if victim == nil || e.meta.Seq < victim.meta.Seq {
-				victim = e
-			}
-		}
-		delete(s.entries, victim.meta.ID)
-		s.liveBytes -= int64(len(victim.raw))
-		metricEvictions.With().Inc()
-		s.opts.Log.Debug("profile capture evicted",
-			"id", victim.meta.ID, "bytes", len(victim.raw))
-	}
-}
-
-func (s *Store) publishGaugesLocked() {
-	metricLiveCaptures.With().Set(float64(len(s.entries)))
-	metricLiveBytes.With().Set(float64(s.liveBytes))
+// withSeq is an item's capture metadata stamped with its current
+// recency.
+func withSeq(it castore.Item[stored]) Capture {
+	c := it.Value.meta
+	c.Seq = it.Seq
+	return c
 }
 
 // Get returns a capture's metadata and raw bytes by ID, bumping its
 // recency. Callers must treat the raw slice as read-only.
 func (s *Store) Get(id string) (Capture, []byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entries[id]
-	if e == nil {
+	it, ok := s.idx.Get(id)
+	if !ok {
 		return Capture{}, nil, false
 	}
-	s.nextSeq++
-	e.meta.Seq = s.nextSeq
-	return e.meta, e.raw, true
+	return withSeq(it), it.Value.raw, true
 }
 
 // List returns every resident capture's metadata, most recent first.
 func (s *Store) List() []Capture {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Capture, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e.meta)
+	items := s.idx.List(nil)
+	out := make([]Capture, len(items))
+	for i, it := range items {
+		out[i] = withSeq(it)
 	}
-	// Highest seq first; seqs are unique so the order is total.
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq > out[j].Seq })
 	return out
 }
 
 // Len returns the resident capture count.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
+func (s *Store) Len() int { return s.idx.Len() }

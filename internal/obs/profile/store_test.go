@@ -31,8 +31,8 @@ func TestStorePutGetDedup(t *testing.T) {
 	if again.ID != meta.ID || again.Seq <= meta.Seq {
 		t.Fatalf("dedup must refresh recency: %+v vs %+v", again, meta)
 	}
-	if s.Len() != 1 || s.liveBytes != int64(len(raw)) {
-		t.Fatalf("len=%d bytes=%d", s.Len(), s.liveBytes)
+	if live, _ := s.idx.Bytes(); s.Len() != 1 || live != int64(len(raw)) {
+		t.Fatalf("len=%d bytes=%d", s.Len(), live)
 	}
 
 	got, rawBack, ok := s.Get(meta.ID)
@@ -68,8 +68,8 @@ func TestStoreEvictsOldestFirst(t *testing.T) {
 			t.Fatalf("capture %s evicted out of order", id)
 		}
 	}
-	if s.liveBytes > 250 {
-		t.Fatalf("live bytes %d over budget", s.liveBytes)
+	if live, _ := s.idx.Bytes(); live > 250 {
+		t.Fatalf("live bytes %d over budget", live)
 	}
 }
 
@@ -89,8 +89,17 @@ func TestStoreListNewestFirst(t *testing.T) {
 	}
 }
 
-func TestVCSRevisionDoesNotPanic(t *testing.T) {
-	// Test binaries usually carry no VCS stamp; the call must still be
-	// safe and return a plain string.
-	_ = VCSRevision()
+// TestStoreOverBudgetCapture: a capture larger than the whole budget is
+// stored as new and evicted at once, leaving the store empty.
+func TestStoreOverBudgetCapture(t *testing.T) {
+	s := NewStore(StoreOptions{BudgetBytes: 10})
+	if _, fresh := s.Put(make([]byte, 11), "cpu", 0, nil); !fresh {
+		t.Fatal("over-budget capture reported as a dedup hit")
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after an over-budget put, want 0", s.Len())
+	}
+	if got := metricLiveBytes.With().Value(); got != 0 {
+		t.Fatalf("live-bytes gauge = %v, want 0", got)
+	}
 }

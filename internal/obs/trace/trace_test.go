@@ -3,7 +3,6 @@ package trace
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"testing"
 )
 
@@ -134,58 +133,6 @@ func TestRingEvictionAndOrdering(t *testing.T) {
 	}
 }
 
-// everyN keeps the head of every window of n traces: the 1st, the
-// n+1st, ... — classic head sampling, decided before any span ends.
-type everyN struct {
-	n uint64
-	c atomic.Uint64
-}
-
-func (s *everyN) Sample(string) bool { return (s.c.Add(1)-1)%s.n == 0 }
-
-// setSampler installs a head sampler applied to subsequent Root calls.
-func setSampler(st *Store, s Sampler) { st.sampler.Store(&s) }
-
-func TestHeadSampling(t *testing.T) {
-	st := NewStore(16)
-	setSampler(st, &everyN{n: 3})
-	kept := 0
-	for i := 0; i < 9; i++ {
-		_, s := st.Root(context.Background(), "r", "")
-		// Even unsampled roots must keep their trace ID for logging.
-		if s.TraceID() == "" {
-			t.Fatal("unsampled root lost its trace ID")
-		}
-		if s.Sampled() {
-			kept++
-		}
-		s.End()
-	}
-	if kept != 3 {
-		t.Errorf("kept %d of 9 roots at 1-in-3 head sampling, want 3", kept)
-	}
-	// Children inherit the head decision.
-	st2 := NewStore(16)
-	setSampler(st2, &everyN{n: 2})
-	ctx, root := st2.Root(context.Background(), "kept", "")
-	_, child := StartSpan(ctx, "c")
-	if !child.Sampled() {
-		t.Error("child of sampled root must be sampled")
-	}
-	child.End()
-	root.End()
-	ctx, root = st2.Root(context.Background(), "dropped", "")
-	_, child = StartSpan(ctx, "c")
-	if child.Sampled() {
-		t.Error("child of unsampled root must not be sampled")
-	}
-	child.End()
-	root.End()
-	if got := len(st2.Records()); got != 2 {
-		t.Errorf("stored %d spans, want 2 (the sampled root + child only)", got)
-	}
-}
-
 func TestSummaries(t *testing.T) {
 	st := NewStore(16)
 	ctx, root := st.Root(context.Background(), "campaign", "t1")
@@ -232,8 +179,7 @@ func BenchmarkInertSpan(b *testing.B) {
 
 func TestStatsCounters(t *testing.T) {
 	st := NewStore(2)
-	setSampler(st, &everyN{n: 2})
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 3; i++ {
 		_, s := st.Root(context.Background(), "r", "")
 		s.End()
 	}
@@ -244,11 +190,7 @@ func TestStatsCounters(t *testing.T) {
 	if stats.Spans != 2 {
 		t.Errorf("Spans = %d, want 2 (ring full)", stats.Spans)
 	}
-	// 1-in-2 sampling over 6 roots keeps 3 and drops 3; the 3 kept
-	// overflow the 2-slot ring once.
-	if stats.DroppedRoots != 3 {
-		t.Errorf("DroppedRoots = %d, want 3", stats.DroppedRoots)
-	}
+	// 3 roots overflow the 2-slot ring once.
 	if stats.EvictedSpans != 1 {
 		t.Errorf("EvictedSpans = %d, want 1", stats.EvictedSpans)
 	}

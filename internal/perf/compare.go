@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"safesense/internal/obs"
 	"safesense/internal/obs/profile"
 )
 
@@ -49,11 +50,11 @@ type ScenarioDelta struct {
 
 // Report is the full two-run comparison `safesense-perf compare` emits.
 type Report struct {
-	Alpha       float64 `json:"alpha"`
-	OldRevision string  `json:"old_revision,omitempty"`
-	NewRevision string  `json:"new_revision,omitempty"`
-	OldHost     Host    `json:"old_host"`
-	NewHost     Host    `json:"new_host"`
+	Alpha       float64  `json:"alpha"`
+	OldRevision string   `json:"old_revision,omitempty"`
+	NewRevision string   `json:"new_revision,omitempty"`
+	OldHost     obs.Host `json:"old_host"`
+	NewHost     obs.Host `json:"new_host"`
 	// HostMismatch flags comparisons across differing machine shapes:
 	// still rendered, but deltas reflect the hardware as much as the
 	// code.

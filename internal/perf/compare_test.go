@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"safesense/internal/obs"
 )
 
 // mkRun builds a run document with one scenario per entry; each entry's
@@ -13,7 +15,7 @@ func mkRun(rev string, scenarios map[string][]float64) *Run {
 	run := &Run{
 		SchemaVersion: SchemaVersion,
 		VCSRevision:   rev,
-		Host:          ReadHost(),
+		Host:          obs.ReadHost(),
 		Config:        Config{Reps: 8, Warmup: 1, MinRepMillis: 20},
 	}
 	for _, name := range sortedStrings(scenarios) {

@@ -12,43 +12,11 @@
 // cycle: concrete scenarios live in internal/perf/suite.
 package perf
 
-import (
-	"runtime"
-)
+import "safesense/internal/obs"
 
 // SchemaVersion identifies the BENCH_*.json document layout. Bump it on
 // any incompatible change; readers reject versions they do not know.
 const SchemaVersion = 1
-
-// Host fingerprints the machine a run was captured on. Comparisons
-// across different fingerprints are possible but noisy; the formatter
-// flags them.
-type Host struct {
-	OS         string `json:"os"`
-	Arch       string `json:"arch"`
-	CPUs       int    `json:"cpus"`
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-}
-
-// ReadHost captures the current process's host fingerprint.
-func ReadHost() Host {
-	return Host{
-		OS:         runtime.GOOS,
-		Arch:       runtime.GOARCH,
-		CPUs:       runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-}
-
-// Equal reports whether two fingerprints describe the same machine
-// shape (comparisons across differing hosts are flagged by the
-// formatter).
-func (h Host) Equal(o Host) bool {
-	return h.OS == o.OS && h.Arch == o.Arch && h.CPUs == o.CPUs &&
-		h.GoVersion == o.GoVersion && h.GOMAXPROCS == o.GOMAXPROCS
-}
 
 // Config records the runner parameters a document was captured with.
 type Config struct {
@@ -69,11 +37,11 @@ type Config struct {
 // Run is one serialized perf capture: everything `safesense-perf run`
 // writes into a BENCH_<n>.json file.
 type Run struct {
-	SchemaVersion int    `json:"schema_version"`
-	CreatedAt     string `json:"created_at,omitempty"` // RFC 3339, wall clock
-	VCSRevision   string `json:"vcs_revision,omitempty"`
-	Host          Host   `json:"host"`
-	Config        Config `json:"config"`
+	SchemaVersion int      `json:"schema_version"`
+	CreatedAt     string   `json:"created_at,omitempty"` // RFC 3339, wall clock
+	VCSRevision   string   `json:"vcs_revision,omitempty"`
+	Host          obs.Host `json:"host"`
+	Config        Config   `json:"config"`
 
 	Scenarios []ScenarioResult `json:"scenarios"`
 }

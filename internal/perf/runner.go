@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"safesense/internal/obs"
-	"safesense/internal/obs/profile"
 )
 
 // wallClock is the runner's injected time source (the same seam idiom
@@ -186,8 +185,8 @@ func (r *Runner) RunSuite(scenarios []Scenario) (*Run, error) {
 	run := &Run{
 		SchemaVersion: SchemaVersion,
 		CreatedAt:     r.now().UTC().Format(time.RFC3339),
-		VCSRevision:   profile.VCSRevision(),
-		Host:          ReadHost(),
+		VCSRevision:   obs.VCSRevision(),
+		Host:          obs.ReadHost(),
 		Config: Config{
 			Reps:         r.cfg.Reps,
 			Warmup:       r.cfg.Warmup,
