@@ -5,7 +5,7 @@ GO ?= go
 # without letting coverage rot.
 COVER_MIN ?= 78
 
-.PHONY: all build test race race-hot vet fmt-check lint lint-self lint-json fuzz-smoke dist-smoke stream-smoke forensic-smoke profile-smoke bench bench-smoke bench-check bench-capture perf-baseline cover loc check
+.PHONY: all build test race race-hot vet fmt-check lint lint-self lint-json fuzz-smoke dist-smoke stream-smoke forensic-smoke profile-smoke bench bench-smoke bench-check bench-capture perf-baseline servebench-check cover loc check
 
 all: check
 
@@ -111,6 +111,12 @@ bench:
 # level (timings vary, results never do).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# servebench-check vets and tests the served-path benchmark module
+# (servebench/, its own go.mod), which imports campaign, dist, forensic,
+# sim and radar: an API change there fails here, not in the benchmark.
+servebench-check:
+	cd servebench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-check is the statistical regression gate: it measures the
 # registered perf suite fresh and compares it against the committed

@@ -34,34 +34,20 @@ func newHTTPMetrics(reg *obs.Registry) *httpMetrics {
 	}
 }
 
-// routePattern collapses request paths onto the route set so metric label
-// cardinality stays bounded no matter what clients send.
-func routePattern(r *http.Request) string {
-	p := r.URL.Path
-	switch {
-	case p == "/healthz" || p == "/metrics" || p == "/v1/run" || p == "/v1/campaigns" || p == "/debug/traces" || p == "/v1/fleet":
-		return p
-	case p == "/v1/dist/campaigns" || p == "/v1/dist/lease" || p == "/v1/dist/lease/renew" || p == "/v1/dist/lease/progress" || p == "/v1/dist/lease/complete":
-		return p
-	case strings.HasPrefix(p, "/v1/dist/campaigns/") && strings.HasSuffix(p, "/stream"):
-		return "/v1/dist/campaigns/{id}/stream"
-	case strings.HasPrefix(p, "/v1/dist/campaigns/"):
-		return "/v1/dist/campaigns/{id}"
-	case p == "/v1/anomalies":
-		return p
-	case strings.HasPrefix(p, "/v1/anomalies/") && strings.HasSuffix(p, "/replay"):
-		return "/v1/anomalies/{hash}/replay"
-	case strings.HasPrefix(p, "/v1/anomalies/"):
-		return "/v1/anomalies/{hash}"
-	case strings.HasPrefix(p, "/v1/campaigns/") && strings.HasSuffix(p, "/stream"):
-		return "/v1/campaigns/{id}/stream"
-	case strings.HasPrefix(p, "/v1/campaigns/") && strings.HasSuffix(p, "/events"):
-		return "/v1/campaigns/{id}/events"
-	case strings.HasPrefix(p, "/v1/campaigns/"):
-		return "/v1/campaigns/{id}"
-	default:
+// route is a request's metric label: the pattern of the mux route that
+// serves it, method stripped ("GET /v1/campaigns/{id}" becomes
+// "/v1/campaigns/{id}"), or "other" when no route matches. The label
+// set is the route table itself, so its cardinality stays bounded no
+// matter what clients send.
+func (s *Server) route(r *http.Request) string {
+	_, p := s.mux.Handler(r)
+	if _, path, ok := strings.Cut(p, " "); ok {
+		p = path
+	}
+	if p == "" {
 		return "other"
 	}
+	return p
 }
 
 // statusLabel maps an HTTP status code onto the fixed vocabulary used
@@ -191,7 +177,7 @@ func (sr *statusRecorder) Flush() {
 func (s *Server) withObservability(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w}
-		route := routePattern(r)
+		route := s.route(r)
 
 		ctx, span := s.traces.Root(r.Context(), "http "+route, sanitizeRequestID(r.Header.Get(requestIDHeader)))
 		id := span.TraceID()

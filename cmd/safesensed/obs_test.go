@@ -141,6 +141,27 @@ func TestMiddlewareCapturesStatusAndLatency(t *testing.T) {
 	}
 }
 
+// TestRouteLabelFollowsMux: the route label is the serving mux
+// pattern, so every registered route (the profile routes included) gets
+// its own label and an unrouted path collapses to "other".
+func TestRouteLabelFollowsMux(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, Config{Metrics: reg})
+	for _, path := range []string{"/v1/profiles", "/v1/profiles/p1/summary", "/no/such/route"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	m := newHTTPMetrics(reg)
+	for _, route := range []string{"/v1/profiles", "/v1/profiles/{id}/summary", "other"} {
+		if got := m.requests.With("GET", route, "404").Value(); got != 1 {
+			t.Errorf("route %q 404 count = %g, want 1", route, got)
+		}
+	}
+}
+
 func TestMiddlewareRecoversPanics(t *testing.T) {
 	_, ts, reg := panicServer(t)
 	resp, err := http.Get(ts.URL + "/boom")
@@ -159,7 +180,7 @@ func TestMiddlewareRecoversPanics(t *testing.T) {
 	if got := m.panics.Value(); got != 1 {
 		t.Errorf("panics counter = %g, want 1", got)
 	}
-	if got := m.requests.With("GET", "other", "500").Value(); got != 1 {
+	if got := m.requests.With("GET", "/boom", "500").Value(); got != 1 {
 		t.Errorf("500 request count = %g, want 1", got)
 	}
 	if got := m.inFlight.Value(); got != 0 {

@@ -449,13 +449,12 @@ func (s *Server) runCampaign(ctx context.Context, cspan *obstrace.Span, e *entry
 		Workers:         workers,
 		DiscardOutcomes: discard,
 		Log:             s.cfg.Log.With("campaign_id", e.ID),
+		Campaign:        e.ID,
 		Forensic: &campaign.ForensicOptions{
 			Sink:              func(fc forensic.Capture) { _, _, _ = s.cfg.Forensic.Put(fc) },
-			Campaign:          e.ID,
 			LatencyOutlierPct: s.cfg.ForensicLatencyPct,
 		},
 		OnOutcome: streamer.onOutcome,
-		OnStats:   streamer.onStats,
 	})
 	now := time.Now()
 	s.mu.Lock()

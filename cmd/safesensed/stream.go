@@ -13,8 +13,8 @@ import (
 // outcomes into incremental partial snapshots via an Accumulator,
 // records each job's incidents once — into the audit log and onto the
 // stream — as the job completes, and mirrors the engine's Stats into
-// the stored entry and throttled progress frames. All callbacks run
-// inside the engine's serialized progress section, so the counters need
+// the stored entry and throttled progress frames. Its hook runs inside
+// the engine's serialized progress section, so the accumulator needs
 // no extra locking; publishing never blocks by the hub's contract.
 type campaignStreamer struct {
 	s   *Server
@@ -26,10 +26,6 @@ type campaignStreamer struct {
 	// always fire on the final job.
 	progressEvery int
 	partialEvery  int
-
-	done int
-	rps  float64
-	eta  float64
 }
 
 // newCampaignStreamer sizes the throttles for the entry's grid.
@@ -41,21 +37,28 @@ func newCampaignStreamer(s *Server, e *entry) *campaignStreamer {
 	}
 }
 
-// onOutcome is the engine's OnOutcome hook (serialized with onStats).
-func (cs *campaignStreamer) onOutcome(o campaign.Outcome) {
+// onOutcome is the engine's OnOutcome hook: fold the outcome, record
+// its incidents, mirror the Stats into the entry, and publish the
+// throttled progress and partial frames.
+func (cs *campaignStreamer) onOutcome(o campaign.Outcome, st campaign.Stats) {
 	cs.acc.Add(o)
-	cs.done++
 	if incs := campaign.Incidents(o); len(incs) > 0 {
 		cs.recordIncidents(incs)
 	}
-	hub, id := cs.s.cfg.Streams, cs.e.ID
-	if cs.done%cs.progressEvery == 0 || cs.done == cs.e.Jobs {
+	rps, eta := st.RunsPerSec, st.ETA.Seconds()
+	cs.s.mu.Lock()
+	cs.e.Done = st.Done
+	cs.e.RunsPerSec = rps
+	cs.e.ETASeconds = eta
+	cs.s.mu.Unlock()
+	hub, id, done := cs.s.cfg.Streams, cs.e.ID, st.Done
+	if done%cs.progressEvery == 0 || done == cs.e.Jobs {
 		hub.PublishJSON(id, campaign.StreamProgress, campaign.ProgressFrame{
-			Campaign: id, Status: statusRunning, Jobs: cs.e.Jobs, Done: cs.done,
-			RunsPerSec: cs.rps, ETASeconds: cs.eta,
+			Campaign: id, Status: statusRunning, Jobs: cs.e.Jobs, Done: done,
+			RunsPerSec: rps, ETASeconds: eta,
 		})
 	}
-	if cs.done%cs.partialEvery == 0 || cs.done == cs.e.Jobs {
+	if done%cs.partialEvery == 0 || done == cs.e.Jobs {
 		hub.PublishJSON(id, campaign.StreamPartial, cs.acc.Snapshot())
 	}
 }
@@ -71,18 +74,6 @@ func (cs *campaignStreamer) recordIncidents(incs []campaign.Incident) {
 		cs.e.addEvent(ev)
 		cs.s.cfg.Streams.PublishJSON(cs.e.ID, campaign.StreamFlight, ev)
 	}
-}
-
-// onStats mirrors the engine's throughput estimate into the stored
-// entry and later progress frames (serialized with onOutcome).
-func (cs *campaignStreamer) onStats(st campaign.Stats) {
-	cs.rps = st.RunsPerSec
-	cs.eta = st.ETA.Seconds()
-	cs.s.mu.Lock()
-	cs.e.Done = st.Done
-	cs.e.RunsPerSec = cs.rps
-	cs.e.ETASeconds = cs.eta
-	cs.s.mu.Unlock()
 }
 
 // finish publishes the terminal frame. Callers hold s.mu (publishing

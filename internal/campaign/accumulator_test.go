@@ -124,7 +124,7 @@ func TestOnOutcomeSerializedAndComplete(t *testing.T) {
 	seen := map[int]int{}
 	sum, err := Run(context.Background(), spec, Options{
 		Workers: 4,
-		OnOutcome: func(o Outcome) {
+		OnOutcome: func(o Outcome, _ Stats) {
 			seen[o.Index]++ // unsynchronized on purpose: -race proves serialization
 			acc.Add(o)
 		},
@@ -157,7 +157,7 @@ func TestRunJobsOnOutcome(t *testing.T) {
 	var got []int
 	outcomes, err := RunJobs(context.Background(), jobs, Options{
 		Workers:   2,
-		OnOutcome: func(o Outcome) { got = append(got, o.Index) },
+		OnOutcome: func(o Outcome, _ Stats) { got = append(got, o.Index) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -249,11 +249,8 @@ func TestRunProgressAndOutcomeDiscard(t *testing.T) {
 	sum, err := Run(context.Background(), testSpec(), Options{
 		Workers:         3,
 		DiscardOutcomes: true,
-		OnProgress: func(done, total int) {
-			if total != 8 {
-				t.Errorf("total = %d, want 8", total)
-			}
-			calls = append(calls, done)
+		OnOutcome: func(_ Outcome, st Stats) {
+			calls = append(calls, st.Done)
 		},
 	})
 	if err != nil {

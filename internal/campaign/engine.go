@@ -3,13 +3,13 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
+	"safesense/internal/obs"
 	"safesense/internal/obs/profile"
 	obstrace "safesense/internal/obs/trace"
 	"safesense/internal/sim"
@@ -27,20 +27,14 @@ var wallClock = time.Now
 type Options struct {
 	// Workers bounds the worker pool (<= 0 means GOMAXPROCS).
 	Workers int
-	// OnProgress, when non-nil, is called after every completed job with
-	// (done, total). Calls are serialized; the callback must not block
-	// for long or it throttles the pool.
-	OnProgress func(done, total int)
-	// OnStats, when non-nil, is called after every completed job with
-	// cumulative timing-derived stats (runs/sec, ETA). Same serialization
-	// contract as OnProgress.
-	OnStats func(Stats)
 	// OnOutcome, when non-nil, is called after every completed job with
-	// the job's outcome — the live tap behind streamed progress and
-	// incremental Partial accumulation. Calls are serialized with
-	// OnProgress/OnStats but arrive in completion order, not grid order
-	// (feed an Accumulator, whose snapshots re-sort).
-	OnOutcome func(Outcome)
+	// the job's outcome and the cumulative Stats (done count, runs/sec,
+	// ETA) — the live tap behind streamed progress and incremental
+	// Partial accumulation. Calls are serialized but arrive in
+	// completion order, not grid order (feed an Accumulator, whose
+	// snapshots re-sort); the callback must not block for long or it
+	// throttles the pool.
+	OnOutcome func(Outcome, Stats)
 	// DiscardOutcomes drops the per-job outcome list from the summary,
 	// keeping only the aggregate — for very large campaigns where the
 	// O(jobs) payload is unwanted.
@@ -51,18 +45,15 @@ type Options struct {
 	// forensic.Capture and handed to the sink, concurrently from the
 	// pool workers. See ForensicOptions.
 	Forensic *ForensicOptions
-	// ProfileCampaign labels each job's CPU samples with this campaign
-	// name (pprof "campaign" label) when a profile consumer is active.
-	// Honored by RunJobs — distributed workers pass the lease's campaign
-	// ID — while Run stamps the spec name itself.
-	ProfileCampaign string
+	// Campaign names the campaign: the pprof "campaign" label on each
+	// job's CPU samples (when a profile consumer is active) and the
+	// campaign stamped on forensic captures (metadata only, never
+	// hashed). Run defaults it to the spec name.
+	Campaign string
 	// Log receives the engine's structured records. Every record carries
 	// the job's index and seed, so log lines from concurrent sweeps can
 	// be tied back to a reproducible scenario. Nil discards.
 	Log *slog.Logger
-	// SlowestJobs sets how many of the slowest jobs the summary's table
-	// keeps (zero means DefaultSlowestJobs; negative disables).
-	SlowestJobs int
 }
 
 // DefaultSlowestJobs is the top-K table size of Summary.SlowestJobs.
@@ -133,29 +124,29 @@ type JobTiming struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// topK accumulates the K largest job timings; insert is O(K) which is
-// fine for K = 8 against ~ms jobs.
+// topK accumulates the DefaultSlowestJobs largest job timings; insert
+// is O(K) which is fine for K = 8 against ~ms jobs. A nil table
+// records nothing.
 type topK struct {
 	mu   sync.Mutex
-	k    int
 	rows []JobTiming
 }
 
 func (t *topK) insert(row JobTiming) {
-	if t.k <= 0 {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	i := sort.Search(len(t.rows), func(i int) bool { return t.rows[i].Seconds < row.Seconds })
-	if i >= t.k {
+	if i >= DefaultSlowestJobs {
 		return
 	}
 	t.rows = append(t.rows, JobTiming{})
 	copy(t.rows[i+1:], t.rows[i:])
 	t.rows[i] = row
-	if len(t.rows) > t.k {
-		t.rows = t.rows[:t.k]
+	if len(t.rows) > DefaultSlowestJobs {
+		t.rows = t.rows[:DefaultSlowestJobs]
 	}
 }
 
@@ -208,22 +199,15 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opt.Campaign == "" {
+		opt.Campaign = spec.Name
 	}
-	if workers > len(jobs) && len(jobs) > 0 {
-		workers = len(jobs)
+	if f := opt.Forensic; f != nil && f.Sink != nil && f.SpecHash == "" {
+		fo := *f
+		fo.SpecHash = spec.Hash()
+		opt.Forensic = &fo
 	}
-	logger := opt.Log
-	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	slowK := opt.SlowestJobs
-	if slowK == 0 {
-		slowK = DefaultSlowestJobs
-	}
-	slowest := &topK{k: slowK}
+	workers := poolSize(opt.Workers, len(jobs))
 
 	ctx, cspan := obstrace.StartSpan(ctx, "campaign.run")
 	defer cspan.End()
@@ -235,38 +219,8 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Summary, error) {
 	defer metricActiveCampaigns.With().Add(-1)
 
 	start := wallClock()
-
-	var progressMu sync.Mutex
-	done := 0
-	report := func(o Outcome) {
-		if opt.OnProgress == nil && opt.OnStats == nil && opt.OnOutcome == nil {
-			return
-		}
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		done++
-		if opt.OnOutcome != nil {
-			opt.OnOutcome(o)
-		}
-		if opt.OnProgress != nil {
-			opt.OnProgress(done, len(jobs))
-		}
-		if opt.OnStats != nil {
-			opt.OnStats(statsAt(done, len(jobs), wallClock().Sub(start)))
-		}
-	}
-
-	capt := newRunCapturer(opt, spec)
-	outcomes, err := runPool(ctx, jobs, workers, logger, spec.Name, func(o Outcome, j Job, res *sim.Result, jobTime time.Duration) {
-		slowest.insert(JobTiming{
-			Index: o.Index, Seed: o.Point.Seed,
-			Label: o.Label, Seconds: jobTime.Seconds(),
-		})
-		if capt != nil {
-			capt.observe(j, res, jobTime)
-		}
-		report(o)
-	})
+	slowest := &topK{}
+	outcomes, err := runJobs(ctx, jobs, workers, opt, slowest)
 	if err != nil {
 		return nil, err
 	}
@@ -293,63 +247,53 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Summary, error) {
 // contiguous shard of a larger grid — on a bounded worker pool,
 // returning the outcomes in job-list order. The jobs keep their global
 // grid indices (Outcome.Index is Job.Index, not the list position), so
-// a shard's outcomes slot directly into the full-grid statistics.
-// Options are honored for Workers, Log, OnProgress, and OnOutcome;
-// summary-level options (DiscardOutcomes, OnStats, SlowestJobs) do not
-// apply.
+// a shard's outcomes slot directly into the full-grid statistics, and
+// OnOutcome's Stats count the list's own jobs. Every option but the
+// summary-only DiscardOutcomes applies; the engine sees only the job
+// list, so Campaign and Forensic.SpecHash are the caller's to set.
 func RunJobs(ctx context.Context, jobs []Job, opt Options) ([]Outcome, error) {
-	workers := opt.Workers
+	return runJobs(ctx, jobs, poolSize(opt.Workers, len(jobs)), opt, nil)
+}
+
+// poolSize resolves the worker count for n jobs: GOMAXPROCS when
+// unset, never more workers than jobs.
+func poolSize(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) && len(jobs) > 0 {
-		workers = len(jobs)
+	if workers > n && n > 0 {
+		workers = n
 	}
+	return workers
+}
+
+// runJobs is the one execution path behind Run (a full expanded grid)
+// and RunJobs (an arbitrary job sublist). Outcomes are written by list
+// position, so the result order always matches the input order; a
+// failing job cancels the pool and surfaces the first error. After
+// every successful job it records the timing in slowest (nil skips
+// that), hands the result to the forensic capturer, then reports the
+// outcome to opt.OnOutcome under one lock, in that order. The engine
+// retains no sim result past that point.
+func runJobs(ctx context.Context, jobs []Job, workers int, opt Options, slowest *topK) ([]Outcome, error) {
 	logger := opt.Log
 	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		logger = slog.New(obs.DiscardHandler{})
 	}
+	capt := newCapturer(opt)
 	var report func(Outcome)
-	if opt.OnProgress != nil || opt.OnOutcome != nil {
+	if opt.OnOutcome != nil {
 		var mu sync.Mutex
 		done := 0
+		start := wallClock()
 		report = func(o Outcome) {
 			mu.Lock()
 			defer mu.Unlock()
 			done++
-			if opt.OnOutcome != nil {
-				opt.OnOutcome(o)
-			}
-			if opt.OnProgress != nil {
-				opt.OnProgress(done, len(jobs))
-			}
+			opt.OnOutcome(o, statsAt(done, len(jobs), wallClock().Sub(start)))
 		}
 	}
-	capt := newJobsCapturer(opt)
-	var onDone func(Outcome, Job, *sim.Result, time.Duration)
-	if report != nil || capt != nil {
-		onDone = func(o Outcome, j Job, res *sim.Result, jobTime time.Duration) {
-			if capt != nil {
-				capt.observe(j, res, jobTime)
-			}
-			if report != nil {
-				report(o)
-			}
-		}
-	}
-	return runPool(ctx, jobs, workers, logger, opt.ProfileCampaign, onDone)
-}
 
-// runPool is the one worker-pool implementation behind both Run (a full
-// expanded grid) and RunJobs (an arbitrary job sublist). Outcomes are
-// written by list position, so the result order always matches the input
-// order; a failing job cancels the pool and surfaces the first error.
-// onDone, when non-nil, is called concurrently after every successful job
-// with the outcome, the job, the full sim result (valid only for the
-// duration of the call's use — the engine itself retains nothing), and
-// the job's wall time. campaignName labels each job's CPU samples
-// (pprof campaign/job labels) when a profile consumer is active.
-func runPool(ctx context.Context, jobs []Job, workers int, logger *slog.Logger, campaignName string, onDone func(Outcome, Job, *sim.Result, time.Duration)) ([]Outcome, error) {
 	type feedItem struct {
 		pos int
 		job Job
@@ -390,7 +334,7 @@ func runPool(ctx context.Context, jobs []Job, workers int, logger *slog.Logger, 
 					if profile.Enabled() {
 						// Tag the job's CPU samples; the sim's own phase
 						// labels merge on top inside RunContext.
-						profile.DoJob(jobCtx, campaignName, j.Index, func(c context.Context) {
+						profile.DoJob(jobCtx, opt.Campaign, j.Index, func(c context.Context) {
 							res, err = sim.RunContext(c, s)
 						})
 					} else {
@@ -408,8 +352,15 @@ func runPool(ctx context.Context, jobs []Job, workers int, logger *slog.Logger, 
 						logger.Debug("campaign job done",
 							"job", j.Index, "seed", j.Point.Seed,
 							"duration_ms", float64(jobTime.Nanoseconds())/1e6)
-						if onDone != nil {
-							onDone(outcomes[it.pos], j, res, jobTime)
+						slowest.insert(JobTiming{
+							Index: j.Index, Seed: j.Point.Seed,
+							Label: outcomes[it.pos].Label, Seconds: jobTime.Seconds(),
+						})
+						if capt != nil {
+							capt.observe(j, res, jobTime)
+						}
+						if report != nil {
+							report(outcomes[it.pos])
 						}
 						continue
 					}

@@ -40,9 +40,6 @@ type ForensicOptions struct {
 	// Sink receives each capture; it must be safe for concurrent use —
 	// pool workers call it directly. Nil disables capture.
 	Sink func(forensic.Capture)
-	// Campaign labels captures with the submitting store's campaign ID
-	// (metadata only, never hashed).
-	Campaign string
 	// SpecHash identifies the sweep; Run fills it from the spec when
 	// empty. RunJobs callers (dist workers) must set it themselves —
 	// the engine only sees the job sublist.
@@ -67,40 +64,21 @@ const minLatencySamples = 32
 
 // capturer applies ForensicOptions to completed jobs.
 type capturer struct {
-	o ForensicOptions
+	o        ForensicOptions
+	campaign string
 
 	mu  sync.Mutex
 	lat []float64 // ring of recent job wall times (seconds)
 	n   int       // total observed
 }
 
-func newCapturer(o ForensicOptions) *capturer {
-	return &capturer{o: o, lat: make([]float64, 0, latencyWindow)}
-}
-
-// newRunCapturer builds Run's capturer, defaulting the spec hash and
-// campaign label from the spec itself. Nil when capture is disabled.
-func newRunCapturer(opt Options, spec Spec) *capturer {
+// newCapturer builds the capturer of one execution, stamping captures
+// with opt.Campaign. Nil when capture is disabled.
+func newCapturer(opt Options) *capturer {
 	if opt.Forensic == nil || opt.Forensic.Sink == nil {
 		return nil
 	}
-	o := *opt.Forensic
-	if o.SpecHash == "" {
-		o.SpecHash = spec.Hash()
-	}
-	if o.Campaign == "" {
-		o.Campaign = spec.Name
-	}
-	return newCapturer(o)
-}
-
-// newJobsCapturer builds RunJobs's capturer. Callers (dist workers) set
-// SpecHash/Campaign themselves — the engine only sees the job sublist.
-func newJobsCapturer(opt Options) *capturer {
-	if opt.Forensic == nil || opt.Forensic.Sink == nil {
-		return nil
-	}
-	return newCapturer(*opt.Forensic)
+	return &capturer{o: *opt.Forensic, campaign: opt.Campaign, lat: make([]float64, 0, latencyWindow)}
 }
 
 // latencyOutlier records one job's wall time and reports whether it
@@ -136,10 +114,10 @@ func (c *capturer) observe(j Job, res *sim.Result, jobTime time.Duration) {
 	if c.latencyOutlier(jobTime) {
 		kinds = append(kinds, forensic.KindLatencyOutlier)
 	}
-	if len(kinds) == 0 || c.o.Sink == nil {
+	if len(kinds) == 0 {
 		return
 	}
-	fc, err := CaptureOf(c.o.Campaign, c.o.SpecHash, j, res, kinds)
+	fc, err := CaptureOf(c.campaign, c.o.SpecHash, j, res, kinds)
 	if err != nil {
 		return
 	}

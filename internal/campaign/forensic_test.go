@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -81,8 +82,73 @@ func TestRunCapturesAnomalies(t *testing.T) {
 	}
 }
 
+// TestRunJobsCapturesMatchRun runs the full grid of a collision-bearing
+// spec through both entry points: RunJobs, given the campaign and spec
+// hash Run defaults from the spec, must give the same outcomes, capture
+// hashes and campaign labels, and its Stats must count the jobs 1..n.
+func TestRunJobsCapturesMatchRun(t *testing.T) {
+	spec := undefendedDoSSpec()
+	spec.Onsets = []int{120, 150}
+	spec.Replicates = 3
+	var mu sync.Mutex
+	collect := func(dst *[]string) func(forensic.Capture) {
+		return func(c forensic.Capture) {
+			h, err := c.Hash()
+			if err != nil {
+				t.Errorf("capture hash: %v", err)
+				return
+			}
+			mu.Lock()
+			*dst = append(*dst, h+" "+c.Campaign)
+			mu.Unlock()
+		}
+	}
+	var runCaps, jobsCaps []string
+	sum, err := Run(context.Background(), spec, Options{
+		Workers:  3,
+		Forensic: &ForensicOptions{Sink: collect(&runCaps)},
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if sum.Aggregate.Collisions == 0 {
+		t.Fatal("spec produced no collisions; the comparison needs captures")
+	}
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done []int
+	outcomes, err := RunJobs(context.Background(), jobs, Options{
+		Workers:   3,
+		Campaign:  spec.Name,
+		Forensic:  &ForensicOptions{Sink: collect(&jobsCaps), SpecHash: spec.Hash()},
+		OnOutcome: func(_ Outcome, st Stats) { done = append(done, st.Done) },
+	})
+	if err != nil {
+		t.Fatalf("RunJobs: %v", err)
+	}
+	if got, want := mustJSON(t, outcomes), mustJSON(t, sum.Outcomes); string(got) != string(want) {
+		t.Fatalf("RunJobs outcomes diverge from Run\n got: %s\nwant: %s", got, want)
+	}
+	slices.Sort(runCaps)
+	slices.Sort(jobsCaps)
+	if len(runCaps) == 0 || !slices.Equal(runCaps, jobsCaps) {
+		t.Fatalf("captures (hash campaign) differ\n Run:     %v\n RunJobs: %v", runCaps, jobsCaps)
+	}
+	for i, d := range done {
+		if d != i+1 {
+			t.Fatalf("RunJobs Stats.Done sequence %v, want 1..%d", done, len(jobs))
+		}
+	}
+	if len(done) != len(jobs) {
+		t.Fatalf("RunJobs delivered %d Stats for %d jobs", len(done), len(jobs))
+	}
+}
+
 func TestLatencyOutlierWindow(t *testing.T) {
-	c := newCapturer(ForensicOptions{LatencyOutlierPct: 90})
+	sink := func(forensic.Capture) {}
+	c := newCapturer(Options{Forensic: &ForensicOptions{Sink: sink, LatencyOutlierPct: 90}})
 	// Warmup: nothing is an outlier before minLatencySamples.
 	for i := 0; i < minLatencySamples; i++ {
 		if c.latencyOutlier(time.Hour) {
@@ -99,7 +165,7 @@ func TestLatencyOutlierWindow(t *testing.T) {
 	}
 
 	// Disabled percentile never captures.
-	off := newCapturer(ForensicOptions{})
+	off := newCapturer(Options{Forensic: &ForensicOptions{Sink: sink}})
 	for i := 0; i < minLatencySamples+1; i++ {
 		if off.latencyOutlier(time.Duration(i) * time.Second) {
 			t.Fatal("outlier flagged with latency capture disabled")

@@ -31,15 +31,13 @@ var (
 		"Campaign sweeps currently executing.")
 )
 
-// Stats is a cumulative progress-with-timing report delivered to
-// Options.OnStats after every completed job. RunsPerSec and ETA are
-// derived from the sweep's own clock, so pollers (the safesensed status
+// Stats is the cumulative progress-with-timing report delivered with
+// every outcome to Options.OnOutcome. RunsPerSec and ETA are derived
+// from the sweep's own clock, so pollers (the safesensed status
 // endpoint) don't have to re-derive them.
 type Stats struct {
-	// Done and Total count completed vs expanded jobs.
-	Done, Total int
-	// Elapsed is the wall time since the sweep started.
-	Elapsed time.Duration
+	// Done counts completed jobs.
+	Done int
 	// RunsPerSec is the mean completion rate so far (0 until measurable).
 	RunsPerSec float64
 	// ETA estimates the remaining wall time at the current rate (0 until
@@ -50,7 +48,7 @@ type Stats struct {
 // statsAt derives the cumulative Stats for done jobs out of total after
 // elapsed wall time.
 func statsAt(done, total int, elapsed time.Duration) Stats {
-	st := Stats{Done: done, Total: total, Elapsed: elapsed}
+	st := Stats{Done: done}
 	if elapsed > 0 && done > 0 {
 		st.RunsPerSec = float64(done) / elapsed.Seconds()
 		st.ETA = time.Duration(float64(total-done) / st.RunsPerSec * float64(time.Second))

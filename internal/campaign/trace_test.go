@@ -97,14 +97,17 @@ func TestUntracedContextStaysInert(t *testing.T) {
 // TestSlowestJobsTable checks the top-K table: bounded, sorted
 // descending, rows identify real jobs by index and seed.
 func TestSlowestJobsTable(t *testing.T) {
-	spec := testSpec() // 8 jobs
-	sum, err := Run(context.Background(), spec, Options{Workers: 4, SlowestJobs: 3})
+	spec := Spec{Steps: 50, Onsets: []int{10}, Replicates: 12}
+	sum, err := Run(context.Background(), spec, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sum.Aggregate.Jobs <= DefaultSlowestJobs {
+		t.Fatalf("spec has %d jobs; the bound needs more than %d", sum.Aggregate.Jobs, DefaultSlowestJobs)
+	}
 	rows := sum.SlowestJobs
-	if len(rows) != 3 {
-		t.Fatalf("got %d slowest-job rows, want 3", len(rows))
+	if len(rows) != DefaultSlowestJobs {
+		t.Fatalf("got %d slowest-job rows, want %d", len(rows), DefaultSlowestJobs)
 	}
 	seeds := map[int64]string{}
 	for _, o := range sum.Outcomes {
@@ -120,15 +123,6 @@ func TestSlowestJobsTable(t *testing.T) {
 		if r.Index < 0 || r.Index >= len(sum.Outcomes) {
 			t.Errorf("row %d index %d out of range", i, r.Index)
 		}
-	}
-
-	// Negative K disables the table entirely.
-	sum, err = Run(context.Background(), spec, Options{Workers: 2, SlowestJobs: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.SlowestJobs != nil {
-		t.Errorf("SlowestJobs = %v with K disabled, want nil", sum.SlowestJobs)
 	}
 }
 

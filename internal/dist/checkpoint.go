@@ -185,7 +185,6 @@ func (c *Coordinator) restoreLeaseLocked(rec *LeaseRecord) error {
 		return err
 	}
 	sh.completed = true
-	sh.partial = rec.Partial
 	d.doneShards++
 	d.doneJobs += rec.Partial.Jobs
 	d.merged = d.merged.Merge(rec.Partial)

@@ -92,7 +92,6 @@ type shard struct {
 	start, end int // [start, end)
 
 	completed bool
-	partial   campaign.Partial
 
 	// holder state; meaningful only while !completed.
 	worker  string
@@ -379,7 +378,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	}
 
 	sh.completed = true
-	sh.partial = req.Partial
 	sh.worker = req.WorkerID // completed-by, for the lease event below
 	sh.liveDone = 0
 	sh.livePartial = campaign.Partial{}

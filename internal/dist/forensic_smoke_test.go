@@ -1,13 +1,7 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -49,89 +43,25 @@ func TestForensicSmoke(t *testing.T) {
 	defer fstore.Close()
 	coordTraces := obstrace.NewStore(4096)
 
-	coord := NewCoordinator(Config{
+	c := newCluster(t, Config{
 		LeaseJobs: 2,
 		LeaseTTL:  time.Minute,
 		Clock:     newFakeClock().Now,
 		Traces:    coordTraces,
 		Forensic:  fstore,
 	})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
 	spec := forensicSmokeSpec()
-	submit := func() Status {
-		t.Helper()
-		body, err := json.Marshal(SubmitRequest{Spec: spec})
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		res, err := http.Post(srv.URL+"/v1/dist/campaigns", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-		var sub SubmitResponse
-		err = json.NewDecoder(res.Body).Decode(&sub)
-		res.Body.Close()
-		if err != nil {
-			t.Fatalf("decode submit: %v", err)
-		}
-		var st Status
-		for poll := 0; ; poll++ {
-			res, err := http.Get(srv.URL + "/v1/dist/campaigns/" + sub.ID)
-			if err != nil {
-				t.Fatalf("status: %v", err)
-			}
-			err = json.NewDecoder(res.Body).Decode(&st)
-			res.Body.Close()
-			if err != nil {
-				t.Fatalf("decode status: %v", err)
-			}
-			if st.Status == StatusDone {
-				return st
-			}
-			if poll > 24000 {
-				t.Fatalf("campaign did not finish: %+v", st)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+	submit := func() Status { return c.wait(c.submit(spec).ID, nil) }
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		w, err := NewWorker(WorkerConfig{
-			Coordinator:  srv.URL,
-			ID:           fmt.Sprintf("forensic%d", i),
-			Jobs:         2,
-			PollInterval: 5 * time.Millisecond,
-			Traces:       obstrace.NewStore(4096), // worker-local; spans only reach coordTraces via stitching
-		})
-		if err != nil {
-			t.Fatalf("NewWorker: %v", err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run(ctx)
-		}()
-	}
+	// Each worker keeps its own span store, so lease spans reach
+	// coordTraces only via stitching.
+	c.startWorkers(2, WorkerConfig{ID: "forensic", Jobs: 2, PollInterval: 5 * time.Millisecond})
 
 	st := submit()
 
 	// The distributed aggregate must stay byte-identical to the
 	// single-node oracle: captures and spans are sidecars, never inputs.
-	if st.Summary == nil {
-		t.Fatal("done campaign has no summary")
-	}
-	got, err := json.Marshal(st.Summary.Aggregate)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if want := oracleAggregate(t, spec); !bytes.Equal(got, want) {
-		t.Fatalf("distributed aggregate diverges from single-node oracle\n got: %s\nwant: %s", got, want)
-	}
+	requireOracle(t, st, spec)
 	if st.Summary.Aggregate.Collisions == 0 {
 		t.Fatal("undefended DoS sweep produced no collisions; the smoke needs them")
 	}
@@ -204,8 +134,7 @@ func TestForensicSmoke(t *testing.T) {
 		t.Errorf("store grew %d -> %d on a resubmitted sweep", before, after)
 	}
 
-	cancel()
-	wg.Wait()
+	c.stop()
 	t.Logf("forensic smoke: %d captures (%d collisions) for %s, replay identical, resubmission deduped",
 		st.Captures, len(collisions), st.ID)
 }

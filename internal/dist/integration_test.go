@@ -2,23 +2,11 @@ package dist
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 )
-
-// Handler returns a standalone mux with the coordinator routes — what
-// the in-process integration tests serve over httptest.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	c.Register(mux)
-	return mux
-}
 
 // TestMultiWorkerCampaign is the end-to-end distributed oracle: an
 // in-process coordinator behind httptest, three pull workers, one of
@@ -28,118 +16,41 @@ func (c *Coordinator) Handler() http.Handler {
 // coordinator's lock discipline against concurrent workers.
 func TestMultiWorkerCampaign(t *testing.T) {
 	clock := newFakeClock()
-	coord := NewCoordinator(Config{
+	c := newCluster(t, Config{
 		LeaseJobs: 4,
 		LeaseTTL:  time.Second,
 		Clock:     clock.Now,
 	})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
 
 	spec := testSpec("multi-worker")
 	spec.Replicates = 12 // 60-job grid: enough leases for three workers to overlap
 
-	body, err := json.Marshal(SubmitRequest{Spec: spec})
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	res, err := http.Post(srv.URL+"/v1/dist/campaigns", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	var sub SubmitResponse
-	if err := json.NewDecoder(res.Body).Decode(&sub); err != nil {
-		t.Fatalf("decode submit: %v", err)
-	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d", res.StatusCode)
-	}
+	sub := c.submit(spec)
 	if sub.Jobs < 40 || sub.Leases < 10 {
 		t.Fatalf("grid too small to shard meaningfully: %d jobs / %d leases", sub.Jobs, sub.Leases)
 	}
 
-	ctx, cancelAll := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancelAll()
-	victimCtx, killVictim := context.WithCancel(ctx)
-	defer killVictim()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		w, err := NewWorker(WorkerConfig{
-			Coordinator:  srv.URL,
-			ID:           fmt.Sprintf("itw%d", i),
-			Jobs:         2,
-			PollInterval: 5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("NewWorker: %v", err)
-		}
-		runCtx := ctx
-		if i == 0 {
-			runCtx = victimCtx
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run(runCtx)
-		}()
-	}
-
-	status := func() Status {
-		t.Helper()
-		res, err := http.Get(srv.URL + "/v1/dist/campaigns/" + sub.ID)
-		if err != nil {
-			t.Fatalf("status: %v", err)
-		}
-		defer res.Body.Close()
-		var st Status
-		if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
-			t.Fatalf("decode status: %v", err)
-		}
-		return st
-	}
+	c.startWorkers(3, WorkerConfig{ID: "itw", Jobs: 2, PollInterval: 5 * time.Millisecond})
 
 	// Kill worker 0 once the campaign is visibly under way but far from
 	// done, then advance the fake clock while polling so its orphaned
-	// lease expires and is re-granted to a survivor. The poll budget
-	// (rather than a wall-clock deadline — the determinism analyzer
-	// covers this package's tests too) bounds the wait at ~2 minutes.
+	// lease expires and is re-granted to a survivor.
 	killed := false
-	var st Status
-	for poll := 0; ; poll++ {
-		st = status()
-		if st.Status == StatusDone {
-			break
-		}
+	st := c.wait(sub.ID, func(st Status) {
 		if !killed && st.DoneLeases >= 1 {
-			killVictim()
+			c.kill(0)
 			killed = true
 		}
 		if killed {
 			clock.Advance(500 * time.Millisecond)
 		}
-		if poll > 24000 {
-			t.Fatalf("campaign did not finish: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	})
 	if !killed {
 		t.Fatal("campaign finished before the victim worker could be killed")
 	}
-	cancelAll()
-	wg.Wait()
+	c.stop()
 
-	if st.Summary == nil {
-		t.Fatal("done campaign has no summary")
-	}
-	got, err := json.Marshal(st.Summary.Aggregate)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if want := oracleAggregate(t, spec); !bytes.Equal(got, want) {
-		t.Fatalf("distributed aggregate diverges from single-node oracle\n got: %s\nwant: %s", got, want)
-	}
+	requireOracle(t, st, spec)
 	if st.DoneJobs != sub.Jobs {
 		t.Fatalf("done jobs = %d, want %d", st.DoneJobs, sub.Jobs)
 	}

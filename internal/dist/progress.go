@@ -33,9 +33,11 @@ func newProgressReporter(w *Worker, lease AcquireResponse) *progressReporter {
 }
 
 // onOutcome is the campaign engine's OnOutcome hook: fold the outcome
-// and queue its notable events. The engine serializes calls, but the
-// posting loop reads concurrently, so the event queue takes the lock.
-func (pr *progressReporter) onOutcome(o campaign.Outcome) {
+// and queue its notable events (the shard's Stats go unused — progress
+// posts carry the accumulator's job count). The engine serializes
+// calls, but the posting loop reads concurrently, so the event queue
+// takes the lock.
+func (pr *progressReporter) onOutcome(o campaign.Outcome, _ campaign.Stats) {
 	pr.acc.Add(o)
 	evs := campaign.Incidents(o)
 	if len(evs) == 0 {

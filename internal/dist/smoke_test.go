@@ -1,13 +1,6 @@
 package dist
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 )
@@ -17,88 +10,27 @@ import (
 // HTTP API; the merged aggregate must be byte-identical to the
 // single-node oracle and both workers must have delivered shards.
 func TestDistSmoke(t *testing.T) {
-	coord := NewCoordinator(Config{
+	c := newCluster(t, Config{
 		LeaseJobs: 8,
 		LeaseTTL:  time.Minute,
 		Clock:     newFakeClock().Now,
 	})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
 
 	spec := testSpec("dist-smoke")
 	spec.Attacks = []string{"dos"}
 	spec.Onsets = []int{10, 20, 30, 40}
 	spec.Replicates = 16 // 4 grid points x 16 seeds = 64 jobs
 
-	body, err := json.Marshal(SubmitRequest{Spec: spec})
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	res, err := http.Post(srv.URL+"/v1/dist/campaigns", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	var sub SubmitResponse
-	if err := json.NewDecoder(res.Body).Decode(&sub); err != nil {
-		t.Fatalf("decode submit: %v", err)
-	}
-	res.Body.Close()
+	sub := c.submit(spec)
 	if sub.Jobs != 64 || sub.Leases != 8 {
 		t.Fatalf("grid shape = %d jobs / %d leases, want 64 / 8", sub.Jobs, sub.Leases)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		w, err := NewWorker(WorkerConfig{
-			Coordinator:  srv.URL,
-			ID:           fmt.Sprintf("smoke%d", i),
-			Jobs:         2,
-			PollInterval: 5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("NewWorker: %v", err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run(ctx)
-		}()
-	}
+	c.startWorkers(2, WorkerConfig{ID: "smoke", Jobs: 2, PollInterval: 5 * time.Millisecond})
+	st := c.wait(sub.ID, nil)
+	c.stop()
 
-	var st Status
-	for poll := 0; ; poll++ {
-		res, err := http.Get(srv.URL + "/v1/dist/campaigns/" + sub.ID)
-		if err != nil {
-			t.Fatalf("status: %v", err)
-		}
-		err = json.NewDecoder(res.Body).Decode(&st)
-		res.Body.Close()
-		if err != nil {
-			t.Fatalf("decode status: %v", err)
-		}
-		if st.Status == StatusDone {
-			break
-		}
-		if poll > 24000 {
-			t.Fatalf("campaign did not finish: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	cancel()
-	wg.Wait()
-
-	if st.Summary == nil {
-		t.Fatal("done campaign has no summary")
-	}
-	got, err := json.Marshal(st.Summary.Aggregate)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if want := oracleAggregate(t, spec); !bytes.Equal(got, want) {
-		t.Fatalf("distributed aggregate diverges from single-node oracle\n got: %s\nwant: %s", got, want)
-	}
+	requireOracle(t, st, spec)
 	delivered := 0
 	for _, w := range st.Workers {
 		if w.LeasesDone > 0 {

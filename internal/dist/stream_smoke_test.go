@@ -2,12 +2,8 @@ package dist
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,37 +19,23 @@ import (
 // transitions before the terminal event — whose embedded aggregate must
 // be byte-identical to the single-node oracle.
 func TestStreamSmoke(t *testing.T) {
-	coord := NewCoordinator(Config{
+	c := newCluster(t, Config{
 		LeaseJobs: 8,
 		LeaseTTL:  time.Minute,
 		Clock:     newFakeClock().Now,
 		Streams:   stream.NewHub(4096),
 	})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
 
 	spec := testSpec("stream-smoke")
 	spec.Attacks = []string{"dos"}
 	spec.Onsets = []int{10, 20, 30, 40}
 	spec.Replicates = 16 // 4 grid points x 16 seeds = 64 jobs
 
-	body, err := json.Marshal(SubmitRequest{Spec: spec})
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	res, err := http.Post(srv.URL+"/v1/dist/campaigns", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	var sub SubmitResponse
-	if err := json.NewDecoder(res.Body).Decode(&sub); err != nil {
-		t.Fatalf("decode submit: %v", err)
-	}
-	res.Body.Close()
+	sub := c.submit(spec)
 
 	// Attach the SSE follower before any worker starts: with full-ring
 	// replay it would catch up anyway, but this proves the live path.
-	sres, err := http.Get(srv.URL + "/v1/dist/campaigns/" + sub.ID + "/stream")
+	sres, err := http.Get(c.url + "/v1/dist/campaigns/" + sub.ID + "/stream")
 	if err != nil {
 		t.Fatalf("GET stream: %v", err)
 	}
@@ -62,26 +44,12 @@ func TestStreamSmoke(t *testing.T) {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		w, err := NewWorker(WorkerConfig{
-			Coordinator:      srv.URL,
-			ID:               fmt.Sprintf("stream%d", i),
-			Jobs:             2,
-			PollInterval:     5 * time.Millisecond,
-			ProgressInterval: 5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("NewWorker: %v", err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run(ctx)
-		}()
-	}
+	c.startWorkers(2, WorkerConfig{
+		ID:               "stream",
+		Jobs:             2,
+		PollInterval:     5 * time.Millisecond,
+		ProgressInterval: 5 * time.Millisecond,
+	})
 
 	var (
 		dec       = stream.NewDecoder(sres.Body)
@@ -128,8 +96,7 @@ func TestStreamSmoke(t *testing.T) {
 			doneFrame = fr.Data
 		}
 	}
-	cancel()
-	wg.Wait()
+	c.stop()
 
 	if progress < 2 || partials < 1 || leases < sub.Leases {
 		t.Fatalf("stream carried %d progress / %d partial / %d lease frames over %d leases",
@@ -148,7 +115,7 @@ func TestStreamSmoke(t *testing.T) {
 	}
 
 	// The fleet view saw both workers deliver.
-	fres, err := http.Get(srv.URL + "/v1/fleet")
+	fres, err := http.Get(c.url + "/v1/fleet")
 	if err != nil {
 		t.Fatalf("GET fleet: %v", err)
 	}

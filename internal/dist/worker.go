@@ -198,12 +198,11 @@ func (w *Worker) execute(ctx context.Context, lease AcquireResponse) error {
 	// copy per incident.
 	collector := &captureCollector{}
 	opts := campaign.Options{
-		Workers:         w.cfg.Jobs,
-		Log:             w.cfg.Log.With("campaign", lease.Campaign, "lease", lease.LeaseID),
-		ProfileCampaign: lease.Campaign,
+		Workers:  w.cfg.Jobs,
+		Log:      w.cfg.Log.With("campaign", lease.Campaign, "lease", lease.LeaseID),
+		Campaign: lease.Campaign,
 		Forensic: &campaign.ForensicOptions{
 			Sink:     collector.add,
-			Campaign: lease.Campaign,
 			SpecHash: lease.Spec.Hash(),
 		},
 	}

@@ -124,10 +124,6 @@ func (p BicycleParams) Discretize(vx, dt float64) (ad, bd *mat.Dense, err error)
 // Model is the discretized lane-keeping plant.
 type Model struct {
 	A, B *mat.Dense
-	// DT is the sample period.
-	DT float64
-	// Vx is the longitudinal speed the model was linearized at.
-	Vx float64
 }
 
 // NewModel discretizes the bicycle parameters at speed vx and period dt.
@@ -136,7 +132,7 @@ func NewModel(p BicycleParams, vx, dt float64) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Model{A: a, B: b, DT: dt, Vx: vx}, nil
+	return &Model{A: a, B: b}, nil
 }
 
 // Step advances the error state one sample under steering angle delta.

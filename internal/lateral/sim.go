@@ -15,7 +15,6 @@ import (
 // error. The same CRA contract as the radar applies: at challenge instants
 // the sensor emits nothing, so receiver energy implies an attacker.
 type Measurement struct {
-	K         int
 	Ey, EPsi  float64
 	Power     float64
 	Challenge bool
@@ -255,10 +254,9 @@ func Run(s Scenario) (*Result, error) {
 
 func observe(s Scenario, k int, x []float64, src *noise.Source) Measurement {
 	if s.Schedule.Challenge(k) {
-		return Measurement{K: k, Challenge: true, Power: s.Sensor.NoiseFloorW}
+		return Measurement{Challenge: true, Power: s.Sensor.NoiseFloorW}
 	}
 	return Measurement{
-		K:     k,
 		Ey:    x[StateEy] + src.Gaussian(0, s.Sensor.EyStd),
 		EPsi:  x[StateEPsi] + src.Gaussian(0, s.Sensor.EPsiStd),
 		Power: s.Sensor.ReturnPowerW,

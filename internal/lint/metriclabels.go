@@ -21,8 +21,9 @@ import (
 // targets the constructors of unboundedness instead: values built by
 // fmt/strconv formatting, error/Stringer rendering, time formatting,
 // or string concatenation are flagged at the call site. Plain
-// variables are trusted — bounding them (as routePattern does for
-// HTTP routes) is the documented contract of the call site.
+// variables are trusted — bounding them (as the safesensed route label,
+// the serving mux pattern, does for HTTP routes) is the documented
+// contract of the call site.
 var MetricLabels = &Analyzer{
 	Name: "metriclabels",
 	Doc:  "require constant label keys and bounded label-value cardinality at obs family call sites",
@@ -144,7 +145,7 @@ func checkWithValues(p *Pass, call *ast.CallExpr) {
 	for _, arg := range call.Args {
 		if desc := unboundedValueExpr(p, arg); desc != "" {
 			p.Reportf(arg.Pos(),
-				"map the value onto a fixed vocabulary first (see routePattern/statusLabel in cmd/safesensed)",
+				"map the value onto a fixed vocabulary first (see Server.route/statusLabel in cmd/safesensed)",
 				"label value built by %s risks unbounded cardinality", desc)
 		}
 	}

@@ -38,7 +38,6 @@ func (s *FixedSchedule) Challenge(k int) bool { return s.set[k] }
 // attacker who does not know the seed — the security property CRA needs.
 type LFSRSchedule struct {
 	bits []int
-	w    int
 }
 
 // NewLFSRSchedule builds a pseudo-random schedule covering steps
@@ -65,7 +64,7 @@ func NewLFSRSchedule(regLen int, seed uint32, w, horizon int) (*LFSRSchedule, er
 		}
 		bits[k] = allZero
 	}
-	return &LFSRSchedule{bits: bits, w: w}, nil
+	return &LFSRSchedule{bits: bits}, nil
 }
 
 // Challenge implements Schedule. Steps beyond the horizon are never
