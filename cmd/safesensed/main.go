@@ -269,6 +269,9 @@ func run(o options) error {
 	if o.maxBodyBytes < 1 {
 		return fmt.Errorf("-max-body-bytes must be >= 1, got %d", o.maxBodyBytes)
 	}
+	if !(o.forensicPct >= 0 && o.forensicPct < 100) {
+		return fmt.Errorf("-forensic-latency-pct must be in [0, 100), got %g", o.forensicPct)
+	}
 	logger, err := newLogger(o.logFormat)
 	if err != nil {
 		return err

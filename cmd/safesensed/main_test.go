@@ -1,0 +1,23 @@
+package main
+
+import (
+	"math"
+	"strings"
+	"testing"
+)
+
+// TestRunRejectsForensicLatencyPct: run refuses a latency percentile
+// outside [0, 100) at startup with an error naming the flag. The
+// unusable listen address makes a run that skipped the check fail on
+// listen instead of serving.
+func TestRunRejectsForensicLatencyPct(t *testing.T) {
+	for _, pct := range []float64{100, 150, -1, math.NaN()} {
+		err := run(options{
+			addr: "127.0.0.1:-1", maxCampaigns: 1, maxJobs: 1, maxBodyBytes: 1,
+			logFormat: "text", forensicPct: pct,
+		})
+		if err == nil || !strings.Contains(err.Error(), "-forensic-latency-pct") {
+			t.Errorf("-forensic-latency-pct %v: err = %v, want an error naming the flag", pct, err)
+		}
+	}
+}

@@ -274,13 +274,20 @@ func poolSize(workers, n int) int {
 // every successful job it records the timing in slowest (nil skips
 // that), hands the result to the forensic capturer, then reports the
 // outcome to opt.OnOutcome under one lock, in that order. The engine
-// retains no sim result past that point.
+// retains no sim result past that point. Jobs run untimed (see
+// sim.WithoutPhaseTiming) unless the capturer captures latency
+// outliers.
 func runJobs(ctx context.Context, jobs []Job, workers int, opt Options, slowest *topK) ([]Outcome, error) {
 	logger := opt.Log
 	if logger == nil {
 		logger = slog.New(obs.DiscardHandler{})
 	}
 	capt := newCapturer(opt)
+	if !capt.capturesLatency() {
+		// Nothing reads a job's phase timing unless a latency capture
+		// may need to explain it; jobTime below times the job itself.
+		ctx = sim.WithoutPhaseTiming(ctx)
+	}
 	var report func(Outcome)
 	if opt.OnOutcome != nil {
 		var mu sync.Mutex

@@ -46,10 +46,13 @@ type ForensicOptions struct {
 	SpecHash string
 	// LatencyOutlierPct (0 < p < 100) additionally captures jobs whose
 	// wall time exceeds this percentile of the jobs observed so far.
-	// Zero disables latency capture. Latency captures are tagged
-	// forensic.KindLatencyOutlier and are not deterministic (they
+	// Any other value disables latency capture. Latency captures are
+	// tagged forensic.KindLatencyOutlier and are not deterministic (they
 	// depend on machine load), but their content hash still is, so
-	// they dedup like any other capture.
+	// they dedup like any other capture. It also decides phase timing:
+	// campaign jobs run timed, and every capture carries the run's
+	// phase breakdown, only while latency capture is on (latency
+	// captures exist to explain a slow job).
 	LatencyOutlierPct float64
 }
 
@@ -81,11 +84,18 @@ func newCapturer(opt Options) *capturer {
 	return &capturer{o: *opt.Forensic, campaign: opt.Campaign, lat: make([]float64, 0, latencyWindow)}
 }
 
+// capturesLatency reports whether latency-outlier capture is on: a
+// capturer exists and its percentile is in (0, 100). The engine times
+// its jobs' phases exactly when this holds, so the two cannot disagree.
+func (c *capturer) capturesLatency() bool {
+	return c != nil && c.o.LatencyOutlierPct > 0 && c.o.LatencyOutlierPct < 100
+}
+
 // latencyOutlier records one job's wall time and reports whether it
 // exceeded the configured percentile of the previously-observed
 // window.
 func (c *capturer) latencyOutlier(d time.Duration) bool {
-	if c.o.LatencyOutlierPct <= 0 || c.o.LatencyOutlierPct >= 100 {
+	if !c.capturesLatency() {
 		return false
 	}
 	s := d.Seconds()

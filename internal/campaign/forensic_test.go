@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -164,12 +165,58 @@ func TestLatencyOutlierWindow(t *testing.T) {
 		t.Error("1ms job flagged as outlier over a 1h-flat window")
 	}
 
-	// Disabled percentile never captures.
-	off := newCapturer(Options{Forensic: &ForensicOptions{Sink: sink}})
-	for i := 0; i < minLatencySamples+1; i++ {
-		if off.latencyOutlier(time.Duration(i) * time.Second) {
-			t.Fatal("outlier flagged with latency capture disabled")
+	// A percentile outside (0, 100) never captures.
+	for _, pct := range []float64{0, 100, 150, -1, math.NaN()} {
+		off := newCapturer(Options{Forensic: &ForensicOptions{Sink: sink, LatencyOutlierPct: pct}})
+		if off.capturesLatency() {
+			t.Errorf("latency capture on at percentile %v", pct)
 		}
+		for i := 0; i < minLatencySamples+1; i++ {
+			if off.latencyOutlier(time.Duration(i) * time.Second) {
+				t.Fatalf("outlier flagged at percentile %v", pct)
+			}
+		}
+	}
+}
+
+// TestCapturePhasesFollowLatencyCapture pins when a campaign capture
+// carries the run's phase breakdown: only when the campaign captures
+// latency outliers, since its jobs run untimed otherwise. Phases lie
+// outside the content hash, so the capture addresses do not move.
+func TestCapturePhasesFollowLatencyCapture(t *testing.T) {
+	spec := undefendedDoSSpec()
+	spec.Onsets = []int{120, 150}
+	spec.Replicates = 3
+	captureHashes := func(pct float64, wantPhases int) []string {
+		var mu sync.Mutex
+		var hashes []string
+		_, err := Run(context.Background(), spec, Options{
+			Workers: 2,
+			Forensic: &ForensicOptions{LatencyOutlierPct: pct, Sink: func(c forensic.Capture) {
+				if len(c.Phases) != wantPhases {
+					t.Errorf("percentile %v: job %d (%v) captured with %d phases, want %d",
+						pct, c.JobIndex, c.Kinds, len(c.Phases), wantPhases)
+				}
+				h, err := c.Hash()
+				if err != nil {
+					t.Errorf("capture hash: %v", err)
+					return
+				}
+				mu.Lock()
+				hashes = append(hashes, h)
+				mu.Unlock()
+			}},
+		})
+		if err != nil {
+			t.Fatalf("Run at percentile %v: %v", pct, err)
+		}
+		slices.Sort(hashes)
+		return hashes
+	}
+	untimed := captureHashes(0, 0)
+	timed := captureHashes(50, len(sim.PhaseNames()))
+	if len(untimed) == 0 || !slices.Equal(untimed, timed) {
+		t.Fatalf("capture hashes differ across latency settings\n off: %v\n on:  %v", untimed, timed)
 	}
 }
 

@@ -95,7 +95,9 @@ type Capture struct {
 	// Anomalies are the recorder's last-N-step state dumps.
 	Anomalies []sim.AnomalyDump `json:"anomalies,omitempty"`
 	// Phases are the run's wall-clock phase timings — observability
-	// metadata, excluded from the content hash.
+	// metadata, excluded from the content hash. A campaign capture
+	// carries them only when its campaign captures latency outliers;
+	// otherwise the job ran untimed and Phases is empty.
 	Phases []sim.PhaseTiming `json:"phases,omitempty"`
 }
 

@@ -57,9 +57,9 @@ func Default() *perf.Registry {
 }
 
 // figureScenario wraps one closed-loop defended run: the body executes
-// the full simulation, verifies the paper's detection step, and reports
-// the per-phase timing breakdown.
-func figureScenario(name, doc string, mk func() sim.Scenario) perf.Scenario {
+// the full simulation under ctx, verifies the paper's detection step,
+// and reports the per-phase timing breakdown (none when ctx is untimed).
+func figureScenario(ctx context.Context, name, doc string, mk func() sim.Scenario) perf.Scenario {
 	return perf.Scenario{
 		Name:  name,
 		Group: GroupFigure,
@@ -68,7 +68,7 @@ func figureScenario(name, doc string, mk func() sim.Scenario) perf.Scenario {
 		Setup: func() (func(r *perf.Rep) error, error) {
 			s := mk()
 			return func(r *perf.Rep) error {
-				res, err := sim.Run(s)
+				res, err := sim.RunContext(ctx, s)
 				if err != nil {
 					return err
 				}
@@ -88,18 +88,23 @@ func figureScenario(name, doc string, mk func() sim.Scenario) perf.Scenario {
 }
 
 func registerFigures(g *perf.Registry) {
-	g.MustRegister(figureScenario("fig2a_dos",
+	ctx := context.Background()
+	g.MustRegister(figureScenario(ctx, "fig2a_dos",
 		"Figure 2a: DoS attack, constant-deceleration leader, defended.", sim.Fig2aDoS))
-	g.MustRegister(figureScenario("fig2b_delay",
+	// The same run untimed, as every campaign job runs: the paired delta
+	// against fig2a_dos is the cost of full phase timing.
+	g.MustRegister(figureScenario(sim.WithoutPhaseTiming(ctx), "fig2a_dos_untimed",
+		"Figure 2a without per-phase timing (sim.WithoutPhaseTiming), as campaign jobs run.", sim.Fig2aDoS))
+	g.MustRegister(figureScenario(ctx, "fig2b_delay",
 		"Figure 2b: delay attack, constant-deceleration leader, defended.", sim.Fig2bDelay))
-	g.MustRegister(figureScenario("fig3a_dos",
+	g.MustRegister(figureScenario(ctx, "fig3a_dos",
 		"Figure 3a: DoS attack, decelerate-then-accelerate leader, defended.", sim.Fig3aDoS))
-	g.MustRegister(figureScenario("fig3b_delay",
+	g.MustRegister(figureScenario(ctx, "fig3b_delay",
 		"Figure 3b: delay attack, decelerate-then-accelerate leader, defended.", sim.Fig3bDelay))
-	g.MustRegister(figureScenario("s1_signal_dos",
+	g.MustRegister(figureScenario(ctx, "s1_signal_dos",
 		"Figure 2a at signal level (S1): DoS jamming of the synthesized sweeps, FFT beat extraction.",
 		signalLevel(sim.Fig2aDoS)))
-	g.MustRegister(figureScenario("s1_signal_delay",
+	g.MustRegister(figureScenario(ctx, "s1_signal_delay",
 		"Figure 2b at signal level (S1): delay spoofing of the synthesized sweeps, FFT beat extraction.",
 		signalLevel(sim.Fig2bDelay)))
 }

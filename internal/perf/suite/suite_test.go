@@ -9,7 +9,7 @@ import (
 func TestDefaultRegistryShape(t *testing.T) {
 	g := Default()
 	want := []string{
-		"fig2a_dos", "fig2b_delay", "fig3a_dos", "fig3b_delay",
+		"fig2a_dos", "fig2a_dos_untimed", "fig2b_delay", "fig3a_dos", "fig3b_delay",
 		"s1_signal_dos", "s1_signal_delay",
 		"kernel_root_music_256", "kernel_fft_1024", "kernel_recovery_estimator",
 		"kernel_cra_check", "kernel_synthesize_sweep", "kernel_beat_extract_128",

@@ -59,13 +59,29 @@ var (
 	since = time.Since
 )
 
+// untimedKey marks a context whose runs skip per-phase timing.
+type untimedKey struct{}
+
+// WithoutPhaseTiming returns a context whose runs (via RunContext) skip
+// per-phase timing: the tracker makes no clock read, Result.Phases is
+// nil, RLSTime is zero and safesense_sim_phase_seconds observes
+// nothing. Phase entry counting, the pprof "phase" label and the
+// runtime/trace regions are unchanged, so profiles and execution traces
+// still attribute the run to its phases. For callers that time the run
+// themselves, such as the campaign engine.
+func WithoutPhaseTiming(ctx context.Context) context.Context {
+	return context.WithValue(ctx, untimedKey{}, true)
+}
+
 // phaseTracker attributes a run's wall time to exactly one phase at a
 // time. enter closes the open phase and opens the next with one clock
 // read, so back-to-back phases share the read at their boundary and the
 // totals add up to the time from start to stop. Each entry also swaps
 // the phase's pprof label (when a profile consumer is active) and its
-// runtime/trace region (when the execution tracer is on).
+// runtime/trace region (when the execution tracer is on). An untimed
+// tracker (see WithoutPhaseTiming) does all of that but the reads.
 type phaseTracker struct {
+	timed bool
 	base  time.Time
 	last  time.Duration // tracker time of the most recent boundary
 	cur   int
@@ -83,7 +99,10 @@ type phaseTracker struct {
 // execution-tracer check is hoisted here so a phase boundary costs one
 // branch when tracing is off.
 func startPhases(ctx context.Context) *phaseTracker {
-	t := &phaseTracker{ctx: ctx, rtOn: rt.IsEnabled(), cur: phaseOther}
+	t := &phaseTracker{
+		timed: ctx.Value(untimedKey{}) == nil,
+		ctx:   ctx, rtOn: rt.IsEnabled(), cur: phaseOther,
+	}
 	if profile.Enabled() {
 		t.labels = profile.NewPhaseLabels(ctx, phaseNames[:]...)
 	}
@@ -92,7 +111,9 @@ func startPhases(ctx context.Context) *phaseTracker {
 	if t.rtOn {
 		t.region = rt.StartRegion(ctx, PhaseOther)
 	}
-	t.base = clock()
+	if t.timed {
+		t.base = clock()
+	}
 	return t
 }
 
@@ -100,9 +121,12 @@ func startPhases(ctx context.Context) *phaseTracker {
 //
 //safesense:hotpath
 func (t *phaseTracker) enter(i int) {
-	now := since(t.base)
-	t.total[t.cur] += now - t.last
-	t.last, t.cur = now, i
+	if t.timed {
+		now := since(t.base)
+		t.total[t.cur] += now - t.last
+		t.last = now
+	}
+	t.cur = i
 	t.calls[i]++
 	t.labels.Set(i)
 	if t.rtOn {
@@ -119,7 +143,9 @@ func (t *phaseTracker) stop() {
 		return
 	}
 	t.done = true
-	t.total[t.cur] += since(t.base) - t.last
+	if t.timed {
+		t.total[t.cur] += since(t.base) - t.last
+	}
 	t.labels.Unset()
 	if t.rtOn {
 		t.region.End()
@@ -148,8 +174,12 @@ type PhaseTiming struct {
 // the closed-form pipeline, RLS when undefended) are kept in the
 // breakdown with zero calls but not observed into the histogram, so the
 // per-phase distributions only contain runs that exercised the phase.
+// An untimed run is counted but has no breakdown.
 func recordPhases(t *phaseTracker) []PhaseTiming {
 	metricRuns.With().Inc()
+	if !t.timed {
+		return nil
+	}
 	out := make([]PhaseTiming, numPhases)
 	for i, name := range phaseNames {
 		sec := t.total[i].Seconds()

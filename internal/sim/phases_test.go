@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -96,25 +97,42 @@ func TestRunPhaseBreakdownUndefended(t *testing.T) {
 	}
 }
 
-// countingClock swaps the tracker's clock for one that advances 1 ns per
-// read, so every phase visit lasts exactly 1 ns and the run's tracker
-// wall equals its number of reads.
-func countingClock(t *testing.T) *int {
+// clockReads counts the tracker's reads through each clock seam.
+type clockReads struct{ clock, since int }
+
+// countingClock swaps the tracker's clock seams for counting ones: since
+// advances 1 ns per read, so every phase visit lasts exactly 1 ns and the
+// run's tracker wall equals its number of since reads.
+func countingClock(t *testing.T) *clockReads {
 	t.Helper()
-	reads := new(int)
-	orig := since
-	since = func(time.Time) time.Duration {
-		*reads++
-		return time.Duration(*reads)
+	reads := new(clockReads)
+	origClock, origSince := clock, since
+	clock = func() time.Time {
+		reads.clock++
+		return time.Time{}
 	}
-	t.Cleanup(func() { since = orig })
+	since = func(time.Time) time.Duration {
+		reads.since++
+		return time.Duration(reads.since)
+	}
+	t.Cleanup(func() { clock, since = origClock, origSince })
 	return reads
+}
+
+// phaseSamples counts every safesense_sim_phase_seconds observation.
+func phaseSamples() uint64 {
+	var n uint64
+	for _, name := range phaseNames {
+		n += metricPhaseSeconds.With(name).Count()
+	}
+	return n
 }
 
 // TestPhaseAccounting pins the tracker's bookkeeping: exact entry counts
 // per phase, one clock read per boundary, phases summing to the tracker
 // wall, RLSTime equal to the rls_estimation total, and the defended
-// closed-form step within its budget of six reads.
+// closed-form step within its budget of six reads. An untimed run makes
+// no read at all and differs from the timed run only in its timing.
 func TestPhaseAccounting(t *testing.T) {
 	undefended := Fig2aDoS()
 	undefended.Defended = false
@@ -124,17 +142,34 @@ func TestPhaseAccounting(t *testing.T) {
 		name     string
 		s        Scenario
 		maxReads int // per step, 0 for no budget
+		untimed  bool
 	}{
-		{"defended", Fig2aDoS(), 6},
-		{"undefended", undefended, 6},
-		{"signal", signal, 0},
+		{"defended", Fig2aDoS(), 6, false},
+		{"undefended", undefended, 6, false},
+		{"signal", signal, 0, false},
+		{"untimed", Fig2aDoS(), 0, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			if tc.untimed {
+				ctx = WithoutPhaseTiming(ctx)
+			}
+			runs, samples := metricRuns.With().Value(), phaseSamples()
 			reads := countingClock(t)
-			res, err := Run(tc.s)
+			res, err := RunContext(ctx, tc.s)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := metricRuns.With().Value() - runs; got != 1 {
+				t.Errorf("safesense_sim_runs_total rose by %v, want 1", got)
+			}
+			if tc.untimed {
+				checkUntimed(t, tc.s, res, *reads, phaseSamples()-samples)
+				return
+			}
+			if reads.clock != 1 {
+				t.Errorf("%d clock base reads, want 1", reads.clock)
 			}
 			steps := tc.s.Steps
 			// RLS runs on every accepted measurement (Observe) and every
@@ -172,27 +207,58 @@ func TestPhaseAccounting(t *testing.T) {
 				sum += ns
 			}
 			// The tracker wall is the last read's value: the read count.
-			if wall := time.Duration(*reads); sum != wall {
+			if wall := time.Duration(reads.since); sum != wall {
 				t.Errorf("phases sum to %v, tracker wall %v", sum, wall)
 			}
-			if got := TotalSeconds(res.Phases); math.Abs(got-time.Duration(*reads).Seconds()) > 1e-15 {
-				t.Errorf("TotalSeconds = %g, want %g", got, time.Duration(*reads).Seconds())
+			if got := TotalSeconds(res.Phases); math.Abs(got-time.Duration(reads.since).Seconds()) > 1e-15 {
+				t.Errorf("TotalSeconds = %g, want %g", got, time.Duration(reads.since).Seconds())
 			}
 			if rls := phaseByName(t, res.Phases, PhaseRLSEstimation); rls.Seconds != res.RLSTime.Seconds() {
 				t.Errorf("RLSTime %v != rls_estimation total %gs", res.RLSTime, rls.Seconds)
 			}
-			if tc.maxReads > 0 && *reads > tc.maxReads*steps+2 {
-				t.Errorf("%d clock reads over %d steps, budget %d per step", *reads, steps, tc.maxReads)
+			if tc.maxReads > 0 && reads.since > tc.maxReads*steps+2 {
+				t.Errorf("%d clock reads over %d steps, budget %d per step", reads.since, steps, tc.maxReads)
 			}
 		})
+	}
+}
+
+// checkUntimed asserts an untimed run made no clock read, returned and
+// recorded no timing, and matches the timed run of s in every
+// deterministic field.
+func checkUntimed(t *testing.T, s Scenario, res *Result, reads clockReads, samples uint64) {
+	t.Helper()
+	if reads.clock != 0 || reads.since != 0 {
+		t.Errorf("untimed run read the clock: %d base, %d since", reads.clock, reads.since)
+	}
+	if res.Phases != nil || res.RLSTime != 0 {
+		t.Errorf("untimed run returned Phases %v, RLSTime %v", res.Phases, res.RLSTime)
+	}
+	if samples != 0 {
+		t.Errorf("untimed run added %d safesense_sim_phase_seconds samples", samples)
+	}
+	timed, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := canonicalize(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := canonicalize(timed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("untimed run's deterministic fields differ from the timed run's")
 	}
 }
 
 // TestPhaseEnterZeroAlloc guards the per-boundary hot path with
 // profiling off and with phase labels on.
 func TestPhaseEnterZeroAlloc(t *testing.T) {
-	check := func(name string) {
-		tr := startPhases(context.Background())
+	check := func(ctx context.Context, name string) {
+		tr := startPhases(ctx)
 		defer tr.stop()
 		i := 0
 		assertZeroAllocs(t, name, func() {
@@ -200,8 +266,11 @@ func TestPhaseEnterZeroAlloc(t *testing.T) {
 			i++
 		})
 	}
-	check("enter")
+	untimed := WithoutPhaseTiming(context.Background())
+	check(context.Background(), "enter")
+	check(untimed, "enter untimed")
 	profile.Enable()
 	defer profile.Disable()
-	check("enter with phase labels")
+	check(context.Background(), "enter with phase labels")
+	check(untimed, "enter untimed with phase labels")
 }

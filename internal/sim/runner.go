@@ -54,7 +54,8 @@ type Result struct {
 
 	// RLSTime is the cumulative wall time spent inside the RLS predictor's
 	// Observe and Predict calls — the run's rls_estimation phase total
-	// (the paper reports ~1.2e7 ns).
+	// (the paper reports ~1.2e7 ns). Zero on an untimed run (see
+	// WithoutPhaseTiming).
 	RLSTime time.Duration
 	// EstimateSteps counts free-run predictions delivered.
 	EstimateSteps int
@@ -75,7 +76,8 @@ type Result struct {
 	// Phases breaks the run's wall time into the pipeline phases (see
 	// the Phase* constants; PhaseOther takes the remainder, so the
 	// phases sum to the run); cumulative per run, also fed into the
-	// safesense_sim_phase_seconds histogram.
+	// safesense_sim_phase_seconds histogram. Nil on an untimed run (see
+	// WithoutPhaseTiming).
 	Phases []PhaseTiming
 
 	// Flight is the run's flight-recorder timeline: challenge instants,
