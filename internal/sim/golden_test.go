@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"safesense/internal/campaign"
+	"safesense/internal/lateral"
 	"safesense/internal/radar"
 	"safesense/internal/report"
 	"safesense/internal/sim"
@@ -31,6 +32,9 @@ var goldenFingerprintFile = filepath.Join("testdata", "golden_fingerprint.json")
 
 // goldenSeeds is the fixed seed set every figure variant runs at.
 var goldenSeeds = []int64{1, 2, 3, 5, 8}
+
+// goldenLateralSeeds is the seed set of the lane-keeping runs.
+var goldenLateralSeeds = []int64{1, 2, 3, 4, 5}
 
 // goldenSignalSeeds is the seed set of the signal-level figure variants,
 // which cost a sweep synthesis and a beat extraction per step.
@@ -67,6 +71,12 @@ type goldenFingerprint struct {
 	// (report.BeatAblation(16)): FFT vs root-MUSIC over 64/256 samples
 	// and 20/100/180 m.
 	BeatAblation []goldenBeatRow `json:"beat_ablation"`
+	// EstimatorAblation holds the rows of EXPERIMENTS.md's A1 table
+	// (report.EstimatorAblation), the one user of PairPredictor.
+	EstimatorAblation []goldenEstimatorRow `json:"estimator_ablation"`
+	// Lateral holds lateral.DefaultScenario at goldenLateralSeeds: the
+	// lane-keeping loop runs two bare Predictors.
+	Lateral []goldenLateralRun `json:"lateral"`
 	// CampaignAggregateSHA256 hashes the aggregate JSON of
 	// goldenCampaignSpec, which adds the phased leader, off-schedule
 	// onsets and the fast adversary to the figure points above.
@@ -80,6 +90,26 @@ type goldenBeatRow struct {
 	Distance  float64 `json:"distance"`
 	DistRMSE  float64 `json:"dist_rmse"`
 	VelRMSE   float64 `json:"vel_rmse"`
+}
+
+// goldenEstimatorRow is one A1 row. The RMSEs go in as hex bit patterns
+// because a diverged row may hold an infinity or a NaN, which JSON cannot
+// carry as a number.
+type goldenEstimatorRow struct {
+	Estimator    string `json:"estimator"`
+	DistRMSEBits string `json:"dist_rmse_bits"`
+	VelRMSEBits  string `json:"vel_rmse_bits"`
+	Diverged     bool   `json:"diverged"`
+}
+
+// goldenLateralRun is one lane-keeping run's outcome plus a SHA-256 over
+// its offset series.
+type goldenLateralRun struct {
+	Seed         int64   `json:"seed"`
+	DetectedAt   int     `json:"detected_at"`
+	MaxAbsEy     float64 `json:"max_abs_ey"`
+	DepartedAt   int     `json:"departed_at"`
+	OffsetSHA256 string  `json:"offset_sha256"`
 }
 
 func goldenCampaignSpec() campaign.Spec {
@@ -169,6 +199,35 @@ func fingerprint(t *testing.T) goldenFingerprint {
 			VelRMSE:   r.VelRMSE,
 		})
 	}
+	a1, err := report.EstimatorAblation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range a1 {
+		fp.EstimatorAblation = append(fp.EstimatorAblation, goldenEstimatorRow{
+			Estimator:    r.Estimator,
+			DistRMSEBits: fmt.Sprintf("%016x", math.Float64bits(r.DistRMSE)),
+			VelRMSEBits:  fmt.Sprintf("%016x", math.Float64bits(r.VelRMSE)),
+			Diverged:     r.Diverged,
+		})
+	}
+	for _, seed := range goldenLateralSeeds {
+		s := lateral.DefaultScenario()
+		s.Seed = seed
+		res, err := lateral.Run(s)
+		if err != nil {
+			t.Fatalf("lateral seed %d: %v", seed, err)
+		}
+		h := sha256.New()
+		hashSet(h, res.Offset)
+		fp.Lateral = append(fp.Lateral, goldenLateralRun{
+			Seed:         seed,
+			DetectedAt:   res.DetectedAt,
+			MaxAbsEy:     res.MaxAbsEy,
+			DepartedAt:   res.DepartedAt,
+			OffsetSHA256: hex.EncodeToString(h.Sum(nil)),
+		})
+	}
 	return fp
 }
 
@@ -178,13 +237,7 @@ func fingerprint(t *testing.T) goldenFingerprint {
 func stepsHash(res *sim.Result) string {
 	h := sha256.New()
 	for _, set := range []*trace.Set{res.Distance, res.Velocity, res.Speeds} {
-		for _, name := range set.Names() {
-			s := set.Series(name)
-			fmt.Fprintf(h, "series %s %d\n", name, s.Len())
-			for i, k := range s.T {
-				writeWords(h, uint64(k), math.Float64bits(s.Y[i]))
-			}
-		}
+		hashSet(h, set)
 	}
 	for _, ev := range res.Events {
 		fmt.Fprintf(h, "event %d %t %d %t %t\n", ev.K, ev.Challenged, ev.State, ev.Detected, ev.ClearedNow)
@@ -193,6 +246,17 @@ func stepsHash(res *sim.Result) string {
 		fmt.Fprintf(h, "flight %d %s %x %q\n", ev.K, ev.Kind, math.Float64bits(ev.Value), ev.Detail)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hashSet feeds every series of set into h, values as bit patterns.
+func hashSet(h hash.Hash, set *trace.Set) {
+	for _, name := range set.Names() {
+		s := set.Series(name)
+		fmt.Fprintf(h, "series %s %d\n", name, s.Len())
+		for i, k := range s.T {
+			writeWords(h, uint64(k), math.Float64bits(s.Y[i]))
+		}
+	}
 }
 
 func writeWords(h hash.Hash, words ...uint64) {
@@ -206,8 +270,9 @@ func writeWords(h hash.Hash, words ...uint64) {
 // TestGoldenFingerprint is the numeric oracle: Fig 2a/2b/3a/3b, each
 // defended, no-attack baseline and undefended, over goldenSeeds on the
 // closed form and over goldenSignalSeeds at signal level (plus a 256-sample
-// and a root-MUSIC Fig 2a run), a small campaign grid and the A3
-// extractor table must reproduce the checked-in fingerprint exactly.
+// and a root-MUSIC Fig 2a run), a small campaign grid, the A3 extractor
+// table, the A1 estimator table and the lane-keeping runs must reproduce
+// the checked-in fingerprint exactly.
 func TestGoldenFingerprint(t *testing.T) {
 	got, err := json.MarshalIndent(fingerprint(t), "", "  ")
 	if err != nil {
