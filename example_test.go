@@ -52,12 +52,12 @@ func ExampleRadarParams_BeatFrequencies() {
 
 // ExampleNewRLS runs Algorithm 1 directly on a static linear model.
 func ExampleNewRLS() {
-	r, err := safesense.NewRLS(2, 1.0, 1e6)
+	r, err := safesense.NewRLS(1.0, 1e6)
 	if err != nil {
 		panic(err)
 	}
 	// y = 3*h0 - 2*h1.
-	inputs := [][]float64{{1, 0}, {0, 1}, {1, 1}, {2, 1}, {1, 3}}
+	inputs := [][2]float64{{1, 0}, {0, 1}, {1, 1}, {2, 1}, {1, 3}}
 	for _, h := range inputs {
 		r.Update(h, 3*h[0]-2*h[1])
 	}

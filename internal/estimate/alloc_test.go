@@ -34,15 +34,11 @@ func TestRLSZeroAlloc(t *testing.T) {
 	y := 0.0
 	assertZeroAllocs(t, "RLS.Update", func() {
 		y++
-		if _, _, err := p.rls.Update(p.nowBasis(), y); err != nil {
+		if _, _, err := p.rls.Update([2]float64{1, 0}, y); err != nil {
 			t.Fatal(err)
 		}
 	})
-	assertZeroAllocs(t, "RLS.Translate", func() {
-		if err := p.rls.Translate(p.shift); err != nil {
-			t.Fatal(err)
-		}
-	})
+	assertZeroAllocs(t, "RLS.Translate", func() { p.rls.Translate(1 / timeScale) })
 }
 
 func TestPredictorZeroAlloc(t *testing.T) {

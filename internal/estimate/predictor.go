@@ -1,38 +1,34 @@
 package estimate
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Predictor wraps an RLS filter into the measurement estimator of the
 // paper's Algorithm 2. The regressor h_k — the "entries of measurement
-// matrix" of Algorithm 1 — is a polynomial time basis [1, tau, tau^2, ...],
-// so the filter performs exponentially weighted recursive polynomial
-// regression on the measurement stream. During normal operation each
-// accepted sensor value updates the fit; once the CRA detector flags an
-// attack the fit is frozen and evaluated at future time steps, supplying
-// the controller with a stable extrapolation of the pre-attack trend for
-// the duration of the attack.
+// matrix" of Algorithm 1 — is the local-trend basis [1, tau], so the
+// filter performs exponentially weighted recursive linear regression on
+// the measurement stream. During normal operation each accepted sensor
+// value updates the fit; once the CRA detector flags an attack the fit is
+// frozen and evaluated at future time steps, supplying the controller
+// with a stable extrapolation of the pre-attack trend for the duration of
+// the attack.
 //
 // Numerically, the basis is re-centered on the current step: before each
 // sample the weight vector and P matrix are translated one step back in
-// time (RLS.Translate), and the update always uses the regressor
-// [1, 0, 0, ...]. This is algebraically identical to regressing on
-// absolute time but keeps the information matrix stationary and well
-// conditioned — regressing on raw absolute time suffers covariance
-// wind-up under a forgetting factor, and an autoregressive basis (whose
-// noisy roots stray outside the unit circle) diverges exponentially over
-// the paper's ~2-minute attack window.
+// time (RLS.Translate), and the update always uses the regressor [1, 0].
+// This is algebraically identical to regressing on absolute time but
+// keeps the information matrix stationary and well conditioned —
+// regressing on raw absolute time suffers covariance wind-up under a
+// forgetting factor, and an autoregressive basis (whose noisy roots stray
+// outside the unit circle) diverges exponentially over the paper's
+// ~2-minute attack window.
 type Predictor struct {
 	rls   RLS
-	cfg   PredictorConfig
-	shift []float64 // one-step basis translation matrix (row-major, shared by clones)
-	n     int       // samples observed since the last reset
-	ahead int       // free-run steps since the last Observe
-	wall  int       // wall-clock step of the last Observe/SkipStep/Predict
+	delta float64 // P re-initialization on a CUSUM reset
+	n     int     // samples observed since the last reset
+	ahead int     // free-run steps since the last Observe
+	wall  int     // wall-clock step of the last Observe/SkipStep/Predict
 
-	// CUSUM change detection state (see PredictorConfig.ChangeDetect).
+	// CUSUM change detection state (see regimeChanged).
 	sigma2 float64 // EWMA of squared residuals
 	sigmaN int     // residuals absorbed into sigma2
 	gPos   float64 // one-sided CUSUM statistics
@@ -42,112 +38,54 @@ type Predictor struct {
 	freeRunning bool
 }
 
-// PredictorConfig parameterizes a measurement predictor.
+// PredictorConfig holds the two parameters of the paper's Algorithm 1.
 type PredictorConfig struct {
-	// Degree is the polynomial degree of the time basis (1 = local linear
-	// trend, the case-study default).
-	Degree int
 	// Lambda is the RLS forgetting factor in (0, 1]; values below 1 make
 	// the fit local so the extrapolation continues the *recent* trend.
 	Lambda float64
 	// Delta initializes P = Delta*I (the paper uses 1).
 	Delta float64
-	// TimeScale divides the step index in the basis for conditioning
-	// (tau advances by 1/TimeScale per step). Zero means 8.
-	TimeScale float64
-	// ChangeDetect enables CUSUM monitoring of the one-step residuals:
-	// when the monitored signal switches regime (the Figure 3 leader
-	// flips from deceleration to acceleration), the discounted fit still
-	// carries pre-change data whose weight decays only geometrically, and
-	// an attack detected shortly after the switch would free-run on a
-	// contaminated slope — a quadratically growing distance error. On a
-	// CUSUM alarm the filter resets and refits from post-change samples
-	// only.
-	ChangeDetect bool
-	// ChangeThreshold is the CUSUM alarm level in residual standard
-	// deviations (zero means 8).
-	ChangeThreshold float64
-	// ChangeDrift is the CUSUM slack per step in standard deviations
-	// (zero means 0.5).
-	ChangeDrift float64
 }
+
+// The predictor's fixed design constants.
+//
+// timeScale divides the step index in the basis for conditioning: tau
+// advances by 1/timeScale per step. It is a float constant so that
+// 1/timeScale is 0.125, not integer division.
+//
+// The residuals are monitored by a two-sided CUSUM: when the signal
+// switches regime (the Figure 3 leader flips from deceleration to
+// acceleration), the discounted fit still carries pre-change data whose
+// weight decays only geometrically, and an attack detected shortly after
+// the switch would free-run on a contaminated slope — a quadratically
+// growing distance error. On an alarm the filter resets and refits from
+// post-change samples only. changeThreshold is the alarm level and
+// changeDrift the slack per step, both in residual standard deviations.
+const (
+	timeScale       = 8.0
+	changeThreshold = 8.0
+	changeDrift     = 0.5
+)
 
 // DefaultPredictorConfig returns the configuration used by the case study:
 // a local linear trend with ~16-step memory — enough to extrapolate the
 // smooth distance/velocity evolution of car following through the attack.
 func DefaultPredictorConfig() PredictorConfig {
-	return PredictorConfig{
-		Degree: 1, Lambda: 0.98, Delta: 100, TimeScale: 8,
-		ChangeDetect: true, ChangeThreshold: 8, ChangeDrift: 0.5,
-	}
+	return PredictorConfig{Lambda: 0.98, Delta: 100}
 }
 
 // NewPredictor builds a Predictor.
 func NewPredictor(cfg PredictorConfig) (*Predictor, error) {
-	if cfg.Degree < 0 {
-		return nil, fmt.Errorf("estimate: predictor degree must be >= 0, got %d", cfg.Degree)
-	}
-	if cfg.TimeScale == 0 {
-		cfg.TimeScale = 8
-	}
-	if cfg.TimeScale < 0 {
-		return nil, fmt.Errorf("estimate: time scale must be positive, got %v", cfg.TimeScale)
-	}
-	r, err := NewRLS(cfg.Degree+1, cfg.Lambda, cfg.Delta)
+	r, err := NewRLS(cfg.Lambda, cfg.Delta)
 	if err != nil {
 		return nil, err
 	}
-	return &Predictor{
-		rls:   *r,
-		cfg:   cfg,
-		shift: shiftMatrix(cfg.Degree, 1/cfg.TimeScale),
-		wall:  -1,
-	}, nil
-}
-
-// shiftMatrix returns the row-major M with M[j][i] = C(i, j) s^(i-j) for
-// j <= i: the basis-change that moves the polynomial origin forward by s,
-// so a sample previously at tau = 0 sits at tau = -s afterwards. With
-// tau_old = tau_new + s, w_new[j] = sum_{i>=j} C(i, j) s^(i-j) w_old[i]
-// keeps w_new^T h(tau_new) == w_old^T h(tau_old).
-func shiftMatrix(degree int, s float64) []float64 {
-	n := degree + 1
-	m := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		c := 1.0
-		for j := i; j >= 0; j-- {
-			m[j*n+i] = c * math.Pow(s, float64(i-j))
-			c = c * float64(j) / float64(i-j+1)
-		}
-	}
-	return m
-}
-
-// nowBasis is the regressor for "the current step" in recentered
-// coordinates: [1, 0, 0, ...]. Like horizonBasis it fills the filter's
-// regressor buffer, valid until the next basis call.
-func (p *Predictor) nowBasis() []float64 {
-	h := p.rls.h
-	clear(h)
-	h[0] = 1
-	return h
-}
-
-// horizonBasis evaluates the basis at j steps ahead of the current origin.
-func (p *Predictor) horizonBasis(j int) []float64 {
-	tau := float64(j) / p.cfg.TimeScale
-	h := p.rls.h
-	v := 1.0
-	for i := range h {
-		h[i] = v
-		v *= tau
-	}
-	return h
+	return &Predictor{rls: *r, delta: cfg.Delta, wall: -1}, nil
 }
 
 // Ready reports whether enough samples have been observed for the fit to
-// be determined (at least Degree+1 points).
-func (p *Predictor) Ready() bool { return p.n >= p.cfg.Degree+1 }
+// be determined: two points fix a line.
+func (p *Predictor) Ready() bool { return p.n >= 2 }
 
 // Clone returns a deep copy of the predictor. The simulation snapshots the
 // predictor at every verified-clean challenge instant: when an attack is
@@ -156,15 +94,8 @@ func (p *Predictor) Ready() bool { return p.n >= p.cfg.Degree+1 }
 // before free-running — otherwise corrupted samples absorbed between
 // attack onset and detection would poison the extrapolated trend.
 func (p *Predictor) Clone() *Predictor {
-	c := p.clone()
-	return &c
-}
-
-// clone copies the predictor by value: one allocation, the filter buffer.
-func (p *Predictor) clone() Predictor {
 	c := *p
-	c.rls = p.rls.clone()
-	return c
+	return &c
 }
 
 // Resets returns how many CUSUM-triggered refits have occurred.
@@ -181,31 +112,27 @@ func (p *Predictor) Observe(y float64) (pred float64, err error) {
 	// before an attack would be mis-dated relative to post-attack data
 	// and the refit slope would absorb the gap as a spurious jump.
 	for i := 0; i <= p.ahead; i++ {
-		if err := p.rls.Translate(p.shift); err != nil {
-			return 0, err
-		}
+		p.rls.Translate(1 / timeScale)
 	}
 	p.ahead = 0
 	p.wall++
-	pred, e, err := p.rls.Update(p.nowBasis(), y)
+	pred, e, err := p.rls.Update([2]float64{1, 0}, y) // tau = 0: the current step
 	if err != nil {
 		return 0, err
 	}
 	p.n++
-	if p.cfg.ChangeDetect && p.regimeChanged(e) {
+	if p.regimeChanged(e) {
 		// Refit the trend from post-change data. The signal itself is
 		// continuous across a regime change — only its derivative jumps —
 		// so the level (the current fitted value, which after the reset's
 		// Update below absorbs the newest sample too) is preserved and
-		// only the higher-order weights and the covariance reset.
-		// (cfg.Delta was validated when the filter was built.)
-		for i := 1; i < len(p.rls.w); i++ {
-			p.rls.w[i] = 0
-		}
-		p.rls.reset(p.cfg.Delta)
+		// only the slope and the covariance reset. (delta was validated
+		// when the filter was built.)
+		p.rls.w[1] = 0
+		p.rls.reset(p.delta)
 		p.n, p.sigma2, p.sigmaN, p.gPos, p.gNeg = 0, 0, 0, 0, 0
 		p.resets++
-		if _, _, err := p.rls.Update(p.nowBasis(), y); err != nil {
+		if _, _, err := p.rls.Update([2]float64{1, 0}, y); err != nil {
 			return 0, err
 		}
 		p.n = 1
@@ -218,7 +145,7 @@ func (p *Predictor) Observe(y float64) (pred float64, err error) {
 // and are not tested.
 func (p *Predictor) regimeChanged(e float64) bool {
 	const warmup = 8
-	if p.n <= p.cfg.Degree+2 {
+	if p.n <= 3 {
 		return false // transient of a fresh fit
 	}
 	if p.sigmaN < warmup {
@@ -233,9 +160,9 @@ func (p *Predictor) regimeChanged(e float64) bool {
 		return e != 0
 	}
 	z := e / sigma
-	p.gPos = math.Max(0, p.gPos+z-p.cfg.ChangeDrift)
-	p.gNeg = math.Max(0, p.gNeg-z-p.cfg.ChangeDrift)
-	if p.gPos > p.cfg.ChangeThreshold || p.gNeg > p.cfg.ChangeThreshold {
+	p.gPos = math.Max(0, p.gPos+z-changeDrift)
+	p.gNeg = math.Max(0, p.gNeg-z-changeDrift)
+	if p.gPos > changeThreshold || p.gNeg > changeThreshold {
 		return true
 	}
 	// Slow EWMA keeps the scale current without chasing the very
@@ -253,7 +180,7 @@ func (p *Predictor) Predict() float64 {
 	p.freeRunning = true
 	p.ahead++
 	p.wall++
-	return p.rls.Predict(p.horizonBasis(p.ahead))
+	return p.rls.Predict([2]float64{1, float64(p.ahead) / timeScale})
 }
 
 // SkipStep advances the predictor's internal clock one step without an
@@ -274,16 +201,10 @@ func (p *Predictor) Wall() int { return p.wall }
 func (p *Predictor) FreeRunning() bool { return p.freeRunning }
 
 // Weights exposes the underlying RLS weights (diagnostics).
-func (p *Predictor) Weights() []float64 { return p.rls.Weights() }
+func (p *Predictor) Weights() [2]float64 { return p.rls.Weights() }
 
-// Slope returns the current fitted trend in measurement units per step
-// (0 for degree-0 fits).
-func (p *Predictor) Slope() float64 {
-	if p.cfg.Degree < 1 {
-		return 0
-	}
-	return p.rls.w[1] / p.cfg.TimeScale
-}
+// Slope returns the current fitted trend in measurement units per step.
+func (p *Predictor) Slope() float64 { return p.rls.w[1] / timeScale }
 
 // PairPredictor bundles two Predictors for the radar's (distance,
 // relative velocity) measurement vector.

@@ -8,14 +8,11 @@ import (
 )
 
 func TestNewPredictorValidation(t *testing.T) {
-	if _, err := NewPredictor(PredictorConfig{Degree: -1, Lambda: 0.9, Delta: 1}); err == nil {
-		t.Fatal("negative degree should fail")
-	}
-	if _, err := NewPredictor(PredictorConfig{Degree: 1, Lambda: 2, Delta: 1}); err == nil {
+	if _, err := NewPredictor(PredictorConfig{Lambda: 2, Delta: 1}); err == nil {
 		t.Fatal("bad lambda should fail")
 	}
-	if _, err := NewPredictor(PredictorConfig{Degree: 1, Lambda: 0.9, Delta: 1, TimeScale: -5}); err == nil {
-		t.Fatal("negative time scale should fail")
+	if _, err := NewPredictor(PredictorConfig{Lambda: 0.9, Delta: -1}); err == nil {
+		t.Fatal("bad delta should fail")
 	}
 	if _, err := NewPredictor(DefaultPredictorConfig()); err != nil {
 		t.Fatal(err)
@@ -137,30 +134,11 @@ func TestPredictorNotReadyEarly(t *testing.T) {
 	}
 	p.Observe(1)
 	if p.Ready() {
-		t.Fatal("degree-1 fit needs two points")
+		t.Fatal("a linear fit needs two points")
 	}
 	p.Observe(2)
 	if !p.Ready() {
 		t.Fatal("should be ready after two points")
-	}
-}
-
-func TestPredictorDegreeZero(t *testing.T) {
-	cfg := DefaultPredictorConfig()
-	cfg.Degree = 0
-	p, err := NewPredictor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 50; k++ {
-		p.Observe(7)
-	}
-	// The delta*I prior biases the level toward zero by O(1/(delta*N)).
-	if got := p.Predict(); math.Abs(got-7) > 0.01 {
-		t.Fatalf("constant fit = %v, want 7", got)
-	}
-	if p.Slope() != 0 {
-		t.Fatal("degree-0 slope must be 0")
 	}
 }
 
@@ -198,7 +176,7 @@ func TestPairPredictorClampsNegativeDistance(t *testing.T) {
 }
 
 func TestPairPredictorBadConfig(t *testing.T) {
-	if _, err := NewPairPredictor(PredictorConfig{Degree: -1}); err == nil {
+	if _, err := NewPairPredictor(PredictorConfig{}); err == nil {
 		t.Fatal("bad config should fail")
 	}
 }

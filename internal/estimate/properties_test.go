@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"safesense/internal/mat"
 	"safesense/internal/noise"
 )
 
@@ -24,7 +23,7 @@ func quickConfig(maxCount int) *quick.Config {
 func TestTranslatePredictionInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		src := noise.NewSource(seed)
-		p, err := NewPredictor(PredictorConfig{Degree: 2, Lambda: 0.95, Delta: 1, TimeScale: 8})
+		p, err := NewPredictor(PredictorConfig{Lambda: 0.95, Delta: 1})
 		if err != nil {
 			return false
 		}
@@ -36,11 +35,9 @@ func TestTranslatePredictionInvariance(t *testing.T) {
 		}
 		// Prediction j steps ahead, evaluated two ways: directly, and
 		// after translating the underlying filter one extra step.
-		before := p.rls.Predict(p.horizonBasis(5))
-		if err := p.rls.Translate(p.shift); err != nil {
-			return false
-		}
-		after := p.rls.Predict(p.horizonBasis(4))
+		before := p.rls.Predict([2]float64{1, 5 / timeScale})
+		p.rls.Translate(1 / timeScale)
+		after := p.rls.Predict([2]float64{1, 4 / timeScale})
 		return math.Abs(before-after) <= 1e-9*(1+math.Abs(before))
 	}
 	if err := quick.Check(f, quickConfig(40)); err != nil {
@@ -48,31 +45,53 @@ func TestTranslatePredictionInvariance(t *testing.T) {
 	}
 }
 
-// TestShiftMatrixInverseProperty: shifting forward then backward is the
-// identity.
-func TestShiftMatrixInverseProperty(t *testing.T) {
-	for _, deg := range []int{0, 1, 2, 3} {
-		n := deg + 1
-		fwd := mat.NewDenseData(n, n, shiftMatrix(deg, 0.125))
-		bwd := mat.NewDenseData(n, n, shiftMatrix(deg, -0.125))
-		if !fwd.Mul(bwd).EqualApprox(mat.Identity(deg+1), 1e-12) {
-			t.Fatalf("degree %d: shift not invertible", deg)
+// TestTranslateInverseProperty: translating by s and then by -s restores
+// w and P up to round-off.
+func TestTranslateInverseProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		src := noise.NewSource(seed)
+		r, _ := NewRLS(0.95, 1)
+		for k := 0; k < 30; k++ {
+			r.Translate(0.125)
+			if _, _, err := r.Update(gauss2(src), src.Gaussian(0, 3)); err != nil {
+				return false
+			}
 		}
+		w, p := r.Weights(), r.P()
+		r.Translate(0.125)
+		r.Translate(-0.125)
+		near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*(1+math.Abs(b)) }
+		gw, gp := r.Weights(), r.P()
+		for i := 0; i < 2; i++ {
+			if !near(gw[i], w[i]) {
+				return false
+			}
+			for j := 0; j < 2; j++ {
+				if !near(gp[i][j], p[i][j]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, quickConfig(40)); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestRLSExponentialWeightingProperty: with lambda < 1, a later sample
 // moves the estimate more than the same sample seen earlier (recency
-// weighting).
+// weighting). The model is a scalar level: the second regressor entry is
+// always zero.
 func TestRLSExponentialWeightingProperty(t *testing.T) {
 	run := func(spikeAt int) float64 {
-		r, _ := NewRLS(1, 0.9, 100)
+		r, _ := NewRLS(0.9, 100)
 		for k := 0; k < 50; k++ {
 			y := 0.0
 			if k == spikeAt {
 				y = 10
 			}
-			r.Update([]float64{1}, y)
+			r.Update([2]float64{1, 0}, y)
 		}
 		return r.Weights()[0]
 	}

@@ -140,9 +140,8 @@ func (r *RecoveryEstimator) Predict(vF float64) (d, dv float64) {
 
 // Clone deep-copies the estimator (see Predictor.Clone for why the
 // simulation snapshots it at verified-clean challenge instants). It costs
-// three allocations: the estimator and one buffer per RLS filter.
+// one allocation: the fixed-size filters copy with the struct.
 func (r *RecoveryEstimator) Clone() *RecoveryEstimator {
 	c := *r
-	c.dist, c.leader = r.dist.clone(), r.leader.clone()
 	return &c
 }

@@ -121,10 +121,10 @@ func PaperJammer() Jammer { return attack.PaperJammer() }
 // figure reproductions (challenges at k = 15, 50, ..., 182, ...).
 func PaperChallengeSchedule() ChallengeSchedule { return prbs.PaperFigureSchedule() }
 
-// NewRLS builds an order-n RLS filter (Algorithm 1) with forgetting factor
-// lambda and initialization P = delta*I.
-func NewRLS(n int, lambda, delta float64) (*RLS, error) {
-	return estimate.NewRLS(n, lambda, delta)
+// NewRLS builds the 2-weight RLS filter of Algorithm 1 with forgetting
+// factor lambda and initialization P = delta*I.
+func NewRLS(lambda, delta float64) (*RLS, error) {
+	return estimate.NewRLS(lambda, delta)
 }
 
 // NewPredictor builds an RLS trend predictor.

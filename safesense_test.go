@@ -85,12 +85,12 @@ func TestFacadeRadarAndJammer(t *testing.T) {
 }
 
 func TestFacadeRLS(t *testing.T) {
-	r, err := NewRLS(2, 0.99, 10)
+	r, err := NewRLS(0.99, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 200; k++ {
-		h := []float64{1, float64(k % 7)}
+		h := [2]float64{1, float64(k % 7)}
 		r.Update(h, 3+2*h[1])
 	}
 	w := r.Weights()
