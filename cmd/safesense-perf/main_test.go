@@ -43,7 +43,7 @@ func TestRunList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	for _, want := range []string{"fig2a_dos", "kernel_fft_1024", "campaign_w8"} {
+	for _, want := range []string{"fig2a_dos", "kernel_fft_1024", "campaign_w1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("list missing %q", want)
 		}
