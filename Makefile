@@ -66,9 +66,12 @@ fuzz-smoke:
 # coordinator plus two pull workers shard a 64-job campaign over the
 # HTTP API and the merged aggregate must be byte-identical to the
 # single-node oracle. Runs under -race so the lease table's lock
-# discipline is exercised against concurrent workers.
+# discipline is exercised against concurrent workers. It also runs the
+# large-lease span test: a lease with more spans than one completion
+# may ship must still stitch its dist.lease span, orphan-free, into the
+# coordinator's campaign trace.
 dist-smoke:
-	$(GO) test -race -run='^TestDistSmoke$$' -count=1 -v ./internal/dist
+	$(GO) test -race -run='^(TestDistSmoke|TestLeaseSpanStitchedOnLargeLease)$$' -count=1 -v ./internal/dist
 
 # stream-smoke is the live-observability gate: a coordinator plus two
 # mid-lease-reporting workers run a 64-job campaign while an SSE client

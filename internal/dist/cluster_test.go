@@ -41,7 +41,14 @@ type cluster struct {
 // cleanup stops the workers, then the server.
 func newCluster(t *testing.T, cfg Config) *cluster {
 	t.Helper()
-	srv := httptest.NewServer(NewCoordinator(cfg).Handler())
+	return serveCluster(t, NewCoordinator(cfg).Handler())
+}
+
+// serveCluster serves a coordinator handler (wrapped, say, to tap its
+// requests) as a cluster.
+func serveCluster(t *testing.T, h http.Handler) *cluster {
+	t.Helper()
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	c := &cluster{t: t, url: srv.URL}
 	c.ctx, c.cancel = context.WithTimeout(context.Background(), 2*time.Minute)
@@ -52,7 +59,7 @@ func newCluster(t *testing.T, cfg Config) *cluster {
 // startWorkers starts n pull workers from tmpl, worker i named
 // tmpl.ID followed by i. Each gets its own span store, as a separate
 // process would, so its lease spans reach the coordinator only through
-// completion-time stitching.
+// completion-time stitching; tmpl.Traces, when set, sizes that store.
 func (c *cluster) startWorkers(n int, tmpl WorkerConfig) {
 	c.t.Helper()
 	for i := 0; i < n; i++ {
@@ -60,6 +67,9 @@ func (c *cluster) startWorkers(n int, tmpl WorkerConfig) {
 		wc.Coordinator = c.url
 		wc.ID = fmt.Sprintf("%s%d", tmpl.ID, i)
 		wc.Traces = obstrace.NewStore(4096)
+		if tmpl.Traces != nil {
+			wc.Traces = obstrace.NewStore(tmpl.Traces.Stats().Capacity)
+		}
 		w, err := NewWorker(wc)
 		if err != nil {
 			c.t.Fatalf("NewWorker: %v", err)

@@ -162,13 +162,9 @@ func (w *Worker) acquire(ctx context.Context) (AcquireResponse, bool, error) {
 // shard's flight events.
 func (w *Worker) execute(ctx context.Context, lease AcquireResponse) error {
 	start := wallClock()
-	// Remember which of this trace's spans are already stored: the
-	// campaign trace ID is shared by every lease of the campaign, so the
-	// completion must ship only the spans this lease adds.
-	before := make(map[string]struct{})
-	for _, rec := range w.cfg.Traces.Trace(lease.TraceID) {
-		before[rec.SpanID] = struct{}{}
-	}
+	// Every lease of a campaign shares its trace ID, so the completion
+	// ships only the spans stored after this mark.
+	mark := w.cfg.Traces.Mark()
 	leaseCtx, span := w.cfg.Traces.Root(ctx, "dist.lease", lease.TraceID)
 	defer span.End()
 	span.SetAttr("campaign", lease.Campaign)
@@ -230,17 +226,14 @@ func (w *Worker) execute(ctx context.Context, lease AcquireResponse) error {
 	}
 	// Close the lease span now (End is idempotent; the defer becomes a
 	// no-op) so it flushes into the store and ships with the completion —
-	// the coordinator stitches it under the campaign root.
+	// the coordinator stitches it under the campaign root. Over the wire
+	// cap the newest spans ship: a span ends after its children, so that
+	// suffix holds the lease span (ended last) and the parent of every
+	// span in it — no shipped span is an orphan.
 	span.End()
-	var spans []obstrace.SpanRecord
-	for _, rec := range w.cfg.Traces.Trace(lease.TraceID) {
-		if _, ok := before[rec.SpanID]; ok {
-			continue
-		}
-		spans = append(spans, rec)
-		if len(spans) == MaxCompleteSpans {
-			break
-		}
+	spans := w.cfg.Traces.Since(lease.TraceID, mark)
+	if len(spans) > MaxCompleteSpans {
+		spans = spans[len(spans)-MaxCompleteSpans:]
 	}
 	req := CompleteRequest{
 		LeaseID:  lease.LeaseID,

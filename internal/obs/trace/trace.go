@@ -25,7 +25,6 @@ import (
 	rt "runtime/trace"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -182,12 +181,11 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // Store is a bounded ring buffer of completed spans. When full, the
 // oldest span is evicted. All methods are safe for concurrent use.
 type Store struct {
-	evicted atomic.Uint64 // live spans overwritten by ring wraparound
-
-	mu   sync.Mutex
-	buf  []SpanRecord
-	head int // next write index
-	n    int // filled entries
+	mu      sync.Mutex
+	buf     []SpanRecord
+	head    int    // next write index
+	n       int    // filled entries
+	written uint64 // spans ever added: the Mark/Since clock
 }
 
 // DefaultCapacity bounds the default store: at ~4 spans per request or
@@ -242,14 +240,12 @@ func (st *Store) add(rec SpanRecord) {
 }
 
 func (st *Store) addLocked(rec SpanRecord) {
-	if st.n == len(st.buf) {
-		st.evicted.Add(1)
-	}
 	st.buf[st.head] = rec
 	st.head = (st.head + 1) % len(st.buf)
 	if st.n < len(st.buf) {
 		st.n++
 	}
+	st.written++
 }
 
 // Stats is the store's loss accounting: evicted spans were recorded but
@@ -263,13 +259,9 @@ type Stats struct {
 // Stats returns the store's current size and cumulative loss counter.
 func (st *Store) Stats() Stats {
 	st.mu.Lock()
-	spans, capacity := st.n, len(st.buf)
-	st.mu.Unlock()
-	return Stats{
-		Spans:        spans,
-		Capacity:     capacity,
-		EvictedSpans: st.evicted.Load(),
-	}
+	defer st.mu.Unlock()
+	// Each add past capacity overwrote one resident span.
+	return Stats{Spans: st.n, Capacity: len(st.buf), EvictedSpans: st.written - uint64(st.n)}
 }
 
 // Import merges externally-recorded spans — e.g. a dist worker's span
@@ -277,34 +269,34 @@ func (st *Store) Stats() Stats {
 // coordinator can stitch worker-side spans under the campaign trace it
 // started. Spans already present (same trace ID and span ID) are
 // skipped, making redelivered batches idempotent; spans missing either
-// ID are rejected. Returns how many spans were added.
+// ID are rejected. Returns how many spans were added. It indexes the
+// batch, not the ring: one pass over the residents, no ring-sized map.
 func (st *Store) Import(recs []SpanRecord) int {
 	if len(recs) == 0 {
 		return 0
 	}
+	// fresh[key] is true while the span still needs adding: false once
+	// it is found resident or added from earlier in the batch.
+	fresh := make(map[[2]string]bool, len(recs))
+	for _, rec := range recs {
+		if rec.TraceID != "" && rec.SpanID != "" {
+			fresh[[2]string{rec.TraceID, rec.SpanID}] = true
+		}
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	seen := make(map[[2]string]struct{}, st.n+len(recs))
-	start := st.head - st.n
-	if start < 0 {
-		start += len(st.buf)
-	}
-	for i := 0; i < st.n; i++ {
-		rec := st.buf[(start+i)%len(st.buf)]
-		seen[[2]string{rec.TraceID, rec.SpanID}] = struct{}{}
+	for i := range st.buf[:st.n] {
+		if key := [2]string{st.buf[i].TraceID, st.buf[i].SpanID}; fresh[key] {
+			fresh[key] = false
+		}
 	}
 	added := 0
 	for _, rec := range recs {
-		if rec.TraceID == "" || rec.SpanID == "" {
-			continue
+		if key := [2]string{rec.TraceID, rec.SpanID}; fresh[key] {
+			fresh[key] = false
+			st.addLocked(rec)
+			added++
 		}
-		key := [2]string{rec.TraceID, rec.SpanID}
-		if _, ok := seen[key]; ok {
-			continue
-		}
-		seen[key] = struct{}{}
-		st.addLocked(rec)
-		added++
 	}
 	return added
 }
@@ -314,27 +306,42 @@ func (st *Store) Records() []SpanRecord {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := make([]SpanRecord, 0, st.n)
-	start := st.head - st.n
-	if start < 0 {
-		start += len(st.buf)
+	for i := st.head - st.n; i < st.head; i++ {
+		out = append(out, st.buf[(i+len(st.buf))%len(st.buf)])
 	}
-	for i := 0; i < st.n; i++ {
-		out = append(out, st.buf[(start+i)%len(st.buf)])
+	return out
+}
+
+// Mark returns the store's write clock: how many spans it has ever
+// added. Hand it to Since to read back only what was added after it.
+func (st *Store) Mark() uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.written
+}
+
+// Since returns the stored spans of one trace added after mark (a value
+// from Mark), oldest first. It walks only the slots written since mark,
+// so its cost follows what was added, not the ring's size; spans
+// already evicted by wraparound are gone (nil when none remain).
+func (st *Store) Since(traceID string, mark uint64) []SpanRecord {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var out []SpanRecord
+	// Slots written after mark that are still resident (none when mark
+	// is ahead of the clock).
+	fresh := int(min(st.written-min(mark, st.written), uint64(st.n)))
+	for i := st.head - fresh; i < st.head; i++ {
+		if rec := &st.buf[(i+len(st.buf))%len(st.buf)]; rec.TraceID == traceID {
+			out = append(out, *rec)
+		}
 	}
 	return out
 }
 
 // Trace returns the stored spans of one trace, oldest first (nil when
 // the trace is unknown or fully evicted).
-func (st *Store) Trace(traceID string) []SpanRecord {
-	var out []SpanRecord
-	for _, rec := range st.Records() {
-		if rec.TraceID == traceID {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
+func (st *Store) Trace(traceID string) []SpanRecord { return st.Since(traceID, 0) }
 
 // TraceSummary is one trace as listed by Summaries.
 type TraceSummary struct {

@@ -3,6 +3,8 @@ package trace
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -222,5 +224,182 @@ func TestImportDedup(t *testing.T) {
 	}
 	if added := st.Import(nil); added != 0 {
 		t.Errorf("Import(nil) added %d spans, want 0", added)
+	}
+}
+
+// spanLog adds n spans to st, span i in trace "a" when i%3 == 0 and in
+// "b" otherwise, and returns them in write order.
+func spanLog(st *Store, n int) []SpanRecord {
+	log := make([]SpanRecord, n)
+	for i := range log {
+		log[i] = SpanRecord{TraceID: "b", SpanID: fmt.Sprintf("s%03d", i), Name: fmt.Sprintf("span-%d", i)}
+		if i%3 == 0 {
+			log[i].TraceID = "a"
+		}
+		st.add(log[i])
+	}
+	return log
+}
+
+// TestSinceAcrossWraparound checks Since against every mark of a store
+// that has wrapped more than twice, marks taken before the first wrap
+// (written-mark > capacity) included: it must return exactly the still
+// resident spans of the trace written at or after the mark, oldest
+// first, and nothing of other traces.
+func TestSinceAcrossWraparound(t *testing.T) {
+	const capacity, total = 8, 21
+	st := NewStore(capacity)
+	log := spanLog(st, total)
+	if got := st.Mark(); got != total {
+		t.Fatalf("Mark = %d, want %d", got, total)
+	}
+	for mark := 0; mark <= total+1; mark++ {
+		var want []SpanRecord
+		for i := max(mark, total-capacity); i < total; i++ {
+			if log[i].TraceID == "a" {
+				want = append(want, log[i])
+			}
+		}
+		got := st.Since("a", uint64(mark))
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("Since(a, %d) = %v\nwant %v", mark, got, want)
+		}
+	}
+	if got := st.Trace("a"); fmt.Sprint(got) != fmt.Sprint(st.Since("a", 0)) {
+		t.Errorf("Trace(a) = %v, want Since(a, 0)", got)
+	}
+}
+
+// TestImportIntoFullRing runs the dedup rules on a wrapped ring: a
+// resident span is skipped, an in-batch duplicate is added once, and a
+// span the ring has already evicted is added back.
+func TestImportIntoFullRing(t *testing.T) {
+	st := NewStore(4)
+	log := spanLog(st, 6) // s002..s005 resident, s000 and s001 evicted
+	fresh := SpanRecord{TraceID: "a", SpanID: "new", Name: "dist.lease"}
+	batch := []SpanRecord{log[3], fresh, fresh, log[0]}
+	if added := st.Import(batch); added != 2 {
+		t.Fatalf("Import added %d spans, want 2 (fresh once, evicted s000)", added)
+	}
+	got := st.Records()
+	var ids []string
+	for _, rec := range got {
+		ids = append(ids, rec.SpanID)
+	}
+	if want := "[s004 s005 new s000]"; fmt.Sprint(ids) != want {
+		t.Errorf("ring after import = %v, want %s", ids, want)
+	}
+	if stats := st.Stats(); stats.EvictedSpans != 4 {
+		t.Errorf("EvictedSpans = %d, want 4", stats.EvictedSpans)
+	}
+}
+
+// TestStoreConcurrentUse races span writers against every reader of
+// the write clock: Mark, Since, Import and Stats. Run it under -race.
+func TestStoreConcurrentUse(t *testing.T) {
+	st := NewStore(64)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				_, s := st.Root(context.Background(), "w", "shared")
+				s.End()
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		mark := st.Mark()
+		for _, rec := range st.Since("shared", mark) {
+			if rec.TraceID != "shared" {
+				t.Fatalf("Since returned a span of trace %q", rec.TraceID)
+			}
+		}
+		st.Import([]SpanRecord{{TraceID: "shared", SpanID: fmt.Sprintf("imp%d", i)}})
+		if stats := st.Stats(); stats.Spans > stats.Capacity {
+			t.Fatalf("Stats = %+v: more spans than capacity", stats)
+		}
+	}
+	wg.Wait()
+	if got, want := st.Mark(), uint64(4*200+200); got != want {
+		t.Errorf("Mark = %d after all writes, want %d", got, want)
+	}
+}
+
+// fullRing returns a DefaultCapacity store filled by one campaign trace
+// "c" except for the last lease spans of trace "lease".
+func fullRing(lease int) *Store {
+	st := NewStore(DefaultCapacity)
+	for i := 0; i < DefaultCapacity; i++ {
+		id := "c"
+		if i >= DefaultCapacity-lease {
+			id = "lease"
+		}
+		st.add(SpanRecord{TraceID: id, SpanID: NewSpanID(), Name: "campaign.job"})
+	}
+	return st
+}
+
+// TestTraceAllocationBound pins Trace's cost to the trace, not the
+// ring: reading a 70-span trace out of a full ring must not copy the
+// ring (4096 spans are ~0.5 MB).
+func TestTraceAllocationBound(t *testing.T) {
+	st := fullRing(70)
+	const calls = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if got := len(st.Trace("lease")); got != 70 {
+			t.Fatalf("Trace = %d spans, want 70", got)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 64<<10 {
+		t.Errorf("Trace of a 70-span trace allocates %d B per call, want < 64 KiB", per)
+	}
+}
+
+// spanSink keeps benchmarked reads live so the compiler cannot drop them.
+var spanSink []SpanRecord
+
+// BenchmarkStoreTraceFull reads a 70-span lease back out of a full
+// ring two ways: Trace by ID, and Since from the mark taken before the
+// lease (the dist worker's completion hand-off).
+func BenchmarkStoreTraceFull(b *testing.B) {
+	st := fullRing(70)
+	b.Run("trace", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			spanSink = st.Trace("lease")
+		}
+	})
+	b.Run("since", func(b *testing.B) {
+		mark := st.Mark() - 70
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			spanSink = st.Since("lease", mark)
+		}
+	})
+}
+
+// BenchmarkStoreImportFull imports 70-span completion batches into a
+// full ring. The batches cycle through more spans than the ring holds,
+// so each one has been evicted by the time it comes round again and
+// every Import adds all 70.
+func BenchmarkStoreImportFull(b *testing.B) {
+	st := fullRing(0)
+	batches := make([][]SpanRecord, DefaultCapacity/70+2)
+	for i := range batches {
+		for j := 0; j < 70; j++ {
+			batches[i] = append(batches[i], SpanRecord{TraceID: "c", SpanID: NewSpanID(), Name: "campaign.job"})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if added := st.Import(batches[i%len(batches)]); added != 70 {
+			b.Fatalf("Import added %d, want 70", added)
+		}
 	}
 }
