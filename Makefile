@@ -56,6 +56,7 @@ race-hot:
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSpec -fuzztime=$(FUZZ_TIME) ./internal/campaign
+	$(GO) test -run='^$$' -fuzz=FuzzRunSpec -fuzztime=$(FUZZ_TIME) ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeLease -fuzztime=$(FUZZ_TIME) ./internal/dist
 	$(GO) test -run='^$$' -fuzz=FuzzSSEFrame -fuzztime=$(FUZZ_TIME) ./internal/obs/stream
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCapture -fuzztime=$(FUZZ_TIME) ./internal/obs/forensic

@@ -86,6 +86,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -276,6 +277,14 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	// Listen before building the service: a busy -addr fails first, and
+	// connections that arrive while the rest starts up wait in the
+	// kernel's accept backlog until Serve below answers them.
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
 	// One hub carries every stream: local campaigns and the dist
 	// coordinator publish to it, the SSE endpoints subscribe from it.
 	hub := stream.NewHub(0)
@@ -318,7 +327,6 @@ func run(o options) error {
 		Profiles:           profiles,
 	})
 	hs := &http.Server{
-		Addr:              o.addr,
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -359,8 +367,8 @@ func run(o options) error {
 
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("listening", "addr", o.addr)
-		errc <- hs.ListenAndServe()
+		logger.Info("listening", "addr", ln.Addr().String())
+		errc <- hs.Serve(ln)
 	}()
 
 	select {

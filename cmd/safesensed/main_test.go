@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"math"
+	"net"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -19,5 +22,23 @@ func TestRunRejectsForensicLatencyPct(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "-forensic-latency-pct") {
 			t.Errorf("-forensic-latency-pct %v: err = %v, want an error naming the flag", pct, err)
 		}
+	}
+}
+
+// TestRunFailsOnBusyAddr: run listens before it builds the service, so
+// an address already in use fails start-up with the listen error.
+func TestRunFailsOnBusyAddr(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	err = run(options{
+		addr: ln.Addr().String(), maxCampaigns: 1, maxJobs: 1, maxBodyBytes: 1,
+		logFormat: "text",
+	})
+	var opErr *net.OpError
+	if !errors.As(err, &opErr) || opErr.Op != "listen" || !errors.Is(err, syscall.EADDRINUSE) {
+		t.Fatalf("run on a busy address: err = %v, want the listen error (address in use)", err)
 	}
 }

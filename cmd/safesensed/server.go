@@ -330,7 +330,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	res, err := sim.RunContext(r.Context(), scenario)
+	// The response carries rls_time_ns, so the run is timed; it records
+	// its series only when the response ships them.
+	detail := sim.Timed
+	if req.IncludeTraces {
+		detail = sim.Traced
+	}
+	res, err := sim.RunContext(sim.WithDetail(r.Context(), detail), scenario)
 	if err != nil {
 		obs.WriteError(w, r, http.StatusInternalServerError, err)
 		return

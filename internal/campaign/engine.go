@@ -274,20 +274,22 @@ func poolSize(workers, n int) int {
 // every successful job it records the timing in slowest (nil skips
 // that), hands the result to the forensic capturer, then reports the
 // outcome to opt.OnOutcome under one lock, in that order. The engine
-// retains no sim result past that point. Jobs run untimed (see
-// sim.WithoutPhaseTiming) unless the capturer captures latency
-// outliers.
+// retains no sim result past that point. Jobs run at sim.Summary
+// detail (no series, no event log, no clock reads), or at sim.Timed
+// when the capturer captures latency outliers.
 func runJobs(ctx context.Context, jobs []Job, workers int, opt Options, slowest *topK) ([]Outcome, error) {
 	logger := opt.Log
 	if logger == nil {
 		logger = slog.New(obs.DiscardHandler{})
 	}
 	capt := newCapturer(opt)
-	if !capt.capturesLatency() {
-		// Nothing reads a job's phase timing unless a latency capture
-		// may need to explain it; jobTime below times the job itself.
-		ctx = sim.WithoutPhaseTiming(ctx)
+	// Nothing reads a job's phase timing unless a latency capture may
+	// need to explain it; jobTime below times the job itself.
+	detail := sim.Summary
+	if capt.capturesLatency() {
+		detail = sim.Timed
 	}
+	ctx = sim.WithDetail(ctx, detail)
 	var report func(Outcome)
 	if opt.OnOutcome != nil {
 		var mu sync.Mutex

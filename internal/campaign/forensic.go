@@ -160,8 +160,9 @@ func CaptureOf(campaignID, specHash string, j Job, res *sim.Result, kinds []stri
 	return c, nil
 }
 
-// ReplayCapture re-runs a capture's grid point deterministically and
-// returns the fresh result.
+// ReplayCapture re-runs a capture's grid point deterministically at
+// sim.Summary detail (what a capture records) and returns the fresh
+// result.
 func ReplayCapture(ctx context.Context, c forensic.Capture) (*sim.Result, error) {
 	var p Point
 	if err := json.Unmarshal(c.Point, &p); err != nil {
@@ -174,7 +175,7 @@ func ReplayCapture(ctx context.Context, c forensic.Capture) (*sim.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunContext(ctx, s)
+	return sim.RunContext(sim.WithDetail(ctx, sim.Summary), s)
 }
 
 // ReplayReport is the outcome of replaying a capture against its

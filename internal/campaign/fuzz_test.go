@@ -2,10 +2,13 @@ package campaign
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"safesense/internal/obs"
+	"safesense/internal/sim"
 )
 
 // FuzzDecodeSpec feeds arbitrary bytes down the path a campaign
@@ -69,6 +72,59 @@ func FuzzDecodeSpec(f *testing.F) {
 		again, err := sp.Expand()
 		if err != nil || !reflect.DeepEqual(jobs, again) {
 			t.Fatalf("Expand is not deterministic for %s", data)
+		}
+	})
+}
+
+// FuzzRunSpec runs what FuzzDecodeSpec only expands: every job of an
+// accepted spec with at most fuzzRunJobs jobs and fuzzRunSteps steps
+// runs at sim.Summary (as campaign jobs run) and at sim.Traced (as a
+// figure run records). Neither may panic, both must fail or succeed
+// together, and the outcomeOf projections must agree bit for bit: %+v
+// prints each float as the shortest decimal that parses back to it.
+func FuzzRunSpec(f *testing.F) {
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"steps":120,"attacks":["dos","delay","none"],"onsets":[40],"replicates":2}`))
+	f.Add([]byte(`{"steps":200,"schedules":[{"kind":"lfsr","width":5,"reg_len":9,"seed":7}],"attacks":["fast-adversary"],"onsets":[60]}`))
+	f.Add([]byte(`{"steps":64,"signal_level":true,"leaders":["phased"],"onsets":[30]}`))
+	f.Add([]byte(`{"steps":90,"defended":false,"attacks":["delay"],"offsets_m":[40],"onsets":[10]}`))
+	f.Add([]byte(`{"steps":1,"onsets":[0],"jammer_powers_mw":[1e-9]}`))
+
+	const (
+		fuzzRunJobs  = 8
+		fuzzRunSteps = 400
+	)
+	summary := sim.WithDetail(context.Background(), sim.Summary)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sp Spec
+		if err := obs.DecodeStrict(bytes.NewReader(data), &sp); err != nil {
+			return
+		}
+		n, err := sp.NumJobs()
+		if err != nil || n > fuzzRunJobs || sp.withDefaults().Steps > fuzzRunSteps {
+			return
+		}
+		jobs, err := sp.Expand()
+		if err != nil {
+			t.Fatalf("Expand failed after NumJobs accepted: %v", err)
+		}
+		for _, j := range jobs {
+			s, err := j.Point.Scenario()
+			if err != nil {
+				continue
+			}
+			fast, ferr := sim.RunContext(summary, s)
+			full, terr := sim.Run(s)
+			if (ferr == nil) != (terr == nil) {
+				t.Fatalf("job %d: Summary err %v, Traced err %v", j.Index, ferr, terr)
+			}
+			if ferr != nil {
+				continue
+			}
+			got, want := fmt.Sprintf("%+v", outcomeOf(j, fast)), fmt.Sprintf("%+v", outcomeOf(j, full))
+			if got != want {
+				t.Fatalf("job %d: Summary outcome\n%s\nTraced outcome\n%s", j.Index, got, want)
+			}
 		}
 	})
 }

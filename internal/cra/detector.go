@@ -109,40 +109,36 @@ func (d *Detector) Step(m radar.Measurement) Event {
 	return ev
 }
 
-// Accuracy compares the detector's per-step belief against ground truth
-// and returns the confusion counts. truth(k) must report whether an attack
-// was physically active at step k. Because CRA only samples at challenge
+// Accuracy holds the confusion counts of the detector's per-step belief
+// against ground truth (see Score). Because CRA only samples at challenge
 // instants, a detection necessarily lags attack onset by up to the
-// challenge spacing; Accuracy therefore also reports the per-attack
-// detection latency (steps from onset to flag) rather than counting the
-// gap as false negatives. Steps are evaluated at challenge instants only,
-// where the paper claims zero false positives and zero false negatives.
+// challenge spacing; that lag is reported as detection latency rather
+// than counted as false negatives. Steps are scored at challenge
+// instants only, where the paper claims zero false positives and zero
+// false negatives.
 type Accuracy struct {
 	TruePositives, TrueNegatives int
 	FalsePositives               int
 	FalseNegatives               int
 }
 
-// EvaluateAtChallenges replays recorded events against ground truth,
-// scoring only challenge instants.
-func EvaluateAtChallenges(events []Event, truth func(k int) bool) Accuracy {
-	var acc Accuracy
-	for _, ev := range events {
-		if !ev.Challenged {
-			continue
-		}
-		attacked := truth(ev.K)
-		flagged := ev.State == UnderAttack
-		switch {
-		case attacked && flagged:
-			acc.TruePositives++
-		case attacked && !flagged:
-			acc.FalseNegatives++
-		case !attacked && flagged:
-			acc.FalsePositives++
-		default:
-			acc.TrueNegatives++
-		}
+// Score adds one detector event to the confusion counts; attacked
+// reports whether an attack was physically active at step ev.K. Only
+// challenge instants are scored, so a run can score each step's event as
+// it happens instead of keeping the event log.
+func (a *Accuracy) Score(ev Event, attacked bool) {
+	if !ev.Challenged {
+		return
 	}
-	return acc
+	flagged := ev.State == UnderAttack
+	switch {
+	case attacked && flagged:
+		a.TruePositives++
+	case attacked && !flagged:
+		a.FalseNegatives++
+	case !attacked && flagged:
+		a.FalsePositives++
+	default:
+		a.TrueNegatives++
+	}
 }

@@ -69,15 +69,14 @@ func TestDetectorZeroFalsePositivesCleanRun(t *testing.T) {
 	// The paper's claim: no false positives without an attack.
 	sched := prbs.PaperFigureSchedule()
 	d, _ := NewDetector(sched, threshold)
-	var events []Event
+	var acc Accuracy
 	for k := 0; k <= 300; k++ {
 		power := 1e-11 // healthy target return
 		if sched.Challenge(k) {
 			power = 2e-14 // quiet channel
 		}
-		events = append(events, d.Step(meas(k, power, sched.Challenge(k))))
+		acc.Score(d.Step(meas(k, power, sched.Challenge(k))), false)
 	}
-	acc := EvaluateAtChallenges(events, func(int) bool { return false })
 	if acc.FalsePositives != 0 {
 		t.Fatalf("false positives: %+v", acc)
 	}
@@ -92,7 +91,7 @@ func TestDetectorZeroFalseNegativesUnderAttack(t *testing.T) {
 	sched := prbs.PaperFigureSchedule()
 	d, _ := NewDetector(sched, threshold)
 	attacked := func(k int) bool { return k >= 182 && k <= 300 }
-	var events []Event
+	var acc Accuracy
 	for k := 0; k <= 300; k++ {
 		challenge := sched.Challenge(k)
 		power := 1e-11
@@ -102,9 +101,8 @@ func TestDetectorZeroFalseNegativesUnderAttack(t *testing.T) {
 		if attacked(k) {
 			power = 1e-9
 		}
-		events = append(events, d.Step(meas(k, power, challenge)))
+		acc.Score(d.Step(meas(k, power, challenge)), attacked(k))
 	}
-	acc := EvaluateAtChallenges(events, attacked)
 	if acc.FalseNegatives != 0 || acc.FalsePositives != 0 {
 		t.Fatalf("accuracy: %+v", acc)
 	}

@@ -181,7 +181,11 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // Store is a bounded ring buffer of completed spans. When full, the
 // oldest span is evicted. All methods are safe for concurrent use.
 type Store struct {
-	mu      sync.Mutex
+	mu       sync.Mutex
+	capacity int
+	// buf is the ring, allocated at full capacity by the first add, so
+	// a store that never records (or a process still starting up) does
+	// not pay for it. It never grows after that.
 	buf     []SpanRecord
 	head    int    // next write index
 	n       int    // filled entries
@@ -193,12 +197,13 @@ type Store struct {
 const DefaultCapacity = 4096
 
 // NewStore returns a store keeping at most capacity completed spans
-// (capacity < 1 means DefaultCapacity).
+// (capacity < 1 means DefaultCapacity). The ring is allocated on the
+// first add.
 func NewStore(capacity int) *Store {
 	if capacity < 1 {
 		capacity = DefaultCapacity
 	}
-	return &Store{buf: make([]SpanRecord, capacity)}
+	return &Store{capacity: capacity}
 }
 
 var defaultStore = sync.OnceValue(func() *Store { return NewStore(DefaultCapacity) })
@@ -240,6 +245,9 @@ func (st *Store) add(rec SpanRecord) {
 }
 
 func (st *Store) addLocked(rec SpanRecord) {
+	if st.buf == nil {
+		st.buf = make([]SpanRecord, st.capacity)
+	}
 	st.buf[st.head] = rec
 	st.head = (st.head + 1) % len(st.buf)
 	if st.n < len(st.buf) {
@@ -261,7 +269,7 @@ func (st *Store) Stats() Stats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	// Each add past capacity overwrote one resident span.
-	return Stats{Spans: st.n, Capacity: len(st.buf), EvictedSpans: st.written - uint64(st.n)}
+	return Stats{Spans: st.n, Capacity: st.capacity, EvictedSpans: st.written - uint64(st.n)}
 }
 
 // Import merges externally-recorded spans — e.g. a dist worker's span

@@ -179,6 +179,33 @@ func BenchmarkInertSpan(b *testing.B) {
 	}
 }
 
+// TestStoreAllocatesRingOnFirstAdd pins the lazy ring: a new store
+// costs its header only, reads of an empty store allocate nothing, and
+// the first add allocates the ring at full capacity in one go.
+func TestStoreAllocatesRingOnFirstAdd(t *testing.T) {
+	if avg := testing.AllocsPerRun(100, func() { _ = NewStore(DefaultCapacity) }); avg > 1 {
+		t.Errorf("NewStore: %v allocs, want the header only", avg)
+	}
+	st := NewStore(DefaultCapacity)
+	if avg := testing.AllocsPerRun(100, func() { _ = st.Stats() }); avg != 0 {
+		t.Errorf("Stats before any add: %v allocs, want 0", avg)
+	}
+	if got := st.Stats(); got != (Stats{Capacity: DefaultCapacity}) {
+		t.Errorf("Stats of an empty store = %+v", got)
+	}
+	if st.Records() == nil || len(st.Records()) != 0 || st.Trace("x") != nil || st.Mark() != 0 {
+		t.Error("reads of an empty store disagree with an empty ring")
+	}
+	if st.buf != nil {
+		t.Fatal("ring allocated before the first add")
+	}
+	_, s := st.Root(context.Background(), "r", "")
+	s.End()
+	if len(st.buf) != DefaultCapacity || cap(st.buf) != DefaultCapacity {
+		t.Errorf("ring len %d cap %d after the first add, want %d", len(st.buf), cap(st.buf), DefaultCapacity)
+	}
+}
+
 func TestStatsCounters(t *testing.T) {
 	st := NewStore(2)
 	for i := 0; i < 3; i++ {

@@ -2,6 +2,7 @@ package prbs
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Schedule decides, for each discrete time step k, whether the radar issues
@@ -14,22 +15,24 @@ type Schedule interface {
 
 // FixedSchedule challenges at an explicit set of time steps. The paper's
 // figures use challenge instants k = 15, 50, 175, ... — a fixed schedule
-// pinned so the attack onset at k = 182 is probed immediately.
+// pinned so the attack onset at k = 182 is probed immediately. The steps
+// are kept sorted and distinct, so a lookup is a binary search.
 type FixedSchedule struct {
-	set map[int]bool
+	steps []int
 }
 
 // NewFixedSchedule builds a schedule from the given challenge steps.
 func NewFixedSchedule(steps ...int) *FixedSchedule {
-	s := &FixedSchedule{set: make(map[int]bool, len(steps))}
-	for _, k := range steps {
-		s.set[k] = true
-	}
-	return s
+	sorted := slices.Clone(steps)
+	slices.Sort(sorted)
+	return &FixedSchedule{steps: slices.Compact(sorted)}
 }
 
 // Challenge implements Schedule.
-func (s *FixedSchedule) Challenge(k int) bool { return s.set[k] }
+func (s *FixedSchedule) Challenge(k int) bool {
+	_, found := slices.BinarySearch(s.steps, k)
+	return found
+}
 
 // LFSRSchedule derives challenge instants from an m-sequence: step k is a
 // challenge when a window of LFSR bits is all zero, giving an average

@@ -59,27 +59,13 @@ var (
 	since = time.Since
 )
 
-// untimedKey marks a context whose runs skip per-phase timing.
-type untimedKey struct{}
-
-// WithoutPhaseTiming returns a context whose runs (via RunContext) skip
-// per-phase timing: the tracker makes no clock read, Result.Phases is
-// nil, RLSTime is zero and safesense_sim_phase_seconds observes
-// nothing. Phase entry counting, the pprof "phase" label and the
-// runtime/trace regions are unchanged, so profiles and execution traces
-// still attribute the run to its phases. For callers that time the run
-// themselves, such as the campaign engine.
-func WithoutPhaseTiming(ctx context.Context) context.Context {
-	return context.WithValue(ctx, untimedKey{}, true)
-}
-
 // phaseTracker attributes a run's wall time to exactly one phase at a
 // time. enter closes the open phase and opens the next with one clock
 // read, so back-to-back phases share the read at their boundary and the
 // totals add up to the time from start to stop. Each entry also swaps
 // the phase's pprof label (when a profile consumer is active) and its
 // runtime/trace region (when the execution tracer is on). An untimed
-// tracker (see WithoutPhaseTiming) does all of that but the reads.
+// tracker (a Summary run, see Detail) does all of that but the reads.
 type phaseTracker struct {
 	timed bool
 	base  time.Time
@@ -95,12 +81,12 @@ type phaseTracker struct {
 	region *rt.Region
 }
 
-// startPhases opens the other phase at the start of a run. The
-// execution-tracer check is hoisted here so a phase boundary costs one
-// branch when tracing is off.
-func startPhases(ctx context.Context) *phaseTracker {
+// startPhases opens the other phase at the start of a run; an untimed
+// tracker makes no clock read. The execution-tracer check is hoisted
+// here so a phase boundary costs one branch when tracing is off.
+func startPhases(ctx context.Context, timed bool) *phaseTracker {
 	t := &phaseTracker{
-		timed: ctx.Value(untimedKey{}) == nil,
+		timed: timed,
 		ctx:   ctx, rtOn: rt.IsEnabled(), cur: phaseOther,
 	}
 	if profile.Enabled() {

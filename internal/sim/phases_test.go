@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -131,8 +130,9 @@ func phaseSamples() uint64 {
 // TestPhaseAccounting pins the tracker's bookkeeping: exact entry counts
 // per phase, one clock read per boundary, phases summing to the tracker
 // wall, RLSTime equal to the rls_estimation total, and the defended
-// closed-form step within its budget of six reads. An untimed run makes
-// no read at all and differs from the timed run only in its timing.
+// closed-form step within its budget of six reads. A Timed run keeps
+// that bookkeeping without the series, and matches the Traced run in
+// every summary field; a Summary run makes no read at all.
 func TestPhaseAccounting(t *testing.T) {
 	undefended := Fig2aDoS()
 	undefended.Defended = false
@@ -142,30 +142,35 @@ func TestPhaseAccounting(t *testing.T) {
 		name     string
 		s        Scenario
 		maxReads int // per step, 0 for no budget
-		untimed  bool
+		detail   Detail
 	}{
-		{"defended", Fig2aDoS(), 6, false},
-		{"undefended", undefended, 6, false},
-		{"signal", signal, 0, false},
-		{"untimed", Fig2aDoS(), 0, true},
+		{"defended", Fig2aDoS(), 6, Traced},
+		{"defended timed", Fig2aDoS(), 6, Timed},
+		{"undefended", undefended, 6, Traced},
+		{"undefended timed", undefended, 6, Timed},
+		{"signal", signal, 0, Traced},
+		{"untimed", Fig2aDoS(), 0, Summary},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := context.Background()
-			if tc.untimed {
-				ctx = WithoutPhaseTiming(ctx)
+			// The Traced run of the same scenario, before the clock
+			// swap: its event log drives the expected counts.
+			ref, err := Run(tc.s)
+			if err != nil {
+				t.Fatal(err)
 			}
 			runs, samples := metricRuns.With().Value(), phaseSamples()
 			reads := countingClock(t)
-			res, err := RunContext(ctx, tc.s)
+			res, err := RunContext(WithDetail(context.Background(), tc.detail), tc.s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := metricRuns.With().Value() - runs; got != 1 {
 				t.Errorf("safesense_sim_runs_total rose by %v, want 1", got)
 			}
-			if tc.untimed {
-				checkUntimed(t, tc.s, res, *reads, phaseSamples()-samples)
+			checkSummaryMatches(t, res, ref)
+			if tc.detail == Summary {
+				checkUntimed(t, res, *reads, phaseSamples()-samples)
 				return
 			}
 			if reads.clock != 1 {
@@ -174,8 +179,8 @@ func TestPhaseAccounting(t *testing.T) {
 			steps := tc.s.Steps
 			// RLS runs on every accepted measurement (Observe) and every
 			// estimate delivered under attack (Predict).
-			rlsCalls := res.EstimateSteps
-			for _, ev := range res.Events {
+			rlsCalls := ref.EstimateSteps
+			for _, ev := range ref.Events {
 				if ev.State != cra.UnderAttack && !ev.Challenged {
 					rlsCalls++
 				}
@@ -223,10 +228,9 @@ func TestPhaseAccounting(t *testing.T) {
 	}
 }
 
-// checkUntimed asserts an untimed run made no clock read, returned and
-// recorded no timing, and matches the timed run of s in every
-// deterministic field.
-func checkUntimed(t *testing.T, s Scenario, res *Result, reads clockReads, samples uint64) {
+// checkUntimed asserts a Summary run made no clock read and returned
+// and recorded no timing.
+func checkUntimed(t *testing.T, res *Result, reads clockReads, samples uint64) {
 	t.Helper()
 	if reads.clock != 0 || reads.since != 0 {
 		t.Errorf("untimed run read the clock: %d base, %d since", reads.clock, reads.since)
@@ -237,28 +241,13 @@ func checkUntimed(t *testing.T, s Scenario, res *Result, reads clockReads, sampl
 	if samples != 0 {
 		t.Errorf("untimed run added %d safesense_sim_phase_seconds samples", samples)
 	}
-	timed, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := canonicalize(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := canonicalize(timed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("untimed run's deterministic fields differ from the timed run's")
-	}
 }
 
 // TestPhaseEnterZeroAlloc guards the per-boundary hot path with
 // profiling off and with phase labels on.
 func TestPhaseEnterZeroAlloc(t *testing.T) {
-	check := func(ctx context.Context, name string) {
-		tr := startPhases(ctx)
+	check := func(timed bool, name string) {
+		tr := startPhases(context.Background(), timed)
 		defer tr.stop()
 		i := 0
 		assertZeroAllocs(t, name, func() {
@@ -266,11 +255,10 @@ func TestPhaseEnterZeroAlloc(t *testing.T) {
 			i++
 		})
 	}
-	untimed := WithoutPhaseTiming(context.Background())
-	check(context.Background(), "enter")
-	check(untimed, "enter untimed")
+	check(true, "enter")
+	check(false, "enter untimed")
 	profile.Enable()
 	defer profile.Disable()
-	check(context.Background(), "enter with phase labels")
-	check(untimed, "enter untimed with phase labels")
+	check(true, "enter with phase labels")
+	check(false, "enter untimed with phase labels")
 }

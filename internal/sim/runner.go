@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -13,7 +14,6 @@ import (
 	"safesense/internal/noise"
 	obstrace "safesense/internal/obs/trace"
 	"safesense/internal/radar"
-	"safesense/internal/stats"
 	"safesense/internal/trace"
 	"safesense/internal/vehicle"
 )
@@ -28,19 +28,46 @@ const (
 	SeriesLeader    = "leader-speed"
 )
 
+// Detail selects how much of a run RunContext records. The levels are
+// ordered: each records everything the one below it does. Every level
+// computes the same summary scalars, bit for bit; a level only adds
+// recordings on top of them.
+type Detail int
+
+const (
+	// Summary records the scalars, Flight and Anomalies, and reads no
+	// clock: what a campaign job keeps of a run.
+	Summary Detail = iota
+	// Timed adds the phase breakdown (Phases) and RLSTime.
+	Timed
+	// Traced adds the Distance, Velocity and Speeds series and the
+	// per-step detector log (Events). It is the default.
+	Traced
+)
+
+// detailKey carries a context's run detail.
+type detailKey struct{}
+
+// WithDetail returns a context whose runs (via RunContext) record at
+// level d. A context without a level runs at Traced.
+func WithDetail(ctx context.Context, d Detail) context.Context {
+	return context.WithValue(ctx, detailKey{}, d)
+}
+
 // Result carries everything a figure or table needs from one run.
 type Result struct {
 	Scenario Scenario
 
 	// Distance and Velocity hold the measurement-domain traces (m and
 	// m/s): truth, radar output, and — when defended — the RLS estimates
-	// during the attack.
+	// during the attack. Nil below Traced, as is Speeds.
 	Distance *trace.Set
 	Velocity *trace.Set
 	// Speeds holds the leader and follower speed traces.
 	Speeds *trace.Set
 
-	// Events is the per-step CRA detector log (empty when undefended).
+	// Events is the per-step CRA detector log (empty when undefended,
+	// nil below Traced).
 	Events []cra.Event
 	// DetectedAt is the step the attack was flagged, -1 if never.
 	DetectedAt int
@@ -54,8 +81,7 @@ type Result struct {
 
 	// RLSTime is the cumulative wall time spent inside the RLS predictor's
 	// Observe and Predict calls — the run's rls_estimation phase total
-	// (the paper reports ~1.2e7 ns). Zero on an untimed run (see
-	// WithoutPhaseTiming).
+	// (the paper reports ~1.2e7 ns). Zero on a Summary run.
 	RLSTime time.Duration
 	// EstimateSteps counts free-run predictions delivered.
 	EstimateSteps int
@@ -76,8 +102,7 @@ type Result struct {
 	// Phases breaks the run's wall time into the pipeline phases (see
 	// the Phase* constants; PhaseOther takes the remainder, so the
 	// phases sum to the run); cumulative per run, also fed into the
-	// safesense_sim_phase_seconds histogram. Nil on an untimed run (see
-	// WithoutPhaseTiming).
+	// safesense_sim_phase_seconds histogram. Nil on a Summary run.
 	Phases []PhaseTiming
 
 	// Flight is the run's flight-recorder timeline: challenge instants,
@@ -90,14 +115,16 @@ type Result struct {
 	Anomalies []AnomalyDump
 }
 
-// Run executes the scenario (untraced; see RunContext).
+// Run executes the scenario at Traced detail, without a trace span (see
+// RunContext).
 func Run(s Scenario) (*Result, error) { return RunContext(context.Background(), s) }
 
-// RunContext executes the scenario. When ctx carries a trace span (see
-// internal/obs/trace) the run records a child span annotated with the
-// scenario identity and outcome, and — when the Go execution tracer is
-// on — per-phase runtime/trace regions, so `go tool trace` shows the
-// pipeline phases natively.
+// RunContext executes the scenario at the context's Detail (see
+// WithDetail). When ctx carries a trace span (see internal/obs/trace)
+// the run records a child span annotated with the scenario identity and
+// outcome, and — when the Go execution tracer is on — per-phase
+// runtime/trace regions, so `go tool trace` shows the pipeline phases
+// natively.
 func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -110,9 +137,14 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 		span.SetAttrInt("seed", s.Seed)
 		span.SetAttrInt("steps", int64(s.Steps))
 	}
+	detail := Traced
+	if d, ok := ctx.Value(detailKey{}).(Detail); ok {
+		detail = d
+	}
+	traced := detail >= Traced
 	// The tracker starts in the other phase; every exit stops it, and
 	// the success path stops it explicitly before recording.
-	tr := startPhases(ctx)
+	tr := startPhases(ctx, detail >= Timed)
 	defer tr.stop()
 	src := noise.NewSource(s.Seed)
 	atk, err := buildAttack(s, src)
@@ -152,39 +184,45 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 
 	*res = Result{
 		Scenario:    s,
-		Distance:    trace.NewSet(s.Name+": relative distance", "time (s)", "distance (m)"),
-		Velocity:    trace.NewSet(s.Name+": relative velocity", "time (s)", "velocity (m/s)"),
-		Speeds:      trace.NewSet(s.Name+": vehicle speeds", "time (s)", "speed (m/s)"),
 		DetectedAt:  -1,
 		CollisionAt: -1,
 		MinGap:      vehicle.Gap(leader, follower),
 	}
-	dTrue := res.Distance.Add(SeriesTrue)
-	dMeas := res.Distance.Add(SeriesMeasured)
-	dEst := res.Distance.Add(SeriesEstimated)
-	vTrue := res.Velocity.Add(SeriesTrue)
-	vMeas := res.Velocity.Add(SeriesMeasured)
-	vEst := res.Velocity.Add(SeriesEstimated)
-	spF := res.Speeds.Add(SeriesFollower)
-	spL := res.Speeds.Add(SeriesLeader)
-	reserve(s.Steps, dTrue, dMeas, dEst, vTrue, vMeas, vEst, spF, spL)
+	// The series are recordings only a Traced run makes (below it they
+	// stay nil, and appends to a nil series record nothing); every
+	// summary scalar is scored as the run goes.
+	var dTrue, dMeas, dEst, vTrue, vMeas, vEst, spF, spL *trace.Series
+	if traced {
+		res.Distance = trace.NewSet(s.Name+": relative distance", "time (s)", "distance (m)")
+		res.Velocity = trace.NewSet(s.Name+": relative velocity", "time (s)", "velocity (m/s)")
+		res.Speeds = trace.NewSet(s.Name+": vehicle speeds", "time (s)", "speed (m/s)")
+		dTrue = res.Distance.Add(SeriesTrue)
+		dMeas = res.Distance.Add(SeriesMeasured)
+		dEst = res.Distance.Add(SeriesEstimated)
+		vTrue = res.Velocity.Add(SeriesTrue)
+		vMeas = res.Velocity.Add(SeriesMeasured)
+		vEst = res.Velocity.Add(SeriesEstimated)
+		spF = res.Speeds.Add(SeriesFollower)
+		spL = res.Speeds.Add(SeriesLeader)
+		reserve(s.Steps, dTrue, dMeas, dEst, vTrue, vMeas, vEst, spF, spL)
+		if s.Defended {
+			res.Events = make([]cra.Event, 0, s.Steps)
+		}
+	}
 
 	// Held values bridge challenge instants when no measurement exists.
 	heldD, heldV := s.InitialGap, 0.0
-	// Ground truth at the steps dEst and vEst hold, for the estimate
-	// error metrics.
-	var truthD, truthV []float64
-	if s.Defended {
-		res.Events = make([]cra.Event, 0, s.Steps)
-		truthD, truthV = make([]float64, 0, s.Steps), make([]float64, 0, s.Steps)
-	}
+	// Squared estimate-vs-truth errors, summed in delivery order as
+	// stats.RMSE sums them, so the RMSEs keep its bits.
+	var sqErrD, sqErrV float64
 
 	// Rollback bookkeeping: CRA verifies the channel only at challenge
 	// instants, so when an attack is detected every sample since the last
-	// clean challenge is suspect. The predictor is snapshotted at each
-	// verified-clean challenge and rolled back on detection, then caught
-	// up to "now" with discarded free-run steps.
-	var predSnapshot *estimate.RecoveryEstimator
+	// clean challenge is suspect. The predictor is snapshotted (by value,
+	// into one slot) at each verified-clean challenge and rolled back on
+	// detection, then caught up to "now" with discarded free-run steps.
+	var snapshot estimate.RecoveryEstimator
+	haveSnapshot := false
 
 	for k := 0; k < s.Steps; k++ {
 		fr.k = k
@@ -220,7 +258,10 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 		useD, useV := m.Distance, m.RelVelocity
 		underAttack, estimated := false, false
 		if s.Defended {
-			res.Events = append(res.Events, ev)
+			if traced {
+				res.Events = append(res.Events, ev)
+			}
+			res.Accuracy.Score(ev, atk.Active(k))
 			if ev.Detected && res.DetectedAt < 0 {
 				res.DetectedAt = k
 			}
@@ -236,17 +277,17 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 			case ev.Challenged && ev.State == cra.Clear && atk.Active(k):
 				fr.flagAnomaly(AnomalyFalseNegative, "quiet challenge under active attack")
 			}
-			if ev.Detected && predSnapshot != nil {
+			if ev.Detected && haveSnapshot {
 				// Discard the possibly poisoned samples absorbed since
 				// the last verified-clean challenge: restore and free-run
 				// the restored filter up to the current step.
-				pred = predSnapshot.Clone()
+				*pred = snapshot
 				for pred.Wall() < k-1 {
 					pred.CatchUp()
 				}
 			}
 			if ev.Challenged && ev.State == cra.Clear {
-				predSnapshot = pred.Clone()
+				snapshot, haveSnapshot = *pred, true
 			}
 		}
 		// The RLS phase covers only Predict/Observe and runs straight
@@ -295,11 +336,17 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 			res.EstimateSteps++
 			dEst.Append(k, useD)
 			vEst.Append(k, useV)
-			truthD = append(truthD, d)
-			truthV = append(truthV, dv)
-			gapErr := useD - d
-			if gapErr < 0 {
-				gapErr = -gapErr
+			// Error terms in the operation order of stats.RMSE and
+			// stats.MaxAbsErr (estimate minus truth).
+			errD, errV := useD-d, useV-dv
+			sqErrD += errD * errD
+			sqErrV += errV * errV
+			gapErr := math.Abs(errD)
+			if gapErr > res.EstimateDistMaxErr {
+				res.EstimateDistMaxErr = gapErr
+			}
+			if e := math.Abs(errV); e > res.EstimateVelMaxErr {
+				res.EstimateVelMaxErr = e
 			}
 			if gapErr > GapExceedanceM {
 				if !fr.inExceed {
@@ -336,16 +383,9 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 
 	res.FinalFollowerSpeed = follower.Velocity
 	res.FinalGap = vehicle.Gap(leader, follower)
-	if len(truthD) > 0 {
-		res.EstimateDistRMSE, _ = stats.RMSE(dEst.Y, truthD)
-		res.EstimateVelRMSE, _ = stats.RMSE(vEst.Y, truthV)
-		res.EstimateDistMaxErr, _ = stats.MaxAbsErr(dEst.Y, truthD)
-		res.EstimateVelMaxErr, _ = stats.MaxAbsErr(vEst.Y, truthV)
-	}
-	if s.Defended {
-		res.Accuracy = cra.EvaluateAtChallenges(res.Events, func(k int) bool {
-			return atk.Active(k)
-		})
+	if n := res.EstimateSteps; n > 0 {
+		res.EstimateDistRMSE = math.Sqrt(sqErrD / float64(n))
+		res.EstimateVelRMSE = math.Sqrt(sqErrV / float64(n))
 	}
 	tr.stop()
 	res.RLSTime = tr.total[phaseRLSEstimation]

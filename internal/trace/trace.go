@@ -19,8 +19,12 @@ type Series struct {
 	Y    []float64
 }
 
-// Append adds a sample.
+// Append adds a sample. Appending to a nil series records nothing, so a
+// caller that records only sometimes needs no branch at its call sites.
 func (s *Series) Append(t int, y float64) {
+	if s == nil {
+		return
+	}
 	s.T = append(s.T, t)
 	s.Y = append(s.Y, y)
 }

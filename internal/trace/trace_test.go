@@ -21,6 +21,14 @@ func TestSeriesAppendAt(t *testing.T) {
 	}
 }
 
+// TestNilSeriesAppendRecordsNothing: a run below sim.Traced keeps its
+// series nil and appends to them unconditionally, so the append must
+// not panic.
+func TestNilSeriesAppendRecordsNothing(t *testing.T) {
+	var s *Series
+	s.Append(3, 1.5)
+}
+
 func TestSetAddIdempotent(t *testing.T) {
 	st := NewSet("t", "x", "y")
 	a := st.Add("a")
