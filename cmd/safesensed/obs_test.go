@@ -20,10 +20,12 @@ import (
 // counters, and the per-phase simulation histogram in Prometheus text.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	// Only a diagnostics (include_traces) run is timed and feeds the
+	// phase histogram.
 	req := RunRequest{Point: campaign.Point{
 		Attack: campaign.AttackDoS, Leader: campaign.LeaderConst,
 		Onset: 182, JammerMW: 100, Steps: 301, Seed: 1, Defended: true,
-	}}
+	}, IncludeTraces: true}
 	resp := postJSON(t, ts.URL+"/v1/run", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run: status = %d", resp.StatusCode)

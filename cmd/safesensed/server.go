@@ -330,9 +330,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	// The response carries rls_time_ns, so the run is timed; it records
-	// its series only when the response ships them.
-	detail := sim.Timed
+	// A plain answer reads no phase clock and omits rls_time_ns; a
+	// diagnostics request (include_traces) is Traced, which includes
+	// Timed, so it ships the series, rls_time_ns and phase samples.
+	detail := sim.Summary
 	if req.IncludeTraces {
 		detail = sim.Traced
 	}
@@ -342,7 +343,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reqLog(r.Context()).Info("run finished",
-		"scenario", req.Point.Label(), "seed", req.Point.Seed,
+		"scenario", res.Scenario.Name, "seed", req.Point.Seed,
 		"detected_at", res.DetectedAt, "collision_at", res.CollisionAt,
 		"flight_events", len(res.Flight))
 	obs.WriteJSON(w, http.StatusOK, report.Summarize(res, req.IncludeTraces))

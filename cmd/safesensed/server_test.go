@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"safesense/internal/campaign"
+	"safesense/internal/obs"
 	"safesense/internal/report"
 )
 
@@ -76,13 +77,43 @@ func TestRunEndpointPaperScenario(t *testing.T) {
 		Attack: campaign.AttackDoS, Leader: campaign.LeaderConst,
 		Onset: 182, JammerMW: 100, Steps: 301, Seed: 1, Defended: true,
 	}}
-	sum := decodeJSON[report.RunSummary](t, postJSON(t, ts.URL+"/v1/run", req), http.StatusOK)
+	before := phaseSamples()
+	raw := decodeJSON[json.RawMessage](t, postJSON(t, ts.URL+"/v1/run", req), http.StatusOK)
+	var sum report.RunSummary
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &sum); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
 	if sum.DetectedAt != 182 || sum.FalsePositives != 0 || sum.FalseNegatives != 0 {
 		t.Fatalf("paper run summary = %+v", sum)
 	}
 	if sum.Traces != nil {
 		t.Fatal("traces must be opt-in")
 	}
+	// A plain run is untimed: no rls_time_ns claim, no phase samples.
+	if v, ok := keys["rls_time_ns"]; ok {
+		t.Errorf("plain run answered rls_time_ns = %s", v)
+	}
+	if n := phaseSamples() - before; n != 0 {
+		t.Errorf("plain run added %d safesense_sim_phase_seconds samples", n)
+	}
+}
+
+// phaseSamples counts every safesense_sim_phase_seconds observation in
+// the default registry (tests in this package run one at a time).
+func phaseSamples() uint64 {
+	var n uint64
+	for _, f := range obs.Default().Snapshot() {
+		if f.Name == "safesense_sim_phase_seconds" {
+			for _, m := range f.Metrics {
+				n += m.Count
+			}
+		}
+	}
+	return n
 }
 
 func TestRunEndpointWithTraces(t *testing.T) {
@@ -95,6 +126,10 @@ func TestRunEndpointWithTraces(t *testing.T) {
 	sum := decodeJSON[report.RunSummary](t, postJSON(t, ts.URL+"/v1/run", req), http.StatusOK)
 	if sum.Traces == nil || len(sum.Traces.Distance.Series) == 0 {
 		t.Fatal("requested traces missing")
+	}
+	// A diagnostics run is Traced, which includes the phase timing.
+	if sum.RLSTimeNs == nil || *sum.RLSTimeNs <= 0 {
+		t.Errorf("traced run rls_time_ns = %v, want > 0", sum.RLSTimeNs)
 	}
 }
 

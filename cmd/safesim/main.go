@@ -267,7 +267,7 @@ func writeCapture(dir string, p campaign.Point, res *sim.Result) error {
 	if len(kinds) == 0 {
 		kinds = []string{forensic.KindManual}
 	}
-	c, err := campaign.CaptureOf("safesim", "", campaign.Job{Point: p}, res, kinds)
+	c, err := campaign.CaptureOf("safesim", "", campaign.Job{Point: p}, p.Label(), res, kinds)
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ package campaign
 
 import (
 	"fmt"
+	"strconv"
 
 	"safesense/internal/attack"
 	"safesense/internal/prbs"
@@ -50,13 +51,17 @@ type ScheduleSpec struct {
 	Seed uint32 `json:"seed,omitempty"`
 }
 
-// Label renders the schedule axis value for job metadata.
-func (sc ScheduleSpec) Label() string {
+// appendLabel appends the schedule axis value of a job label: "paper",
+// or "lfsr(w=W,r=R,s=S)" with defaults applied.
+func (sc ScheduleSpec) appendLabel(b []byte) []byte {
 	if sc.Kind == "" || sc.Kind == "paper" {
-		return "paper"
+		return append(b, "paper"...)
 	}
 	sc = sc.withDefaults()
-	return fmt.Sprintf("lfsr(w=%d,r=%d,s=%d)", sc.Width, sc.RegLen, sc.Seed)
+	b = strconv.AppendInt(append(b, "lfsr(w="...), int64(sc.Width), 10)
+	b = strconv.AppendInt(append(b, ",r="...), int64(sc.RegLen), 10)
+	b = strconv.AppendUint(append(b, ",s="...), uint64(sc.Seed), 10)
+	return append(b, ')')
 }
 
 func (sc ScheduleSpec) withDefaults() ScheduleSpec {
@@ -72,11 +77,17 @@ func (sc ScheduleSpec) withDefaults() ScheduleSpec {
 	return sc
 }
 
-// Build materializes the schedule for a horizon of steps.
+// paperSchedule is the one paper schedule every "paper" job shares: a
+// FixedSchedule is immutable once built.
+var paperSchedule = prbs.PaperFigureSchedule()
+
+// Build materializes the schedule for a horizon of steps. Every "paper"
+// build returns the same shared, immutable *prbs.FixedSchedule; an
+// "lfsr" build is a fresh schedule.
 func (sc ScheduleSpec) Build(steps int) (prbs.Schedule, error) {
 	switch sc.Kind {
 	case "", "paper":
-		return prbs.PaperFigureSchedule(), nil
+		return paperSchedule, nil
 	case "lfsr":
 		d := sc.withDefaults()
 		return prbs.NewLFSRSchedule(d.RegLen, d.Seed, d.Width, steps)
@@ -234,9 +245,14 @@ type Point struct {
 	SignalLevel bool         `json:"signal_level,omitempty"`
 }
 
-// Scenario builds the sim.Scenario for the point. Each call constructs
-// fresh schedule and profile values so concurrent runs share nothing.
-func (p Point) Scenario() (sim.Scenario, error) {
+// Scenario builds the sim.Scenario for the point, named by its Label.
+// Each call constructs fresh profile values; the paper schedule is the
+// one immutable value concurrent runs share (ScheduleSpec.Build).
+func (p Point) Scenario() (sim.Scenario, error) { return p.scenario(p.Label()) }
+
+// scenario is Scenario with the label already built, so a campaign job
+// renders it once for its span, scenario name, outcome and capture.
+func (p Point) scenario(label string) (sim.Scenario, error) {
 	var s sim.Scenario
 	switch p.Leader {
 	case LeaderConst, "":
@@ -262,7 +278,7 @@ func (p Point) Scenario() (sim.Scenario, error) {
 	s.Seed = p.Seed
 	s.Defended = p.Defended
 	s.SignalLevel = p.SignalLevel
-	s.Name = p.Label()
+	s.Name = label
 
 	window := attack.Window{Start: p.Onset, End: steps - 1}
 	switch p.Attack {
@@ -291,16 +307,24 @@ func (p Point) offset() float64 {
 	return 6
 }
 
-// Label renders a human-readable point identifier.
+// Label renders a human-readable point identifier, e.g.
+// "dos/const/paper/onset=182/jam=100mW/seed=1". Numbers print as fmt's
+// %d and %g would; the label is built on the stack and allocated once.
 func (p Point) Label() string {
-	l := fmt.Sprintf("%s/%s/%s", orDefault(p.Attack, AttackNone), orDefault(p.Leader, LeaderConst), p.Schedule.Label())
+	var buf [128]byte
+	b := append(buf[:0], orDefault(p.Attack, AttackNone)...)
+	b = append(append(b, '/'), orDefault(p.Leader, LeaderConst)...)
+	b = p.Schedule.appendLabel(append(b, '/'))
 	switch p.Attack {
 	case AttackDoS:
-		l += fmt.Sprintf("/onset=%d/jam=%gmW", p.Onset, p.JammerMW)
+		b = strconv.AppendInt(append(b, "/onset="...), int64(p.Onset), 10)
+		b = append(strconv.AppendFloat(append(b, "/jam="...), p.JammerMW, 'g', -1, 64), "mW"...)
 	case AttackDelay, AttackFastAdversary:
-		l += fmt.Sprintf("/onset=%d/off=%gm", p.Onset, p.OffsetM)
+		b = strconv.AppendInt(append(b, "/onset="...), int64(p.Onset), 10)
+		b = append(strconv.AppendFloat(append(b, "/off="...), p.OffsetM, 'g', -1, 64), 'm')
 	}
-	return l + fmt.Sprintf("/seed=%d", p.Seed)
+	b = strconv.AppendInt(append(b, "/seed="...), p.Seed, 10)
+	return string(b)
 }
 
 func orDefault(s, d string) string {

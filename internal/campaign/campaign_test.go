@@ -3,6 +3,8 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -290,5 +292,89 @@ func TestAggregateEmpty(t *testing.T) {
 	agg := AggregateOutcomes(nil)
 	if agg.Jobs != 0 || agg.WorstMinGapM != 0 || agg.Latency.N != 0 {
 		t.Fatalf("empty aggregate = %+v", agg)
+	}
+}
+
+// sprintfLabel is the fmt.Sprintf rendering Point.Label replaced; it is
+// the reference the strconv label must match byte for byte.
+func sprintfLabel(p Point) string {
+	sched := "paper"
+	if sc := p.Schedule; sc.Kind != "" && sc.Kind != "paper" {
+		sc = sc.withDefaults()
+		sched = fmt.Sprintf("lfsr(w=%d,r=%d,s=%d)", sc.Width, sc.RegLen, sc.Seed)
+	}
+	l := fmt.Sprintf("%s/%s/%s", orDefault(p.Attack, AttackNone), orDefault(p.Leader, LeaderConst), sched)
+	switch p.Attack {
+	case AttackDoS:
+		l += fmt.Sprintf("/onset=%d/jam=%gmW", p.Onset, p.JammerMW)
+	case AttackDelay, AttackFastAdversary:
+		l += fmt.Sprintf("/onset=%d/off=%gm", p.Onset, p.OffsetM)
+	}
+	return l + fmt.Sprintf("/seed=%d", p.Seed)
+}
+
+func TestPointLabelMatchesSprintf(t *testing.T) {
+	attacks := []string{"", AttackNone, AttackDoS, AttackDelay, AttackFastAdversary}
+	leaders := []string{"", LeaderConst, LeaderPhased}
+	schedules := []ScheduleSpec{
+		{}, {Kind: "paper"}, {Kind: "lfsr"},
+		{Kind: "lfsr", Width: 6, RegLen: 16, Seed: math.MaxUint32},
+	}
+	values := []float64{0, 100, 0.1, 6.5, 1e21, 1e-5, 1e20, 123456.789, -2.5,
+		math.Copysign(0, -1), math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.Inf(1), math.NaN()}
+	seeds := []int64{0, 1, -1, math.MaxInt64, math.MinInt64}
+	onsets := []int{0, 182, -3}
+	for _, a := range attacks {
+		for _, l := range leaders {
+			for _, sc := range schedules {
+				for _, v := range values {
+					for _, seed := range seeds {
+						for _, k := range onsets {
+							p := Point{Attack: a, Leader: l, Schedule: sc, Onset: k,
+								OffsetM: v, JammerMW: v, Seed: seed}
+							if got, want := p.Label(), sprintfLabel(p); got != want {
+								t.Fatalf("Label(%+v) = %q, want %q", p, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	p := Point{Attack: AttackDoS, Leader: LeaderConst, Onset: 182, JammerMW: 100, Seed: 1}
+	if got := p.Label(); got != "dos/const/paper/onset=182/jam=100mW/seed=1" {
+		t.Errorf("paper DoS label = %q", got)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = p.Label() }); avg != 1 {
+		t.Errorf("Label: %v allocs, want 1", avg)
+	}
+}
+
+// TestCampaignJobAllocationCeiling bounds a campaign job's allocations,
+// the run's own included, on the 64-job Fig 2 grid the campaign_w1 perf
+// scenario sweeps (one worker, outcomes discarded). The ceiling is 40
+// allocations per job.
+func TestCampaignJobAllocationCeiling(t *testing.T) {
+	const maxAllocsPerJob = 40
+	spec := Spec{
+		Steps:      301,
+		BaseSeed:   42,
+		Replicates: 16,
+		Attacks:    []string{AttackDoS, AttackDelay},
+		Onsets:     []int{175, 182},
+	}
+	jobs, err := spec.NumJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Workers: 1, DiscardOutcomes: true}
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := Run(context.Background(), spec, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perJob := avg / float64(jobs); perJob > maxAllocsPerJob {
+		t.Errorf("campaign job: %.1f allocs/job, want <= %d", perJob, maxAllocsPerJob)
 	}
 }

@@ -89,12 +89,13 @@ type Outcome struct {
 	FinalSpeedMps float64 `json:"final_speed_mps"`
 }
 
-// outcomeOf projects a sim.Result onto the campaign record.
-func outcomeOf(j Job, res *sim.Result) Outcome {
+// outcomeOf projects a sim.Result onto the campaign record; label is
+// j.Point.Label().
+func outcomeOf(j Job, label string, res *sim.Result) Outcome {
 	o := Outcome{
 		Index:            j.Index,
 		Replicate:        j.Replicate,
-		Label:            j.Point.Label(),
+		Label:            label,
 		Point:            j.Point,
 		DetectedAt:       res.DetectedAt,
 		DetectionLatency: -1,
@@ -290,6 +291,9 @@ func runJobs(ctx context.Context, jobs []Job, workers int, opt Options, slowest 
 		detail = sim.Timed
 	}
 	ctx = sim.WithDetail(ctx, detail)
+	// The per-job debug line boxes its arguments even when the handler
+	// drops it, so the level is checked once per execution.
+	debug := logger.Enabled(ctx, slog.LevelDebug)
 	var report func(Outcome)
 	if opt.OnOutcome != nil {
 		var mu sync.Mutex
@@ -336,8 +340,9 @@ func runJobs(ctx context.Context, jobs []Job, workers int, opt Options, slowest 
 				jobCtx, jspan := obstrace.StartSpan(ctx, "campaign.job")
 				jspan.SetAttrInt("job", int64(j.Index))
 				jspan.SetAttrInt("seed", j.Point.Seed)
-				jspan.SetAttr("label", j.Point.Label())
-				s, err := j.Point.Scenario()
+				label := j.Point.Label()
+				jspan.SetAttr("label", label)
+				s, err := j.Point.scenario(label)
 				if err == nil {
 					var res *sim.Result
 					if profile.Enabled() {
@@ -351,22 +356,24 @@ func runJobs(ctx context.Context, jobs []Job, workers int, opt Options, slowest 
 					}
 					if err == nil {
 						_, aspan := obstrace.StartSpan(jobCtx, "campaign.aggregate")
-						outcomes[it.pos] = outcomeOf(j, res)
+						outcomes[it.pos] = outcomeOf(j, label, res)
 						aspan.End()
 						jspan.End()
 						jobTime := wallClock().Sub(busy)
 						metricJobSeconds.With().ObserveDuration(jobTime)
 						metricWorkerBusySeconds.With().Add(jobTime.Seconds())
 						metricJobsDone.With().Inc()
-						logger.Debug("campaign job done",
-							"job", j.Index, "seed", j.Point.Seed,
-							"duration_ms", float64(jobTime.Nanoseconds())/1e6)
+						if debug {
+							logger.Debug("campaign job done",
+								"job", j.Index, "seed", j.Point.Seed,
+								"duration_ms", float64(jobTime.Nanoseconds())/1e6)
+						}
 						slowest.insert(JobTiming{
 							Index: j.Index, Seed: j.Point.Seed,
-							Label: outcomes[it.pos].Label, Seconds: jobTime.Seconds(),
+							Label: label, Seconds: jobTime.Seconds(),
 						})
 						if capt != nil {
-							capt.observe(j, res, jobTime)
+							capt.observe(j, label, res, jobTime)
 						}
 						if report != nil {
 							report(outcomes[it.pos])
@@ -381,7 +388,7 @@ func runJobs(ctx context.Context, jobs []Job, workers int, opt Options, slowest 
 					"job", j.Index, "seed", j.Point.Seed, "error", err.Error())
 				select {
 				case errc <- fmt.Errorf("campaign: job %d (seed %d, %s): %w",
-					j.Index, j.Point.Seed, j.Point.Label(), err):
+					j.Index, j.Point.Seed, label, err):
 				default:
 				}
 				cancel()

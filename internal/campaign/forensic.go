@@ -119,7 +119,7 @@ func (c *capturer) latencyOutlier(d time.Duration) bool {
 
 // observe projects one completed job onto a capture when it qualifies
 // (anomaly dumps, or a latency outlier) and hands it to the sink.
-func (c *capturer) observe(j Job, res *sim.Result, jobTime time.Duration) {
+func (c *capturer) observe(j Job, label string, res *sim.Result, jobTime time.Duration) {
 	kinds := res.AnomalyKinds()
 	if c.latencyOutlier(jobTime) {
 		kinds = append(kinds, forensic.KindLatencyOutlier)
@@ -127,15 +127,16 @@ func (c *capturer) observe(j Job, res *sim.Result, jobTime time.Duration) {
 	if len(kinds) == 0 {
 		return
 	}
-	fc, err := CaptureOf(c.campaign, c.o.SpecHash, j, res, kinds)
+	fc, err := CaptureOf(c.campaign, c.o.SpecHash, j, label, res, kinds)
 	if err != nil {
 		return
 	}
 	c.o.Sink(fc)
 }
 
-// CaptureOf builds the forensic capture of one completed job.
-func CaptureOf(campaignID, specHash string, j Job, res *sim.Result, kinds []string) (forensic.Capture, error) {
+// CaptureOf builds the forensic capture of one completed job; label is
+// j.Point.Label().
+func CaptureOf(campaignID, specHash string, j Job, label string, res *sim.Result, kinds []string) (forensic.Capture, error) {
 	point, err := json.Marshal(j.Point)
 	if err != nil {
 		return forensic.Capture{}, fmt.Errorf("campaign: encoding point: %w", err)
@@ -146,7 +147,7 @@ func CaptureOf(campaignID, specHash string, j Job, res *sim.Result, kinds []stri
 		Campaign:  campaignID,
 		JobIndex:  j.Index,
 		Seed:      j.Point.Seed,
-		Label:     j.Point.Label(),
+		Label:     label,
 		Attack:    orDefault(j.Point.Attack, AttackNone),
 		Point:     point,
 		Kinds:     kinds,

@@ -121,7 +121,7 @@ func FuzzRunSpec(f *testing.F) {
 			if ferr != nil {
 				continue
 			}
-			got, want := fmt.Sprintf("%+v", outcomeOf(j, fast)), fmt.Sprintf("%+v", outcomeOf(j, full))
+			got, want := fmt.Sprintf("%+v", outcomeOf(j, s.Name, fast)), fmt.Sprintf("%+v", outcomeOf(j, s.Name, full))
 			if got != want {
 				t.Fatalf("job %d: Summary outcome\n%s\nTraced outcome\n%s", j.Index, got, want)
 			}

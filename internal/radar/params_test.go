@@ -2,6 +2,7 @@ package radar
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -144,5 +145,32 @@ func TestRoundTripDelayConsistency(t *testing.T) {
 	}
 	if math.Abs(v) > 1e-9 {
 		t.Fatalf("spoofed velocity = %v, want 0", v)
+	}
+}
+
+// TestPow4MatchesMathPow pins receivedPower's (d*d)*(d*d) to the
+// math.Pow(d, 4) it replaced, bit for bit: over the radar's range (down
+// to the sonar's 0.2 m floor, which uses the same product) and over a
+// log-uniform set spanning 120 decades of normal d.
+func TestPow4MatchesMathPow(t *testing.T) {
+	p := BoschLRR2()
+	b := p.linkBudget(p.TargetRCS)
+	const n = 200_000
+	lo, hi := 0.2, p.MaxRangeM
+	for i := 0; i <= n; i++ {
+		d := lo + (hi-lo)*float64(i)/n
+		got := b.receivedPower(d)
+		want := b.num / (b.fourPi3 * math.Pow(d, 4) * b.loss)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("receivedPower(%v) = %v, math.Pow form gives %v", d, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		d := math.Pow(10, -60+120*rng.Float64())
+		d2 := d * d
+		if got, want := d2*d2, math.Pow(d, 4); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("(d*d)*(d*d) = %v, math.Pow(%v, 4) = %v", got, d, want)
+		}
 	}
 }

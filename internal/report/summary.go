@@ -32,7 +32,12 @@ type RunSummary struct {
 	DistMaxErrM   float64 `json:"dist_max_err_m"`
 	VelRMSEmps    float64 `json:"vel_rmse_mps"`
 	VelMaxErrMps  float64 `json:"vel_max_err_mps"`
-	RLSTimeNs     int64   `json:"rls_time_ns"`
+	// RLSTimeNs is the run's rls_estimation phase total (sim.Result's
+	// RLSTime). Only a timed run (sim.Timed or sim.Traced) measures it,
+	// so it is nil on an untimed sim.Summary run and the answer omits
+	// the key rather than claim the predictor took 0 ns. A timed run
+	// that never ran the predictor (undefended) reports 0.
+	RLSTimeNs *int64 `json:"rls_time_ns,omitempty"`
 
 	// Events is the flight-recorder timeline: challenge instants, CRA
 	// detections, RLS takeover/release, exceedances, collisions — each
@@ -76,9 +81,12 @@ func Summarize(res *sim.Result, includeTraces bool) RunSummary {
 		DistMaxErrM:    res.EstimateDistMaxErr,
 		VelRMSEmps:     res.EstimateVelRMSE,
 		VelMaxErrMps:   res.EstimateVelMaxErr,
-		RLSTimeNs:      res.RLSTime.Nanoseconds(),
 		Events:         res.Flight,
 		Anomalies:      res.Anomalies,
+	}
+	if res.Phases != nil { // a timed run
+		ns := res.RLSTime.Nanoseconds()
+		s.RLSTimeNs = &ns
 	}
 	if includeTraces {
 		s.Traces = &RunTraces{

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -54,5 +55,48 @@ func TestSummarizeWithTraces(t *testing.T) {
 	}
 	if _, err := json.Marshal(sum); err != nil {
 		t.Fatalf("traces must marshal cleanly (NaN-free): %v", err)
+	}
+}
+
+// TestSummarizeRLSTimeOnlyWhenTimed pins rls_time_ns to timed runs: a
+// Summary run omits the key, a timed run reports it, 0 included (an
+// undefended run never calls the predictor).
+func TestSummarizeRLSTimeOnlyWhenTimed(t *testing.T) {
+	undefended := sim.Fig2aDoS()
+	undefended.Defended = false
+	for _, tc := range []struct {
+		name   string
+		detail sim.Detail
+		s      sim.Scenario
+		want   string // "" = key absent, "0", or "+" for positive
+	}{
+		{"summary", sim.Summary, sim.Fig2aDoS(), ""},
+		{"timed", sim.Timed, sim.Fig2aDoS(), "+"},
+		{"traced", sim.Traced, sim.Fig2aDoS(), "+"},
+		{"timed undefended", sim.Timed, undefended, "0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := sim.RunContext(sim.WithDetail(context.Background(), tc.detail), tc.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(Summarize(res, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var keys map[string]json.RawMessage
+			if err := json.Unmarshal(b, &keys); err != nil {
+				t.Fatal(err)
+			}
+			v, ok := keys["rls_time_ns"]
+			switch {
+			case tc.want == "" && ok:
+				t.Errorf("rls_time_ns = %s, want the key absent", v)
+			case tc.want == "0" && string(v) != "0":
+				t.Errorf("rls_time_ns = %q, want 0", v)
+			case tc.want == "+" && (!ok || string(v) == "0"):
+				t.Errorf("rls_time_ns = %q, want > 0", v)
+			}
+		})
 	}
 }

@@ -116,8 +116,11 @@ func (f *FrontEnd) Observe(k int, dTrue float64) Measurement {
 	}
 	tof := TimeOfFlight(dTrue) + f.src.Gaussian(0, f.Params.TimingStdSec)
 	// Echo level falls with spherical spreading ~1/d^2 each way, i.e.
-	// ~1/d^4 in power; normalize at 1 m.
-	level := f.Params.EchoLevel / math.Pow(math.Max(dTrue, 0.2), 4)
+	// ~1/d^4 in power; normalize at 1 m. (d*d)*(d*d) is math.Pow(d, 4)
+	// bit for bit (see radar's receivedPower).
+	d := math.Max(dTrue, 0.2)
+	d2 := d * d
+	level := f.Params.EchoLevel / (d2 * d2)
 	return Measurement{K: k, Distance: DistanceFromTOF(tof), Level: level}
 }
 
