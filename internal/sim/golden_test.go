@@ -74,6 +74,10 @@ type goldenFingerprint struct {
 	// EstimatorAblation holds the rows of EXPERIMENTS.md's A1 table
 	// (report.EstimatorAblation), the one user of PairPredictor.
 	EstimatorAblation []goldenEstimatorRow `json:"estimator_ablation"`
+	// DetectorAblation holds the rows of EXPERIMENTS.md's A2 table
+	// (report.DetectorAblation): CRA latency at four challenge rates and
+	// the chi-square residual detector's latencies and clean-run alarms.
+	DetectorAblation []goldenDetectorRow `json:"detector_ablation"`
 	// Lateral holds lateral.DefaultScenario at goldenLateralSeeds: the
 	// lane-keeping loop runs two bare Predictors.
 	Lateral []goldenLateralRun `json:"lateral"`
@@ -100,6 +104,14 @@ type goldenEstimatorRow struct {
 	DistRMSEBits string `json:"dist_rmse_bits"`
 	VelRMSEBits  string `json:"vel_rmse_bits"`
 	Diverged     bool   `json:"diverged"`
+}
+
+// goldenDetectorRow is one A2 row.
+type goldenDetectorRow struct {
+	Detector     string `json:"detector"`
+	LatencyDoS   int    `json:"latency_dos"`
+	LatencyDelay int    `json:"latency_delay"`
+	FPClean      int    `json:"fp_clean"`
 }
 
 // goldenLateralRun is one lane-keeping run's outcome plus a SHA-256 over
@@ -211,6 +223,13 @@ func fingerprint(t *testing.T) goldenFingerprint {
 			Diverged:     r.Diverged,
 		})
 	}
+	a2, err := report.DetectorAblation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range a2 {
+		fp.DetectorAblation = append(fp.DetectorAblation, goldenDetectorRow(r))
+	}
 	for _, seed := range goldenLateralSeeds {
 		s := lateral.DefaultScenario()
 		s.Seed = seed
@@ -271,8 +290,8 @@ func writeWords(h hash.Hash, words ...uint64) {
 // defended, no-attack baseline and undefended, over goldenSeeds on the
 // closed form and over goldenSignalSeeds at signal level (plus a 256-sample
 // and a root-MUSIC Fig 2a run), a small campaign grid, the A3 extractor
-// table, the A1 estimator table and the lane-keeping runs must reproduce
-// the checked-in fingerprint exactly.
+// table, the A1 estimator and A2 detector tables and the lane-keeping runs
+// must reproduce the checked-in fingerprint exactly.
 func TestGoldenFingerprint(t *testing.T) {
 	got, err := json.MarshalIndent(fingerprint(t), "", "  ")
 	if err != nil {
