@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"safesense/internal/mat"
 	"safesense/internal/noise"
 )
 
@@ -91,38 +90,76 @@ func TestRLSUpdateRejectsNonFiniteMeasurement(t *testing.T) {
 }
 
 // denseRLS is the matrix-form Algorithm 1 the in-place RLS replaced, kept
-// as the reference its results must match bit for bit.
+// as the reference its results must match bit for bit. Its 2x2 products
+// are the general dense kernel's, written out below.
 type denseRLS struct {
 	lambda float64
-	w      []float64
-	p      *mat.Dense
+	w      [2]float64
+	p      [2][2]float64
 }
 
-func (d *denseRLS) update(hv [2]float64, y float64) (pred, e float64) {
-	h, n := hv[:], len(hv)
-	g := d.p.MulVec(h)
-	gamma := d.lambda + mat.Dot(h, g)
-	kGain := make([]float64, n)
+// denseDot is x^T y summed left to right from 0.
+func denseDot(x, y [2]float64) float64 {
+	s := 0.0
+	for i, v := range x {
+		s += v * y[i]
+	}
+	return s
+}
+
+// denseMulVec is m x, one denseDot per row.
+func denseMulVec(m [2][2]float64, x [2]float64) [2]float64 {
+	return [2]float64{denseDot(m[0], x), denseDot(m[1], x)}
+}
+
+// denseMul is a b accumulated into a zero matrix row by row, skipping the
+// terms whose left factor is 0, as the dense kernel did.
+func denseMul(a, b [2][2]float64) (out [2][2]float64) {
+	for i := range a {
+		for k, v := range a[i] {
+			if v == 0 {
+				continue
+			}
+			for j := range b[k] {
+				out[i][j] += v * b[k][j]
+			}
+		}
+	}
+	return out
+}
+
+func (d *denseRLS) update(h [2]float64, y float64) (pred, e float64) {
+	g := denseMulVec(d.p, h)
+	gamma := d.lambda + denseDot(h, g)
+	var kGain [2]float64
 	for i, v := range g {
 		kGain[i] = (1 / gamma) * v
 	}
-	pred = mat.Dot(d.w, h)
+	pred = denseDot(d.w, h)
 	e = y - pred
-	mat.Axpy(e, kGain, d.w)
-	kg := mat.NewDense(n, n)
-	for i := range kGain {
-		for j := range g {
-			kg.Set(i, j, kGain[i]*g[j])
+	for i, v := range kGain {
+		d.w[i] += e * v
+	}
+	// P <- (P - kGain g^T) * (1/lambda), then (P + P^T) * 0.5.
+	var p [2][2]float64
+	invLambda := 1 / d.lambda
+	for i := range p {
+		for j := range p[i] {
+			p[i][j] = (d.p[i][j] - float64(kGain[i]*g[j])) * invLambda
 		}
 	}
-	p := d.p.Sub(kg).Scale(1 / d.lambda)
-	d.p = p.Add(p.T()).Scale(0.5)
+	for i := range p {
+		for j := range p[i] {
+			d.p[i][j] = (p[i][j] + p[j][i]) * 0.5
+		}
+	}
 	return pred, e
 }
 
-func (d *denseRLS) translate(m *mat.Dense) {
-	d.w = m.MulVec(d.w)
-	d.p = m.Mul(d.p).Mul(m.T())
+func (d *denseRLS) translate(m [2][2]float64) {
+	d.w = denseMulVec(m, d.w)
+	mt := [2][2]float64{{m[0][0], m[1][0]}, {m[0][1], m[1][1]}}
+	d.p = denseMul(denseMul(m, d.p), mt)
 }
 
 // sameBits reports whether the filter's w and P equal the reference's
@@ -135,8 +172,8 @@ func sameBits(r *RLS, ref *denseRLS) (string, bool) {
 	}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			if math.Float64bits(r.p[i][j]) != math.Float64bits(ref.p.At(i, j)) {
-				return fmt.Sprintf("P[%d][%d] = %v, reference %v", i, j, r.p[i][j], ref.p.At(i, j)), false
+			if math.Float64bits(r.p[i][j]) != math.Float64bits(ref.p[i][j]) {
+				return fmt.Sprintf("P[%d][%d] = %v, reference %v", i, j, r.p[i][j], ref.p[i][j]), false
 			}
 		}
 	}
@@ -159,8 +196,8 @@ func TestRLSBitExactWithDenseReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := &denseRLS{lambda: 0.97, w: make([]float64, 2), p: mat.Identity(2).Scale(100)}
-	shift := mat.NewDenseData(2, 2, []float64{1, s, 0, 1})
+	ref := &denseRLS{lambda: 0.97, p: [2][2]float64{{100, 0}, {0, 100}}}
+	shift := [2][2]float64{{1, s}, {0, 1}}
 	for k := 0; k < 400; k++ {
 		r.Translate(s)
 		ref.translate(shift)

@@ -3,9 +3,43 @@ package lateral
 import (
 	"math"
 	"testing"
-
-	"safesense/internal/mat"
 )
+
+// schurStable reports whether every eigenvalue of a lies strictly inside
+// the unit circle: after m squarings ‖A^(2^m)‖_F ≥ ρ(A)^(2^m), so a
+// Frobenius norm below 1 proves ρ(A) < 1, and for ρ(A) < 1 the power
+// decays below 1 once 2^m outgrows the transient.
+func schurStable(a [stateDim][stateDim]float64) bool {
+	for m := 0; m < 16; m++ {
+		a = mul(a, a)
+	}
+	s := 0.0
+	for i := range a {
+		s += dot(a[i], a[i])
+	}
+	return s < 1
+}
+
+// closedLoop returns A - b k.
+func closedLoop(a [stateDim][stateDim]float64, b, k [stateDim]float64) [stateDim][stateDim]float64 {
+	for i := range a {
+		for j := range a[i] {
+			a[i][j] -= b[i] * k[j]
+		}
+	}
+	return a
+}
+
+// maxAbsDiff returns the largest |x[i][j] - y[i][j]| and the largest |y[i][j]|.
+func maxAbsDiff(x, y [stateDim][stateDim]float64) (diff, yMax float64) {
+	for i := range x {
+		for j := range x[i] {
+			diff = math.Max(diff, math.Abs(x[i][j]-y[i][j]))
+			yMax = math.Max(yMax, math.Abs(y[i][j]))
+		}
+	}
+	return diff, yMax
+}
 
 func TestBicycleParamsValidate(t *testing.T) {
 	if err := DefaultSedan().Validate(); err != nil {
@@ -31,19 +65,17 @@ func TestContinuousMatricesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, c := a.Dims(); r != 4 || c != 4 {
-		t.Fatalf("A dims %dx%d", r, c)
-	}
-	if r, c := b.Dims(); r != 4 || c != 1 {
-		t.Fatalf("B dims %dx%d", r, c)
-	}
 	// Zero speed rejected.
 	if _, _, err := DefaultSedan().ContinuousMatrices(0); err == nil {
 		t.Fatal("vx=0 should fail")
 	}
-	// e_y integrates e_y': A[0][1] = 1.
-	if a.At(0, 1) != 1 {
-		t.Fatal("offset integrator row wrong")
+	// e_y integrates e_y' and e_psi integrates e_psi'; steering drives
+	// only the rates.
+	if math.Float64bits(a[0][1]) != math.Float64bits(1) || math.Float64bits(a[2][3]) != math.Float64bits(1) {
+		t.Fatal("integrator rows wrong")
+	}
+	if b[0] != 0 || b[2] != 0 || !(b[1] > 0 && b[3] > 0) {
+		t.Fatalf("B = %v", b)
 	}
 }
 
@@ -59,13 +91,15 @@ func TestDiscretizeConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aa := a2.Mul(a2)
-	if !aa.EqualApprox(a1, 1e-3*(1+a1.MaxAbs())) {
-		t.Fatal("discretization not consistent across step sizes")
+	if diff, max := maxAbsDiff(mul(a2, a2), a1); diff > 1e-3*(1+max) {
+		t.Fatalf("discretization not consistent across step sizes: %v", diff)
 	}
-	bb := a2.Mul(b2).Add(b2)
-	if !bb.EqualApprox(b1, 1e-3*(1+b1.MaxAbs())) {
-		t.Fatal("input discretization not consistent")
+	bb := mulVec(a2, b2)
+	for i := range bb {
+		bb[i] += b2[i]
+		if d := math.Abs(bb[i] - b1[i]); d > 1e-3*(1+math.Abs(b1[i])) {
+			t.Fatalf("input discretization not consistent: B[%d] %v vs %v", i, bb[i], b1[i])
+		}
 	}
 }
 
@@ -75,7 +109,7 @@ func TestOpenLoopHeadingErrorDrifts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := []float64{0, 0, 0.05, 0}
+	x := [stateDim]float64{0, 0, 0.05, 0}
 	for k := 0; k < 100; k++ {
 		x = m.Step(x, 0)
 	}
@@ -89,11 +123,11 @@ func TestLKCCentersVehicle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := NewLKC(m, LKCConfig{})
+	ctl, err := NewLKC(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := []float64{0.8, 0, 0.02, 0}
+	x := [stateDim]float64{0.8, 0, 0.02, 0}
 	for k := 0; k < 500; k++ {
 		x = m.Step(x, ctl.Steer(x))
 	}
@@ -104,33 +138,108 @@ func TestLKCCentersVehicle(t *testing.T) {
 
 func TestLKCClosedLoopStable(t *testing.T) {
 	m, _ := NewModel(DefaultSedan(), 30, 0.02)
-	ctl, _ := NewLKC(m, LKCConfig{})
-	// A - B K spectral radius < 1.
-	cl := m.A.Sub(m.B.Mul(ctl.k))
-	if rho := mat.SpectralRadius(cl, 0); rho >= 1 {
-		t.Fatalf("closed-loop spectral radius %v", rho)
+	ctl, _ := NewLKC(m)
+	if !schurStable(closedLoop(m.A, m.B, ctl.k)) {
+		t.Fatal("A - B K is not Schur stable")
 	}
 }
 
 func TestLKCSaturation(t *testing.T) {
 	m, _ := NewModel(DefaultSedan(), 30, 0.02)
-	ctl, _ := NewLKC(m, LKCConfig{MaxSteerRad: 0.2})
-	u := ctl.Steer([]float64{100, 0, 0, 0})
-	if math.Abs(u) > 0.2+1e-12 {
-		t.Fatalf("steer %v exceeds saturation", u)
+	ctl, _ := NewLKC(m)
+	for _, ey := range []float64{100, -100} {
+		u := ctl.Steer([stateDim]float64{ey, 0, 0, 0})
+		if math.Abs(math.Abs(u)-maxSteerRad) > 1e-12 {
+			t.Fatalf("steer %v at e_y = %v, want saturated at %v", u, ey, maxSteerRad)
+		}
 	}
 }
 
+// TestLKCValidation: a plant the steering cannot stabilize has no LQR
+// gain, so synthesis must fail rather than return one.
 func TestLKCValidation(t *testing.T) {
-	m, _ := NewModel(DefaultSedan(), 30, 0.02)
-	if _, err := NewLKC(nil, LKCConfig{}); err == nil {
-		t.Fatal("nil model should fail")
+	var m Model
+	for i := range m.A {
+		m.A[i][i] = 2
 	}
-	if _, err := NewLKC(m, LKCConfig{QDiag: []float64{1, 2}}); err == nil {
-		t.Fatal("short QDiag should fail")
+	if _, err := NewLKC(&m); err == nil {
+		t.Fatal("an unstable plant without steering authority should fail")
 	}
-	if _, err := NewLKC(m, LKCConfig{R: -1}); err == nil {
-		t.Fatal("negative R should fail")
+}
+
+func TestDLQRScalar(t *testing.T) {
+	// x' = 2x + u, Q = 1, R = 1 embedded as the first of four states:
+	// the scalar DARE p = 1 + 4p - 4p^2/(1+p) gives p^2 - 4p - 1 = 0,
+	// so p = 2 + sqrt(5) and K = (R + B'PB)^-1 B'PA = 2p/(1+p).
+	k, err := dlqr([stateDim][stateDim]float64{{2}}, [stateDim]float64{1}, [stateDim]float64{1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := 2 + math.Sqrt(5)
+	if want := 2 * p / (1 + p); math.Abs(k[0]-want) > 1e-9 {
+		t.Fatalf("K = %v, want %v", k[0], want)
+	}
+	if k[1] != 0 || k[2] != 0 || k[3] != 0 {
+		t.Fatalf("K = %v, want no feedback from the unweighted states", k)
+	}
+	// Closed loop strictly stable.
+	if cl := 2 - k[0]; math.Abs(cl) >= 1 {
+		t.Fatalf("closed loop = %v", cl)
+	}
+}
+
+// doubleIntegrator embeds x' = [[1, dt], [0, 1]] x + [dt^2/2, dt] u in
+// four states; the last two are inert.
+func doubleIntegrator(dt float64) (a [stateDim][stateDim]float64, b [stateDim]float64) {
+	a[0] = [stateDim]float64{1, dt}
+	a[1] = [stateDim]float64{0, 1}
+	return a, [stateDim]float64{dt * dt / 2, dt}
+}
+
+func TestDLQRStabilizesDoubleIntegrator(t *testing.T) {
+	a, b := doubleIntegrator(0.1)
+	k, err := dlqr(a, b, [stateDim]float64{10, 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := closedLoop(a, b, k)
+	if !schurStable(cl) {
+		t.Fatal("A - B K is not Schur stable")
+	}
+	// Regulation: from a perturbed state the closed loop returns to zero.
+	x := [stateDim]float64{5, -2}
+	for i := 0; i < 400; i++ {
+		x = mulVec(cl, x)
+	}
+	if math.Abs(x[0]) > 1e-6 || math.Abs(x[1]) > 1e-6 {
+		t.Fatalf("state did not regulate: %v", x)
+	}
+}
+
+func TestDLQRCostMonotoneInR(t *testing.T) {
+	// Heavier control penalty must give a smaller gain magnitude.
+	a, b := doubleIntegrator(0.1)
+	q := [stateDim]float64{1, 1}
+	kCheap, err := dlqr(a, b, q, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kPricey, err := dlqr(a, b, q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cheap, pricey := dot(kCheap, kCheap), dot(kPricey, kPricey); pricey >= cheap {
+		t.Fatalf("gain should shrink with R: |K|^2 %v vs %v", pricey, cheap)
+	}
+}
+
+func TestDLQRUnstabilizable(t *testing.T) {
+	// Unstable mode with no control authority: iteration must not claim
+	// convergence, even after P overflows.
+	a := [stateDim][stateDim]float64{{2}, {0, 0.5}}
+	b := [stateDim]float64{0, 1} // only the stable mode
+	if _, err := dlqr(a, b, [stateDim]float64{1, 1, 1, 1}, 1); err == nil {
+		t.Fatal("unstabilizable pair should fail")
 	}
 }
 
@@ -247,7 +356,7 @@ func TestLaneKeepingDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.MaxAbsEy != b.MaxAbsEy || a.DetectedAt != b.DetectedAt {
+	if math.Float64bits(a.MaxAbsEy) != math.Float64bits(b.MaxAbsEy) || a.DetectedAt != b.DetectedAt {
 		t.Fatal("same seed differs")
 	}
 }

@@ -133,7 +133,7 @@ func Run(s Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := NewLKC(model, LKCConfig{})
+	ctl, err := NewLKC(model)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +158,7 @@ func Run(s Scenario) (*Result, error) {
 	tMeas := res.Offset.Add("measured")
 	tEst := res.Offset.Add("estimated")
 
-	x := []float64{s.InitialEy, 0, 0, 0}
+	x := [stateDim]float64{s.InitialEy, 0, 0, 0}
 	underAttack := false
 	heldEy, heldEPsi := s.InitialEy, 0.0
 	laneHalf := s.LaneHalfWidthM
@@ -244,7 +244,7 @@ func Run(s Scenario) (*Result, error) {
 		heldEy, heldEPsi = useEy, useEPsi
 
 		// Rates come from trusted inertial sensing: use the true state.
-		delta := ctl.Steer([]float64{useEy, x[StateEyDot], useEPsi, x[StateEPsiDot]})
+		delta := ctl.Steer([stateDim]float64{useEy, x[StateEyDot], useEPsi, x[StateEPsiDot]})
 		rateIntEy += x[StateEyDot] * s.DT
 		rateIntEPsi += x[StateEPsiDot] * s.DT
 		x = model.Step(x, delta)
@@ -252,7 +252,7 @@ func Run(s Scenario) (*Result, error) {
 	return res, nil
 }
 
-func observe(s Scenario, k int, x []float64, src *noise.Source) Measurement {
+func observe(s Scenario, k int, x [stateDim]float64, src *noise.Source) Measurement {
 	if s.Schedule.Challenge(k) {
 		return Measurement{Challenge: true, Power: s.Sensor.NoiseFloorW}
 	}
