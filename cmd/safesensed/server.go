@@ -342,10 +342,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	s.reqLog(r.Context()).Info("run finished",
-		"scenario", res.Scenario.Name, "seed", req.Point.Seed,
-		"detected_at", res.DetectedAt, "collision_at", res.CollisionAt,
-		"flight_events", len(res.Flight))
 	obs.WriteJSON(w, http.StatusOK, report.Summarize(res, req.IncludeTraces))
 }
 

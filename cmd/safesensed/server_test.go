@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,6 +69,22 @@ func TestHealthz(t *testing.T) {
 	h := decodeJSON[map[string]any](t, resp, http.StatusOK)
 	if h["ok"] != true {
 		t.Fatalf("healthz = %v", h)
+	}
+}
+
+// TestRunLogsOneRecord: a POST /v1/run writes one log record, the
+// middleware's request line; the run's outcome is in the response body.
+func TestRunLogsOneRecord(t *testing.T) {
+	logBuf := &syncBuffer{}
+	_, ts := newTestServer(t, Config{Log: slog.New(slog.NewJSONHandler(logBuf, nil))})
+	req := RunRequest{Point: campaign.Point{
+		Attack: campaign.AttackDoS, Leader: campaign.LeaderConst,
+		Onset: 182, JammerMW: 100, Steps: 301, Seed: 1, Defended: true,
+	}}
+	decodeJSON[report.RunSummary](t, postJSON(t, ts.URL+"/v1/run", req), http.StatusOK)
+	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], `"msg":"request"`) {
+		t.Fatalf("want one request record, got %d:\n%s", len(lines), logBuf.String())
 	}
 }
 
