@@ -21,7 +21,7 @@ var fixtureCases = []struct {
 	rel      string
 }{
 	{"determinism", lint.Determinism, "internal/sim"},
-	{"floatcmp", lint.FloatCmp, "internal/mat"},
+	{"floatcmp", lint.FloatCmp, "internal/stats"},
 	{"hotpathalloc", lint.HotPathAlloc, "internal/obs"},
 	{"metriclabels", lint.MetricLabels, "internal/obs"},
 	{"ctxflow", lint.CtxFlow, "internal/campaign"},

@@ -28,8 +28,9 @@ var FloatCmp = &Analyzer{
 	Name: "floatcmp",
 	Doc:  "forbid raw == / != on floating-point operands outside approved epsilon helpers",
 	Paths: []string{
-		"internal/mat",
+		"internal/baseline",
 		"internal/dsp",
+		"internal/lateral",
 		"internal/stats",
 	},
 	Run: runFloatCmp,
