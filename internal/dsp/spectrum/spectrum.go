@@ -32,11 +32,12 @@ func WindowPower(w []float64) float64 {
 // DominantFrequency returns the frequency in Hz of the strongest peak of
 // the windowed periodogram |FFT(w.x)|^2 / (N*U) of x sampled at fs, where
 // u = WindowPower(w). It windows x into scratch, transforms scratch in
-// place, and picks the peak in one pass over the periodogram's local
-// maxima; among equal maxima the lowest bin wins. The peak is refined by
-// parabolic interpolation over log power. w and scratch must have len(x);
-// x is not modified. For power-of-two lengths it does not allocate once
-// the length's FFT plan exists.
+// place, and picks the peak in one pass over the local maxima of the raw
+// power |X|^2; among equal maxima the lowest bin wins. Dividing by the
+// positive N*U cannot reorder bins, so only the three bins the parabolic
+// interpolation over log power reads are normalized. w and scratch must
+// have len(x); x is not modified. For power-of-two lengths it does not
+// allocate once the length's FFT plan exists.
 //
 //safesense:hotpath
 func DominantFrequency(x []complex128, w []float64, u, fs float64, scratch []complex128) (float64, error) {
@@ -54,15 +55,26 @@ func DominantFrequency(x []complex128, w []float64, u, fs float64, scratch []com
 		scratch[i] = complex(real(v)*w[i], imag(v)*w[i])
 	}
 	fft.ForwardInPlace(scratch)
-	norm := float64(n) * u
+	bin := peakBin(scratch)
+	if bin < 0 {
+		return 0, ErrNoPeak
+	}
+	return interpolate(scratch, float64(n)*u, bin, fs), nil
+}
+
+// peakBin returns the bin of spec's strongest local maximum of |X|^2,
+// neighbors taken circularly, the lowest among equal maxima, or -1 when
+// no bin has positive power.
+func peakBin(spec []complex128) int {
+	n := len(spec)
 	bin, peak := -1, 0.0
-	prev, cur := binPower(scratch[n-1], norm), binPower(scratch[0], norm)
+	prev, cur := rawPower(spec[n-1]), rawPower(spec[0])
 	for i := 0; i < n; i++ {
 		j := i + 1
 		if j == n {
 			j = 0
 		}
-		next := binPower(scratch[j], norm)
+		next := rawPower(spec[j])
 		// A local maximum beating every earlier one; starting from
 		// peak = 0 also rejects non-positive (and NaN) bins.
 		if cur >= prev && cur >= next && cur > peak {
@@ -70,15 +82,17 @@ func DominantFrequency(x []complex128, w []float64, u, fs float64, scratch []com
 		}
 		prev, cur = cur, next
 	}
-	if bin < 0 {
-		return 0, ErrNoPeak
-	}
-	return interpolate(scratch, norm, bin, fs), nil
+	return bin
+}
+
+// rawPower is one bin's |X[k]|^2.
+func rawPower(v complex128) float64 {
+	return real(v)*real(v) + imag(v)*imag(v)
 }
 
 // binPower is one periodogram bin: |X[k]|^2 normalized by N*U.
 func binPower(v complex128, norm float64) float64 {
-	return (real(v)*real(v) + imag(v)*imag(v)) / norm
+	return rawPower(v) / norm
 }
 
 // binFreq is the frequency in Hz of DFT bin k of n at sample rate fs,

@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"safesense/internal/dsp/fft"
 	"safesense/internal/dsp/window"
 	"safesense/internal/noise"
 )
@@ -203,5 +204,46 @@ func TestWindowPower(t *testing.T) {
 	// Hann taps are sin^2 shaped, so the power tends to mean(sin^4) = 3/8.
 	if u := WindowPower(window.Hann(4096)); math.Abs(u-0.375) > 1e-3 {
 		t.Fatalf("Hann power = %v, want ~0.375", u)
+	}
+}
+
+// TestPeakBinMatchesNormalizedSearch pins the raw-power peak search
+// against the search it replaced, which divided every bin by N*U before
+// comparing: over seeded random spectra (noise plus a few tones, at the
+// segment lengths the radar uses) both must pick the same bin.
+func TestPeakBinMatchesNormalizedSearch(t *testing.T) {
+	normalizedPeak := func(spec []complex128, norm float64) int {
+		n := len(spec)
+		bin, peak := -1, 0.0
+		for i := range spec {
+			prev := binPower(spec[(i-1+n)%n], norm)
+			cur := binPower(spec[i], norm)
+			next := binPower(spec[(i+1)%n], norm)
+			if cur >= prev && cur >= next && cur > peak {
+				bin, peak = i, cur
+			}
+		}
+		return bin
+	}
+	src := noise.NewSource(31)
+	for trial := 0; trial < 200; trial++ {
+		n := []int{16, 64, 128, 256}[trial%4]
+		x := src.ComplexNoiseVec(n, src.Uniform(1e-6, 10))
+		for tones := trial % 3; tones > 0; tones-- {
+			f, amp := src.Uniform(-0.5, 0.5), src.Uniform(0, 5)
+			for i := range x {
+				x[i] += cmplx.Rect(amp, 2*math.Pi*f*float64(i))
+			}
+		}
+		w := window.Hann(n)
+		norm := float64(n) * WindowPower(w)
+		spec := make([]complex128, n)
+		for i, v := range x {
+			spec[i] = complex(real(v)*w[i], imag(v)*w[i])
+		}
+		fft.ForwardInPlace(spec)
+		if got, want := peakBin(spec), normalizedPeak(spec, norm); got != want {
+			t.Fatalf("trial %d (n=%d): raw search picked bin %d, normalized search bin %d", trial, n, got, want)
+		}
 	}
 }
