@@ -86,9 +86,10 @@ func (s *Server) handleAnomaly(w http.ResponseWriter, r *http.Request) {
 
 // handleAnomalyReplay re-runs a capture's grid point from its seed and
 // diffs the fresh flight timeline against the stored one. An identical
-// report re-proves the determinism invariant; a divergence means the
-// binary's behavior changed since capture (or the store was tampered
-// with) and is the finding worth alarming on.
+// report re-proves the determinism invariant; a stale one means the
+// capture predates the binary's numerics version; a divergence means the
+// binary's behavior changed since capture without a version bump (or the
+// store was tampered with) and is the finding worth alarming on.
 func (s *Server) handleAnomalyReplay(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	c, ok := s.cfg.Forensic.Get(hash)
@@ -102,7 +103,7 @@ func (s *Server) handleAnomalyReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reqLog(r.Context()).Info("capture replayed",
-		"hash", hash, "identical", rep.Identical,
+		"hash", hash, "result", rep.Result,
 		"stored_events", rep.StoredEvents, "fresh_events", rep.FreshEvents)
 	obs.WriteJSON(w, http.StatusOK, rep)
 }

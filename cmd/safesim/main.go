@@ -94,12 +94,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "safesim: -replay requires -forensic-dir")
 			os.Exit(2)
 		}
-		identical, err := runReplay(*forensicDir, *replayHash)
+		diverged, err := runReplay(*forensicDir, *replayHash)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "safesim:", err)
 			os.Exit(1)
 		}
-		if !identical {
+		if diverged {
 			os.Exit(1)
 		}
 		return
@@ -284,7 +284,8 @@ func writeCapture(dir string, p campaign.Point, res *sim.Result) error {
 }
 
 // runReplay re-runs a stored capture and diffs its flight timeline,
-// reporting whether the run reproduced bit-for-bit.
+// reporting whether the run diverged: a capture from another numerics
+// version that replays differently is stale, not diverged.
 func runReplay(dir, hash string) (bool, error) {
 	store, err := forensic.Open(forensic.Options{Dir: dir})
 	if err != nil {
@@ -299,15 +300,14 @@ func runReplay(dir, hash string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	fmt.Printf("replay %s: %s (%s, seed=%d)\n",
-		hash, map[bool]string{true: "IDENTICAL", false: "DIVERGED"}[rep.Identical],
-		c.Label, c.Seed)
+	fmt.Printf("replay %s: %s (%s, seed=%d, numerics v%d)\n",
+		hash, strings.ToUpper(rep.Result), c.Label, c.Seed, rep.Numerics)
 	fmt.Printf("  stored events: %d, fresh events: %d, detected_at=%d, collision_at=%d\n",
 		rep.StoredEvents, rep.FreshEvents, rep.DetectedAt, rep.CollisionAt)
 	for _, d := range rep.Diffs {
 		fmt.Printf("  diff @%d: stored=%s fresh=%s\n", d.Index, diffEvent(d.Stored), diffEvent(d.Fresh))
 	}
-	return rep.Identical, nil
+	return rep.Result == forensic.ReplayDiverged, nil
 }
 
 // diffEvent renders one side of a timeline diff ("-" when that side has

@@ -151,10 +151,12 @@ func TestCorruptSweepZeroAlloc(t *testing.T) {
 
 // TestDelayCorruptSweepMatchesPerSample: the spoofer's hoisted constants
 // and tables reproduce the per-step computation they replace — the beat
-// shift df = tau*Bs/Ts applied with one math.Sincos per sample, and the
-// challenge leak rebuilt with cmplx.Rect per sample at the mid-range
-// counterfeit power — bit for bit, at several sweep lengths and offsets,
-// for both the plain and the schedule-aware spoofer.
+// shift df = tau*Bs/Ts and the challenge leak at the mid-range
+// counterfeit power, each tone built fresh by radar.NewTone — bit for
+// bit, at several sweep lengths and offsets, for both the plain and the
+// schedule-aware spoofer. The result also stays within 1e-12 of the
+// per-sample synthesis (one math.Sincos or cmplx.Rect per sample) that
+// the radar's phasor tone generator stands in for.
 func TestDelayCorruptSweepMatchesPerSample(t *testing.T) {
 	p := radar.BoschLRR2()
 	src := noise.NewSource(4)
@@ -181,8 +183,19 @@ func TestDelayCorruptSweepMatchesPerSample(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := radar.Sweep{Up: append([]complex128{}, s.Up...), Down: append([]complex128{}, s.Down...), Fs: s.Fs}
-					for _, x := range [][]complex128{want.Up, want.Down} {
+					clone := func() radar.Sweep {
+						return radar.Sweep{Up: append([]complex128{}, s.Up...), Down: append([]complex128{}, s.Down...), Fs: s.Fs}
+					}
+					var want radar.Sweep
+					if challenge {
+						tone := radar.NewTone(fb + df)
+						want = tone.Add(clone(), leak)
+					} else {
+						tone := radar.NewTone(df)
+						want = tone.Mix(clone())
+					}
+					perSample := clone()
+					for _, x := range [][]complex128{perSample.Up, perSample.Down} {
 						for i, v := range x {
 							if challenge {
 								x[i] = v + cmplx.Rect(math.Sqrt(leak), 2*math.Pi*(fb+df)/s.Fs*float64(i))
@@ -192,10 +205,18 @@ func TestDelayCorruptSweepMatchesPerSample(t *testing.T) {
 							}
 						}
 					}
-					got := a.CorruptSweep(step, s, challenge)
+					got := a.CorruptSweep(step, clone(), challenge)
 					if !sameSweep(got, want) {
-						t.Fatalf("n=%d offset=%v smart=%v challenge=%v: sweep differs from per-sample synthesis",
+						t.Fatalf("n=%d offset=%v smart=%v challenge=%v: sweep differs from a freshly built tone",
 							n, offset, smart, challenge)
+					}
+					for i := range s.Up {
+						for _, pair := range [][2]complex128{{got.Up[i], perSample.Up[i]}, {got.Down[i], perSample.Down[i]}} {
+							if e := cmplx.Abs(pair[0] - pair[1]); e > 1e-12*(cmplx.Abs(pair[1])+math.Sqrt(leak)) {
+								t.Fatalf("n=%d offset=%v smart=%v challenge=%v: sample %d is %g from per-sample synthesis",
+									n, offset, smart, challenge, i, e)
+							}
+						}
 					}
 				}
 			}

@@ -94,11 +94,25 @@ type Capture struct {
 	Flight []sim.FlightEvent `json:"flight,omitempty"`
 	// Anomalies are the recorder's last-N-step state dumps.
 	Anomalies []sim.AnomalyDump `json:"anomalies,omitempty"`
+	// Numerics is the sim.NumericsVersion the run was captured under; a
+	// capture without it predates the stamp (see NumericsVersion). It
+	// stays outside the content hash: a numerics change that moves a
+	// run already moves its Flight.
+	Numerics int `json:"numerics,omitempty"`
 	// Phases are the run's wall-clock phase timings — observability
 	// metadata, excluded from the content hash. A campaign capture
 	// carries them only when its campaign captures latency outliers;
 	// otherwise the job ran untimed and Phases is empty.
 	Phases []sim.PhaseTiming `json:"phases,omitempty"`
+}
+
+// NumericsVersion returns the sim.NumericsVersion c was captured under,
+// 1 for a capture that carries no stamp.
+func (c Capture) NumericsVersion() int {
+	if c.Numerics == 0 {
+		return 1
+	}
+	return c.Numerics
 }
 
 // hashBody is the canonical deterministic subset of a capture: the
@@ -156,6 +170,9 @@ func ValidateCapture(c Capture) error {
 	}
 	if c.JobIndex < 0 {
 		return fmt.Errorf("forensic: negative job index %d", c.JobIndex)
+	}
+	if c.Numerics < 0 {
+		return fmt.Errorf("forensic: negative numerics version %d", c.Numerics)
 	}
 	if len(c.SpecHash) > maxSpecHashLen {
 		return fmt.Errorf("forensic: spec_hash longer than %d bytes", maxSpecHashLen)

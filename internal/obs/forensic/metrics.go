@@ -30,7 +30,7 @@ var (
 		"Encoded bytes of the captures currently resident in the forensic store.")
 	metricReplays = obs.Default().Counter(
 		"safesense_forensic_replays_total",
-		"Capture replays served, by whether the fresh timeline matched the stored one.",
+		"Capture replays served, by verdict: identical, stale (another numerics version) or diverged.",
 		"result")
 )
 
@@ -44,17 +44,19 @@ func kindLabel(kind string) string {
 	return "other"
 }
 
-// Replay-result metric label values.
+// Replay verdicts, which are also the replay metric's label values.
 const (
-	replayIdentical = "identical"
-	replayDiverged  = "diverged"
+	// ReplayIdentical: the fresh timeline matched the stored one.
+	ReplayIdentical = "identical"
+	// ReplayStale: the timelines differ, and the capture was taken under
+	// another sim.NumericsVersion.
+	ReplayStale = "stale"
+	// ReplayDiverged: the timelines differ at the current numerics.
+	ReplayDiverged = "diverged"
 )
 
-// CountReplay records a replay verdict on the forensic metrics.
-func CountReplay(identical bool) {
-	if identical {
-		metricReplays.With(replayIdentical).Inc()
-		return
-	}
-	metricReplays.With(replayDiverged).Inc()
+// CountReplay records a replay verdict, one of the Replay constants, on
+// the forensic metrics.
+func CountReplay(verdict string) {
+	metricReplays.With(verdict).Inc()
 }

@@ -2,6 +2,7 @@ package radar
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"safesense/internal/noise"
@@ -21,6 +22,30 @@ func TestSynthesizeSweepNoiseless(t *testing.T) {
 	want := p.ReceivedPower(120, p.TargetRCS)
 	if got := noise.AveragePower(s.Up); math.Abs(got-want) > 1e-6*want {
 		t.Fatalf("up power = %v, want %v", got, want)
+	}
+}
+
+// TestFillToneMatchesRect: the phasor recurrence stays within 1e-12*amp
+// of per-sample cmplx.Rect at every length up to 1024 samples (partial
+// and whole blocks), at rates near 0, near pi/3 and just under pi, and at
+// amplitudes spanning the link budget's received powers.
+func TestFillToneMatchesRect(t *testing.T) {
+	for _, w := range []float64{1e-9, 1e-3, math.Pi / 3, math.Pi/3 + 1e-7, math.Pi - 1e-9, -(math.Pi - 1e-6)} {
+		for _, amp := range []float64{1, 3e-6, 7e4} {
+			for _, n := range []int{1, 2, toneBlock - 1, toneBlock, toneBlock + 1, 100, 128, 256, 1000, 1024} {
+				f := w / (2 * math.Pi)
+				x := make([]complex128, n)
+				fillTone(x, f, 1, amp)
+				wf := 2 * math.Pi * f // the rate fillTone derives from f
+				worst := 0.0
+				for k, v := range x {
+					worst = math.Max(worst, cmplx.Abs(v-cmplx.Rect(amp, wf*float64(k))))
+				}
+				if worst > 1e-12*amp {
+					t.Fatalf("w=%v amp=%v n=%d: max |error| %g exceeds 1e-12*amp", w, amp, n, worst)
+				}
+			}
+		}
 	}
 }
 

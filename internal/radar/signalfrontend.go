@@ -3,7 +3,6 @@ package radar
 import (
 	"errors"
 	"math"
-	"math/cmplx"
 
 	"safesense/internal/noise"
 	"safesense/internal/prbs"
@@ -153,10 +152,10 @@ func AddNoiseSweep(s Sweep, power float64, src *noise.Source) Sweep {
 // a sweep-level spoofer applies at every attacked step. The table is
 // rebuilt only when the segment length, sample rate or amplitude asked
 // for changes, so a steady run does no trigonometry and no allocation
-// after its first use. Each sample is cmplx.Rect(amp, w*k) with
-// w = 2*pi*freq/fs, so Mix and Add match per-sample synthesis bit for
-// bit. A Tone serves one of Mix or Add (they ask for different
-// amplitudes) and is not safe for concurrent use.
+// after its first use. The table comes from fillTone, the generator of
+// the target's own beat tones, so each sample is within 1e-12*amp of
+// cmplx.Rect(amp, 2*pi*freq*k/fs). A Tone serves one of Mix or Add (they
+// ask for different amplitudes) and is not safe for concurrent use.
 type Tone struct {
 	freq    float64
 	fs, amp float64 // sample rate and amplitude samples was built for
@@ -208,10 +207,7 @@ func (t *Tone) table(n int, fs, amp float64) []complex128 {
 		t.samples = make([]complex128, n)
 	}
 	t.samples = t.samples[:n]
-	w := 2 * math.Pi * t.freq / fs
-	for i := range t.samples {
-		t.samples[i] = cmplx.Rect(amp, w*float64(i))
-	}
+	fillTone(t.samples, t.freq, fs, amp)
 	t.fs, t.amp = fs, amp
 	return t.samples
 }

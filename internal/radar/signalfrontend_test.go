@@ -159,11 +159,12 @@ func TestSignalMeasureClampsGarbage(t *testing.T) {
 	}
 }
 
-// TestToneMatchesPerSampleSynthesis: a Tone's table reproduces what the
-// sweep transforms computed per sample before tables — Mix the phasor
-// complex(cos, sin) of math.Sincos, Add cmplx.Rect — bit for bit, across
-// lengths, frequencies, sample rates and powers. Cases sharing a
-// frequency reuse one Tone pair, so table rebuilds are covered too.
+// TestToneMatchesPerSampleSynthesis: a Tone's table is fillTone's output,
+// so Mix multiplies and Add adds exactly the samples the target's own
+// beat-tone generator makes, and those stay within 1e-12*amp of the
+// per-sample cmplx.Rect(amp, w*k) synthesis, across lengths,
+// frequencies, sample rates and powers. Cases sharing a frequency reuse
+// one Tone pair, so table rebuilds are covered too.
 func TestToneMatchesPerSampleSynthesis(t *testing.T) {
 	src := noise.NewSource(8)
 	type tones struct{ mix, add Tone }
@@ -190,27 +191,34 @@ func TestToneMatchesPerSampleSynthesis(t *testing.T) {
 		sweep := func() Sweep {
 			return Sweep{Up: append([]complex128{}, up...), Down: append([]complex128{}, down...), Fs: c.fs}
 		}
-		wantMix, wantAdd := sweep(), sweep()
-		w := 2 * math.Pi * c.freq / c.fs
 		amp := math.Sqrt(c.pw)
+		unit, scaled := make([]complex128, c.n), make([]complex128, c.n)
+		fillTone(unit, c.freq, c.fs, 1)
+		fillTone(scaled, c.freq, c.fs, amp)
+		w := 2 * math.Pi * c.freq / c.fs
+		for i := range scaled {
+			if e := cmplx.Abs(scaled[i] - cmplx.Rect(amp, w*float64(i))); e > 1e-12*amp {
+				t.Fatalf("%+v: tone sample %d is %g from cmplx.Rect, over 1e-12*amp", c, i, e)
+			}
+		}
+		wantMix, wantAdd := sweep(), sweep()
 		for _, x := range [][]complex128{wantMix.Up, wantMix.Down} {
 			for i, v := range x {
-				s, co := math.Sincos(w * float64(i))
-				x[i] = v * complex(co, s)
+				x[i] = v * unit[i]
 			}
 		}
 		for _, x := range [][]complex128{wantAdd.Up, wantAdd.Down} {
 			for i, v := range x {
-				x[i] = v + cmplx.Rect(amp, w*float64(i))
+				x[i] = v + scaled[i]
 			}
 		}
 		mixed, added := tt.mix.Mix(sweep()), tt.add.Add(sweep(), c.pw)
 		for i := range up {
 			if mixed.Up[i] != wantMix.Up[i] || mixed.Down[i] != wantMix.Down[i] {
-				t.Fatalf("%+v: Mix sample %d differs from per-sample Sincos", c, i)
+				t.Fatalf("%+v: Mix sample %d differs from fillTone's table", c, i)
 			}
 			if added.Up[i] != wantAdd.Up[i] || added.Down[i] != wantAdd.Down[i] {
-				t.Fatalf("%+v: Add sample %d differs from per-sample cmplx.Rect", c, i)
+				t.Fatalf("%+v: Add sample %d differs from fillTone's table", c, i)
 			}
 		}
 	}

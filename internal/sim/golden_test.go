@@ -66,7 +66,10 @@ type goldenRun struct {
 }
 
 type goldenFingerprint struct {
-	Runs []goldenRun `json:"runs"`
+	// NumericsVersion is the sim.NumericsVersion the file was generated
+	// under; TestGoldenFingerprint refuses a file from another version.
+	NumericsVersion int         `json:"numerics_version"`
+	Runs            []goldenRun `json:"runs"`
 	// BeatAblation holds the rows of EXPERIMENTS.md's A3 table
 	// (report.BeatAblation(16)): FFT vs root-MUSIC over 64/256 samples
 	// and 20/100/180 m.
@@ -139,7 +142,7 @@ func goldenCampaignSpec() campaign.Spec {
 func fingerprint(t *testing.T) goldenFingerprint {
 	t.Helper()
 	figures := []sim.Scenario{sim.Fig2aDoS(), sim.Fig2bDelay(), sim.Fig3aDoS(), sim.Fig3bDelay()}
-	var fp goldenFingerprint
+	fp := goldenFingerprint{NumericsVersion: sim.NumericsVersion}
 	add := func(s sim.Scenario, pipeline string) {
 		res, err := sim.Run(s)
 		if err != nil {
@@ -309,15 +312,20 @@ func TestGoldenFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to generate)", err)
 	}
+	var wantFP goldenFingerprint
+	if err := json.Unmarshal(want, &wantFP); err != nil {
+		t.Fatalf("decode %s: %v", goldenFingerprintFile, err)
+	}
+	if wantFP.NumericsVersion != sim.NumericsVersion {
+		t.Fatalf("%s is stamped numerics version %d, sim.NumericsVersion is %d: a numerics change regenerates the file with -update",
+			goldenFingerprintFile, wantFP.NumericsVersion, sim.NumericsVersion)
+	}
 	if bytes.Equal(got, want) {
 		return
 	}
-	var gotFP, wantFP goldenFingerprint
+	var gotFP goldenFingerprint
 	if err := json.Unmarshal(got, &gotFP); err != nil {
 		t.Fatal(err)
-	}
-	if err := json.Unmarshal(want, &wantFP); err != nil {
-		t.Fatalf("decode %s: %v", goldenFingerprintFile, err)
 	}
 	if len(gotFP.Runs) != len(wantFP.Runs) {
 		t.Fatalf("fingerprint has %d runs, golden %d", len(gotFP.Runs), len(wantFP.Runs))

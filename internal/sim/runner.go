@@ -28,6 +28,14 @@ const (
 	SeriesLeader    = "leader-speed"
 )
 
+// NumericsVersion numbers the floating-point behaviour of a run. It goes
+// up with every change that makes the same scenario and seed produce
+// different bits, so a stored result from another version reads as
+// stale rather than as a determinism failure. Version 1 is everything
+// before the stamp existed; version 2 synthesizes the beat tones of
+// signal-level runs by phasor recurrence.
+const NumericsVersion = 2
+
 // Detail selects how much of a run RunContext records. The levels are
 // ordered: each records everything the one below it does. Every level
 // computes the same summary scalars, bit for bit; a level only adds
