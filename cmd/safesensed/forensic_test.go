@@ -117,7 +117,7 @@ func TestAnomalyEndpoints(t *testing.T) {
 	// Replay: the stored capture must reproduce bit-for-bit.
 	rep := decodeJSON[campaign.ReplayReport](t,
 		postJSON(t, ts.URL+"/v1/anomalies/"+hash+"/replay", nil), http.StatusOK)
-	if !rep.Identical || rep.Hash != hash {
+	if rep.Result != forensic.ReplayIdentical || rep.Hash != hash {
 		t.Fatalf("replay report = %+v, want identical for %s", rep, hash)
 	}
 	if rep.CollisionAt < 0 {

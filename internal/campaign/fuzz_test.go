@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -80,8 +81,9 @@ func FuzzDecodeSpec(f *testing.F) {
 // accepted spec with at most fuzzRunJobs jobs and fuzzRunSteps steps
 // runs at sim.Summary (as campaign jobs run) and at sim.Traced (as a
 // figure run records). Neither may panic, both must fail or succeed
-// together, and the outcomeOf projections must agree bit for bit: %+v
-// prints each float as the shortest decimal that parses back to it.
+// together, the outcomeOf projections must agree bit for bit (%+v
+// prints each float as the shortest decimal that parses back to it),
+// and every float an Outcome carries must be finite.
 func FuzzRunSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"steps":120,"attacks":["dos","delay","none"],"onsets":[40],"replicates":2}`))
@@ -121,10 +123,26 @@ func FuzzRunSpec(f *testing.F) {
 			if ferr != nil {
 				continue
 			}
-			got, want := fmt.Sprintf("%+v", outcomeOf(j, s.Name, fast)), fmt.Sprintf("%+v", outcomeOf(j, s.Name, full))
+			o := outcomeOf(j, s.Name, fast)
+			got, want := fmt.Sprintf("%+v", o), fmt.Sprintf("%+v", outcomeOf(j, s.Name, full))
 			if got != want {
 				t.Fatalf("job %d: Summary outcome\n%s\nTraced outcome\n%s", j.Index, got, want)
 			}
+			if name := nonFiniteField(o); name != "" {
+				t.Fatalf("job %d: outcome %s is not finite: %s", j.Index, name, got)
+			}
 		}
 	})
+}
+
+// nonFiniteField names the first float64 field of o that is NaN or
+// infinite, or returns "" when every one is finite.
+func nonFiniteField(o Outcome) string {
+	v := reflect.ValueOf(o)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Float64 && (math.IsNaN(f.Float()) || math.IsInf(f.Float(), 0)) {
+			return v.Type().Field(i).Name
+		}
+	}
+	return ""
 }

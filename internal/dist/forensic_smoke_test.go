@@ -99,7 +99,7 @@ func TestForensicSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReplayDiff: %v", err)
 	}
-	if !rep.Identical {
+	if rep.Result != forensic.ReplayIdentical {
 		t.Fatalf("stored capture did not replay identically: %+v", rep.Diffs)
 	}
 	if rep.CollisionAt < 0 {
