@@ -82,11 +82,12 @@ func TestValidateCaptureBounds(t *testing.T) {
 		t.Fatalf("valid capture rejected: %v", err)
 	}
 	cases := map[string]func(*Capture){
-		"schema":       func(c *Capture) { c.Schema = 2 },
-		"negative-job": func(c *Capture) { c.JobIndex = -1 },
-		"no-kinds":     func(c *Capture) { c.Kinds = nil },
-		"empty-kind":   func(c *Capture) { c.Kinds = []string{""} },
-		"long-kind":    func(c *Capture) { c.Kinds = []string{strings.Repeat("k", maxKindLen+1)} },
+		"schema":            func(c *Capture) { c.Schema = 2 },
+		"negative-job":      func(c *Capture) { c.JobIndex = -1 },
+		"negative-numerics": func(c *Capture) { c.Numerics = -1 },
+		"no-kinds":          func(c *Capture) { c.Kinds = nil },
+		"empty-kind":        func(c *Capture) { c.Kinds = []string{""} },
+		"long-kind":         func(c *Capture) { c.Kinds = []string{strings.Repeat("k", maxKindLen+1)} },
 		"many-kinds": func(c *Capture) {
 			c.Kinds = make([]string, MaxCaptureKinds+1)
 			for i := range c.Kinds {
