@@ -307,9 +307,24 @@ func (p Point) offset() float64 {
 	return 6
 }
 
+// paperJammerMW is the power of the jammer a DoS point with no
+// JammerMW runs, in mW.
+var paperJammerMW = attack.PaperJammer().PeakPowerW * 1e3
+
+// jammerMW is the jammer power scenario resolves for a DoS point:
+// JammerMW when positive, else the paper jammer's.
+func (p Point) jammerMW() float64 {
+	if p.JammerMW > 0 {
+		return p.JammerMW
+	}
+	return paperJammerMW
+}
+
 // Label renders a human-readable point identifier, e.g.
-// "dos/const/paper/onset=182/jam=100mW/seed=1". Numbers print as fmt's
-// %d and %g would; the label is built on the stack and allocated once.
+// "dos/const/paper/onset=182/jam=100mW/seed=1". A DoS point's label
+// carries the jammer power the run uses, so a point that leaves
+// JammerMW unset reads jam=100mW. Numbers print as fmt's %d and %g
+// would; the label is built on the stack and allocated once.
 func (p Point) Label() string {
 	var buf [128]byte
 	b := append(buf[:0], orDefault(p.Attack, AttackNone)...)
@@ -318,7 +333,7 @@ func (p Point) Label() string {
 	switch p.Attack {
 	case AttackDoS:
 		b = strconv.AppendInt(append(b, "/onset="...), int64(p.Onset), 10)
-		b = append(strconv.AppendFloat(append(b, "/jam="...), p.JammerMW, 'g', -1, 64), "mW"...)
+		b = append(strconv.AppendFloat(append(b, "/jam="...), p.jammerMW(), 'g', -1, 64), "mW"...)
 	case AttackDelay, AttackFastAdversary:
 		b = strconv.AppendInt(append(b, "/onset="...), int64(p.Onset), 10)
 		b = append(strconv.AppendFloat(append(b, "/off="...), p.OffsetM, 'g', -1, 64), 'm')

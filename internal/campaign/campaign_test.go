@@ -130,6 +130,29 @@ func TestPointScenarioMatchesPaperFigures(t *testing.T) {
 	}
 }
 
+// TestPointLabelNamesDefaultJammer: a DoS point that leaves JammerMW at
+// zero runs the paper's 100 mW jammer, and its label says so — the
+// same label and the same scenario as the explicit 100 mW point.
+func TestPointLabelNamesDefaultJammer(t *testing.T) {
+	zero := Point{Attack: AttackDoS, Leader: LeaderConst, Onset: 150, Steps: 301, Seed: 1}
+	explicit := zero
+	explicit.JammerMW = 100
+	if got, want := zero.Label(), explicit.Label(); got != want || got != "dos/const/paper/onset=150/jam=100mW/seed=1" {
+		t.Fatalf("labels %q and %q, want both dos/const/paper/onset=150/jam=100mW/seed=1", got, want)
+	}
+	zs, err := zero.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := explicit.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(zs, es) {
+		t.Fatalf("scenarios differ:\nzero     %+v\nexplicit %+v", zs, es)
+	}
+}
+
 // deterministicView strips the wall-clock timing fields so summaries can
 // be byte-compared.
 func deterministicView(t *testing.T, s *Summary) []byte {
@@ -296,7 +319,8 @@ func TestAggregateEmpty(t *testing.T) {
 }
 
 // sprintfLabel is the fmt.Sprintf rendering Point.Label replaced; it is
-// the reference the strconv label must match byte for byte.
+// the reference the strconv label must match byte for byte. A DoS
+// point without a positive JammerMW runs the paper's 100 mW jammer.
 func sprintfLabel(p Point) string {
 	sched := "paper"
 	if sc := p.Schedule; sc.Kind != "" && sc.Kind != "paper" {
@@ -306,7 +330,11 @@ func sprintfLabel(p Point) string {
 	l := fmt.Sprintf("%s/%s/%s", orDefault(p.Attack, AttackNone), orDefault(p.Leader, LeaderConst), sched)
 	switch p.Attack {
 	case AttackDoS:
-		l += fmt.Sprintf("/onset=%d/jam=%gmW", p.Onset, p.JammerMW)
+		jam := p.JammerMW
+		if !(jam > 0) {
+			jam = 100
+		}
+		l += fmt.Sprintf("/onset=%d/jam=%gmW", p.Onset, jam)
 	case AttackDelay, AttackFastAdversary:
 		l += fmt.Sprintf("/onset=%d/off=%gm", p.Onset, p.OffsetM)
 	}
