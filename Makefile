@@ -60,7 +60,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeLease -fuzztime=$(FUZZ_TIME) ./internal/dist
 	$(GO) test -run='^$$' -fuzz=FuzzSSEFrame -fuzztime=$(FUZZ_TIME) ./internal/obs/stream
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCapture -fuzztime=$(FUZZ_TIME) ./internal/obs/forensic
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeProfile -fuzztime=$(FUZZ_TIME) ./internal/obs/profile
+	$(GO) test -run='^$$' -fuzz=FuzzReadShares -fuzztime=$(FUZZ_TIME) ./internal/obs/profile
 	$(GO) test -run='^$$' -fuzz=FuzzFrequencies -fuzztime=$(FUZZ_TIME) ./internal/dsp/music
 
 # dist-smoke is the distributed-execution gate: an in-process
@@ -97,10 +97,10 @@ forensic-smoke:
 
 # profile-smoke is the continuous-profiling gate: a signal-level
 # root-MUSIC figure scenario runs under the CPU profiler with phase
-# labels enabled, the capture is decoded by the repo's own pprof
-# reader, and beat_extraction must come out as the largest labeled
-# phase with shares summing to one. The decoded summary lands in
-# profile-summary.json for the CI artifact.
+# labels enabled, the capture is read by profile.ReadShares (the
+# reader behind the phase-share gauge), and beat_extraction must come
+# out as the largest labeled phase with shares summing to one. The
+# shares land in profile-summary.json for the CI artifact.
 profile-smoke:
 	PROFILE_SMOKE_OUT=$(CURDIR)/profile-summary.json \
 		$(GO) test -run='^TestProfileSmoke$$' -count=1 -v ./internal/sim

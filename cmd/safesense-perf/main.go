@@ -7,25 +7,19 @@
 // Usage:
 //
 //	safesense-perf run [-dir perf] [-out FILE] [-scenarios REGEX]
-//	                   [-reps N] [-warmup N] [-min-rep-ms N] [-profile]
-//	                   [-list]
+//	                   [-reps N] [-warmup N] [-min-rep-ms N] [-list]
 //	safesense-perf compare [-alpha A] [-json] [-quiet] OLD.json NEW.json
 //	safesense-perf check [-baseline perf/baseline.json] [-new FILE]
 //	                     [-threshold PCT] [-alpha A]
 //	                     [-waivers perf/waivers.txt] [-json]
 //	                     [-scenarios REGEX] [-reps N] [-min-rep-ms N]
-//	                     [-profile]
-//	safesense-perf profile-diff [-top N] [-sample-type T] [-json]
-//	                            OLD.pprof NEW.pprof
 //
 // `check` exits nonzero when any unwaived scenario regressed
 // significantly beyond the threshold; a scenario can be exempted with a
 // `safesense:perf-waiver <scenario> <reason>` line in the waivers file.
-// With -profile, captures embed a per-scenario phase-CPU-share digest
-// and the gate names the functions whose flat share grew on every
-// regression it reports. `profile-diff` compares two raw pprof files
-// (gzipped or not, e.g. safesim -profile-dir output or /v1/profiles
-// downloads) by flat share per function and per phase label.
+// To see which functions moved between two raw pprof captures (safesim
+// -profile-dir output or /v1/profiles downloads), use
+// `go tool pprof -top -diff_base OLD.pprof NEW.pprof`.
 package main
 
 import (
@@ -35,7 +29,6 @@ import (
 	"io"
 	"os"
 
-	"safesense/internal/obs/profile"
 	"safesense/internal/perf"
 	"safesense/internal/perf/suite"
 )
@@ -45,11 +38,10 @@ func main() {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: safesense-perf <run|compare|check|profile-diff> [flags]")
-	fmt.Fprintln(w, "  run           measure the scenario suite into a BENCH_<n>.json document")
-	fmt.Fprintln(w, "  compare       diff two BENCH documents (Mann-Whitney significance)")
-	fmt.Fprintln(w, "  check         gate a fresh (or given) capture against a baseline")
-	fmt.Fprintln(w, "  profile-diff  diff two raw pprof captures by flat share")
+	fmt.Fprintln(w, "usage: safesense-perf <run|compare|check> [flags]")
+	fmt.Fprintln(w, "  run      measure the scenario suite into a BENCH_<n>.json document")
+	fmt.Fprintln(w, "  compare  diff two BENCH documents (Mann-Whitney significance)")
+	fmt.Fprintln(w, "  check    gate a fresh (or given) capture against a baseline")
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -63,8 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = cmdRun(args[1:], stdout)
 	case "compare":
 		err = cmdCompare(args[1:], stdout)
-	case "profile-diff":
-		err = cmdProfileDiff(args[1:], stdout)
 	case "check":
 		var failed bool
 		failed, err = cmdCheck(args[1:], stdout)
@@ -101,7 +91,6 @@ type runnerFlags struct {
 	reps      *int
 	warmup    *int
 	minRepMS  *int
-	profile   *bool
 }
 
 func addRunnerFlags(fs *flag.FlagSet) runnerFlags {
@@ -110,7 +99,6 @@ func addRunnerFlags(fs *flag.FlagSet) runnerFlags {
 		reps:      fs.Int("reps", 0, "measured repetitions per scenario (default 10)"),
 		warmup:    fs.Int("warmup", 0, "warmup repetitions per scenario (default 1, -1 disables)"),
 		minRepMS:  fs.Int("min-rep-ms", 0, "per-repetition time floor in milliseconds (default 20)"),
-		profile:   fs.Bool("profile", false, "run scenarios under the CPU profiler and embed phase-share digests"),
 	}
 }
 
@@ -128,7 +116,6 @@ func capture(rf runnerFlags, progress io.Writer) (*perf.Run, error) {
 		Reps:         *rf.reps,
 		Warmup:       *rf.warmup,
 		MinRepMillis: *rf.minRepMS,
-		Profile:      *rf.profile,
 	})
 	r.OnScenario = func(name string) { fmt.Fprintf(progress, "measuring %s...\n", name) }
 	return r.RunSuite(scenarios)
@@ -236,7 +223,6 @@ func cmdCheck(args []string, stdout io.Writer) (failed bool, err error) {
 		ThresholdPct: *threshold,
 		Waivers:      waivers,
 	})
-	regs = perf.AttributeRegressions(regs, base, fresh)
 	if *asJSON {
 		return failed, writeJSON(stdout, perf.CheckResult{
 			Failed:       failed,
@@ -248,50 +234,6 @@ func cmdCheck(args []string, stdout io.Writer) (failed bool, err error) {
 	perf.FormatReport(stdout, rep, true)
 	perf.FormatRegressions(stdout, regs, *threshold, rep.Alpha, failed)
 	return failed, nil
-}
-
-// cmdProfileDiff decodes two raw pprof captures and reports per-function
-// and per-phase flat-share movement.
-func cmdProfileDiff(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("profile-diff", flag.ContinueOnError)
-	topN := fs.Int("top", profile.DefaultTopN, "function-table size per side")
-	sampleType := fs.String("sample-type", "", "sample dimension to compare (default: the profile's default type)")
-	asJSON := fs.Bool("json", false, "emit the diff report as JSON")
-	if err := fs.Parse(args); err != nil {
-		return &flagError{err.Error()}
-	}
-	if fs.NArg() != 2 {
-		return &flagError{"profile-diff wants exactly two pprof files: OLD NEW"}
-	}
-	summarize := func(path string) (*profile.Summary, error) {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		p, err := profile.Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		sum, err := profile.Summarize(p, profile.SummaryOptions{TopN: *topN, SampleType: *sampleType})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return sum, nil
-	}
-	before, err := summarize(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	after, err := summarize(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	rep := profile.Diff(before, after)
-	if *asJSON {
-		return writeJSON(stdout, rep)
-	}
-	profile.FormatDiff(stdout, rep)
-	return nil
 }
 
 func writeJSON(w io.Writer, v any) error {

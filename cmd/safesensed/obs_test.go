@@ -155,7 +155,7 @@ func TestMiddlewareCapturesStatusAndLatency(t *testing.T) {
 func TestRouteLabelFollowsMux(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, ts := newTestServer(t, Config{Metrics: reg})
-	for _, path := range []string{"/v1/profiles", "/v1/profiles/p1/summary", "/no/such/route"} {
+	for _, path := range []string{"/v1/profiles", "/v1/profiles/p1", "/no/such/route"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +163,7 @@ func TestRouteLabelFollowsMux(t *testing.T) {
 		resp.Body.Close()
 	}
 	m := newHTTPMetrics(reg)
-	for _, route := range []string{"/v1/profiles", "/v1/profiles/{id}/summary", "other"} {
+	for _, route := range []string{"/v1/profiles", "/v1/profiles/{id}", "other"} {
 		if got := m.requests.With("GET", route, "404").Value(); got != 1 {
 			t.Errorf("route %q 404 count = %g, want 1", route, got)
 		}

@@ -20,7 +20,7 @@ type ProfilesResponse struct {
 }
 
 // handleProfiles serves GET /v1/profiles: every resident capture's
-// metadata (summaries included — they are small and precomputed).
+// metadata (phase shares included — they are small and precomputed).
 func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Profiles == nil {
 		obs.WriteError(w, r, http.StatusNotFound, errProfilingDisabled)
@@ -47,29 +47,6 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", meta.Kind+"-"+shortID(meta.ID)+".pprof"))
 	_, _ = w.Write(raw)
-}
-
-// ProfileSummaryResponse is one capture's digest.
-type ProfileSummaryResponse struct {
-	Capture profile.Capture  `json:"capture"`
-	Summary *profile.Summary `json:"summary"`
-}
-
-// handleProfileSummary serves GET /v1/profiles/{id}/summary: the
-// capture's provenance stamps plus the decoded top-N/phase-share
-// digest.
-func (s *Server) handleProfileSummary(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Profiles == nil {
-		obs.WriteError(w, r, http.StatusNotFound, errProfilingDisabled)
-		return
-	}
-	id := r.PathValue("id")
-	meta, _, ok := s.cfg.Profiles.Get(id)
-	if !ok {
-		obs.WriteError(w, r, http.StatusNotFound, fmt.Errorf("no profile capture %q", id))
-		return
-	}
-	obs.WriteJSON(w, http.StatusOK, ProfileSummaryResponse{Capture: meta, Summary: meta.Summary})
 }
 
 // shortID abbreviates a content hash for filenames.

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
@@ -16,31 +15,28 @@ import (
 	"safesense/internal/obs/profile"
 )
 
-// testCapture stores the checked-in CPU capture with its summary.
-func testCapture(t *testing.T, store *profile.Store) (profile.Capture, *profile.Summary) {
+// testCapture stores the checked-in CPU capture with its phase shares
+// and returns the capture's metadata and raw bytes.
+func testCapture(t *testing.T, store *profile.Store) (profile.Capture, []byte) {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", "cpu.pprof.gz"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := profile.Decode(raw)
+	sh, err := profile.ReadShares(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := profile.Summarize(p, profile.SummaryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, fresh := store.Put(raw, "cpu", int64(10*time.Second), sum)
+	meta, fresh := store.Put(raw, "cpu", int64(10*time.Second), sh)
 	if !fresh {
 		t.Fatal("fixture capture deduped unexpectedly")
 	}
-	return meta, sum
+	return meta, raw
 }
 
 func TestProfilesEndpointsDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, path := range []string{"/v1/profiles", "/v1/profiles/abc", "/v1/profiles/abc/summary"} {
+	for _, path := range []string{"/v1/profiles", "/v1/profiles/abc"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -65,11 +61,11 @@ func TestProfilesListAndFetch(t *testing.T) {
 	if list.Total != 1 || len(list.Profiles) != 1 || list.Profiles[0].ID != meta.ID {
 		t.Fatalf("list = %+v", list)
 	}
-	if list.Profiles[0].Summary == nil {
-		t.Fatal("listing dropped the precomputed summary")
+	if list.Profiles[0].Shares == nil {
+		t.Fatal("listing dropped the precomputed shares")
 	}
 
-	// Raw bytes round-trip: the download must decode as the original.
+	// The raw download is the stored capture, byte for byte.
 	resp, err = http.Get(ts.URL + "/v1/profiles/" + meta.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -85,24 +81,14 @@ func TestProfilesListAndFetch(t *testing.T) {
 	if !bytes.HasPrefix(raw, []byte{0x1f, 0x8b}) {
 		t.Fatal("raw capture lost its gzip framing")
 	}
-	if _, err := profile.Decode(raw); err != nil {
-		t.Fatalf("downloaded capture undecodable: %v", err)
+	if !bytes.Equal(raw, want) {
+		t.Fatal("downloaded capture differs from the stored bytes")
+	}
+	if _, err := profile.ReadShares(raw); err != nil {
+		t.Fatalf("downloaded capture unreadable: %v", err)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/profiles/" + meta.ID + "/summary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := decodeJSON[ProfileSummaryResponse](t, resp, http.StatusOK)
-	if sum.Capture.ID != meta.ID || sum.Summary == nil {
-		t.Fatalf("summary = %+v", sum)
-	}
-	got, _ := json.Marshal(sum.Summary)
-	if wantJSON, _ := json.Marshal(want); !bytes.Equal(got, wantJSON) {
-		t.Fatalf("served summary = %s, want the capture's own %s", got, wantJSON)
-	}
-
-	resp, err = http.Get(ts.URL + "/v1/profiles/deadbeef/summary")
+	resp, err = http.Get(ts.URL + "/v1/profiles/deadbeef")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,7 +217,6 @@ func NewServer(cfg Config) *Server {
 	// fills when -profile-interval is set.
 	s.mux.HandleFunc("GET /v1/profiles", s.handleProfiles)
 	s.mux.HandleFunc("GET /v1/profiles/{id}", s.handleProfile)
-	s.mux.HandleFunc("GET /v1/profiles/{id}/summary", s.handleProfileSummary)
 	// Distributed campaigns: coordinator endpoints under /v1/dist/,
 	// behind the same observability middleware as every other route.
 	s.cfg.Dist.Register(s.mux)

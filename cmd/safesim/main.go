@@ -7,14 +7,14 @@
 //	        [-offset M] [-onset K] [-leader const|phased]
 //	        [-signal] [-extractor fft|music] [-csv FILE]
 //	        [-events-out FILE] [-follow] [-timing] [-profile-dir DIR]
-//	        [-profile-summary] [-forensic-dir DIR] [-replay HASH]
+//	        [-forensic-dir DIR] [-replay HASH]
 //
 // -signal swaps the closed-form measurement model for the high-fidelity
 // dechirped-sweep pipeline (synthesize the sweep, extract beat
 // frequencies, invert to range/velocity); -extractor picks the beat
 // extractor — the FFT periodogram (default) or the paper's root-MUSIC
 // (music), which dominates the run's CPU and is the interesting subject
-// for -profile-dir/-profile-summary.
+// for -profile-dir.
 //
 // -forensic-dir persists a forensic capture of the run (grid point,
 // flight timeline, anomaly state dumps, phase timings) into the anomaly
@@ -35,12 +35,10 @@
 // itself, heap.pprof is an end-of-run allocation snapshot. Profiled runs
 // carry pprof phase labels, so samples attribute to the pipeline phases
 // (radar_synthesis, beat_extraction, cra_check, rls_estimation,
-// vehicle_step). -profile-summary additionally decodes both files after
-// the run and prints the top functions, per-phase CPU shares, and alloc
-// hotspots to stderr — no `go tool pprof` round-trip needed — exiting
-// nonzero if the capture cannot be decoded. For the
-// long-running service, fetch the same profiles over HTTP from the
-// safesensed -pprof-addr mux instead: CPU via
+// vehicle_step): `go tool pprof -tags DIR/cpu.pprof` prints the phase
+// split, and `-top -tagfocus phase=beat_extraction` the functions inside
+// one phase. For the long-running service, fetch the same profiles over
+// HTTP from the safesensed -pprof-addr mux instead: CPU via
 // /debug/pprof/profile?seconds=N (the seconds query parameter bounds
 // the sample window) and heap via /debug/pprof/heap?gc=1 (gc=1 runs a
 // collection first so the snapshot shows live objects only).
@@ -84,7 +82,6 @@ func main() {
 	height := flag.Int("height", 20, "plot height")
 	timing := flag.Bool("timing", false, "print the per-phase timing breakdown next to the summary")
 	profileDir := flag.String("profile-dir", "", "write cpu.pprof and heap.pprof for this run into DIR")
-	profileSummary := flag.Bool("profile-summary", false, "decode the -profile-dir captures after the run and print top functions and phase CPU shares to stderr")
 	forensicDir := flag.String("forensic-dir", "", "persist a forensic capture of the run into this anomaly store directory and print its hash")
 	replayHash := flag.String("replay", "", "replay the capture with this hash from -forensic-dir and diff its flight timeline (exit 1 on divergence)")
 	flag.Parse()
@@ -109,12 +106,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *profileSummary && *profileDir == "" {
-		fmt.Fprintln(os.Stderr, "safesim: -profile-summary requires -profile-dir")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err := run(*attackKind, *leader, *extractor, *csvPath, *eventsPath, *profileDir, *forensicDir, *defended, *signal, *timing, *follow, *profileSummary, *steps, *seed, *offset, *onset, *width, *height); err != nil {
+	if err := run(*attackKind, *leader, *extractor, *csvPath, *eventsPath, *profileDir, *forensicDir, *defended, *signal, *timing, *follow, *steps, *seed, *offset, *onset, *width, *height); err != nil {
 		fmt.Fprintln(os.Stderr, "safesim:", err)
 		os.Exit(1)
 	}
@@ -156,7 +148,7 @@ func validateFlags(attackKind, leader, extractor string, steps, onset int, offse
 	return nil
 }
 
-func run(attackKind, leader, extractor, csvPath, eventsPath, profileDir, forensicDir string, defended, signal, timing, follow, profileSummary bool, steps int, seed int64, offset float64, onset, width, height int) error {
+func run(attackKind, leader, extractor, csvPath, eventsPath, profileDir, forensicDir string, defended, signal, timing, follow bool, steps int, seed int64, offset float64, onset, width, height int) error {
 	// The scenario is built through a campaign.Point so a -forensic-dir
 	// capture replays through the exact same construction path (the CLI
 	// vocabulary for attacks and leaders matches the campaign's).
@@ -209,11 +201,6 @@ func run(attackKind, leader, extractor, csvPath, eventsPath, profileDir, forensi
 	if profileDir != "" {
 		fmt.Printf("wrote %s and %s\n",
 			filepath.Join(profileDir, "cpu.pprof"), filepath.Join(profileDir, "heap.pprof"))
-		if profileSummary {
-			if err := printProfileSummary(os.Stderr, profileDir); err != nil {
-				return fmt.Errorf("profile summary: %w", err)
-			}
-		}
 	}
 	opt := trace.PlotOptions{Width: width, Height: height}
 	if err := res.Distance.RenderASCII(os.Stdout, opt); err != nil {
@@ -351,43 +338,6 @@ func startProfiles(dir string) (func() error, error) {
 		runtime.GC()
 		return pprof.WriteHeapProfile(heap)
 	}, nil
-}
-
-// printProfileSummary decodes the run's cpu.pprof and heap.pprof with
-// the in-repo pprof reader and prints the top functions, per-phase CPU
-// shares, and alloc hotspots — the -profile-summary report. Any decode
-// failure is returned (the CLI exits nonzero): an unreadable capture is
-// worse than none, because it looks like evidence.
-func printProfileSummary(w io.Writer, dir string) error {
-	raw, err := os.ReadFile(filepath.Join(dir, "cpu.pprof"))
-	if err != nil {
-		return err
-	}
-	p, err := profile.Decode(raw)
-	if err != nil {
-		return fmt.Errorf("decoding cpu.pprof: %w", err)
-	}
-	sum, err := profile.Summarize(p, profile.SummaryOptions{})
-	if err != nil {
-		return fmt.Errorf("summarizing cpu.pprof: %w", err)
-	}
-	profile.FormatSummary(w, sum)
-
-	raw, err = os.ReadFile(filepath.Join(dir, "heap.pprof"))
-	if err != nil {
-		return err
-	}
-	hp, err := profile.Decode(raw)
-	if err != nil {
-		return fmt.Errorf("decoding heap.pprof: %w", err)
-	}
-	hsum, err := profile.Summarize(hp, profile.SummaryOptions{SampleType: "alloc_space"})
-	if err != nil {
-		return fmt.Errorf("summarizing heap.pprof: %w", err)
-	}
-	fmt.Fprintln(w, "alloc hotspots:")
-	profile.FormatSummary(w, hsum)
-	return nil
 }
 
 // followSink is the -follow live tap: one JSON line per flight event,

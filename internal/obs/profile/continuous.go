@@ -42,9 +42,9 @@ type ProfilerOptions struct {
 	Phases []string
 }
 
-// Profiler periodically opens a CPU-profile window, decodes the
-// capture with the package's own decoder, summarizes it, stores it,
-// and republishes the per-phase CPU-share gauges.
+// Profiler periodically opens a CPU-profile window, reads the
+// capture's phase shares, stores it, and republishes the per-phase
+// CPU-share gauges.
 type Profiler struct {
 	opts ProfilerOptions
 }
@@ -107,43 +107,37 @@ func (p *Profiler) captureOnce(ctx context.Context) time.Duration {
 	return p.opts.Window
 }
 
-// ingest decodes, summarizes, stores, and publishes one capture.
+// ingest reads, stores, and publishes one capture.
 func (p *Profiler) ingest(raw []byte) {
-	prof, err := Decode(raw)
+	sh, err := ReadShares(raw)
 	if err != nil {
 		metricCaptureErrors.With().Inc()
-		p.opts.Log.Error("profile capture undecodable", "error", err.Error())
+		p.opts.Log.Error("profile capture unreadable", "error", err.Error())
 		return
 	}
-	sum, err := Summarize(prof, SummaryOptions{})
-	if err != nil {
-		metricCaptureErrors.With().Inc()
-		p.opts.Log.Error("profile capture unsummarizable", "error", err.Error())
-		return
-	}
-	meta, fresh := p.opts.Store.Put(raw, "cpu", p.opts.Window.Nanoseconds(), sum)
-	p.publishShares(sum)
+	meta, fresh := p.opts.Store.Put(raw, "cpu", p.opts.Window.Nanoseconds(), sh)
+	p.publishShares(sh)
 	p.opts.Log.Debug("profile capture stored",
-		"id", meta.ID, "bytes", meta.Bytes, "samples", sum.TotalSamples, "fresh", fresh)
+		"id", meta.ID, "bytes", meta.Bytes, "samples", sh.TotalSamples, "fresh", fresh)
 }
 
-// publishShares refreshes the phase-share gauges from one summary:
+// publishShares refreshes the phase-share gauges from one capture:
 // every whitelisted phase is set (zeroing phases that took no samples
 // this window) and the remainder folds into OtherPhase. A whitelisted
 // phase named OtherPhase (the simulator's own remainder phase) is part
 // of that remainder, not a second writer of its gauge.
-func (p *Profiler) publishShares(sum *Summary) {
+func (p *Profiler) publishShares(sh *Shares) {
 	var accounted float64
 	for _, phase := range p.opts.Phases {
 		if phase == OtherPhase {
 			continue
 		}
-		share := sum.PhaseShare(phase)
+		share := sh.PhaseShare(phase)
 		accounted += share
 		metricPhaseCPUShare.With(phase).Set(share)
 	}
 	rest := 1 - accounted
-	if sum.Total == 0 || rest < 0 {
+	if sh.Total == 0 || rest < 0 {
 		rest = 0
 	}
 	other := OtherPhase

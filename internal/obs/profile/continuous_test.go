@@ -60,7 +60,7 @@ func TestProfilerCapturesAndTerminates(t *testing.T) {
 		t.Fatal("profiler exit leaked the labels refcount")
 	}
 
-	// Stored capture carries provenance stamps and a decoded summary.
+	// Stored capture carries provenance stamps and its phase shares.
 	list := store.List()
 	meta := list[0]
 	if meta.Kind != "cpu" || meta.Bytes == 0 {
@@ -69,8 +69,8 @@ func TestProfilerCapturesAndTerminates(t *testing.T) {
 	if meta.Host.OS == "" || meta.Host.CPUs == 0 {
 		t.Fatalf("missing host fingerprint: %+v", meta.Host)
 	}
-	if meta.Summary == nil {
-		t.Fatal("capture stored without a summary")
+	if meta.Shares == nil {
+		t.Fatal("capture stored without its shares")
 	}
 	if meta.WindowNanos != (20 * time.Millisecond).Nanoseconds() {
 		t.Fatalf("window = %d", meta.WindowNanos)
@@ -82,7 +82,7 @@ func TestProfilerCapturesAndTerminates(t *testing.T) {
 // the gauge reports labeled other plus unlabeled samples.
 func TestPublishSharesFoldsOtherPhase(t *testing.T) {
 	p := NewProfiler(ProfilerOptions{Phases: []string{"radar_synthesis", OtherPhase}})
-	p.publishShares(&Summary{Total: 10, Phases: []LabelShare{
+	p.publishShares(&Shares{Total: 10, Phases: []LabelShare{
 		{Value: "radar_synthesis", Share: 0.5},
 		{Value: OtherPhase, Share: 0.3},
 		{Value: Unlabeled, Share: 0.2},

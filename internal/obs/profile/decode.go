@@ -6,90 +6,55 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 )
 
-// MaxDecodedBytes bounds the decompressed size Decode will accept — a
-// gzip-bomb guard for captures arriving over HTTP or from fuzzing.
+// MaxDecodedBytes bounds the decompressed size ReadShares will accept —
+// a gzip-bomb guard for captures arriving over HTTP or from fuzzing.
 // Continuous-profiler captures are a few hundred KiB.
 const MaxDecodedBytes = 64 << 20
 
-// Decode errors. The wire primitives live on a hot path and therefore
-// signal failure through these sentinels rather than formatted errors;
-// Decode wraps them with positional context.
+// Read errors. The wire primitives and the sample reader live on a hot
+// path and therefore signal failure through these sentinels rather than
+// formatted errors; ReadShares wraps them with positional context.
 var (
-	ErrTruncated   = errors.New("profile: truncated message")
-	ErrWireType    = errors.New("profile: unexpected wire type")
-	ErrStringIndex = errors.New("profile: string table index out of range")
-	ErrTooLarge    = errors.New("profile: decompressed profile exceeds MaxDecodedBytes")
-	ErrValueCount  = errors.New("profile: sample value count does not match sample types")
+	ErrTruncated     = errors.New("profile: truncated message")
+	ErrWireType      = errors.New("profile: unexpected wire type")
+	ErrStringIndex   = errors.New("profile: string table index out of range")
+	ErrTooLarge      = errors.New("profile: decompressed profile exceeds MaxDecodedBytes")
+	ErrValueCount    = errors.New("profile: sample value count does not match sample types")
+	ErrNoSampleTypes = errors.New("profile: no sample types")
+	ErrValueRange    = errors.New("profile: negative sample value or total overflows int64")
 )
 
-// Profile is the decoded subset of pprof's profile.proto that summaries
-// and diffs need: sample types, samples with location stacks and
-// labels, the location/function tables, and the top-level scalars.
-// String-table indices are resolved at decode time; the mapping table
-// (build-id/address-range metadata) is skipped.
-type Profile struct {
-	SampleType        []ValueType `json:"sample_type"`
-	Sample            []Sample    `json:"sample"`
-	Location          []Location  `json:"location"`
-	Function          []Function  `json:"function"`
-	DropFrames        string      `json:"drop_frames,omitempty"`
-	KeepFrames        string      `json:"keep_frames,omitempty"`
-	TimeNanos         int64       `json:"time_nanos,omitempty"`
-	DurationNanos     int64       `json:"duration_nanos,omitempty"`
-	PeriodType        ValueType   `json:"period_type"`
-	Period            int64       `json:"period,omitempty"`
-	Comment           []string    `json:"comment,omitempty"`
-	DefaultSampleType string      `json:"default_sample_type,omitempty"`
+// Shares is what the package reads out of a CPU capture: its total and
+// how that total splits across the "phase" pprof label. The Phases
+// shares (including the Unlabeled bucket) sum to 1 whenever Total > 0.
+type Shares struct {
+	TotalSamples int   `json:"total_samples"`
+	Total        int64 `json:"total"`
+	// Phases splits Total across the "phase" label, descending, with the
+	// Unlabeled bucket covering runtime/GC/untagged code.
+	Phases []LabelShare `json:"phases,omitempty"`
 }
 
-// ValueType names one sample dimension, e.g. {cpu, nanoseconds}.
-type ValueType struct {
-	Type string `json:"type"`
-	Unit string `json:"unit"`
+// LabelShare is one phase label value's part of the capture total.
+type LabelShare struct {
+	Value string  `json:"value"`
+	Total int64   `json:"total"`
+	Share float64 `json:"share"`
 }
 
-// Sample is one stack observation: the location IDs leaf-first, one
-// value per sample type, and the pprof labels active when it was taken.
-type Sample struct {
-	LocationID []uint64 `json:"location_id"`
-	Value      []int64  `json:"value"`
-	Label      []Label  `json:"label,omitempty"`
-}
-
-// Label is one pprof label on a sample (string- or number-valued).
-type Label struct {
-	Key     string `json:"key"`
-	Str     string `json:"str,omitempty"`
-	Num     int64  `json:"num,omitempty"`
-	NumUnit string `json:"num_unit,omitempty"`
-}
-
-// Location is one address with its line table (Line[0] is the innermost
-// inlined frame).
-type Location struct {
-	ID        uint64 `json:"id"`
-	MappingID uint64 `json:"mapping_id,omitempty"`
-	Address   uint64 `json:"address,omitempty"`
-	Line      []Line `json:"line,omitempty"`
-	IsFolded  bool   `json:"is_folded,omitempty"`
-}
-
-// Line resolves one frame of a location to a function.
-type Line struct {
-	FunctionID uint64 `json:"function_id"`
-	Line       int64  `json:"line,omitempty"`
-	Column     int64  `json:"column,omitempty"`
-}
-
-// Function is one entry of the function table.
-type Function struct {
-	ID         uint64 `json:"id"`
-	Name       string `json:"name"`
-	SystemName string `json:"system_name,omitempty"`
-	Filename   string `json:"filename,omitempty"`
-	StartLine  int64  `json:"start_line,omitempty"`
+// PhaseShare returns one phase's share of the total (zero when the
+// phase took no samples).
+func (s *Shares) PhaseShare(phase string) float64 {
+	for _, p := range s.Phases {
+		if p.Value == phase {
+			return p.Share
+		}
+	}
+	return 0
 }
 
 // Protobuf wire types.
@@ -207,29 +172,29 @@ func maybeGunzip(data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Decode parses a pprof capture (gzip'd or raw protobuf) into a
-// Profile with string indices resolved. The decode is strict about
-// structure — truncated varints, bad wire types, out-of-range string
-// indices, and sample/sample-type arity mismatches are errors — so
-// everything downstream (Summarize, Diff, the HTTP endpoints) can trust
-// the shape.
-func Decode(data []byte) (*Profile, error) {
+// ReadShares reads a pprof capture (gzip'd or raw protobuf) for its
+// per-phase split. It reads the sample-type count, each sample's last
+// value — "cpu"/nanoseconds for runtime CPU captures, the dimension
+// `go tool pprof` shows by default — and each sample's "phase" label;
+// the mapping, location and function tables and the top-level scalars
+// are skipped unread. What it reads it reads strictly: truncation, a
+// wrong wire type, a string index out of range, a value count that
+// differs from the sample-type count, a negative value and an
+// overflowing total are all errors, so an accepted capture always
+// yields finite shares in [0, 1]. A capture with no samples yields a
+// zero Total rather than an error.
+func ReadShares(data []byte) (*Shares, error) {
 	raw, err := maybeGunzip(data)
 	if err != nil {
 		return nil, err
 	}
 
-	// Pass 1: split the top-level message into raw sub-message payloads
-	// and scalars, and materialize the string table (field 6), which
-	// later fields reference by index.
+	// The string table (field 6) may follow the samples that index it,
+	// so the samples are collected first and read once it is complete.
 	var (
-		table                              []string
-		sampleTypeRaw, sampleRaw           [][]byte
-		locRaw, fnRaw                      [][]byte
-		periodTypeRaw                      []byte
-		dropIdx, keepIdx, defIdx           uint64
-		commentIdx                         []uint64
-		timeNanos, durationNanos, periodNs int64
+		table   []string
+		samples [][]byte
+		types   int
 	)
 	r := wire{buf: raw}
 	for r.more() {
@@ -238,7 +203,7 @@ func Decode(data []byte) (*Profile, error) {
 			return nil, fmt.Errorf("%w: top-level tag at offset %d", ErrTruncated, r.pos)
 		}
 		switch num {
-		case 1, 2, 3, 4, 5, 11: // sub-messages
+		case 1, 2, 6: // sample_type, sample, string_table
 			if wt != wireBytes {
 				return nil, fmt.Errorf("%w: field %d", ErrWireType, num)
 			}
@@ -248,72 +213,11 @@ func Decode(data []byte) (*Profile, error) {
 			}
 			switch num {
 			case 1:
-				sampleTypeRaw = append(sampleTypeRaw, b)
+				types++
 			case 2:
-				sampleRaw = append(sampleRaw, b)
-			case 3:
-				// Mapping: build-id metadata the summaries never use.
-			case 4:
-				locRaw = append(locRaw, b)
-			case 5:
-				fnRaw = append(fnRaw, b)
-			case 11:
-				periodTypeRaw = b
-			}
-		case 6:
-			if wt != wireBytes {
-				return nil, fmt.Errorf("%w: string table", ErrWireType)
-			}
-			b, ok := r.bytes()
-			if !ok {
-				return nil, fmt.Errorf("%w: string table entry", ErrTruncated)
-			}
-			table = append(table, string(b))
-		case 7, 8, 9, 10, 12, 14:
-			if wt != wireVarint {
-				return nil, fmt.Errorf("%w: field %d", ErrWireType, num)
-			}
-			v, ok := r.varint()
-			if !ok {
-				return nil, fmt.Errorf("%w: field %d", ErrTruncated, num)
-			}
-			switch num {
-			case 7:
-				dropIdx = v
-			case 8:
-				keepIdx = v
-			case 9:
-				timeNanos = int64(v)
-			case 10:
-				durationNanos = int64(v)
-			case 12:
-				periodNs = int64(v)
-			case 14:
-				defIdx = v
-			}
-		case 13: // repeated int64 comment: packed or one-per-field
-			switch wt {
-			case wireVarint:
-				v, ok := r.varint()
-				if !ok {
-					return nil, fmt.Errorf("%w: comment", ErrTruncated)
-				}
-				commentIdx = append(commentIdx, v)
-			case wireBytes:
-				b, ok := r.bytes()
-				if !ok {
-					return nil, fmt.Errorf("%w: comment", ErrTruncated)
-				}
-				pr := wire{buf: b}
-				for pr.more() {
-					v, ok := pr.varint()
-					if !ok {
-						return nil, fmt.Errorf("%w: packed comment", ErrTruncated)
-					}
-					commentIdx = append(commentIdx, v)
-				}
-			default:
-				return nil, fmt.Errorf("%w: comment", ErrWireType)
+				samples = append(samples, b)
+			case 6:
+				table = append(table, string(b))
 			}
 		default:
 			if !r.skip(wt) {
@@ -321,339 +225,147 @@ func Decode(data []byte) (*Profile, error) {
 			}
 		}
 	}
-
-	str := func(idx uint64) (string, error) {
-		if idx == 0 {
-			return "", nil
-		}
-		if idx >= uint64(len(table)) {
-			return "", ErrStringIndex
-		}
-		return table[idx], nil
+	if types == 0 {
+		return nil, ErrNoSampleTypes
 	}
 
-	// Pass 2: decode the collected sub-messages against the table.
-	p := &Profile{
-		TimeNanos:     timeNanos,
-		DurationNanos: durationNanos,
-		Period:        periodNs,
-	}
-	if p.DropFrames, err = str(dropIdx); err != nil {
-		return nil, fmt.Errorf("%w: drop_frames", err)
-	}
-	if p.KeepFrames, err = str(keepIdx); err != nil {
-		return nil, fmt.Errorf("%w: keep_frames", err)
-	}
-	if p.DefaultSampleType, err = str(defIdx); err != nil {
-		return nil, fmt.Errorf("%w: default_sample_type", err)
-	}
-	for _, idx := range commentIdx {
-		s, err := str(idx)
+	sh := &Shares{TotalSamples: len(samples)}
+	phases := map[string]int64{}
+	for i, b := range samples {
+		v, phase, err := readSample(b, table, types)
 		if err != nil {
-			return nil, fmt.Errorf("%w: comment", err)
+			return nil, fmt.Errorf("%w: sample %d", err, i)
 		}
-		p.Comment = append(p.Comment, s)
+		if v > math.MaxInt64-sh.Total {
+			return nil, fmt.Errorf("%w: sample %d", ErrValueRange, i)
+		}
+		sh.Total += v
+		phases[phase] += v
 	}
-	if periodTypeRaw != nil {
-		if p.PeriodType, err = decodeValueType(periodTypeRaw, table); err != nil {
-			return nil, fmt.Errorf("period_type: %w", err)
+	var shares []LabelShare
+	for value, total := range phases {
+		share := 0.0
+		if sh.Total != 0 {
+			share = float64(total) / float64(sh.Total)
 		}
+		shares = append(shares, LabelShare{Value: value, Total: total, Share: share})
 	}
-	p.SampleType = make([]ValueType, 0, len(sampleTypeRaw))
-	for _, b := range sampleTypeRaw {
-		vt, err := decodeValueType(b, table)
-		if err != nil {
-			return nil, fmt.Errorf("sample_type: %w", err)
+	sort.Slice(shares, func(i, j int) bool {
+		a, b := shares[i], shares[j]
+		if a.Total != b.Total {
+			return a.Total > b.Total
 		}
-		p.SampleType = append(p.SampleType, vt)
-	}
-	p.Location = make([]Location, 0, len(locRaw))
-	for _, b := range locRaw {
-		loc, err := decodeLocation(b)
-		if err != nil {
-			return nil, fmt.Errorf("location: %w", err)
-		}
-		p.Location = append(p.Location, loc)
-	}
-	p.Function = make([]Function, 0, len(fnRaw))
-	for _, b := range fnRaw {
-		fn, err := decodeFunction(b, table)
-		if err != nil {
-			return nil, fmt.Errorf("function: %w", err)
-		}
-		p.Function = append(p.Function, fn)
-	}
-	p.Sample = make([]Sample, 0, len(sampleRaw))
-	for i, b := range sampleRaw {
-		var s Sample
-		if !decodeSample(b, table, &s) {
-			return nil, fmt.Errorf("%w: sample %d", ErrTruncated, i)
-		}
-		if len(s.Value) != len(p.SampleType) {
-			return nil, fmt.Errorf("%w: sample %d has %d values, %d types",
-				ErrValueCount, i, len(s.Value), len(p.SampleType))
-		}
-		p.Sample = append(p.Sample, s)
-	}
-	return p, nil
+		return a.Value < b.Value
+	})
+	sh.Phases = shares
+	return sh, nil
 }
 
-// decodeValueType parses one ValueType message (string indices 1, 2).
-func decodeValueType(buf []byte, table []string) (ValueType, error) {
-	var vt ValueType
+// readSample reads one Sample message for its last value and its phase
+// label (Unlabeled when absent or empty; the last phase label wins).
+// Both packed and one-per-field value encodings are accepted, since
+// runtime/pprof switches on element count; location IDs are skipped.
+//
+//safesense:hotpath
+func readSample(buf []byte, table []string, types int) (int64, string, error) {
+	var last int64
+	values := 0
+	phase := Unlabeled
 	r := wire{buf: buf}
 	for r.more() {
 		num, wt, ok := r.field()
 		if !ok {
-			return vt, ErrTruncated
+			return 0, "", ErrTruncated
 		}
-		switch num {
-		case 1, 2:
-			if wt != wireVarint {
-				return vt, ErrWireType
-			}
-			idx, ok := r.varint()
-			if !ok {
-				return vt, ErrTruncated
-			}
-			if idx >= uint64(len(table)) && idx != 0 {
-				return vt, ErrStringIndex
-			}
-			s := ""
-			if idx != 0 {
-				s = table[idx]
-			}
-			if num == 1 {
-				vt.Type = s
-			} else {
-				vt.Unit = s
-			}
-		default:
-			if !r.skip(wt) {
-				return vt, ErrTruncated
-			}
-		}
-	}
-	return vt, nil
-}
-
-// decodeLocation parses one Location message with its line table.
-func decodeLocation(buf []byte) (Location, error) {
-	var loc Location
-	r := wire{buf: buf}
-	for r.more() {
-		num, wt, ok := r.field()
-		if !ok {
-			return loc, ErrTruncated
-		}
-		switch num {
-		case 1, 2, 3, 5:
-			if wt != wireVarint {
-				return loc, ErrWireType
-			}
+		switch {
+		case num == 2 && wt == wireVarint:
 			v, ok := r.varint()
 			if !ok {
-				return loc, ErrTruncated
+				return 0, "", ErrTruncated
 			}
-			switch num {
-			case 1:
-				loc.ID = v
-			case 2:
-				loc.MappingID = v
-			case 3:
-				loc.Address = v
-			case 5:
-				loc.IsFolded = v != 0
+			last, values = int64(v), values+1
+		case num == 2 && wt == wireBytes:
+			b, ok := r.bytes()
+			if !ok {
+				return 0, "", ErrTruncated
 			}
-		case 4:
+			pr := wire{buf: b}
+			for pr.more() {
+				v, ok := pr.varint()
+				if !ok {
+					return 0, "", ErrTruncated
+				}
+				last, values = int64(v), values+1
+			}
+		case num == 2:
+			return 0, "", ErrWireType
+		case num == 3:
 			if wt != wireBytes {
-				return loc, ErrWireType
+				return 0, "", ErrWireType
 			}
 			b, ok := r.bytes()
 			if !ok {
-				return loc, ErrTruncated
+				return 0, "", ErrTruncated
 			}
-			var ln Line
-			lr := wire{buf: b}
-			for lr.more() {
-				lnum, lwt, ok := lr.field()
-				if !ok {
-					return loc, ErrTruncated
-				}
-				if lwt != wireVarint {
-					if !lr.skip(lwt) {
-						return loc, ErrTruncated
-					}
-					continue
-				}
-				v, ok := lr.varint()
-				if !ok {
-					return loc, ErrTruncated
-				}
-				switch lnum {
-				case 1:
-					ln.FunctionID = v
-				case 2:
-					ln.Line = int64(v)
-				case 3:
-					ln.Column = int64(v)
-				}
+			key, str, err := readLabel(b, table)
+			if err != nil {
+				return 0, "", err
 			}
-			loc.Line = append(loc.Line, ln)
+			if key == LabelPhase && str != "" {
+				phase = str
+			}
 		default:
 			if !r.skip(wt) {
-				return loc, ErrTruncated
+				return 0, "", ErrTruncated
 			}
 		}
 	}
-	return loc, nil
+	if values != types {
+		return 0, "", ErrValueCount
+	}
+	if last < 0 {
+		return 0, "", ErrValueRange
+	}
+	return last, phase, nil
 }
 
-// decodeFunction parses one Function message (string indices 2-4).
-func decodeFunction(buf []byte, table []string) (Function, error) {
-	var fn Function
+// readLabel reads one Label message's key and string value. Every
+// string index it carries (key, str, num_unit) is range-checked.
+//
+//safesense:hotpath
+func readLabel(buf []byte, table []string) (key, str string, err error) {
 	r := wire{buf: buf}
 	for r.more() {
 		num, wt, ok := r.field()
 		if !ok {
-			return fn, ErrTruncated
+			return "", "", ErrTruncated
 		}
 		if wt != wireVarint {
 			if !r.skip(wt) {
-				return fn, ErrTruncated
+				return "", "", ErrTruncated
 			}
 			continue
 		}
 		v, ok := r.varint()
 		if !ok {
-			return fn, ErrTruncated
+			return "", "", ErrTruncated
+		}
+		if num != 1 && num != 2 && num != 4 {
+			continue
+		}
+		if v >= uint64(len(table)) && v != 0 {
+			return "", "", ErrStringIndex
+		}
+		s := ""
+		if v != 0 {
+			s = table[v]
 		}
 		switch num {
 		case 1:
-			fn.ID = v
-		case 2, 3, 4:
-			if v >= uint64(len(table)) && v != 0 {
-				return fn, ErrStringIndex
-			}
-			s := ""
-			if v != 0 {
-				s = table[v]
-			}
-			switch num {
-			case 2:
-				fn.Name = s
-			case 3:
-				fn.SystemName = s
-			case 4:
-				fn.Filename = s
-			}
-		case 5:
-			fn.StartLine = int64(v)
+			key = s
+		case 2:
+			str = s
 		}
 	}
-	return fn, nil
-}
-
-// decodeSample is the hot decode loop: a CPU capture holds thousands of
-// samples and every location ID, value, and label of each goes through
-// here. It reports failure (truncation, bad wire type, string index out
-// of range) as false; the caller attaches sample context. Both packed
-// and one-per-field encodings of the repeated numeric fields are
-// accepted, since runtime/pprof switches on element count.
-//
-//safesense:hotpath
-func decodeSample(buf []byte, table []string, s *Sample) bool {
-	r := wire{buf: buf}
-	for r.more() {
-		num, wt, ok := r.field()
-		if !ok {
-			return false
-		}
-		switch num {
-		case 1, 2: // location_id, value
-			switch wt {
-			case wireVarint:
-				v, ok := r.varint()
-				if !ok {
-					return false
-				}
-				if num == 1 {
-					s.LocationID = append(s.LocationID, v)
-				} else {
-					s.Value = append(s.Value, int64(v))
-				}
-			case wireBytes:
-				b, ok := r.bytes()
-				if !ok {
-					return false
-				}
-				pr := wire{buf: b}
-				for pr.more() {
-					v, ok := pr.varint()
-					if !ok {
-						return false
-					}
-					if num == 1 {
-						s.LocationID = append(s.LocationID, v)
-					} else {
-						s.Value = append(s.Value, int64(v))
-					}
-				}
-			default:
-				return false
-			}
-		case 3: // label sub-message
-			if wt != wireBytes {
-				return false
-			}
-			b, ok := r.bytes()
-			if !ok {
-				return false
-			}
-			var l Label
-			lr := wire{buf: b}
-			for lr.more() {
-				lnum, lwt, ok := lr.field()
-				if !ok {
-					return false
-				}
-				if lwt != wireVarint {
-					if !lr.skip(lwt) {
-						return false
-					}
-					continue
-				}
-				v, ok := lr.varint()
-				if !ok {
-					return false
-				}
-				switch lnum {
-				case 1, 2, 4:
-					if v >= uint64(len(table)) && v != 0 {
-						return false
-					}
-					str := ""
-					if v != 0 {
-						str = table[v]
-					}
-					switch lnum {
-					case 1:
-						l.Key = str
-					case 2:
-						l.Str = str
-					case 4:
-						l.NumUnit = str
-					}
-				case 3:
-					l.Num = int64(v)
-				}
-			}
-			s.Label = append(s.Label, l)
-		default:
-			if !r.skip(wt) {
-				return false
-			}
-		}
-	}
-	return true
+	return key, str, nil
 }

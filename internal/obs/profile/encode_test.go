@@ -6,68 +6,58 @@ import (
 	"encoding/binary"
 )
 
-// Marshal encodes a Profile back to uncompressed profile.proto wire
-// format in canonical form: fields in ascending number order, repeated
-// numeric fields packed, zero-valued singular fields omitted, and the
-// string table rebuilt in first-use order with "" at index 0. Decode of
-// the output reproduces the input Profile exactly — the idempotence
-// oracle FuzzDecodeProfile leans on — which also makes Marshal the way
-// tests fabricate deterministic fixtures.
-func Marshal(p *Profile) []byte {
-	e := &encoder{index: map[string]uint64{"": 0}, table: []string{""}}
+// fabricated is the part of profile.proto the reader's tests encode:
+// sample types, samples with values and labels, and (implicitly) the
+// string table. Locations, functions and mappings are left out because
+// ReadShares skips them unread; the golden fixture and live runtime
+// captures carry them.
+type fabricated struct {
+	SampleType []valueType
+	Sample     []sample
+}
 
-	// Encode every string-bearing section first so the table is complete
-	// before it is emitted at field 6.
-	var pre []byte
-	for i := range p.SampleType {
-		pre = appendBytesField(pre, 1, e.valueType(p.SampleType[i]))
+type valueType struct{ Type, Unit string }
+
+type sample struct {
+	Value []int64
+	Label []label
+}
+
+// label is one pprof label: string-valued (Str) or numeric (Num).
+type label struct {
+	Key, Str string
+	Num      int64
+}
+
+// Marshal encodes p as uncompressed profile.proto: sample types, then
+// samples (values packed), then the string table in first-use order
+// with "" at index 0 — the table after the samples that index it, as
+// runtime/pprof writes it.
+func (p *fabricated) Marshal() []byte {
+	e := &encoder{index: map[string]uint64{"": 0}, table: []string{""}}
+	var out []byte
+	for _, vt := range p.SampleType {
+		var b []byte
+		b = appendVarintField(b, 1, e.str(vt.Type))
+		b = appendVarintField(b, 2, e.str(vt.Unit))
+		out = appendBytesField(out, 1, b)
 	}
 	for i := range p.Sample {
-		pre = appendBytesField(pre, 2, e.sample(&p.Sample[i]))
+		out = appendBytesField(out, 2, e.sample(&p.Sample[i]))
 	}
-	for i := range p.Location {
-		pre = appendBytesField(pre, 4, encodeLocation(&p.Location[i]))
-	}
-	for i := range p.Function {
-		pre = appendBytesField(pre, 5, e.function(&p.Function[i]))
-	}
-	dropIdx := e.str(p.DropFrames)
-	keepIdx := e.str(p.KeepFrames)
-	periodType := e.valueType(p.PeriodType)
-	commentIdx := make([]uint64, len(p.Comment))
-	for i, c := range p.Comment {
-		commentIdx[i] = e.str(c)
-	}
-	defIdx := e.str(p.DefaultSampleType)
-
-	out := pre
 	for _, s := range e.table {
 		out = appendBytesField(out, 6, []byte(s))
 	}
-	out = appendVarintField(out, 7, dropIdx)
-	out = appendVarintField(out, 8, keepIdx)
-	out = appendVarintField(out, 9, uint64(p.TimeNanos))
-	out = appendVarintField(out, 10, uint64(p.DurationNanos))
-	if len(periodType) > 0 {
-		out = appendBytesField(out, 11, periodType)
-	}
-	out = appendVarintField(out, 12, uint64(p.Period))
-	for _, idx := range commentIdx {
-		// Repeated: every element is emitted, including index 0 ("").
-		out = appendTag(out, 13, wireVarint)
-		out = binary.AppendUvarint(out, idx)
-	}
-	out = appendVarintField(out, 14, defIdx)
 	return out
 }
 
 // MarshalGzip is Marshal wrapped in the gzip framing runtime/pprof
 // uses, so fabricated captures exercise the same ingest path as real
 // ones. The output is deterministic (no mod-time in the header).
-func MarshalGzip(p *Profile) []byte {
+func (p *fabricated) MarshalGzip() []byte {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	zw.Write(Marshal(p))
+	zw.Write(p.Marshal())
 	zw.Close()
 	return buf.Bytes()
 }
@@ -89,57 +79,22 @@ func (e *encoder) str(s string) uint64 {
 	return idx
 }
 
-func (e *encoder) valueType(vt ValueType) []byte {
+func (e *encoder) sample(s *sample) []byte {
 	var b []byte
-	b = appendVarintField(b, 1, e.str(vt.Type))
-	b = appendVarintField(b, 2, e.str(vt.Unit))
-	return b
-}
-
-func (e *encoder) sample(s *Sample) []byte {
-	var b []byte
-	if len(s.LocationID) > 0 {
-		b = appendBytesField(b, 1, packUvarints(s.LocationID))
-	}
 	if len(s.Value) > 0 {
-		b = appendBytesField(b, 2, packVarints(s.Value))
+		var packed []byte
+		for _, v := range s.Value {
+			packed = binary.AppendUvarint(packed, uint64(v))
+		}
+		b = appendBytesField(b, 2, packed)
 	}
 	for _, l := range s.Label {
 		var lb []byte
 		lb = appendVarintField(lb, 1, e.str(l.Key))
 		lb = appendVarintField(lb, 2, e.str(l.Str))
 		lb = appendVarintField(lb, 3, uint64(l.Num))
-		lb = appendVarintField(lb, 4, e.str(l.NumUnit))
 		b = appendBytesField(b, 3, lb)
 	}
-	return b
-}
-
-func encodeLocation(loc *Location) []byte {
-	var b []byte
-	b = appendVarintField(b, 1, loc.ID)
-	b = appendVarintField(b, 2, loc.MappingID)
-	b = appendVarintField(b, 3, loc.Address)
-	for _, ln := range loc.Line {
-		var lb []byte
-		lb = appendVarintField(lb, 1, ln.FunctionID)
-		lb = appendVarintField(lb, 2, uint64(ln.Line))
-		lb = appendVarintField(lb, 3, uint64(ln.Column))
-		b = appendBytesField(b, 4, lb)
-	}
-	if loc.IsFolded {
-		b = appendVarintField(b, 5, 1)
-	}
-	return b
-}
-
-func (e *encoder) function(fn *Function) []byte {
-	var b []byte
-	b = appendVarintField(b, 1, fn.ID)
-	b = appendVarintField(b, 2, e.str(fn.Name))
-	b = appendVarintField(b, 3, e.str(fn.SystemName))
-	b = appendVarintField(b, 4, e.str(fn.Filename))
-	b = appendVarintField(b, 5, uint64(fn.StartLine))
 	return b
 }
 
@@ -161,20 +116,4 @@ func appendBytesField(b []byte, num int, payload []byte) []byte {
 	b = appendTag(b, num, wireBytes)
 	b = binary.AppendUvarint(b, uint64(len(payload)))
 	return append(b, payload...)
-}
-
-func packUvarints(vs []uint64) []byte {
-	var b []byte
-	for _, v := range vs {
-		b = binary.AppendUvarint(b, v)
-	}
-	return b
-}
-
-func packVarints(vs []int64) []byte {
-	var b []byte
-	for _, v := range vs {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	return b
 }

@@ -2,21 +2,20 @@ package profile
 
 import (
 	"os"
-	"reflect"
 	"testing"
 )
 
-// FuzzDecodeProfile hammers the wire decoder with mutated captures. Two
-// oracles: Decode must never panic (bounded input, strict structure
-// checks), and any input it accepts must be idempotent under the
-// canonical encoder — decode(Marshal(decode(x))) == decode(x) — so the
-// decoder and encoder can never drift apart on a representable profile.
-func FuzzDecodeProfile(f *testing.F) {
+// FuzzReadShares hammers the reader with mutated captures. Its oracle:
+// ReadShares never panics (bounded input, strict structure checks), and
+// any input it accepts yields finite shares in [0, 1] that sum to one
+// whenever the total is nonzero — the invariant the phase-share gauge
+// publishes on.
+func FuzzReadShares(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x1f, 0x8b})
-	f.Add(Marshal(testProfile()))
-	f.Add(MarshalGzip(testProfile()))
-	f.Add(Marshal(&Profile{SampleType: []ValueType{{Type: "cpu", Unit: "nanoseconds"}}}))
+	f.Add(testCapture().Marshal())
+	f.Add(testCapture().MarshalGzip())
+	f.Add((&fabricated{SampleType: []valueType{{Type: "cpu", Unit: "nanoseconds"}}}).Marshal())
 	if golden, err := os.ReadFile(goldenCapture); err == nil {
 		f.Add(golden)
 	}
@@ -24,16 +23,10 @@ func FuzzDecodeProfile(f *testing.F) {
 		if len(data) > 1<<20 {
 			t.Skip("bounded: continuous captures are a few hundred KiB")
 		}
-		p, err := Decode(data)
+		sh, err := ReadShares(data)
 		if err != nil {
 			return
 		}
-		again, err := Decode(Marshal(p))
-		if err != nil {
-			t.Fatalf("re-decode of accepted profile failed: %v", err)
-		}
-		if !reflect.DeepEqual(again, p) {
-			t.Fatalf("decode/encode not idempotent:\nfirst  %+v\nsecond %+v", p, again)
-		}
+		checkShares(t, sh)
 	})
 }

@@ -1,13 +1,13 @@
 // Package profile is the continuous-profiling plane: pprof goroutine
 // labels that attribute CPU samples to pipeline phases and campaign
-// jobs, a stdlib-only decoder for the gzip+protobuf pprof wire format,
-// summaries (top-N functions, per-phase CPU shares, alloc hotspots),
-// capture diffing, a bounded content-addressed capture store, and the
-// background profiler safesensed runs between requests.
+// jobs, a stdlib-only reader that splits a gzip+protobuf pprof capture
+// across the phase label (ReadShares), a bounded content-addressed
+// capture store, and the background profiler safesensed runs between
+// requests. Everything else about a capture — function tables, diffs,
+// other labels — is `go tool pprof`'s job on the raw bytes.
 //
-// The package deliberately imports neither internal/sim nor
-// internal/perf — both import it — so the label helpers and the decoder
-// stay leaf dependencies.
+// The package deliberately does not import internal/sim, which imports
+// it, so the label helpers and the reader stay leaf dependencies.
 package profile
 
 import (
@@ -26,12 +26,12 @@ const (
 	LabelJob      = "job"
 )
 
-// Unlabeled is the summary bucket for samples with no phase label:
+// Unlabeled is the Shares bucket for samples with no phase label:
 // runtime internals, GC, and any code outside the instrumented phases.
 const Unlabeled = "(unlabeled)"
 
 // enabled counts the label consumers currently active (the continuous
-// profiler, safesim -profile-dir, perf captures). Labeling costs one
+// profiler, safesim -profile-dir). Labeling costs one
 // atomic load per phase transition when off, so the simulator checks
 // Enabled once per run and skips label plumbing entirely at zero.
 var enabled atomic.Int64

@@ -8,7 +8,7 @@ var (
 		"Continuous-profiler captures stored.")
 	metricCaptureErrors = obs.Default().Counter(
 		"safesense_profile_capture_errors_total",
-		"Continuous-profiler windows that failed to start, decode, or summarize.")
+		"Continuous-profiler windows that failed to start or could not be read.")
 	metricEvictions = obs.Default().Counter(
 		"safesense_profile_evictions_total",
 		"Profile captures evicted to stay within the store budget.")

@@ -21,7 +21,7 @@ var clock = time.Now
 const DefaultStoreBudgetBytes = 32 << 20
 
 // Capture is one stored profile: identity, provenance stamps, and the
-// precomputed summary. The raw bytes live only inside the store and are
+// precomputed phase shares. The raw bytes live only inside the store and are
 // returned by Get.
 type Capture struct {
 	// ID is the hex SHA-256 of the raw capture bytes (content address;
@@ -35,8 +35,8 @@ type Capture struct {
 	Host        obs.Host  `json:"host"`
 	Bytes       int       `json:"bytes"`
 	// WindowNanos is how long the capture window was open.
-	WindowNanos int64    `json:"window_nanos,omitempty"`
-	Summary     *Summary `json:"summary,omitempty"`
+	WindowNanos int64   `json:"window_nanos,omitempty"`
+	Shares      *Shares `json:"shares,omitempty"`
 }
 
 // StoreOptions tunes a Store.
@@ -90,7 +90,7 @@ func NewStore(opts StoreOptions) *Store {
 // metadata and whether it was new (false = dedup hit; recency is
 // refreshed). Inserting over budget evicts oldest-first until the
 // store fits.
-func (s *Store) Put(raw []byte, kind string, windowNanos int64, sum *Summary) (Capture, bool) {
+func (s *Store) Put(raw []byte, kind string, windowNanos int64, sh *Shares) (Capture, bool) {
 	h := sha256.Sum256(raw)
 	id := hex.EncodeToString(h[:])
 	// A memory-only store with a Size function cannot fail a Put.
@@ -103,7 +103,7 @@ func (s *Store) Put(raw []byte, kind string, windowNanos int64, sum *Summary) (C
 			Host:        s.host,
 			Bytes:       len(raw),
 			WindowNanos: windowNanos,
-			Summary:     sum,
+			Shares:      sh,
 		},
 		raw: raw,
 	})

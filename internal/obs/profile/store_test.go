@@ -12,7 +12,7 @@ func TestStorePutGetDedup(t *testing.T) {
 	defer func() { clock = old }()
 
 	s := NewStore(StoreOptions{})
-	raw := MarshalGzip(testProfile())
+	raw := testCapture().MarshalGzip()
 	meta, fresh := s.Put(raw, "cpu", int64(10*time.Second), nil)
 	if !fresh {
 		t.Fatal("first Put reported dedup")

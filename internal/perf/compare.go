@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"safesense/internal/obs"
-	"safesense/internal/obs/profile"
 )
 
 // MetricDelta compares one metric of one scenario across two runs.
@@ -213,10 +212,6 @@ type Regression struct {
 	// waiver text.
 	Waived bool   `json:"waived,omitempty"`
 	Reason string `json:"reason,omitempty"`
-	// HotFunctions names the functions whose flat CPU share grew between
-	// the two captures' embedded profiles (AttributeRegressions fills it
-	// when both sides carry one) — the gate's "what grew" answer.
-	HotFunctions []profile.FuncDelta `json:"hot_functions,omitempty"`
 }
 
 // Gate scans the report for statistically significant regressions

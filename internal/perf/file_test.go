@@ -60,6 +60,39 @@ func TestRunFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadCheckedInRunFiles: every committed trajectory document and
+// the baseline still load. BENCH_0004 and BENCH_0005 embed per-scenario
+// "profile" digests from a schema field since removed; decoding must
+// keep skipping them.
+func TestReadCheckedInRunFiles(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "perf", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths = append(paths, filepath.Join("..", "..", "perf", "baseline.json"))
+	legacy := 0
+	for _, path := range paths {
+		run, err := ReadRunFile(path)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if len(run.Scenarios) == 0 {
+			t.Errorf("%s: no scenarios", path)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(raw), `"profile": {`) {
+			legacy++
+		}
+	}
+	if len(paths) < 12 || legacy < 2 {
+		t.Fatalf("read %d documents, %d with legacy profile digests; want the 11 BENCH files plus the baseline, 2 legacy", len(paths), legacy)
+	}
+}
+
 func TestReadRunFileRejects(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := ReadRunFile(filepath.Join(dir, "absent.json")); err == nil {

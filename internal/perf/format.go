@@ -82,10 +82,6 @@ func FormatRegressions(w io.Writer, regs []Regression, thresholdPct, alpha float
 			fmt.Fprintf(w, " — %s", reg.Reason)
 		}
 		fmt.Fprintln(w)
-		for _, hf := range reg.HotFunctions {
-			fmt.Fprintf(w, "  grew %+.1fpp flat CPU share (%.1f%% -> %.1f%%): %s\n",
-				hf.DeltaShare*100, hf.BeforeShare*100, hf.AfterShare*100, hf.Name)
-		}
 	}
 	if failed {
 		fmt.Fprintf(w, "perf gate: FAIL — significant regression beyond %.1f%% (alpha %.3g); optimize, or waive with a safesense:perf-waiver line (see perf/waivers.txt)\n",

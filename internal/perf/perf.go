@@ -27,11 +27,6 @@ type Config struct {
 	// MinRepMillis is the per-repetition time floor the runner
 	// calibrated its inner loop against.
 	MinRepMillis int `json:"min_rep_millis"`
-	// Profile records whether scenarios ran under the CPU profiler (the
-	// per-scenario ScenarioResult.Profile digests exist only then).
-	// Profiled captures carry a small instrumentation overhead, so the
-	// comparator should prefer same-mode pairs.
-	Profile bool `json:"profile,omitempty"`
 }
 
 // Run is one serialized perf capture: everything `safesense-perf run`
@@ -64,10 +59,6 @@ type ScenarioResult struct {
 	// gc_pause_delta_seconds) plus whatever the scenario body observed
 	// (obs phase timings, runs_per_sec, deterministic check values).
 	Extra map[string][]float64 `json:"extra,omitempty"`
-
-	// Profile is the scenario's CPU attribution digest, present only
-	// when the capture ran with profiling enabled (Config.Profile).
-	Profile *ProfileSummary `json:"profile,omitempty"`
 }
 
 // Samples returns the named sample array: one of the core metrics or an

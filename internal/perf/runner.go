@@ -30,12 +30,6 @@ type RunnerConfig struct {
 	MinRepMillis int
 	// MaxInner caps the calibrated inner loop count (default 1<<16).
 	MaxInner int
-	// Profile wraps each scenario's measured repetitions in a CPU
-	// profile with the sim phase labels enabled and embeds the decoded
-	// phase-share/top-function digest in the result. Adds a few percent
-	// of sampling overhead; compare profiled captures against profiled
-	// baselines.
-	Profile bool
 }
 
 func (c RunnerConfig) withDefaults() RunnerConfig {
@@ -108,11 +102,6 @@ func (r *Runner) RunScenario(s Scenario) (ScenarioResult, error) {
 		}
 	}
 
-	var sp scenarioProfile
-	if r.cfg.Profile {
-		sp.start()
-		defer sp.finish() // early-error path; no-op after the normal finish
-	}
 	for n := 0; n < r.cfg.Reps; n++ {
 		body, err := s.Setup()
 		if err != nil {
@@ -147,7 +136,6 @@ func (r *Runner) RunScenario(s Scenario) (ScenarioResult, error) {
 			res.Extra[name] = append(res.Extra[name], rep.extra[name])
 		}
 	}
-	res.Profile = sp.finish()
 	return res, nil
 }
 
@@ -191,7 +179,6 @@ func (r *Runner) RunSuite(scenarios []Scenario) (*Run, error) {
 			Reps:         r.cfg.Reps,
 			Warmup:       r.cfg.Warmup,
 			MinRepMillis: r.cfg.MinRepMillis,
-			Profile:      r.cfg.Profile,
 		},
 	}
 	for _, s := range scenarios {
