@@ -51,17 +51,19 @@ race-hot:
 	$(GO) test -race ./internal/sim ./internal/campaign ./internal/dist ./internal/obs/... ./cmd/safesensed
 
 # fuzz-smoke runs each fuzz target briefly so the corpora and oracles
-# can't bit-rot; CI runs this on every push. Longer local sessions:
+# can't bit-rot; CI runs this on every push. -fuzzminimizetime=100x caps
+# the minimizing of each new interesting input (default: up to 60 s), so
+# the short budget goes to fuzzing. Longer local runs:
 #   go test -fuzz=FuzzDecodeSpec -fuzztime=5m ./internal/campaign
 FUZZ_TIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeSpec -fuzztime=$(FUZZ_TIME) ./internal/campaign
-	$(GO) test -run='^$$' -fuzz=FuzzRunSpec -fuzztime=$(FUZZ_TIME) ./internal/campaign
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeLease -fuzztime=$(FUZZ_TIME) ./internal/dist
-	$(GO) test -run='^$$' -fuzz=FuzzSSEFrame -fuzztime=$(FUZZ_TIME) ./internal/obs/stream
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeCapture -fuzztime=$(FUZZ_TIME) ./internal/obs/forensic
-	$(GO) test -run='^$$' -fuzz=FuzzReadShares -fuzztime=$(FUZZ_TIME) ./internal/obs/profile
-	$(GO) test -run='^$$' -fuzz=FuzzFrequencies -fuzztime=$(FUZZ_TIME) ./internal/dsp/music
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSpec -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=100x ./internal/campaign
+	$(GO) test -run='^$$' -fuzz=FuzzRunSpec -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=100x ./internal/campaign
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeLease -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=100x ./internal/dist
+	$(GO) test -run='^$$' -fuzz=FuzzSSEFrame -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=100x ./internal/obs/stream
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeCapture -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=100x ./internal/obs/forensic
+	$(GO) test -run='^$$' -fuzz=FuzzReadShares -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=100x ./internal/obs/profile
+	$(GO) test -run='^$$' -fuzz=FuzzFrequencies -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=100x ./internal/dsp/music
 
 # dist-smoke is the distributed-execution gate: an in-process
 # coordinator plus two pull workers shard a 64-job campaign over the

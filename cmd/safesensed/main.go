@@ -43,9 +43,14 @@
 //	                          progress and merged partials, flight
 //	                          events, terminal aggregate
 //	POST /v1/dist/lease       worker pull: acquire the next lease
-//	POST /v1/dist/lease/renew     extend a held lease
-//	POST /v1/dist/lease/progress  stream a held lease's partial snapshot
+//	POST /v1/dist/lease/progress  heartbeat: extend a held lease and
+//	                          stream its partial snapshot (410 = lost)
 //	POST /v1/dist/lease/complete  deliver a shard's partial aggregate
+//	GET  /v1/profiles         continuous-profiler captures, newest first,
+//	                          each with its phase CPU shares (404 when
+//	                          -profile-interval is unset)
+//	GET  /v1/profiles/{id}    one capture's raw pprof bytes, for
+//	                          `go tool pprof`
 //
 // Every request gets a trace: a sane inbound X-Request-ID is honored as
 // the trace ID (one is minted otherwise), echoed on the response, stamped
@@ -62,6 +67,8 @@
 //	           [-lease-jobs N] [-lease-ttl D] [-dist-checkpoint FILE]
 //	           [-join URL] [-worker-id ID] [-poll-interval D]
 //	           [-progress-interval D]
+//	           [-profile-interval D] [-profile-window D]
+//	           [-profile-budget-bytes N]
 //
 // With -join, the process additionally runs a distributed-campaign
 // worker: it pulls leases from the coordinator at URL, executes them on
@@ -152,7 +159,7 @@ func main() {
 	flag.StringVar(&o.join, "join", "", "also run a distributed-campaign worker pulling leases from this coordinator URL")
 	flag.StringVar(&o.workerID, "worker-id", "", "worker identifier reported to the coordinator (default <hostname>-<pid>)")
 	flag.DurationVar(&o.pollInterval, "poll-interval", 0, "worker idle wait between lease pulls (0 = worker default)")
-	flag.DurationVar(&o.progressInterval, "progress-interval", 0, "worker mid-lease progress reporting interval (0 = worker default, negative disables)")
+	flag.DurationVar(&o.progressInterval, "progress-interval", 0, "worker mid-lease progress interval, also the lease heartbeat; capped at a third of the lease TTL (<= 0 = worker default)")
 	flag.DurationVar(&o.profileInterval, "profile-interval", 0, "continuous profiler: time between CPU capture windows (0 = disabled)")
 	flag.DurationVar(&o.profileWindow, "profile-window", 0, "continuous profiler: capture window length (0 = 10s default, clamped to the interval)")
 	flag.Int64Var(&o.profileBudget, "profile-budget-bytes", 0, "resident profile-capture budget in bytes (0 = 32 MiB default)")

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -26,8 +27,8 @@ var wallClock = time.Now
 type Config struct {
 	// LeaseJobs is the default shard size in jobs (zero means 256).
 	LeaseJobs int
-	// LeaseTTL is how long a granted lease lives without renewal (zero
-	// means 60s).
+	// LeaseTTL is how long a granted lease lives without a progress post
+	// from its holder (zero means 60s).
 	LeaseTTL time.Duration
 	// MaxJobs rejects specs that expand beyond this many runs (zero
 	// means 10 million — distributed sweeps are the big-grid path).
@@ -103,7 +104,6 @@ type shard struct {
 	// from the completed-lease merge: the final aggregate derives only
 	// from completed partials, so a lost or duplicated progress post
 	// can never perturb byte-identity with the single-node fold.
-	liveDone    int
 	livePartial campaign.Partial
 }
 
@@ -301,7 +301,6 @@ func (c *Coordinator) Acquire(workerID string) (AcquireResponse, bool) {
 				c.cfg.Log.Warn("dist lease expired",
 					"campaign", d.id, "shard", i, "worker", sh.worker, "lease", sh.leaseID)
 				c.publishLeaseLocked(d, i, sh, leaseExpired)
-				sh.liveDone = 0
 				sh.livePartial = campaign.Partial{}
 			}
 			c.nextLease++
@@ -331,26 +330,49 @@ func (c *Coordinator) Acquire(workerID string) (AcquireResponse, bool) {
 	return AcquireResponse{}, false
 }
 
-// Renew extends a lease the worker still holds.
-func (c *Coordinator) Renew(req RenewRequest) (RenewResponse, error) {
+// errLeaseLost marks a progress post for a lease its sender no longer
+// holds: the token is unknown, the shard completed, or the lease was
+// granted to another worker. The HTTP layer answers it with 410.
+var errLeaseLost = errors.New("dist: lease lost")
+
+// Progress records a heartbeat from the shard's holder: the lease is
+// extended by LeaseTTL, and a snapshot covering more jobs than the live
+// view replaces it. The live view feeds only Fleet and the event stream
+// — never the completed-lease merge — so a lost, duplicated or late post
+// cannot touch the final aggregate; an older snapshot still extends the
+// lease but leaves the live view alone. A lost lease is errLeaseLost; a
+// snapshot that does not fit the shard is any other error.
+func (c *Coordinator) Progress(req ProgressRequest) error {
 	now := c.cfg.Clock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ref := c.leases[req.LeaseID]
 	if ref == nil {
-		return RenewResponse{}, fmt.Errorf("dist: unknown lease %q", req.LeaseID)
+		return fmt.Errorf("%w: unknown lease %q", errLeaseLost, req.LeaseID)
 	}
-	sh := ref.campaign.shards[ref.shard]
+	d := ref.campaign
+	sh := d.shards[ref.shard]
 	if sh.completed {
-		return RenewResponse{}, fmt.Errorf("dist: lease %q already completed", req.LeaseID)
+		return fmt.Errorf("%w: lease %q already completed", errLeaseLost, req.LeaseID)
 	}
 	if sh.leaseID != req.LeaseID || sh.worker != req.WorkerID {
-		return RenewResponse{}, fmt.Errorf("dist: lease %q was reassigned", req.LeaseID)
+		return fmt.Errorf("%w: lease %q was reassigned", errLeaseLost, req.LeaseID)
+	}
+	if span := sh.end - sh.start; req.Partial.Jobs > span {
+		return fmt.Errorf("dist: progress covers %d jobs, lease %q spans %d", req.Partial.Jobs, req.LeaseID, span)
+	}
+	if err := req.Partial.SampleRange(sh.start, sh.end); err != nil {
+		return err
 	}
 	sh.expires = now.Add(c.cfg.LeaseTTL)
-	c.touchWorkerLocked(ref.campaign, req.WorkerID, now)
-	metricLeasesRenewed.With().Inc()
-	return RenewResponse{TTLSeconds: c.cfg.LeaseTTL.Seconds()}, nil
+	c.touchWorkerLocked(d, req.WorkerID, now)
+	c.appendEventsLocked(d, req.Events)
+	if req.Partial.Jobs > sh.livePartial.Jobs {
+		sh.livePartial = req.Partial
+		c.publishProgressLocked(d)
+		metricProgressUpdates.With().Inc()
+	}
+	return nil
 }
 
 // Complete records a finished shard. The partial must cover exactly the
@@ -379,7 +401,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 
 	sh.completed = true
 	sh.worker = req.WorkerID // completed-by, for the lease event below
-	sh.liveDone = 0
 	sh.livePartial = campaign.Partial{}
 	d.doneShards++
 	d.doneJobs += req.Partial.Jobs

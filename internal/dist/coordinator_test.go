@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -99,12 +100,25 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 		t.Fatalf("second grant = %+v, ok=%v", second, ok)
 	}
 
-	// A held lease renews; a live lease is not re-granted.
-	if _, err := c.Renew(RenewRequest{LeaseID: first.LeaseID, WorkerID: "w1"}); err != nil {
-		t.Fatalf("Renew: %v", err)
+	// A holder's heartbeat extends its lease past the original TTL: at
+	// 90s both held leases are still live, so the next grant is shard 2.
+	// A heartbeat from a non-holder is refused as a lost lease.
+	heartbeat := func(l AcquireResponse, worker string) error {
+		return c.Progress(ProgressRequest{LeaseID: l.LeaseID, WorkerID: worker})
 	}
-	if _, err := c.Renew(RenewRequest{LeaseID: first.LeaseID, WorkerID: "w2"}); err == nil {
-		t.Fatal("renew by a non-holder accepted")
+	clock.Advance(45 * time.Second)
+	if err := heartbeat(first, "w1"); err != nil {
+		t.Fatalf("heartbeat of shard 0: %v", err)
+	}
+	if err := heartbeat(second, "w2"); err != nil {
+		t.Fatalf("heartbeat of shard 1: %v", err)
+	}
+	clock.Advance(45 * time.Second)
+	if third, ok := c.Acquire("w3"); !ok || third.Shard != 2 {
+		t.Fatalf("grant after heartbeats = %+v, ok=%v, want shard 2", third, ok)
+	}
+	if err := heartbeat(first, "w2"); !errors.Is(err, errLeaseLost) {
+		t.Fatalf("heartbeat by a non-holder = %v, want lease lost", err)
 	}
 
 	// Expiry: advance past the TTL; the next acquire steals shard 0.
@@ -113,8 +127,8 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	if !ok || stolen.Shard != 0 {
 		t.Fatalf("post-expiry grant = %+v, ok=%v", stolen, ok)
 	}
-	if _, err := c.Renew(RenewRequest{LeaseID: first.LeaseID, WorkerID: "w1"}); err == nil {
-		t.Fatal("renew of a reassigned lease accepted")
+	if err := heartbeat(first, "w1"); !errors.Is(err, errLeaseLost) {
+		t.Fatalf("heartbeat of a reassigned lease = %v, want lease lost", err)
 	}
 
 	// The stale holder's completion is still accepted while the shard

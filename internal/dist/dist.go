@@ -19,9 +19,10 @@
 //     (Config.Clock) is consulted only to decide expiry.
 //   - Worker: the pull loop behind `safesensed -join`. Acquire a lease,
 //     expand the spec (cached per campaign), run jobs [start, end) on
-//     the local pool via campaign.RunJobs, renew the lease while
-//     running, and complete with the campaign.Partial plus the shard's
-//     flight events (collisions, detector confusion).
+//     the local pool via campaign.RunJobs, post progress while running
+//     (each post is the lease's heartbeat), and complete with the
+//     campaign.Partial plus the shard's flight events (collisions,
+//     detector confusion).
 //   - Checkpoint: a JSONL log of campaign submissions and completed
 //     leases. Replaying it with Restore reconstructs the lease table, so
 //     a coordinator restart resumes a million-job sweep without
@@ -95,8 +96,8 @@ type AcquireRequest struct {
 }
 
 // AcquireResponse grants one lease. The worker must run jobs
-// [Start, End) of the spec's expanded grid and complete within the TTL
-// (renewing as needed).
+// [Start, End) of the spec's expanded grid and complete within the TTL;
+// each progress post extends the lease by another TTL.
 type AcquireResponse struct {
 	LeaseID  string        `json:"lease_id"`
 	Campaign string        `json:"campaign"`
@@ -105,42 +106,21 @@ type AcquireResponse struct {
 	End      int           `json:"end"`
 	Spec     campaign.Spec `json:"spec"`
 	TraceID  string        `json:"trace_id,omitempty"`
-	// TTLSeconds is the lease lifetime; renew at a fraction of it.
+	// TTLSeconds is the lease lifetime; post progress at a fraction of it.
 	TTLSeconds float64 `json:"ttl_seconds"`
 }
 
-// RenewRequest extends a held lease.
-type RenewRequest struct {
-	LeaseID  string `json:"lease_id"`
-	WorkerID string `json:"worker_id"`
-}
-
-// RenewResponse confirms the extension.
-type RenewResponse struct {
-	TTLSeconds float64 `json:"ttl_seconds"`
-}
-
-// ProgressRequest is a mid-lease streaming update: a snapshot of the
-// shard's accumulated partial so far plus any flight events discovered
-// since the previous update. Progress is best-effort observability —
-// the coordinator keeps live partials separate from the completed-lease
-// merge, so a lost or reordered progress post never affects the final
-// aggregate.
+// ProgressRequest is a mid-lease heartbeat: a snapshot of the shard's
+// accumulated partial so far plus any flight events discovered since
+// the previous post. Every accepted post extends the lease by its TTL.
+// The snapshot is best-effort observability — the coordinator keeps
+// live partials separate from the completed-lease merge, so a lost or
+// reordered post never affects the final aggregate.
 type ProgressRequest struct {
-	LeaseID  string `json:"lease_id"`
-	WorkerID string `json:"worker_id"`
-	// Done is how many of the shard's jobs have completed; it must
-	// equal Partial.Jobs.
-	Done    int                 `json:"done"`
-	Partial campaign.Partial    `json:"partial"`
-	Events  []campaign.Incident `json:"events,omitempty"`
-}
-
-// ProgressResponse acknowledges a progress update. Stale reports the
-// update was discarded: the shard already closed or the lease was
-// reassigned, so the worker's live view no longer represents the shard.
-type ProgressResponse struct {
-	Stale bool `json:"stale,omitempty"`
+	LeaseID  string              `json:"lease_id"`
+	WorkerID string              `json:"worker_id"`
+	Partial  campaign.Partial    `json:"partial"`
+	Events   []campaign.Incident `json:"events,omitempty"`
 }
 
 // CompleteRequest delivers a finished shard: the mergeable partial
@@ -233,44 +213,38 @@ func DecodeAcquire(data []byte) (AcquireRequest, error) {
 	return req, nil
 }
 
-// DecodeRenew parses and validates a lease renewal.
-func DecodeRenew(data []byte) (RenewRequest, error) {
-	var req RenewRequest
-	if err := decodeStrict(data, &req); err != nil {
-		return RenewRequest{}, err
+// validReport checks what progress posts and completions share:
+// identifier bounds, the shard-size cap, partial-aggregate internal
+// consistency and the event cap. Range checks against the actual lease
+// are the coordinator's job (the decoders have no lease table).
+func validReport(leaseID, workerID string, p campaign.Partial, events int) error {
+	if err := validLeaseID(leaseID); err != nil {
+		return err
 	}
-	if err := validLeaseID(req.LeaseID); err != nil {
-		return RenewRequest{}, err
+	if err := validWorkerID(workerID); err != nil {
+		return err
 	}
-	if err := validWorkerID(req.WorkerID); err != nil {
-		return RenewRequest{}, err
+	if p.Jobs > MaxLeaseJobs {
+		return fmt.Errorf("dist: partial covers %d jobs, lease cap is %d", p.Jobs, MaxLeaseJobs)
 	}
-	return req, nil
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if events > MaxCompleteEvents {
+		return fmt.Errorf("dist: %d events exceed the %d-event cap", events, MaxCompleteEvents)
+	}
+	return nil
 }
 
-// DecodeComplete parses and validates a lease completion: identifier
-// bounds, partial-aggregate internal consistency, shard-size and event
-// caps. Range checks against the actual lease are the coordinator's job
-// (the decoder has no lease table).
+// DecodeComplete parses and validates a lease completion: the shared
+// report checks plus the capture and span caps.
 func DecodeComplete(data []byte) (CompleteRequest, error) {
 	var req CompleteRequest
 	if err := decodeStrict(data, &req); err != nil {
 		return CompleteRequest{}, err
 	}
-	if err := validLeaseID(req.LeaseID); err != nil {
+	if err := validReport(req.LeaseID, req.WorkerID, req.Partial, len(req.Events)); err != nil {
 		return CompleteRequest{}, err
-	}
-	if err := validWorkerID(req.WorkerID); err != nil {
-		return CompleteRequest{}, err
-	}
-	if req.Partial.Jobs > MaxLeaseJobs {
-		return CompleteRequest{}, fmt.Errorf("dist: partial covers %d jobs, lease cap is %d", req.Partial.Jobs, MaxLeaseJobs)
-	}
-	if err := req.Partial.Validate(); err != nil {
-		return CompleteRequest{}, err
-	}
-	if len(req.Events) > MaxCompleteEvents {
-		return CompleteRequest{}, fmt.Errorf("dist: %d events exceed the %d-event cap", len(req.Events), MaxCompleteEvents)
 	}
 	if len(req.Captures) > MaxCompleteCaptures {
 		return CompleteRequest{}, fmt.Errorf("dist: %d captures exceed the %d-capture cap", len(req.Captures), MaxCompleteCaptures)
@@ -286,32 +260,15 @@ func DecodeComplete(data []byte) (CompleteRequest, error) {
 	return req, nil
 }
 
-// DecodeProgress parses and validates a mid-lease progress update:
-// identifier bounds, partial consistency, the Done/Partial.Jobs
-// agreement, and the event cap. Lease-range checks are the
-// coordinator's job.
+// DecodeProgress parses and validates a mid-lease heartbeat under the
+// shared report checks.
 func DecodeProgress(data []byte) (ProgressRequest, error) {
 	var req ProgressRequest
 	if err := decodeStrict(data, &req); err != nil {
 		return ProgressRequest{}, err
 	}
-	if err := validLeaseID(req.LeaseID); err != nil {
+	if err := validReport(req.LeaseID, req.WorkerID, req.Partial, len(req.Events)); err != nil {
 		return ProgressRequest{}, err
-	}
-	if err := validWorkerID(req.WorkerID); err != nil {
-		return ProgressRequest{}, err
-	}
-	if req.Done < 0 || req.Done > MaxLeaseJobs {
-		return ProgressRequest{}, fmt.Errorf("dist: progress done %d outside [0, %d]", req.Done, MaxLeaseJobs)
-	}
-	if req.Partial.Jobs != req.Done {
-		return ProgressRequest{}, fmt.Errorf("dist: progress done %d disagrees with partial covering %d jobs", req.Done, req.Partial.Jobs)
-	}
-	if err := req.Partial.Validate(); err != nil {
-		return ProgressRequest{}, err
-	}
-	if len(req.Events) > MaxCompleteEvents {
-		return ProgressRequest{}, fmt.Errorf("dist: %d events exceed the %d-event cap", len(req.Events), MaxCompleteEvents)
 	}
 	return req, nil
 }

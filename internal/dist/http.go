@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -29,8 +30,9 @@ const maxDistBodyBytes = 16 << 20
 //	                                    per-campaign lease counts, hub health
 //	POST /v1/dist/lease                 worker pull: acquire the next lease (204
 //	                                    when no work is available)
-//	POST /v1/dist/lease/renew           extend a held lease
-//	POST /v1/dist/lease/progress        stream a held lease's partial snapshot
+//	POST /v1/dist/lease/progress        heartbeat: extend a held lease and
+//	                                    stream its partial snapshot (410 when
+//	                                    the lease is lost)
 //	POST /v1/dist/lease/complete        deliver a shard's partial aggregate
 //
 // The handlers are transport-thin: strict bounded decoding, then the
@@ -43,7 +45,6 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/dist/campaigns/{id}/stream", c.handleStream)
 	mux.HandleFunc("GET /v1/fleet", c.handleFleet)
 	mux.HandleFunc("POST /v1/dist/lease", c.handleAcquire)
-	mux.HandleFunc("POST /v1/dist/lease/renew", c.handleRenew)
 	mux.HandleFunc("POST /v1/dist/lease/progress", c.handleProgress)
 	mux.HandleFunc("POST /v1/dist/lease/complete", c.handleComplete)
 }
@@ -103,34 +104,22 @@ func (c *Coordinator) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, http.StatusOK, lease)
 }
 
-func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeRequest(w, r, DecodeRenew)
-	if !ok {
-		return
-	}
-	resp, err := c.Renew(req)
-	if err != nil {
-		// The lease is gone (completed or reassigned); 410 tells the
-		// worker to stop renewing and abandon or finish quietly.
-		obs.WriteError(w, r, http.StatusGone, err)
-		return
-	}
-	obs.WriteJSON(w, http.StatusOK, resp)
-}
-
 func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
 	req, ok := decodeRequest(w, r, DecodeProgress)
 	if !ok {
 		return
 	}
-	resp, err := c.Progress(req)
-	if err != nil {
-		// Unknown lease or an impossible range: the worker's view of
-		// the lease is wrong, so stop posting (progress is best-effort).
-		obs.WriteError(w, r, http.StatusGone, err)
+	if err := c.Progress(req); err != nil {
+		// 410 tells the worker its lease is gone, so it stops the run;
+		// anything else is a snapshot that does not fit the shard.
+		status := http.StatusBadRequest
+		if errors.Is(err, errLeaseLost) {
+			status = http.StatusGone
+		}
+		obs.WriteError(w, r, status, err)
 		return
 	}
-	obs.WriteJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, struct{}{})
 }
 
 // handleStream serves the campaign's live SSE feed through the shared

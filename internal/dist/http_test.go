@@ -25,8 +25,8 @@ func (b *failingBody) Read(p []byte) (int, error) {
 func TestBodyReadErrorStatus(t *testing.T) {
 	h := NewCoordinator(Config{}).Handler()
 	for _, path := range []string{
-		"/v1/dist/campaigns", "/v1/dist/lease", "/v1/dist/lease/renew",
-		"/v1/dist/lease/progress", "/v1/dist/lease/complete",
+		"/v1/dist/campaigns", "/v1/dist/lease", "/v1/dist/lease/progress",
+		"/v1/dist/lease/complete",
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, &failingBody{}))

@@ -2,8 +2,11 @@ package dist
 
 import (
 	"bytes"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -67,9 +70,104 @@ func TestMultiWorkerCampaign(t *testing.T) {
 	}
 }
 
-// TestHTTPErrorPaths checks the transport contract: malformed bodies are
-// 400s, unknown campaigns 404, lost leases 410, rejected completions
-// 409, and an idle coordinator returns 204 on acquire.
+// TestWorkerLosesLeaseMidRun drives the lost-lease path: the worker's
+// lease expires mid-run on the fake clock and is re-granted to another
+// worker, so the holder's next heartbeat gets 410, the run is
+// cancelled, the lease is abandoned as lost mid-run, and the worker
+// lease-failure counter goes up by exactly one.
+func TestWorkerLosesLeaseMidRun(t *testing.T) {
+	clock := newFakeClock()
+	coord := NewCoordinator(Config{LeaseJobs: MaxLeaseJobs, LeaseTTL: time.Minute, Clock: clock.Now})
+	h := coord.Handler()
+	var (
+		mu       sync.Mutex
+		regrant  AcquireResponse
+		stolen   bool
+		statuses []int
+	)
+	c := serveCluster(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/dist/lease/progress" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if !stolen {
+			clock.Advance(2 * time.Minute)
+			regrant, stolen = coord.Acquire("thief")
+		}
+		cw := &codeWriter{ResponseWriter: w}
+		h.ServeHTTP(cw, r)
+		statuses = append(statuses, cw.code)
+	}))
+
+	spec := testSpec("lost-lease")
+	spec.Steps = 300
+	spec.Replicates = 128 // 640 jobs in one lease (~100 ms): the run outlasts the first 10 ms heartbeat
+	sub := c.submit(spec)
+	before := metricWorkerLeaseFailures.With().Value()
+	logs := &syncBuffer{}
+	c.startWorkers(1, WorkerConfig{
+		ID: "holder", Jobs: 1, PollInterval: 5 * time.Millisecond, ProgressInterval: 10 * time.Millisecond,
+		Log: slog.New(slog.NewTextHandler(logs, nil)),
+	})
+	for poll := 0; !strings.Contains(logs.String(), "dist lease abandoned"); poll++ {
+		if poll > 24000 {
+			t.Fatalf("worker never abandoned its lease; log:\n%s", logs)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	c.stop()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if !stolen || regrant.Campaign != sub.ID || regrant.Shard != 0 {
+		t.Fatalf("re-grant = %+v, ok=%v, want shard 0 of %s", regrant, stolen, sub.ID)
+	}
+	if len(statuses) != 1 || statuses[0] != http.StatusGone {
+		t.Fatalf("heartbeat statuses = %v, want one 410", statuses)
+	}
+	if !strings.Contains(logs.String(), "lost mid-run") {
+		t.Fatalf("abandoned lease not reported as lost mid-run; log:\n%s", logs)
+	}
+	if got := metricWorkerLeaseFailures.With().Value() - before; got != 1 {
+		t.Fatalf("worker lease failures rose by %g, want 1", got)
+	}
+}
+
+// codeWriter records the status code a handler writes.
+type codeWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (cw *codeWriter) WriteHeader(code int) {
+	cw.code = code
+	cw.ResponseWriter.WriteHeader(code)
+}
+
+// syncBuffer is a log sink the worker goroutines and the test share.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (sb *syncBuffer) Write(p []byte) (int, error) {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	return sb.b.Write(p)
+}
+
+func (sb *syncBuffer) String() string {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	return sb.b.String()
+}
+
+// TestHTTPErrorPaths checks the transport contract: malformed bodies and
+// progress snapshots that do not fit the shard are 400s, unknown
+// campaigns 404, lost leases 410, rejected completions 409, and an idle
+// coordinator returns 204 on acquire.
 func TestHTTPErrorPaths(t *testing.T) {
 	clock := newFakeClock()
 	coord := NewCoordinator(Config{LeaseJobs: 2, LeaseTTL: time.Minute, Clock: clock.Now})
@@ -98,8 +196,19 @@ func TestHTTPErrorPaths(t *testing.T) {
 	if res := post("/v1/dist/lease", `{"worker_id":"has space"}`); res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad worker id status = %d, want 400", res.StatusCode)
 	}
-	if res := post("/v1/dist/lease/renew", `{"lease_id":"nope","worker_id":"w"}`); res.StatusCode != http.StatusGone {
-		t.Fatalf("unknown lease renew status = %d, want 410", res.StatusCode)
+	if res := post("/v1/dist/lease/progress", `{"lease_id":"nope","worker_id":"w","partial":{}}`); res.StatusCode != http.StatusGone {
+		t.Fatalf("unknown lease progress status = %d, want 410", res.StatusCode)
+	}
+	if _, err := coord.Submit(SubmitRequest{Spec: testSpec("http-errors")}, ""); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	lease, ok := coord.Acquire("w")
+	if !ok {
+		t.Fatal("no lease granted")
+	}
+	oversized := `{"lease_id":"` + lease.LeaseID + `","worker_id":"w","partial":{"jobs":3}}` // the shard spans 2
+	if res := post("/v1/dist/lease/progress", oversized); res.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized progress status = %d, want 400", res.StatusCode)
 	}
 	if res := post("/v1/dist/lease/complete", `{"lease_id":"nope","worker_id":"w","partial":{}}`); res.StatusCode != http.StatusConflict {
 		t.Fatalf("unknown lease complete status = %d, want 409", res.StatusCode)

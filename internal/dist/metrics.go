@@ -13,12 +13,9 @@ var (
 	metricLeasesGranted = obs.Default().Counter(
 		"safesense_dist_leases_granted_total",
 		"Leases granted to workers (including re-grants of expired leases).")
-	metricLeasesRenewed = obs.Default().Counter(
-		"safesense_dist_leases_renewed_total",
-		"Lease renewals accepted.")
 	metricLeasesExpired = obs.Default().Counter(
 		"safesense_dist_leases_expired_total",
-		"Leases reclaimed after their holder stopped renewing.")
+		"Leases reclaimed after their holder went a TTL without a progress post.")
 	metricLeasesCompleted = obs.Default().Counter(
 		"safesense_dist_leases_completed_total",
 		"Leases completed with a valid partial aggregate.")

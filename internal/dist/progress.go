@@ -9,14 +9,15 @@ import (
 	"safesense/internal/campaign"
 )
 
-// progressReporter streams a held lease's live state to the
+// heartbeat keeps a held lease alive and streams its live state to the
 // coordinator: an Accumulator folds outcomes as they complete (in any
-// order), and a background loop posts periodic snapshots plus the
-// flight events discovered since the last successful post. Everything
-// here is best-effort observability — the authoritative partial still
-// travels with the completion, so a dropped post costs nothing but
-// freshness.
-type progressReporter struct {
+// order), and one background goroutine posts a snapshot plus the flight
+// events discovered since the last delivered post on every tick. Each
+// post extends the lease; a 410 means the lease is lost and cancels the
+// run. The snapshot is best-effort observability — the authoritative
+// partial still travels with the completion, so a dropped post costs
+// nothing but freshness.
+type heartbeat struct {
 	w     *Worker
 	lease AcquireResponse
 	acc   *campaign.Accumulator
@@ -25,39 +26,42 @@ type progressReporter struct {
 	pending []campaign.Incident // collected but not yet delivered
 	total   int                 // events collected over the lease, capped
 	sent    map[string]bool     // keys delivered via progress posts
-	posted  int                 // jobs covered by the last successful post
 }
 
-func newProgressReporter(w *Worker, lease AcquireResponse) *progressReporter {
-	return &progressReporter{w: w, lease: lease, acc: campaign.NewAccumulator(), sent: make(map[string]bool)}
+func newHeartbeat(w *Worker, lease AcquireResponse) *heartbeat {
+	return &heartbeat{w: w, lease: lease, acc: campaign.NewAccumulator(), sent: make(map[string]bool)}
 }
 
 // onOutcome is the campaign engine's OnOutcome hook: fold the outcome
-// and queue its notable events (the shard's Stats go unused — progress
-// posts carry the accumulator's job count). The engine serializes
-// calls, but the posting loop reads concurrently, so the event queue
-// takes the lock.
-func (pr *progressReporter) onOutcome(o campaign.Outcome, _ campaign.Stats) {
-	pr.acc.Add(o)
+// and queue its notable events (the shard's Stats go unused — posts
+// carry the accumulator's job count). The engine serializes calls, but
+// the heartbeat reads concurrently, so the event queue takes the lock.
+func (hb *heartbeat) onOutcome(o campaign.Outcome, _ campaign.Stats) {
+	hb.acc.Add(o)
 	evs := campaign.Incidents(o)
 	if len(evs) == 0 {
 		return
 	}
-	pr.mu.Lock()
+	hb.mu.Lock()
 	for _, ev := range evs {
-		if pr.total >= MaxCompleteEvents {
+		if hb.total >= MaxCompleteEvents {
 			break
 		}
-		pr.pending = append(pr.pending, ev)
-		pr.total++
+		hb.pending = append(hb.pending, ev)
+		hb.total++
 	}
-	pr.mu.Unlock()
+	hb.mu.Unlock()
 }
 
-// loop posts snapshots every interval until stopped. The returned stop
-// function blocks until the goroutine exits, so completion never races
-// a late post carrying an older snapshot.
-func (pr *progressReporter) loop(ctx context.Context, interval time.Duration) (stop func()) {
+// start posts on every tick until stopped, calling onLost and exiting
+// when the coordinator reports the lease lost. The tick is the worker's
+// ProgressInterval, tightened to a third of the lease TTL so a couple of
+// failed posts do not expire the lease, and never below 10 ms. The
+// returned stop function blocks until the goroutine exits, so
+// completion never races a late post.
+func (hb *heartbeat) start(ctx context.Context, onLost context.CancelFunc) (stop func()) {
+	ttl := time.Duration(hb.lease.TTLSeconds * float64(time.Second))
+	interval := max(min(hb.w.cfg.ProgressInterval, ttl/3), 10*time.Millisecond)
 	done := make(chan struct{})
 	stopc := make(chan struct{})
 	go func() {
@@ -72,7 +76,11 @@ func (pr *progressReporter) loop(ctx context.Context, interval time.Duration) (s
 				return
 			case <-ticker.C:
 			}
-			pr.post(ctx)
+			if hb.post(ctx) {
+				hb.w.cfg.Log.Warn("dist lease lost", "lease", hb.lease.LeaseID)
+				onLost()
+				return
+			}
 		}
 	}()
 	return func() {
@@ -81,53 +89,47 @@ func (pr *progressReporter) loop(ctx context.Context, interval time.Duration) (s
 	}
 }
 
-// post sends one snapshot when there is anything new to report. On
-// failure the event batch goes back to the queue so the next tick — or
-// the completion — still delivers it.
-func (pr *progressReporter) post(ctx context.Context) {
-	snap := pr.acc.Snapshot()
-	pr.mu.Lock()
-	evs := pr.pending
-	pr.pending = nil
-	stale := snap.Jobs == pr.posted
-	pr.mu.Unlock()
-	if snap.Jobs == 0 || (stale && len(evs) == 0) {
-		return
-	}
-	req := ProgressRequest{
-		LeaseID:  pr.lease.LeaseID,
-		WorkerID: pr.w.cfg.ID,
-		Done:     snap.Jobs,
-		Partial:  snap,
-		Events:   evs,
-	}
-	var resp ProgressResponse
-	status, err := pr.w.postJSON(ctx, "/v1/dist/lease/progress", req, &resp, pr.lease.TraceID)
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
+// post sends one heartbeat and reports whether the coordinator answered
+// 410 (lease lost). Any other failure is transient: the event batch
+// goes back to the queue so the next tick — or the completion — still
+// delivers it.
+func (hb *heartbeat) post(ctx context.Context) (lost bool) {
+	snap := hb.acc.Snapshot()
+	hb.mu.Lock()
+	evs := hb.pending
+	hb.pending = nil
+	hb.mu.Unlock()
+	req := ProgressRequest{LeaseID: hb.lease.LeaseID, WorkerID: hb.w.cfg.ID, Partial: snap, Events: evs}
+	status, err := hb.w.postJSON(ctx, "/v1/dist/lease/progress", req, nil, hb.lease.TraceID)
+	hb.mu.Lock()
+	defer hb.mu.Unlock()
 	if err != nil || status != http.StatusOK {
-		pr.pending = append(evs, pr.pending...)
-		return
+		hb.pending = append(evs, hb.pending...)
+		if err == nil && status == http.StatusGone {
+			return true
+		}
+		hb.w.cfg.Log.Warn("dist heartbeat failed", "lease", hb.lease.LeaseID, "status", status, "error", err)
+		return false
 	}
-	pr.posted = snap.Jobs
 	for _, ev := range evs {
-		pr.sent[eventKey(ev)] = true
+		hb.sent[eventKey(ev)] = true
 	}
+	return false
 }
 
 // remainingEvents filters the completion's grid-order event list down
 // to the events no progress post has already delivered, so the
 // coordinator's campaign log sees each incident once on the common
 // path.
-func (pr *progressReporter) remainingEvents(full []campaign.Incident) []campaign.Incident {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if len(pr.sent) == 0 {
+func (hb *heartbeat) remainingEvents(full []campaign.Incident) []campaign.Incident {
+	hb.mu.Lock()
+	defer hb.mu.Unlock()
+	if len(hb.sent) == 0 {
 		return full
 	}
 	var out []campaign.Incident
 	for _, ev := range full {
-		if !pr.sent[eventKey(ev)] {
+		if !hb.sent[eventKey(ev)] {
 			out = append(out, ev)
 		}
 	}

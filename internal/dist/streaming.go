@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -83,7 +82,7 @@ func liveJobs(d *dcampaign) int {
 	n := 0
 	for _, sh := range d.shards {
 		if !sh.completed {
-			n += sh.liveDone
+			n += sh.livePartial.Jobs
 		}
 	}
 	return n
@@ -95,49 +94,11 @@ func liveJobs(d *dcampaign) int {
 func livePartial(d *dcampaign) campaign.Partial {
 	merged := d.merged
 	for _, sh := range d.shards {
-		if !sh.completed && sh.liveDone > 0 {
+		if !sh.completed && sh.livePartial.Jobs > 0 {
 			merged = merged.Merge(sh.livePartial)
 		}
 	}
 	return merged
-}
-
-// Progress records a mid-lease snapshot from the shard's current
-// holder. It feeds only the live view and the event stream — never the
-// completed-lease merge — so progress is free to be lossy, duplicated,
-// or late without touching the final aggregate. Stale updates (closed
-// shard, reassigned lease, or an out-of-order snapshot) are discarded
-// with Stale set; an unknown lease is an error so the worker stops
-// posting.
-func (c *Coordinator) Progress(req ProgressRequest) (ProgressResponse, error) {
-	now := c.cfg.Clock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ref := c.leases[req.LeaseID]
-	if ref == nil {
-		return ProgressResponse{}, fmt.Errorf("dist: unknown lease %q", req.LeaseID)
-	}
-	d := ref.campaign
-	sh := d.shards[ref.shard]
-	if sh.completed || sh.leaseID != req.LeaseID || sh.worker != req.WorkerID {
-		return ProgressResponse{Stale: true}, nil
-	}
-	if span := sh.end - sh.start; req.Done > span {
-		return ProgressResponse{}, fmt.Errorf("dist: progress covers %d jobs, lease %q spans %d", req.Done, req.LeaseID, span)
-	}
-	if err := req.Partial.SampleRange(sh.start, sh.end); err != nil {
-		return ProgressResponse{}, err
-	}
-	if req.Done < sh.liveDone {
-		return ProgressResponse{Stale: true}, nil
-	}
-	sh.liveDone = req.Done
-	sh.livePartial = req.Partial
-	c.touchWorkerLocked(d, req.WorkerID, now)
-	c.appendEventsLocked(d, req.Events)
-	c.publishProgressLocked(d)
-	metricProgressUpdates.With().Inc()
-	return ProgressResponse{}, nil
 }
 
 // FleetWorker is one worker's row in the fleet view, aggregated across
@@ -153,8 +114,8 @@ type FleetWorker struct {
 	// RunsPerSec is jobs delivered per second of the worker's observed
 	// lifetime (zero until the clock has advanced past first contact).
 	RunsPerSec float64 `json:"runs_per_sec"`
-	// Live reports contact within one lease TTL — a live holder renews
-	// several times per TTL, and an idle worker polls far faster.
+	// Live reports contact within one lease TTL — a live holder posts
+	// progress several times per TTL, and an idle worker polls far faster.
 	Live bool `json:"live"`
 }
 
@@ -206,9 +167,9 @@ func (c *Coordinator) Fleet() FleetStatus {
 			fc.ActiveLeases++
 			if fw := byID[sh.worker]; fw != nil {
 				fw.ActiveLeases++
-				fw.LiveJobs += sh.liveDone
+				fw.LiveJobs += sh.livePartial.Jobs
 			} else {
-				byID[sh.worker] = &FleetWorker{ID: sh.worker, ActiveLeases: 1, LiveJobs: sh.liveDone}
+				byID[sh.worker] = &FleetWorker{ID: sh.worker, ActiveLeases: 1, LiveJobs: sh.livePartial.Jobs}
 			}
 		}
 		fs.Campaigns = append(fs.Campaigns, fc)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -28,7 +29,6 @@ func progressOver(t *testing.T, lease AcquireResponse, worker string, n int) Pro
 	return ProgressRequest{
 		LeaseID:  lease.LeaseID,
 		WorkerID: worker,
-		Done:     n,
 		Partial:  campaign.PartialOfOutcomes(outcomes),
 		Events:   OutcomeEvents(outcomes),
 	}
@@ -54,9 +54,8 @@ func TestCoordinatorProgressLiveView(t *testing.T) {
 	}
 
 	preq := progressOver(t, lease, "w1", 2)
-	resp, err := c.Progress(preq)
-	if err != nil || resp.Stale {
-		t.Fatalf("Progress = %+v, %v", resp, err)
+	if err := c.Progress(preq); err != nil {
+		t.Fatalf("Progress: %v", err)
 	}
 
 	// The live view counts in-flight jobs; the authoritative merge does not.
@@ -98,18 +97,28 @@ func TestCoordinatorProgressLiveView(t *testing.T) {
 		t.Fatalf("live partial invalid: %v", err)
 	}
 
-	// Stale and invalid updates are rejected without state changes.
-	if _, err := c.Progress(ProgressRequest{LeaseID: "d999999.0.1", WorkerID: "w1"}); err == nil {
-		t.Fatal("unknown lease accepted")
+	// Lost-lease and oversized posts are refused; an older snapshot
+	// from the holder is accepted as a heartbeat but leaves the live
+	// view alone.
+	if err := c.Progress(ProgressRequest{LeaseID: "d999999.0.1", WorkerID: "w1"}); !errors.Is(err, errLeaseLost) {
+		t.Fatalf("unknown lease progress = %v, want lease lost", err)
 	}
 	wrongWorker := preq
 	wrongWorker.WorkerID = "w2"
-	if resp, err := c.Progress(wrongWorker); err != nil || !resp.Stale {
-		t.Fatalf("non-holder progress = %+v, %v, want stale", resp, err)
+	if err := c.Progress(wrongWorker); !errors.Is(err, errLeaseLost) {
+		t.Fatalf("non-holder progress = %v, want lease lost", err)
+	}
+	oversized := preq
+	oversized.Partial.Jobs = lease.End - lease.Start + 1
+	if err := c.Progress(oversized); err == nil || errors.Is(err, errLeaseLost) {
+		t.Fatalf("oversized progress = %v, want an invalid-snapshot error", err)
 	}
 	older := progressOver(t, lease, "w1", 1)
-	if resp, err := c.Progress(older); err != nil || !resp.Stale {
-		t.Fatalf("out-of-order progress = %+v, %v, want stale", resp, err)
+	if err := c.Progress(older); err != nil {
+		t.Fatalf("out-of-order progress: %v", err)
+	}
+	if fl := c.Fleet(); fl.Campaigns[0].LiveJobs != 2 {
+		t.Fatalf("out-of-order progress moved live_jobs to %d, want 2", fl.Campaigns[0].LiveJobs)
 	}
 
 	// Complete both shards; the live view collapses into the merge.
@@ -128,8 +137,8 @@ func TestCoordinatorProgressLiveView(t *testing.T) {
 	if err != nil || !done.CampaignDone {
 		t.Fatalf("Complete = %+v, %v", done, err)
 	}
-	if resp, err := c.Progress(preq); err != nil || !resp.Stale {
-		t.Fatalf("progress after completion = %+v, %v, want stale", resp, err)
+	if err := c.Progress(preq); !errors.Is(err, errLeaseLost) {
+		t.Fatalf("progress after completion = %v, want lease lost", err)
 	}
 
 	// The terminal event's embedded aggregate is byte-identical to the

@@ -65,7 +65,7 @@ func runTracedCampaign(t *testing.T, leaseJobs, workerSpans, replicates int) (St
 	sub := c.submit(spec)
 	c.startWorkers(1, WorkerConfig{
 		ID: "spans", Jobs: 2, PollInterval: 5 * time.Millisecond,
-		ProgressInterval: -1, Traces: obstrace.NewStore(workerSpans),
+		Traces: obstrace.NewStore(workerSpans),
 	})
 	st := c.wait(sub.ID, nil)
 	c.stop()

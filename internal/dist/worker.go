@@ -36,11 +36,12 @@ type WorkerConfig struct {
 	// PollInterval is the idle wait between empty acquire pulls (zero
 	// means 500ms).
 	PollInterval time.Duration
-	// ProgressInterval is how often a held lease streams a snapshot of
-	// its partial aggregate to the coordinator for the live campaign
-	// view (zero means 2s; negative disables mid-lease reporting).
-	// Progress is best-effort: a failed post is retried at the next
-	// tick and never affects the final aggregate.
+	// ProgressInterval is how often a held lease posts a snapshot of its
+	// partial aggregate to the coordinator (zero or negative means 2s).
+	// The post is also the lease's heartbeat, so it is tightened to a
+	// third of the lease TTL when that is shorter. The snapshot is
+	// best-effort: a failed post is retried at the next tick and never
+	// affects the final aggregate.
 	ProgressInterval time.Duration
 	// Log receives the worker's structured records (nil discards).
 	Log *slog.Logger
@@ -63,7 +64,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.PollInterval == 0 {
 		c.PollInterval = 500 * time.Millisecond
 	}
-	if c.ProgressInterval == 0 {
+	if c.ProgressInterval <= 0 {
 		c.ProgressInterval = 2 * time.Second
 	}
 	if c.Log == nil {
@@ -158,8 +159,8 @@ func (w *Worker) acquire(ctx context.Context) (AcquireResponse, bool, error) {
 }
 
 // execute runs one lease: expand (cached), run the shard on the local
-// pool while renewing, then complete with the partial aggregate and the
-// shard's flight events.
+// pool under the lease's heartbeat, then complete with the partial
+// aggregate and the shard's flight events.
 func (w *Worker) execute(ctx context.Context, lease AcquireResponse) error {
 	start := wallClock()
 	// Every lease of a campaign shares its trace ID, so the completion
@@ -181,12 +182,12 @@ func (w *Worker) execute(ctx context.Context, lease AcquireResponse) error {
 		"lease", lease.LeaseID, "campaign", lease.Campaign, "shard", lease.Shard,
 		"start", lease.Start, "end", lease.End)
 
-	// Renew at a third of the TTL while the shard runs; a lost lease
-	// (renew says gone) cancels the run — the shard was reassigned, so
+	// The heartbeat keeps the lease alive while the shard runs; a lost
+	// lease (410) cancels the run — the shard was reassigned, so
 	// finishing it here would only duplicate deterministic work.
 	runCtx, cancelRun := context.WithCancel(leaseCtx)
 	defer cancelRun()
-	stopRenew := w.renewLoop(runCtx, lease, cancelRun)
+	hb := newHeartbeat(w, lease)
 
 	// Captures stay anomaly-only on workers (no latency-outlier kind):
 	// anomaly captures are deterministic, so the coordinator's
@@ -194,25 +195,18 @@ func (w *Worker) execute(ctx context.Context, lease AcquireResponse) error {
 	// copy per incident.
 	collector := &captureCollector{}
 	opts := campaign.Options{
-		Workers:  w.cfg.Jobs,
-		Log:      w.cfg.Log.With("campaign", lease.Campaign, "lease", lease.LeaseID),
-		Campaign: lease.Campaign,
+		Workers:   w.cfg.Jobs,
+		Log:       w.cfg.Log.With("campaign", lease.Campaign, "lease", lease.LeaseID),
+		Campaign:  lease.Campaign,
+		OnOutcome: hb.onOutcome,
 		Forensic: &campaign.ForensicOptions{
 			Sink:     collector.add,
 			SpecHash: lease.Spec.Hash(),
 		},
 	}
-	var reporter *progressReporter
-	stopProgress := func() {}
-	if w.cfg.ProgressInterval > 0 {
-		reporter = newProgressReporter(w, lease)
-		opts.OnOutcome = reporter.onOutcome
-		stopProgress = reporter.loop(runCtx, w.cfg.ProgressInterval)
-	}
-
+	stop := hb.start(runCtx, cancelRun)
 	outcomes, runErr := campaign.RunJobs(runCtx, shard, opts)
-	stopProgress()
-	stopRenew()
+	stop()
 	if runErr != nil {
 		if ctx.Err() == nil && leaseCtx.Err() == nil && runCtx.Err() != nil {
 			return fmt.Errorf("dist: lease %s lost mid-run: %w", lease.LeaseID, runErr)
@@ -220,10 +214,7 @@ func (w *Worker) execute(ctx context.Context, lease AcquireResponse) error {
 		return runErr
 	}
 
-	events := OutcomeEvents(outcomes)
-	if reporter != nil {
-		events = reporter.remainingEvents(events)
-	}
+	events := hb.remainingEvents(OutcomeEvents(outcomes))
 	// Close the lease span now (End is idempotent; the defer becomes a
 	// no-op) so it flushes into the store and ships with the completion —
 	// the coordinator stitches it under the campaign root. Over the wire
@@ -327,50 +318,6 @@ func checkLeaseRange(lease AcquireResponse, jobs int) error {
 			lease.LeaseID, lease.Start, lease.End, jobs)
 	}
 	return nil
-}
-
-// renewLoop keeps the lease alive on a background goroutine, cancelling
-// the run when the coordinator reports the lease gone. The returned
-// stop function blocks until the goroutine exits.
-func (w *Worker) renewLoop(ctx context.Context, lease AcquireResponse, onLost context.CancelFunc) (stop func()) {
-	interval := time.Duration(lease.TTLSeconds * float64(time.Second) / 3)
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	done := make(chan struct{})
-	stopc := make(chan struct{})
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-stopc:
-				return
-			case <-ticker.C:
-			}
-			var resp RenewResponse
-			status, err := w.postJSON(ctx, "/v1/dist/lease/renew",
-				RenewRequest{LeaseID: lease.LeaseID, WorkerID: w.cfg.ID}, &resp, lease.TraceID)
-			if err != nil {
-				// Transient coordinator trouble: keep running; the next
-				// tick retries and the TTL gives slack for a few misses.
-				w.cfg.Log.Warn("dist renew failed", "lease", lease.LeaseID, "error", err.Error())
-				continue
-			}
-			if status == http.StatusGone {
-				w.cfg.Log.Warn("dist lease lost", "lease", lease.LeaseID)
-				onLost()
-				return
-			}
-		}
-	}()
-	return func() {
-		close(stopc)
-		<-done
-	}
 }
 
 // completeRetries bounds completion attempts before the lease is

@@ -6,8 +6,8 @@ import (
 )
 
 // CtxFlow enforces context discipline on the request/job paths the
-// distributed arc depends on: campaign cancellation, worker lease
-// renewal, and HTTP shutdown all work only if cancellation actually
+// distributed arc depends on: campaign cancellation, the worker's lease
+// heartbeat, and HTTP shutdown all work only if cancellation actually
 // reaches the bottom of the call stack. A function that already
 // carries a context.Context (or an *http.Request, whose Context()
 // carries the server's) must thread it downward, not mint a fresh

@@ -9,8 +9,8 @@ import (
 // spawned in the long-lived layers (campaign engine, distributed
 // coordinator/worker, observability hub). A goroutine that loops
 // forever without a cancellation signal outlives the work it serves —
-// the leaked renew-loop and the stuck progress reporter are exactly
-// the failure modes the dist smoke tests exist to catch, and this
+// a leaked lease heartbeat is exactly the failure mode the dist smoke
+// tests exist to catch, and this
 // analyzer machine-checks the structural half:
 //
 //   - a goroutine body without loops terminates when its work does;

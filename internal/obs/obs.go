@@ -1,9 +1,11 @@
 // Package obs is the stdlib-only observability layer: a metrics registry
 // (atomic counters, gauges, fixed-bucket histograms with labeled
-// families), Prometheus text-format exposition, expvar publication, a
-// tiny Span/Timer API for phase timing, and the JSON wire helpers every
-// safesense HTTP handler shares (DecodeStrict, BodyStatus, WriteJSON,
-// WriteError).
+// families), Prometheus text-format exposition, expvar publication, Go
+// runtime gauges (RuntimeCollector), the host fingerprint perf runs and
+// captures record (ReadHost), and the JSON wire helpers every safesense
+// HTTP handler shares (DecodeStrict, BodyStatus, WriteJSON, WriteError).
+// Phase timing is not here: the simulator's phaseTracker (internal/sim)
+// owns it, and spans live in internal/obs/trace.
 //
 // The hot path is lock-free: resolving a labeled child with With() is a
 // sync.Map read, and Inc/Add/Observe are atomic operations, so callers
