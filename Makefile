@@ -78,15 +78,17 @@ dist-smoke:
 
 # stream-smoke is the live-observability gate: a coordinator plus two
 # mid-lease-reporting workers run a 64-job campaign while an SSE client
-# follows the stream endpoint; progress must be monotone, partials must
-# validate, and the terminal frame's aggregate must be byte-identical to
-# the single-node oracle. Both stream routes serve through one function
+# follows the stream endpoint; progress must be monotone, partial frames
+# must decode as aggregates over a growing job count, and the terminal
+# frame's aggregate must be byte-identical to the single-node oracle and
+# to the last partial frame. Both stream routes serve through one function
 # (campaign.ServeStream), so the local route's live and finished-campaign
-# stream tests run here too. Runs under -race so the hub's publish path
-# is exercised against live subscribers.
+# stream tests run here too, and on each route a large campaign must
+# stream at most 33 partial frames, each under 1 KiB. Runs under -race
+# so the hub's publish path is exercised against live subscribers.
 stream-smoke:
-	$(GO) test -race -run='^TestStreamSmoke$$' -count=1 -v ./internal/dist
-	$(GO) test -race -run='^(TestCampaignStreamLive|TestCampaignStreamFinished)$$' -count=1 -v ./cmd/safesensed
+	$(GO) test -race -run='^(TestStreamSmoke|TestCoordinatorStreamBounded)$$' -count=1 -v ./internal/dist
+	$(GO) test -race -run='^(TestCampaignStreamLive|TestCampaignStreamFinished|TestCampaignStreamBounded)$$' -count=1 -v ./cmd/safesensed
 
 # forensic-smoke is the anomaly-forensics gate: two workers run a
 # collision-bearing sweep, the coordinator must end up with the

@@ -14,8 +14,8 @@
 //	POST /v1/campaigns        submit a sweep; returns {"id": ...} (202)
 //	GET  /v1/campaigns/{id}   poll progress (+ runs/sec and ETA while
 //	                          running); summary appears when done
-//	GET  /v1/campaigns/{id}/stream  live SSE feed: progress, incremental
-//	                          partial aggregates, per-job flight events,
+//	GET  /v1/campaigns/{id}/stream  live SSE feed: progress, the live
+//	                          aggregate (every jobs/32), per-job flight events,
 //	                          and a terminal "done" event carrying the
 //	                          final aggregate; supports Last-Event-ID
 //	                          resume (`curl -N` friendly)
@@ -40,7 +40,7 @@
 //	                          forwarded flight events, summary when done
 //	GET  /v1/dist/campaigns/{id}/stream  live SSE feed of a distributed
 //	                          campaign: lease transitions, mid-lease
-//	                          progress and merged partials, flight
+//	                          progress and the live aggregate, flight
 //	                          events, terminal aggregate
 //	POST /v1/dist/lease       worker pull: acquire the next lease
 //	POST /v1/dist/lease/progress  heartbeat: extend a held lease and

@@ -10,22 +10,24 @@ import (
 )
 
 // campaignStreamer is a running local sweep's observer: it folds
-// outcomes into incremental partial snapshots via an Accumulator,
-// records each job's incidents once — into the audit log and onto the
-// stream — as the job completes, and mirrors the engine's Stats into
-// the stored entry and throttled progress frames. Its hook runs inside
-// the engine's serialized progress section, so the accumulator needs
-// no extra locking; publishing never blocks by the hub's contract.
+// outcomes into an Accumulator and publishes its live aggregate as
+// "partial" frames on the shared campaign.Cadence, records each job's
+// incidents once — into the audit log and onto the stream — as the job
+// completes, and mirrors the engine's Stats into the stored entry and
+// throttled progress frames. Its hook runs inside the engine's
+// serialized progress section, so the accumulator needs no extra
+// locking; publishing never blocks by the hub's contract.
 type campaignStreamer struct {
 	s   *Server
 	e   *entry // ID and Jobs are immutable; the rest is guarded by s.mu
 	acc *campaign.Accumulator
 
-	// Throttles: progress is cheap so it goes out often; a partial
-	// snapshot pays an O(n log n) sort, so it goes out rarely. Both
-	// always fire on the final job.
+	// progressEvery throttles progress frames, which are cheap, so they
+	// go out often (and always on the final job); partial paces the
+	// aggregate frames, which copy and sort the samples, so they go out
+	// rarely.
 	progressEvery int
-	partialEvery  int
+	partial       campaign.Cadence
 }
 
 // newCampaignStreamer sizes the throttles for the entry's grid.
@@ -33,7 +35,7 @@ func newCampaignStreamer(s *Server, e *entry) *campaignStreamer {
 	return &campaignStreamer{
 		s: s, e: e, acc: campaign.NewAccumulator(),
 		progressEvery: max(1, e.Jobs/256),
-		partialEvery:  max(1, e.Jobs/32),
+		partial:       campaign.NewCadence(e.Jobs),
 	}
 }
 
@@ -58,8 +60,8 @@ func (cs *campaignStreamer) onOutcome(o campaign.Outcome, st campaign.Stats) {
 			RunsPerSec: rps, ETASeconds: eta,
 		})
 	}
-	if done%cs.partialEvery == 0 || done == cs.e.Jobs {
-		hub.PublishJSON(id, campaign.StreamPartial, cs.acc.Snapshot())
+	if cs.partial.Due(done) {
+		hub.PublishJSON(id, campaign.StreamPartial, cs.acc.Snapshot().Finalize())
 	}
 }
 
@@ -76,10 +78,11 @@ func (cs *campaignStreamer) recordIncidents(incs []campaign.Incident) {
 	}
 }
 
-// finish publishes the terminal frame. Callers hold s.mu (publishing
-// under the lock is fine — it never blocks).
+// finish publishes the closing frames: the final partial (a done
+// campaign's summary aggregate) and the terminal frame. Callers hold
+// s.mu (publishing under the lock is fine — it never blocks).
 func (cs *campaignStreamer) finish() {
-	cs.s.cfg.Streams.PublishJSON(cs.e.ID, campaign.StreamDone, terminalFrame(cs.e))
+	campaign.PublishClose(cs.s.cfg.Streams, terminalFrame(cs.e))
 }
 
 // terminalFrame builds the "done" payload of a terminal entry. Callers

@@ -42,10 +42,11 @@ func oracleAggregateBytes(t *testing.T, spec campaign.Spec) []byte {
 }
 
 // TestCampaignStreamLive subscribes to a running sweep's SSE feed and
-// checks the stream contract end to end: monotone progress counters, at
-// least one valid incremental partial, per-frame IDs suitable for
+// checks the stream contract end to end: monotone progress counters,
+// live aggregates over a growing job count, per-frame IDs suitable for
 // Last-Event-ID resume, and a terminal "done" event whose embedded
-// aggregate is byte-identical to a blocking run of the same spec.
+// aggregate is byte-identical to a blocking run of the same spec and to
+// the last partial frame.
 func TestCampaignStreamLive(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	spec := streamSpec()
@@ -62,13 +63,15 @@ func TestCampaignStreamLive(t *testing.T) {
 	}
 
 	var (
-		dec        = stream.NewDecoder(resp.Body)
-		lastDone   = -1
-		progress   int
-		partials   int
-		lastID     uint64
-		doneFrame  []byte
-		frameKinds = map[string]bool{}
+		dec         = stream.NewDecoder(resp.Body)
+		lastDone    = -1
+		progress    int
+		partials    int
+		partialJobs int
+		lastPartial []byte
+		lastID      uint64
+		doneFrame   []byte
+		frameKinds  = map[string]bool{}
 	)
 	for doneFrame == nil {
 		fr, err := dec.Next()
@@ -97,16 +100,14 @@ func TestCampaignStreamLive(t *testing.T) {
 			lastDone = p.Done
 			progress++
 		case campaign.StreamPartial:
-			var part campaign.Partial
-			if err := json.Unmarshal(fr.Data, &part); err != nil {
+			var agg campaign.Aggregate
+			if err := json.Unmarshal(fr.Data, &agg); err != nil {
 				t.Fatalf("partial payload: %v", err)
 			}
-			if err := part.Validate(); err != nil {
-				t.Fatalf("invalid streamed partial: %v", err)
+			if agg.Jobs < max(1, partialJobs) || agg.Jobs > ack.Jobs {
+				t.Fatalf("partial covers %d jobs after %d", agg.Jobs, partialJobs)
 			}
-			if part.Jobs < 1 || part.Jobs > ack.Jobs {
-				t.Fatalf("partial covers %d jobs", part.Jobs)
-			}
+			partialJobs, lastPartial = agg.Jobs, fr.Data
 			partials++
 		case campaign.StreamDone:
 			doneFrame = fr.Data
@@ -134,6 +135,76 @@ func TestCampaignStreamLive(t *testing.T) {
 		t.Fatalf("streamed aggregate diverges from blocking oracle\n got: %s\nwant: %s",
 			env.Aggregate, want)
 	}
+	if !bytes.Equal(lastPartial, env.Aggregate) {
+		t.Fatalf("last partial frame differs from the done aggregate\n got: %s\nwant: %s",
+			lastPartial, env.Aggregate)
+	}
+}
+
+// TestCampaignStreamBounded runs the 1008-job benchmark grid (two
+// leaders x two attacks x three onsets x 84 seeds) on the local route
+// and reads its stream back from the hub: at most 33 partial frames,
+// each an aggregate under 1 KiB and 40 KB in all, job counts that
+// never decrease, and a last frame byte-identical to the done frame's
+// aggregate, which must equal a blocking run's.
+func TestCampaignStreamBounded(t *testing.T) {
+	hub := stream.NewHub(4096)
+	_, ts := newTestServer(t, Config{Streams: hub})
+	spec := campaign.Spec{
+		Name:       "stream-bounded",
+		Steps:      301,
+		BaseSeed:   1,
+		Replicates: 84,
+		Attacks:    []string{campaign.AttackDoS, campaign.AttackDelay},
+		Leaders:    []string{campaign.LeaderConst, campaign.LeaderPhased},
+		Onsets:     []int{175, 178, 182},
+	}
+	ack := decodeJSON[SubmitResponse](t, postJSON(t, ts.URL+"/v1/campaigns",
+		SubmitRequest{Spec: spec, Workers: 2, DiscardOutcomes: true}), http.StatusAccepted)
+	if st := pollCampaign(t, ts.URL, ack.ID); st.Status != statusDone {
+		t.Fatalf("campaign %s: %s", st.Status, st.Error)
+	}
+
+	var (
+		frames, total, jobs int
+		last, done          []byte
+	)
+	for _, ev := range hub.Replay(ack.ID, 0) {
+		switch ev.Type {
+		case campaign.StreamPartial:
+			frames++
+			total += len(ev.Data)
+			if len(ev.Data) >= 1024 {
+				t.Fatalf("partial frame %d is %d bytes, want under 1 KiB", frames, len(ev.Data))
+			}
+			var agg campaign.Aggregate
+			if err := json.Unmarshal(ev.Data, &agg); err != nil {
+				t.Fatalf("partial frame %d: %v", frames, err)
+			}
+			if agg.Jobs < jobs {
+				t.Fatalf("partial frame %d covers %d jobs after %d", frames, agg.Jobs, jobs)
+			}
+			jobs, last = agg.Jobs, ev.Data
+		case campaign.StreamDone:
+			var env struct {
+				Aggregate json.RawMessage `json:"aggregate"`
+			}
+			if err := json.Unmarshal(ev.Data, &env); err != nil {
+				t.Fatalf("done frame: %v", err)
+			}
+			done = env.Aggregate
+		}
+	}
+	if frames == 0 || frames > 33 || total > 40_000 {
+		t.Fatalf("%d partial frames, %d bytes; want 1 to 33 frames, at most 40 KB", frames, total)
+	}
+	if want := oracleAggregateBytes(t, spec); !bytes.Equal(done, want) {
+		t.Fatalf("done aggregate diverges from blocking oracle\n got: %s\nwant: %s", done, want)
+	}
+	if !bytes.Equal(last, done) {
+		t.Fatalf("last partial frame differs from the done aggregate\n got: %s\nwant: %s", last, done)
+	}
+	t.Logf("%d jobs: %d partial frames, %d bytes", ack.Jobs, frames, total)
 }
 
 // TestCampaignStreamFinished: a subscriber arriving after the sweep

@@ -7,10 +7,10 @@ import (
 )
 
 // Accumulator folds outcomes into a running Partial as they complete,
-// in any order — the streaming counterpart of PartialOfOutcomes. It
-// exists so a sweep can publish live intermediate aggregates: wire
-// Add into Options.OnOutcome and call Snapshot whenever a subscriber
-// wants a view.
+// in any order — the streaming counterpart of PartialOfOutcomes. Wire
+// Add into Options.OnOutcome and call Snapshot for a view: a dist
+// worker posts it with its lease heartbeat, and the local stream
+// publishes its Finalize()d Aggregate as a "partial" frame.
 //
 // Add is O(1) amortized (samples append unsorted); Snapshot pays the
 // O(n log n) sort, so throttling snapshots — not adds — bounds the

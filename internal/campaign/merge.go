@@ -22,6 +22,9 @@ import (
 // The sample lists are O(jobs in the shard), which is the same asymptotic
 // cost the single-node path already pays to hold the outcome slice; a
 // lease of a few hundred jobs serializes to a few tens of kilobytes.
+// Partials are the dist wire form (progress posts, completions,
+// checkpoint records); the live stream carries only their Finalize()d
+// Aggregate, whose size does not grow with the job count.
 type Partial struct {
 	Jobs           int `json:"jobs"`
 	Attacked       int `json:"attacked"`
@@ -121,23 +124,59 @@ func (p Partial) Merge(q Partial) Partial {
 	if q.Jobs == 0 {
 		return p
 	}
-	out := Partial{
-		Jobs:           p.Jobs + q.Jobs,
-		Attacked:       p.Attacked + q.Attacked,
-		Detected:       p.Detected + q.Detected,
-		Missed:         p.Missed + q.Missed,
-		FalsePositives: p.FalsePositives + q.FalsePositives,
-		FalseNegatives: p.FalseNegatives + q.FalseNegatives,
-		Collisions:     p.Collisions + q.Collisions,
-		EstimatedRuns:  p.EstimatedRuns + q.EstimatedRuns,
-		WorstMinGapM:   math.Min(p.WorstMinGapM, q.WorstMinGapM),
-		WorstDistErrM:  math.Max(p.WorstDistErrM, q.WorstDistErrM),
-		WorstVelErrMps: math.Max(p.WorstVelErrMps, q.WorstVelErrMps),
-		Latencies:      mergeSamples(p.Latencies, q.Latencies),
-		DistRMSE:       mergeSamples(p.DistRMSE, q.DistRMSE),
-		VelRMSE:        mergeSamples(p.VelRMSE, q.VelRMSE),
-	}
+	out := p.addCounts(q)
+	out.Latencies = mergeSamples(p.Latencies, q.Latencies)
+	out.DistRMSE = mergeSamples(p.DistRMSE, q.DistRMSE)
+	out.VelRMSE = mergeSamples(p.VelRMSE, q.VelRMSE)
 	return out
+}
+
+// Concat combines partials over ascending, disjoint job ranges — every
+// sample index of parts[i] below every one of parts[i+1], as a dist
+// campaign's shards are — in one pass: counts add, extrema fold, and
+// the sample lists are appended rather than merged. The result
+// finalizes exactly as a Merge fold over parts does, for O(samples)
+// work instead of Merge's O(parts × samples).
+func Concat(parts []*Partial) Partial {
+	var nl, nd, nv int
+	for _, q := range parts {
+		nl, nd, nv = nl+len(q.Latencies), nd+len(q.DistRMSE), nv+len(q.VelRMSE)
+	}
+	lat, dist, vel := make([]Sample, 0, nl), make([]Sample, 0, nd), make([]Sample, 0, nv)
+	var out Partial
+	for _, q := range parts {
+		switch {
+		case q.Jobs == 0:
+			continue
+		case out.Jobs == 0:
+			out = *q
+		default:
+			out = out.addCounts(*q)
+		}
+		lat = append(lat, q.Latencies...)
+		dist = append(dist, q.DistRMSE...)
+		vel = append(vel, q.VelRMSE...)
+	}
+	out.Latencies, out.DistRMSE, out.VelRMSE = lat, dist, vel
+	return out
+}
+
+// addCounts folds q's counts and extrema into p's, keeping p's sample
+// lists. Both partials must be non-empty (an empty one's WorstMinGapM
+// is not a fold identity).
+func (p Partial) addCounts(q Partial) Partial {
+	p.Jobs += q.Jobs
+	p.Attacked += q.Attacked
+	p.Detected += q.Detected
+	p.Missed += q.Missed
+	p.FalsePositives += q.FalsePositives
+	p.FalseNegatives += q.FalseNegatives
+	p.Collisions += q.Collisions
+	p.EstimatedRuns += q.EstimatedRuns
+	p.WorstMinGapM = math.Min(p.WorstMinGapM, q.WorstMinGapM)
+	p.WorstDistErrM = math.Max(p.WorstDistErrM, q.WorstDistErrM)
+	p.WorstVelErrMps = math.Max(p.WorstVelErrMps, q.WorstVelErrMps)
+	return p
 }
 
 // mergeSamples merges two index-sorted sample lists into one.

@@ -157,7 +157,8 @@ func TestPartialMergeAssociativity(t *testing.T) {
 // TestPartialMergeRealCampaign runs a real (small) sweep and checks the
 // lease-shaped partition — contiguous fixed-size shards, the exact
 // shape the distributed coordinator uses — against the engine's own
-// aggregate.
+// aggregate, both merged pairwise and concatenated in one pass (with an
+// empty partial in between, as an unreported shard holds).
 func TestPartialMergeRealCampaign(t *testing.T) {
 	spec := Spec{
 		Name:    "merge-oracle",
@@ -173,16 +174,26 @@ func TestPartialMergeRealCampaign(t *testing.T) {
 
 	for _, leaseJobs := range []int{1, 2, 3, 5, len(sum.Outcomes)} {
 		var merged Partial
+		parts := []*Partial{{}}
 		for start := 0; start < len(sum.Outcomes); start += leaseJobs {
 			end := start + leaseJobs
 			if end > len(sum.Outcomes) {
 				end = len(sum.Outcomes)
 			}
-			merged = merged.Merge(PartialOfOutcomes(sum.Outcomes[start:end]))
+			p := PartialOfOutcomes(sum.Outcomes[start:end])
+			merged = merged.Merge(p)
+			parts = append(parts, &p, &Partial{})
 		}
 		if got := mustJSON(t, merged.Finalize()); string(got) != string(want) {
 			t.Fatalf("lease size %d: merged aggregate diverges\n got: %s\nwant: %s", leaseJobs, got, want)
 		}
+		concat := Concat(parts)
+		if got, want := mustJSON(t, concat), mustJSON(t, merged); string(got) != string(want) {
+			t.Fatalf("lease size %d: concatenated partial differs from the merge\n got: %s\nwant: %s", leaseJobs, got, want)
+		}
+	}
+	if got := mustJSON(t, Concat(nil)); string(got) != string(mustJSON(t, PartialOfOutcomes(nil))) {
+		t.Fatalf("empty concat = %s", got)
 	}
 }
 

@@ -58,13 +58,58 @@ func Incidents(o Outcome) []Incident {
 }
 
 // SSE event types on a campaign's stream topic (the campaign ID). The
-// dist coordinator adds "lease" frames of its own.
+// "partial" payload is an Aggregate paced by Cadence; the last one
+// (PublishClose) equals the "done" frame's aggregate byte for byte.
+// The dist coordinator adds "lease" frames of its own.
 const (
 	StreamProgress = "progress"
 	StreamPartial  = "partial"
 	StreamFlight   = "flight"
 	StreamDone     = "done"
 )
+
+// Cadence paces a campaign's "partial" frames, whose payload is the
+// Aggregate of the jobs finished so far: one each time the finished
+// count crosses a multiple of max(1, jobs/32), none before the first
+// job, and the last one from PublishClose. Both routes use it, so a
+// campaign's live view costs O(jobs): at most 33 frames of constant
+// size once it has 1024 jobs. Counts may jump (a dist lease completes
+// many jobs at once) or dip (an expired lease's live view is dropped);
+// only a count above every earlier one can be due, so frame job counts
+// never decrease.
+type Cadence struct {
+	jobs, every, high int
+}
+
+// NewCadence paces a campaign of jobs runs.
+func NewCadence(jobs int) Cadence {
+	return Cadence{jobs: jobs, every: max(1, jobs/32)}
+}
+
+// Due records that done jobs have finished and reports whether a
+// partial frame should go out now. It is never due at the last job,
+// even when a dist lease reports it before completing: the closing
+// frame is built from completed work only.
+func (c *Cadence) Due(done int) bool {
+	done = min(done, c.jobs-1)
+	if done <= c.high {
+		return false
+	}
+	prev := c.high
+	c.high = done
+	return done/c.every > prev/c.every
+}
+
+// PublishClose publishes a closing campaign's last frames: a done
+// campaign's final "partial" frame — the aggregate itself, so its bytes
+// equal the done frame's aggregate — then the "done" frame. A nil hub
+// is a no-op.
+func PublishClose(hub *stream.Hub, f *DoneFrame) {
+	if f.Aggregate != nil && f.Jobs > 0 {
+		hub.PublishJSON(f.Campaign, StreamPartial, f.Aggregate)
+	}
+	hub.PublishJSON(f.Campaign, StreamDone, f)
+}
 
 // ProgressFrame is the "progress" payload. Each route fills the fields
 // it tracks and omits the rest: the local engine reports throughput,

@@ -137,6 +137,7 @@ func (c *Coordinator) restoreCampaignLocked(rec *CampaignRecord) error {
 		jobs:      jobs,
 		leaseJobs: rec.LeaseJobs,
 		shards:    makeShards(jobs, rec.LeaseJobs),
+		cadence:   campaign.NewCadence(jobs),
 		workers:   make(map[string]*workerProgress),
 		createdAt: c.cfg.Clock(),
 		status:    StatusRunning,
@@ -185,9 +186,9 @@ func (c *Coordinator) restoreLeaseLocked(rec *LeaseRecord) error {
 		return err
 	}
 	sh.completed = true
+	sh.partial = rec.Partial
 	d.doneShards++
 	d.doneJobs += rec.Partial.Jobs
-	d.merged = d.merged.Merge(rec.Partial)
 	if rec.Worker != "" {
 		wp := c.touchWorkerLocked(d, rec.Worker, c.cfg.Clock())
 		wp.jobsDone += rec.Partial.Jobs

@@ -100,11 +100,12 @@ type shard struct {
 	expires time.Time
 	grants  int // times granted (re-grants after expiry increment this)
 
-	// live view reported mid-lease by the current holder. Kept apart
-	// from the completed-lease merge: the final aggregate derives only
-	// from completed partials, so a lost or duplicated progress post
-	// can never perturb byte-identity with the single-node fold.
-	livePartial campaign.Partial
+	// partial is the shard's share of the campaign view: the holder's
+	// latest progress snapshot while the lease is held, the completed
+	// partial once it completes. The summary is built only once every
+	// shard holds a completed partial, so a lost or duplicated progress
+	// post can never perturb byte-identity with the single-node fold.
+	partial campaign.Partial
 }
 
 // workerProgress tracks one worker's contribution to a campaign.
@@ -127,7 +128,7 @@ type dcampaign struct {
 
 	doneShards int
 	doneJobs   int
-	merged     campaign.Partial
+	cadence    campaign.Cadence // paces the "partial" frames
 	workers    map[string]*workerProgress
 	events     []campaign.Incident
 	captures   int // forensic captures newly stored for this campaign
@@ -212,6 +213,7 @@ func (c *Coordinator) Submit(req SubmitRequest, traceID string) (SubmitResponse,
 		jobs:      jobs,
 		leaseJobs: leaseJobs,
 		shards:    makeShards(jobs, leaseJobs),
+		cadence:   campaign.NewCadence(jobs),
 		workers:   make(map[string]*workerProgress),
 		createdAt: c.cfg.Clock(),
 		status:    StatusRunning,
@@ -301,7 +303,7 @@ func (c *Coordinator) Acquire(workerID string) (AcquireResponse, bool) {
 				c.cfg.Log.Warn("dist lease expired",
 					"campaign", d.id, "shard", i, "worker", sh.worker, "lease", sh.leaseID)
 				c.publishLeaseLocked(d, i, sh, leaseExpired)
-				sh.livePartial = campaign.Partial{}
+				sh.partial = campaign.Partial{}
 			}
 			c.nextLease++
 			sh.worker = workerID
@@ -338,10 +340,11 @@ var errLeaseLost = errors.New("dist: lease lost")
 // Progress records a heartbeat from the shard's holder: the lease is
 // extended by LeaseTTL, and a snapshot covering more jobs than the live
 // view replaces it. The live view feeds only Fleet and the event stream
-// — never the completed-lease merge — so a lost, duplicated or late post
-// cannot touch the final aggregate; an older snapshot still extends the
-// lease but leaves the live view alone. A lost lease is errLeaseLost; a
-// snapshot that does not fit the shard is any other error.
+// — Complete replaces it before the summary is built — so a lost,
+// duplicated or late post cannot touch the final aggregate; an older
+// snapshot still extends the lease but leaves the live view alone. A
+// lost lease is errLeaseLost; a snapshot that does not fit the shard is
+// any other error.
 func (c *Coordinator) Progress(req ProgressRequest) error {
 	now := c.cfg.Clock()
 	c.mu.Lock()
@@ -367,8 +370,8 @@ func (c *Coordinator) Progress(req ProgressRequest) error {
 	sh.expires = now.Add(c.cfg.LeaseTTL)
 	c.touchWorkerLocked(d, req.WorkerID, now)
 	c.appendEventsLocked(d, req.Events)
-	if req.Partial.Jobs > sh.livePartial.Jobs {
-		sh.livePartial = req.Partial
+	if req.Partial.Jobs > sh.partial.Jobs {
+		sh.partial = req.Partial
 		c.publishProgressLocked(d)
 		metricProgressUpdates.With().Inc()
 	}
@@ -379,6 +382,8 @@ func (c *Coordinator) Progress(req ProgressRequest) error {
 // lease's job range; completion is idempotent (a duplicate for a closed
 // shard is acknowledged and discarded) and holder-agnostic (a stale
 // holder's deterministic result is as good as the current holder's).
+// The partial is kept on its shard, not merged into a campaign-wide
+// one, so a completion costs O(shard) work.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	now := c.cfg.Clock()
 	c.mu.Lock()
@@ -401,10 +406,9 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 
 	sh.completed = true
 	sh.worker = req.WorkerID // completed-by, for the lease event below
-	sh.livePartial = campaign.Partial{}
+	sh.partial = req.Partial
 	d.doneShards++
 	d.doneJobs += req.Partial.Jobs
-	d.merged = d.merged.Merge(req.Partial)
 	wp := c.touchWorkerLocked(d, req.WorkerID, now)
 	wp.jobsDone += req.Partial.Jobs
 	wp.leasesDone++
@@ -432,8 +436,9 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	return CompleteResponse{CampaignDone: done}, nil
 }
 
-// closeCampaignLocked finalizes a fully-completed campaign: the merged
-// partial becomes the summary aggregate. Callers hold c.mu.
+// closeCampaignLocked finalizes a fully-completed campaign: the shards'
+// completed partials, concatenated in grid order, become the summary
+// aggregate, and are then dropped. Callers hold c.mu.
 func (c *Coordinator) closeCampaignLocked(d *dcampaign) {
 	d.status = StatusDone
 	workers := 0
@@ -447,13 +452,16 @@ func (c *Coordinator) closeCampaignLocked(d *dcampaign) {
 		Name:           d.spec.Name,
 		Spec:           d.spec,
 		Workers:        workers,
-		Aggregate:      d.merged.Finalize(),
+		Aggregate:      d.partial().Finalize(),
 		ElapsedSeconds: elapsed.Seconds(),
 	}
 	if elapsed > 0 {
 		sum.RunsPerSec = float64(d.jobs) / elapsed.Seconds()
 	}
 	d.summary = sum
+	for _, sh := range d.shards {
+		sh.partial = campaign.Partial{}
+	}
 	if d.span != nil {
 		d.span.SetAttrInt("done_jobs", int64(d.doneJobs))
 		d.span.End()
@@ -461,7 +469,8 @@ func (c *Coordinator) closeCampaignLocked(d *dcampaign) {
 	metricCampaignsActive.With().Add(-1)
 	c.cfg.Log.Info("dist campaign done",
 		"id", d.id, "jobs", d.jobs, "workers", workers, "elapsed_seconds", elapsed.Seconds())
-	c.cfg.Streams.PublishJSON(d.id, campaign.StreamDone, d.doneFrame())
+	f := d.doneFrame()
+	campaign.PublishClose(c.cfg.Streams, &f)
 }
 
 // appendEventsLocked forwards a batch of worker flight events into the

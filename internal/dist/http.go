@@ -22,10 +22,12 @@ const maxDistBodyBytes = 16 << 20
 //	POST /v1/dist/campaigns             submit a spec for distributed execution
 //	GET  /v1/dist/campaigns/{id}        status: lease table, per-worker progress,
 //	                                    forwarded flight events, summary when done
-//	GET  /v1/dist/campaigns/{id}/stream live SSE feed: progress, merged partials,
-//	                                    flight events, lease transitions, and a
-//	                                    terminal "done" event carrying the final
-//	                                    aggregate; supports Last-Event-ID resume
+//	GET  /v1/dist/campaigns/{id}/stream live SSE feed: progress, the live
+//	                                    aggregate over completed and in-flight
+//	                                    jobs (every jobs/32), flight events, lease
+//	                                    transitions, and a terminal "done" event
+//	                                    carrying the final aggregate; supports
+//	                                    Last-Event-ID resume
 //	GET  /v1/fleet                      fleet view: worker liveness, throughput,
 //	                                    per-campaign lease counts, hub health
 //	POST /v1/dist/lease                 worker pull: acquire the next lease (204

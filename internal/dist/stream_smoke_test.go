@@ -15,9 +15,10 @@ import (
 // a coordinator and two pull workers shard a 64-job campaign while an
 // SSE client follows /v1/dist/campaigns/{id}/stream. Workers report
 // mid-lease progress every few milliseconds, so the stream must carry
-// monotone progress counters, valid incremental partials, and lease
-// transitions before the terminal event — whose embedded aggregate must
-// be byte-identical to the single-node oracle.
+// monotone progress counters, live aggregates over a growing job count,
+// and lease transitions before the terminal event — whose embedded
+// aggregate must be byte-identical to the single-node oracle, and to the
+// last partial frame.
 func TestStreamSmoke(t *testing.T) {
 	c := newCluster(t, Config{
 		LeaseJobs: 8,
@@ -52,12 +53,14 @@ func TestStreamSmoke(t *testing.T) {
 	})
 
 	var (
-		dec       = stream.NewDecoder(sres.Body)
-		lastDone  = -1
-		progress  int
-		partials  int
-		leases    int
-		doneFrame []byte
+		dec         = stream.NewDecoder(sres.Body)
+		lastDone    = -1
+		progress    int
+		partials    int
+		lastPartial []byte
+		partialJobs int
+		leases      int
+		doneFrame   []byte
 	)
 	for doneFrame == nil {
 		fr, err := dec.Next()
@@ -82,13 +85,14 @@ func TestStreamSmoke(t *testing.T) {
 			lastDone = p.Done
 			progress++
 		case campaign.StreamPartial:
-			var part campaign.Partial
-			if err := json.Unmarshal(fr.Data, &part); err != nil {
+			var agg campaign.Aggregate
+			if err := json.Unmarshal(fr.Data, &agg); err != nil {
 				t.Fatalf("partial payload: %v", err)
 			}
-			if err := part.Validate(); err != nil {
-				t.Fatalf("invalid streamed partial: %v", err)
+			if agg.Jobs < partialJobs || agg.Jobs > sub.Jobs {
+				t.Fatalf("partial covers %d jobs after %d, campaign has %d", agg.Jobs, partialJobs, sub.Jobs)
 			}
+			partialJobs, lastPartial = agg.Jobs, fr.Data
 			partials++
 		case streamTypeLease:
 			leases++
@@ -112,6 +116,10 @@ func TestStreamSmoke(t *testing.T) {
 	if want := oracleAggregate(t, spec); !bytes.Equal(env.Aggregate, want) {
 		t.Fatalf("streamed aggregate diverges from single-node oracle\n got: %s\nwant: %s",
 			env.Aggregate, want)
+	}
+	if !bytes.Equal(lastPartial, env.Aggregate) {
+		t.Fatalf("last partial frame differs from the done aggregate\n got: %s\nwant: %s",
+			lastPartial, env.Aggregate)
 	}
 
 	// The fleet view saw both workers deliver.

@@ -38,18 +38,22 @@ func (c *Coordinator) publishLeaseLocked(d *dcampaign, i int, sh *shard, state s
 	})
 }
 
-// publishProgressLocked emits the campaign's current counters plus the
-// merged live partial. Callers hold c.mu.
+// publishProgressLocked emits the campaign's current counters and,
+// when the cadence says so, the live aggregate over completed and
+// in-flight jobs (the last one goes out with "done", from
+// closeCampaignLocked). Callers hold c.mu.
 func (c *Coordinator) publishProgressLocked(d *dcampaign) {
 	if c.cfg.Streams == nil {
 		return
 	}
+	done := d.doneJobs + liveJobs(d)
 	c.cfg.Streams.PublishJSON(d.id, campaign.StreamProgress, campaign.ProgressFrame{
-		Campaign: d.id, Status: d.status, Jobs: d.jobs,
-		Done:   d.doneJobs + liveJobs(d),
+		Campaign: d.id, Status: d.status, Jobs: d.jobs, Done: done,
 		Leases: len(d.shards), DoneLeases: d.doneShards,
 	})
-	c.cfg.Streams.PublishJSON(d.id, campaign.StreamPartial, livePartial(d))
+	if d.cadence.Due(done) {
+		c.cfg.Streams.PublishJSON(d.id, campaign.StreamPartial, d.partial().Finalize())
+	}
 }
 
 // doneFrame is the campaign's terminal "done" payload. Callers hold
@@ -82,23 +86,22 @@ func liveJobs(d *dcampaign) int {
 	n := 0
 	for _, sh := range d.shards {
 		if !sh.completed {
-			n += sh.livePartial.Jobs
+			n += sh.partial.Jobs
 		}
 	}
 	return n
 }
 
-// livePartial merges the completed-lease fold with every open shard's
-// last-reported live partial: the freshest consistent view of the whole
-// campaign. Shard ranges are disjoint, so the merge is always valid.
-func livePartial(d *dcampaign) campaign.Partial {
-	merged := d.merged
-	for _, sh := range d.shards {
-		if !sh.completed && sh.livePartial.Jobs > 0 {
-			merged = merged.Merge(sh.livePartial)
-		}
+// partial is the campaign view over every shard's partial, completed
+// or live: the freshest consistent view of the whole campaign, built
+// in one in-order pass (shards are disjoint, contiguous and
+// index-ordered). Callers hold c.mu.
+func (d *dcampaign) partial() campaign.Partial {
+	parts := make([]*campaign.Partial, len(d.shards))
+	for i, sh := range d.shards {
+		parts[i] = &sh.partial
 	}
-	return merged
+	return campaign.Concat(parts)
 }
 
 // FleetWorker is one worker's row in the fleet view, aggregated across
@@ -167,9 +170,9 @@ func (c *Coordinator) Fleet() FleetStatus {
 			fc.ActiveLeases++
 			if fw := byID[sh.worker]; fw != nil {
 				fw.ActiveLeases++
-				fw.LiveJobs += sh.livePartial.Jobs
+				fw.LiveJobs += sh.partial.Jobs
 			} else {
-				byID[sh.worker] = &FleetWorker{ID: sh.worker, ActiveLeases: 1, LiveJobs: sh.livePartial.Jobs}
+				byID[sh.worker] = &FleetWorker{ID: sh.worker, ActiveLeases: 1, LiveJobs: sh.partial.Jobs}
 			}
 		}
 		fs.Campaigns = append(fs.Campaigns, fc)

@@ -75,8 +75,8 @@ func TestCoordinatorProgressLiveView(t *testing.T) {
 		t.Fatal("fleet reports zero published stream events after progress")
 	}
 
-	// The hub carries the update: the latest partial snapshot must be a
-	// valid mergeable partial over the in-flight jobs.
+	// The hub carries the update: the latest partial frame is the live
+	// aggregate over the in-flight jobs.
 	var lastPartial []byte
 	for _, ev := range hub.Replay(sub.ID, 0) {
 		if ev.Type == campaign.StreamPartial {
@@ -86,15 +86,15 @@ func TestCoordinatorProgressLiveView(t *testing.T) {
 	if lastPartial == nil {
 		t.Fatal("no partial event published")
 	}
-	var p campaign.Partial
-	if err := json.Unmarshal(lastPartial, &p); err != nil {
-		t.Fatalf("partial event not a Partial: %v", err)
+	var agg campaign.Aggregate
+	if err := json.Unmarshal(lastPartial, &agg); err != nil {
+		t.Fatalf("partial event not an Aggregate: %v", err)
 	}
-	if p.Jobs != 2 {
-		t.Fatalf("live partial covers %d jobs, want 2", p.Jobs)
+	if agg.Jobs != 2 {
+		t.Fatalf("live aggregate covers %d jobs, want 2", agg.Jobs)
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("live partial invalid: %v", err)
+	if want, _ := json.Marshal(preq.Partial.Finalize()); !bytes.Equal(lastPartial, want) {
+		t.Fatalf("live aggregate differs from the snapshot's\n got: %s\nwant: %s", lastPartial, want)
 	}
 
 	// Lost-lease and oversized posts are refused; an older snapshot
@@ -219,4 +219,112 @@ func TestStreamEndpointFinishedCampaign(t *testing.T) {
 	if r404.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown campaign stream status = %d", r404.StatusCode)
 	}
+}
+
+// checkPartialFrames asserts the O(jobs) live-view contract on one
+// campaign's retained events: at most maxFrames partial frames, each
+// an aggregate under 1 KiB, job counts that never decrease, and a last
+// frame byte-identical to the done frame's aggregate, which must equal
+// want. It returns the partial frames' total bytes.
+func checkPartialFrames(t *testing.T, events []*stream.Event, maxFrames int, want []byte) int {
+	t.Helper()
+	var (
+		frames, total, jobs int
+		last, done          []byte
+	)
+	for _, ev := range events {
+		switch ev.Type {
+		case campaign.StreamPartial:
+			frames++
+			total += len(ev.Data)
+			if len(ev.Data) >= 1024 {
+				t.Fatalf("partial frame %d is %d bytes, want under 1 KiB", frames, len(ev.Data))
+			}
+			var agg campaign.Aggregate
+			if err := json.Unmarshal(ev.Data, &agg); err != nil {
+				t.Fatalf("partial frame %d: %v", frames, err)
+			}
+			if agg.Jobs < jobs {
+				t.Fatalf("partial frame %d covers %d jobs after %d", frames, agg.Jobs, jobs)
+			}
+			jobs, last = agg.Jobs, ev.Data
+		case campaign.StreamDone:
+			var env struct {
+				Aggregate json.RawMessage `json:"aggregate"`
+			}
+			if err := json.Unmarshal(ev.Data, &env); err != nil {
+				t.Fatalf("done frame: %v", err)
+			}
+			done = env.Aggregate
+		}
+	}
+	if frames == 0 || frames > maxFrames {
+		t.Fatalf("%d partial frames, want 1 to %d", frames, maxFrames)
+	}
+	if !bytes.Equal(done, want) {
+		t.Fatalf("done aggregate diverges from oracle\n got: %s\nwant: %s", done, want)
+	}
+	if !bytes.Equal(last, done) {
+		t.Fatalf("last partial frame differs from the done aggregate\n got: %s\nwant: %s", last, done)
+	}
+	return total
+}
+
+// TestCoordinatorStreamBounded: a 4096-job campaign driven through
+// Acquire, Progress and Complete — one lease lapsing mid-shard, so its
+// re-grant drops the live view and the in-flight count dips — streams
+// its live view in O(jobs): at most 33 partial frames, each under 1 KiB,
+// never covering fewer jobs than the one before, and the last equal
+// byte for byte to the done frame's oracle aggregate.
+func TestCoordinatorStreamBounded(t *testing.T) {
+	clock := newFakeClock()
+	hub := stream.NewHub(4096)
+	c := NewCoordinator(Config{LeaseJobs: 16, LeaseTTL: time.Minute, Clock: clock.Now, Streams: hub})
+	spec := testSpec("stream-bounded")
+	spec.Attacks = []string{campaign.AttackDoS, campaign.AttackDelay}
+	spec.Replicates = 1024 // 2 attacks x 2 onsets x 1024 seeds = 4096 jobs
+	sub, err := c.Submit(SubmitRequest{Spec: spec}, "")
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	outcomes, err := campaign.RunJobs(context.Background(), jobs, campaign.Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("RunJobs: %v", err)
+	}
+
+	lapsed := false
+	for {
+		lease, ok := c.Acquire("w1")
+		if !ok {
+			break
+		}
+		shard := outcomes[lease.Start:lease.End]
+		err := c.Progress(ProgressRequest{LeaseID: lease.LeaseID, WorkerID: "w1",
+			Partial: campaign.PartialOfOutcomes(shard[:len(shard)/2])})
+		if err != nil {
+			t.Fatalf("Progress: %v", err)
+		}
+		if !lapsed && lease.Shard == sub.Leases/2 {
+			lapsed = true
+			clock.Advance(2 * time.Minute)
+			continue
+		}
+		if _, err := c.Complete(CompleteRequest{LeaseID: lease.LeaseID, WorkerID: "w1",
+			Partial: campaign.PartialOfOutcomes(shard)}); err != nil {
+			t.Fatalf("Complete: %v", err)
+		}
+	}
+	if st, _ := c.CampaignStatus(sub.ID); st.Status != StatusDone {
+		t.Fatalf("campaign %s, want done", st.Status)
+	}
+	want, err := json.Marshal(campaign.AggregateOutcomes(outcomes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := checkPartialFrames(t, hub.Replay(sub.ID, 0), 33, want)
+	t.Logf("%d jobs over %d leases: %d partial bytes", sub.Jobs, sub.Leases, total)
 }
