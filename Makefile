@@ -83,9 +83,12 @@ dist-smoke:
 # frame's aggregate must be byte-identical to the single-node oracle and
 # to the last partial frame. Both stream routes serve through one function
 # (campaign.ServeStream), so the local route's live and finished-campaign
-# stream tests run here too, and on each route a large campaign must
-# stream at most 33 partial frames, each under 1 KiB. Runs under -race
-# so the hub's publish path is exercised against live subscribers.
+# stream tests run here too. On each route a 4096-job campaign must keep
+# to one event budget on a hub of the default ring size: exactly 31
+# progress, 32 partial (each under 1 KiB) and one done frame, plus one
+# flight frame per incident, whatever the lease size, and a replay from
+# 0 after done must start at the campaign's first frame. Runs under
+# -race so the hub's publish path is exercised against live subscribers.
 stream-smoke:
 	$(GO) test -race -run='^(TestStreamSmoke|TestCoordinatorStreamBounded)$$' -count=1 -v ./internal/dist
 	$(GO) test -race -run='^(TestCampaignStreamLive|TestCampaignStreamFinished|TestCampaignStreamBounded)$$' -count=1 -v ./cmd/safesensed

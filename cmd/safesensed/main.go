@@ -39,8 +39,8 @@
 //	GET  /v1/dist/campaigns/{id}  lease table, per-worker progress,
 //	                          forwarded flight events, summary when done
 //	GET  /v1/dist/campaigns/{id}/stream  live SSE feed of a distributed
-//	                          campaign: lease transitions, mid-lease
-//	                          progress and the live aggregate, flight
+//	                          campaign: progress and the live aggregate
+//	                          over completed and mid-lease jobs, flight
 //	                          events, terminal aggregate
 //	POST /v1/dist/lease       worker pull: acquire the next lease
 //	POST /v1/dist/lease/progress  heartbeat: extend a held lease and

@@ -10,38 +10,31 @@ import (
 )
 
 // campaignStreamer is a running local sweep's observer: it folds
-// outcomes into an Accumulator and publishes its live aggregate as
-// "partial" frames on the shared campaign.Cadence, records each job's
-// incidents once — into the audit log and onto the stream — as the job
-// completes, and mirrors the engine's Stats into the stored entry and
-// throttled progress frames. Its hook runs inside the engine's
+// outcomes into an Accumulator, records each job's incidents once —
+// into the audit log and onto the stream — as the job completes,
+// mirrors the engine's Stats into the stored entry, and publishes a
+// "progress" frame and the live aggregate as a "partial" frame on the
+// shared campaign.Cadence. Its hook runs inside the engine's
 // serialized progress section, so the accumulator needs no extra
 // locking; publishing never blocks by the hub's contract.
 type campaignStreamer struct {
-	s   *Server
-	e   *entry // ID and Jobs are immutable; the rest is guarded by s.mu
-	acc *campaign.Accumulator
-
-	// progressEvery throttles progress frames, which are cheap, so they
-	// go out often (and always on the final job); partial paces the
-	// aggregate frames, which copy and sort the samples, so they go out
-	// rarely.
-	progressEvery int
-	partial       campaign.Cadence
+	s       *Server
+	e       *entry // ID and Jobs are immutable; the rest is guarded by s.mu
+	acc     *campaign.Accumulator
+	cadence campaign.Cadence
 }
 
-// newCampaignStreamer sizes the throttles for the entry's grid.
+// newCampaignStreamer paces the frames for the entry's grid.
 func newCampaignStreamer(s *Server, e *entry) *campaignStreamer {
 	return &campaignStreamer{
 		s: s, e: e, acc: campaign.NewAccumulator(),
-		progressEvery: max(1, e.Jobs/256),
-		partial:       campaign.NewCadence(e.Jobs),
+		cadence: campaign.NewCadence(e.Jobs),
 	}
 }
 
 // onOutcome is the engine's OnOutcome hook: fold the outcome, record
 // its incidents, mirror the Stats into the entry, and publish the
-// throttled progress and partial frames.
+// paced progress and partial frames.
 func (cs *campaignStreamer) onOutcome(o campaign.Outcome, st campaign.Stats) {
 	cs.acc.Add(o)
 	if incs := campaign.Incidents(o); len(incs) > 0 {
@@ -54,13 +47,11 @@ func (cs *campaignStreamer) onOutcome(o campaign.Outcome, st campaign.Stats) {
 	cs.e.ETASeconds = eta
 	cs.s.mu.Unlock()
 	hub, id, done := cs.s.cfg.Streams, cs.e.ID, st.Done
-	if done%cs.progressEvery == 0 || done == cs.e.Jobs {
+	if cs.cadence.Due(done) {
 		hub.PublishJSON(id, campaign.StreamProgress, campaign.ProgressFrame{
 			Campaign: id, Status: statusRunning, Jobs: cs.e.Jobs, Done: done,
 			RunsPerSec: rps, ETASeconds: eta,
 		})
-	}
-	if cs.partial.Due(done) {
 		hub.PublishJSON(id, campaign.StreamPartial, cs.acc.Snapshot().Finalize())
 	}
 }

@@ -31,9 +31,9 @@ type Options struct {
 	// the job's outcome and the cumulative Stats (done count, runs/sec,
 	// ETA) — the live tap behind streamed progress and incremental
 	// Partial accumulation. Calls are serialized but arrive in
-	// completion order, not grid order (feed an Accumulator, whose
-	// snapshots re-sort); the callback must not block for long or it
-	// throttles the pool.
+	// completion order, not grid order (an Accumulator folds them in
+	// any order); the callback must not block for long or it throttles
+	// the pool.
 	OnOutcome func(Outcome, Stats)
 	// DiscardOutcomes drops the per-job outcome list from the summary,
 	// keeping only the aggregate — for very large campaigns where the

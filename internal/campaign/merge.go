@@ -1,30 +1,31 @@
 package campaign
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"safesense/internal/stats"
 )
 
 // Partial is the mergeable intermediate form of Aggregate: everything a
-// shard of the job grid contributes to the campaign statistics, kept in
-// a shape whose Merge is commutative and associative. Counts and
-// extrema merge exactly on their own; the float statistics that are
-// order-sensitive (means, percentiles, the latency histogram range) are
-// not finalized here — instead the raw per-job samples ride along,
-// tagged with their job index, so Finalize can replay them in grid
-// order no matter how the partials were combined. That is what makes a
-// distributed campaign's Aggregate byte-identical to the single-node
-// AggregateOutcomes fold regardless of lease partitioning, worker
-// scheduling, or merge order.
+// shard of the job grid contributes to the campaign statistics, in a
+// shape whose Merge is a plain field-wise sum, commutative and
+// associative. Counts add and extrema fold. The detection latencies,
+// integer steps, are kept as a multiset of (steps, count); the per-run
+// RMSEs are kept as exact sums (stats.ExactSum), whose canonical terms
+// depend only on the values summed. Finalize derives the means,
+// percentiles and histogram from those alone, so any partition of the
+// grid, merged in any order, finalizes byte-identical to the
+// single-node AggregateOutcomes fold.
 //
-// The sample lists are O(jobs in the shard), which is the same asymptotic
-// cost the single-node path already pays to hold the outcome slice; a
-// lease of a few hundred jobs serializes to a few tens of kilobytes.
+// A partial's size does not grow with the jobs it covers: it is bounded
+// by the distinct latencies (a few dozen on a real grid) and the exact
+// sums' terms (at most stats.MaxTerms, a handful in practice).
 // Partials are the dist wire form (progress posts, completions,
-// checkpoint records); the live stream carries only their Finalize()d
-// Aggregate, whose size does not grow with the job count.
+// checkpoint records); the live stream carries their Finalize()d
+// Aggregate.
 type Partial struct {
 	Jobs           int `json:"jobs"`
 	Attacked       int `json:"attacked"`
@@ -35,49 +36,41 @@ type Partial struct {
 	Collisions     int `json:"collisions"`
 	EstimatedRuns  int `json:"estimated_runs"`
 
-	// WorstMinGapM is meaningful only when Jobs > 0 (a shard with at
-	// least one job always observes a finite min gap, so the field stays
-	// JSON-encodable; the +Inf fold identity never escapes Finalize).
+	// WorstMinGapM is meaningful only when Jobs > 0.
 	WorstMinGapM   float64 `json:"worst_min_gap_m"`
 	WorstDistErrM  float64 `json:"worst_dist_err_m"`
 	WorstVelErrMps float64 `json:"worst_vel_err_mps"`
 
-	// Latencies holds one sample per detected run; DistRMSE and VelRMSE
-	// hold one sample each per estimated run. All three are sorted by
-	// job index (PartialOfOutcomes emits them that way when the outcome
-	// list is index-ordered, and Merge preserves the order).
-	Latencies []Sample `json:"latencies,omitempty"`
-	DistRMSE  []Sample `json:"dist_rmse,omitempty"`
-	VelRMSE   []Sample `json:"vel_rmse,omitempty"`
+	// Latencies is the detection-latency multiset, ascending by steps;
+	// its counts sum to Detected. DistRMSE and VelRMSE sum the per-run
+	// RMSEs of the estimated runs; they are empty exactly when
+	// EstimatedRuns is zero.
+	Latencies []LatencyCount `json:"latencies,omitempty"`
+	DistRMSE  stats.ExactSum `json:"dist_rmse,omitempty"`
+	VelRMSE   stats.ExactSum `json:"vel_rmse,omitempty"`
 }
 
-// Sample is one per-job float statistic tagged with the job's grid
-// index, so merged partials can reconstruct the grid-order fold exactly.
-type Sample struct {
-	Index int     `json:"i"`
-	V     float64 `json:"v"`
+// LatencyCount is how many detected runs had one detection latency.
+type LatencyCount struct {
+	Steps int `json:"steps"`
+	Count int `json:"count"`
 }
 
-// PartialOfOutcomes folds per-job records into the mergeable partial.
-// It mirrors the AggregateOutcomes loop exactly; outcomes are expected
-// in job-index order (the order the engine and every lease produce).
+// PartialOfOutcomes folds per-job records, in any order, into the
+// mergeable partial.
 func PartialOfOutcomes(outcomes []Outcome) Partial {
 	var p Partial
-	if len(outcomes) == 0 {
-		return p
-	}
-	p.WorstMinGapM = math.Inf(1)
 	for _, o := range outcomes {
 		p.addOutcome(o)
 	}
 	return p
 }
 
-// addOutcome folds one outcome into the partial, appending its samples
-// in call order. The caller owns the WorstMinGapM fold identity: set it
-// to +Inf before the first outcome (PartialOfOutcomes and
-// Accumulator.Add both do).
+// addOutcome folds one outcome into the partial, in place.
 func (p *Partial) addOutcome(o Outcome) {
+	if p.Jobs == 0 || o.MinGapM < p.WorstMinGapM {
+		p.WorstMinGapM = o.MinGapM
+	}
 	p.Jobs++
 	attacked := o.Point.Attack != AttackNone && o.Point.Attack != ""
 	if attacked {
@@ -85,7 +78,7 @@ func (p *Partial) addOutcome(o Outcome) {
 		if o.Point.Defended {
 			if o.DetectedAt >= 0 {
 				p.Detected++
-				p.Latencies = append(p.Latencies, Sample{Index: o.Index, V: float64(o.DetectionLatency)})
+				p.Latencies = addLatency(p.Latencies, o.DetectionLatency, 1)
 			} else {
 				p.Missed++
 			}
@@ -96,13 +89,10 @@ func (p *Partial) addOutcome(o Outcome) {
 	if o.CollisionAt >= 0 {
 		p.Collisions++
 	}
-	if o.MinGapM < p.WorstMinGapM {
-		p.WorstMinGapM = o.MinGapM
-	}
 	if o.EstimateSteps > 0 {
 		p.EstimatedRuns++
-		p.DistRMSE = append(p.DistRMSE, Sample{Index: o.Index, V: o.DistRMSEm})
-		p.VelRMSE = append(p.VelRMSE, Sample{Index: o.Index, V: o.VelRMSEmps})
+		p.DistRMSE.Add(o.DistRMSEm)
+		p.VelRMSE.Add(o.VelRMSEmps)
 		if o.DistMaxErrM > p.WorstDistErrM {
 			p.WorstDistErrM = o.DistMaxErrM
 		}
@@ -112,11 +102,22 @@ func (p *Partial) addOutcome(o Outcome) {
 	}
 }
 
-// Merge combines two partials. The operation is commutative and
-// associative: counts add, extrema take min/max, and the sample lists
-// are merged by job index, so any tree of merges over any partition of
-// the grid converges to the same value — the one PartialOfOutcomes
-// would produce over the whole outcome list.
+// addLatency adds n runs of the given latency to the ascending
+// multiset lat, in place.
+func addLatency(lat []LatencyCount, steps, n int) []LatencyCount {
+	i, found := slices.BinarySearchFunc(lat, steps, func(c LatencyCount, s int) int { return cmp.Compare(c.Steps, s) })
+	if found {
+		lat[i].Count += n
+		return lat
+	}
+	return slices.Insert(lat, i, LatencyCount{Steps: steps, Count: n})
+}
+
+// Merge combines two partials field by field: counts add, extrema take
+// min/max, latency multisets and exact sums add. It is commutative and
+// associative, the zero Partial is its identity, and it modifies
+// neither operand, so any tree of merges over any partition of the
+// grid yields the partial PartialOfOutcomes builds over the whole.
 func (p Partial) Merge(q Partial) Partial {
 	if p.Jobs == 0 {
 		return q
@@ -124,47 +125,6 @@ func (p Partial) Merge(q Partial) Partial {
 	if q.Jobs == 0 {
 		return p
 	}
-	out := p.addCounts(q)
-	out.Latencies = mergeSamples(p.Latencies, q.Latencies)
-	out.DistRMSE = mergeSamples(p.DistRMSE, q.DistRMSE)
-	out.VelRMSE = mergeSamples(p.VelRMSE, q.VelRMSE)
-	return out
-}
-
-// Concat combines partials over ascending, disjoint job ranges — every
-// sample index of parts[i] below every one of parts[i+1], as a dist
-// campaign's shards are — in one pass: counts add, extrema fold, and
-// the sample lists are appended rather than merged. The result
-// finalizes exactly as a Merge fold over parts does, for O(samples)
-// work instead of Merge's O(parts × samples).
-func Concat(parts []*Partial) Partial {
-	var nl, nd, nv int
-	for _, q := range parts {
-		nl, nd, nv = nl+len(q.Latencies), nd+len(q.DistRMSE), nv+len(q.VelRMSE)
-	}
-	lat, dist, vel := make([]Sample, 0, nl), make([]Sample, 0, nd), make([]Sample, 0, nv)
-	var out Partial
-	for _, q := range parts {
-		switch {
-		case q.Jobs == 0:
-			continue
-		case out.Jobs == 0:
-			out = *q
-		default:
-			out = out.addCounts(*q)
-		}
-		lat = append(lat, q.Latencies...)
-		dist = append(dist, q.DistRMSE...)
-		vel = append(vel, q.VelRMSE...)
-	}
-	out.Latencies, out.DistRMSE, out.VelRMSE = lat, dist, vel
-	return out
-}
-
-// addCounts folds q's counts and extrema into p's, keeping p's sample
-// lists. Both partials must be non-empty (an empty one's WorstMinGapM
-// is not a fold identity).
-func (p Partial) addCounts(q Partial) Partial {
 	p.Jobs += q.Jobs
 	p.Attacked += q.Attacked
 	p.Detected += q.Detected
@@ -176,80 +136,59 @@ func (p Partial) addCounts(q Partial) Partial {
 	p.WorstMinGapM = math.Min(p.WorstMinGapM, q.WorstMinGapM)
 	p.WorstDistErrM = math.Max(p.WorstDistErrM, q.WorstDistErrM)
 	p.WorstVelErrMps = math.Max(p.WorstVelErrMps, q.WorstVelErrMps)
+	lat := slices.Clone(p.Latencies)
+	for _, c := range q.Latencies {
+		lat = addLatency(lat, c.Steps, c.Count)
+	}
+	p.Latencies = lat
+	p.DistRMSE = p.DistRMSE.Merge(q.DistRMSE)
+	p.VelRMSE = p.VelRMSE.Merge(q.VelRMSE)
 	return p
 }
 
-// mergeSamples merges two index-sorted sample lists into one.
-func mergeSamples(a, b []Sample) []Sample {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]Sample, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Index <= b[j].Index {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// Finalize computes the campaign Aggregate from the partial: the
-// order-sensitive statistics (means, percentiles, histogram) are
-// derived here, over the index-ordered sample lists, reproducing the
-// exact float arithmetic of the single-node fold.
+// Finalize computes the campaign Aggregate from the partial. The means
+// are the exact RMSE sums rounded once and divided by the run count;
+// the latency statistics are computed over the multiset expanded in
+// ascending order (integer sums below 2^53 are exact in any order).
 func (p Partial) Finalize() Aggregate {
-	agg := Aggregate{Jobs: p.Jobs, WorstMinGapM: math.Inf(1)}
+	agg := Aggregate{
+		Jobs: p.Jobs, Attacked: p.Attacked, Detected: p.Detected, Missed: p.Missed,
+		FalsePositives: p.FalsePositives, FalseNegatives: p.FalseNegatives,
+		Collisions: p.Collisions, EstimatedRuns: p.EstimatedRuns, WorstMinGapM: p.WorstMinGapM,
+		WorstDistErrM: p.WorstDistErrM, WorstVelErrMps: p.WorstVelErrMps,
+	}
 	if p.Jobs == 0 {
-		agg.WorstMinGapM = 0
 		return agg
 	}
-	agg.Attacked = p.Attacked
-	agg.Detected = p.Detected
-	agg.Missed = p.Missed
-	agg.FalsePositives = p.FalsePositives
-	agg.FalseNegatives = p.FalseNegatives
-	agg.Collisions = p.Collisions
-	agg.EstimatedRuns = p.EstimatedRuns
-	agg.WorstMinGapM = p.WorstMinGapM
-	agg.WorstDistErrM = p.WorstDistErrM
-	agg.WorstVelErrMps = p.WorstVelErrMps
 	agg.CollisionRate = float64(p.Collisions) / float64(p.Jobs)
-	agg.MeanDistRMSEm = stats.Mean(sampleValues(p.DistRMSE))
-	agg.MeanVelRMSEmps = stats.Mean(sampleValues(p.VelRMSE))
-	agg.Latency = latencyStats(sampleValues(p.Latencies))
+	if p.EstimatedRuns > 0 {
+		agg.MeanDistRMSEm = p.DistRMSE.Value() / float64(p.EstimatedRuns)
+		agg.MeanVelRMSEmps = p.VelRMSE.Value() / float64(p.EstimatedRuns)
+	}
+	lat := make([]float64, 0, p.Detected)
+	for _, c := range p.Latencies {
+		for range c.Count {
+			lat = append(lat, float64(c.Steps))
+		}
+	}
+	agg.Latency = latencyStats(lat)
 	return agg
 }
 
-// sampleValues projects the sample list onto its values, in list order.
-func sampleValues(s []Sample) []float64 {
-	if len(s) == 0 {
-		return nil
-	}
-	out := make([]float64, len(s))
-	for i, x := range s {
-		out[i] = x.V
-	}
-	return out
-}
-
-// Validate checks a partial's internal consistency — the invariants any
-// honest PartialOfOutcomes fold satisfies. The distributed coordinator
-// applies it to every lease-complete payload before merging, so a
-// corrupt or malicious worker cannot poison the campaign aggregate with
-// structurally impossible counts.
+// Validate checks a partial's internal consistency: the invariants any
+// honest PartialOfOutcomes fold satisfies, and that it finalizes to an
+// Aggregate with finite, non-negative means. The distributed
+// coordinator applies it to every progress post, completion and
+// checkpoint record before using the partial, so a corrupt or malicious
+// worker cannot poison the campaign aggregate or make it unencodable.
+// Latencies may be negative: a detector false positive before the
+// attack onset is a detection with negative latency.
 func (p Partial) Validate() error {
 	switch {
 	case p.Jobs < 0:
 		return fmt.Errorf("campaign: partial jobs %d negative", p.Jobs)
+	case p.WorstDistErrM < 0 || p.WorstVelErrMps < 0:
+		return fmt.Errorf("campaign: partial worst errors %g m, %g m/s negative", p.WorstDistErrM, p.WorstVelErrMps)
 	case p.Jobs == 0:
 		if p.Attacked != 0 || p.Detected != 0 || p.Missed != 0 || p.Collisions != 0 ||
 			p.EstimatedRuns != 0 || len(p.Latencies) != 0 || len(p.DistRMSE) != 0 || len(p.VelRMSE) != 0 {
@@ -266,33 +205,31 @@ func (p Partial) Validate() error {
 		return fmt.Errorf("campaign: partial confusion counts negative")
 	case p.EstimatedRuns < 0 || p.EstimatedRuns > p.Jobs:
 		return fmt.Errorf("campaign: partial estimated runs %d outside [0, %d]", p.EstimatedRuns, p.Jobs)
-	case len(p.Latencies) != p.Detected:
-		return fmt.Errorf("campaign: partial has %d latency samples for %d detections", len(p.Latencies), p.Detected)
-	case len(p.DistRMSE) != p.EstimatedRuns || len(p.VelRMSE) != p.EstimatedRuns:
-		return fmt.Errorf("campaign: partial has %d/%d RMSE samples for %d estimated runs",
-			len(p.DistRMSE), len(p.VelRMSE), p.EstimatedRuns)
 	}
-	for _, list := range [][]Sample{p.Latencies, p.DistRMSE, p.VelRMSE} {
-		for i, s := range list {
-			if i > 0 && list[i-1].Index >= s.Index {
-				return fmt.Errorf("campaign: partial samples not strictly index-ordered at %d", s.Index)
-			}
-			if s.Index < 0 {
-				return fmt.Errorf("campaign: partial sample index %d negative", s.Index)
-			}
+	detected := 0
+	for i, c := range p.Latencies {
+		switch {
+		case c.Count <= 0:
+			return fmt.Errorf("campaign: partial latency %d has count %d", c.Steps, c.Count)
+		case i > 0 && c.Steps <= p.Latencies[i-1].Steps:
+			return fmt.Errorf("campaign: partial latencies not ascending at %d", c.Steps)
+		case c.Count > p.Detected-detected:
+			return fmt.Errorf("campaign: partial latency counts exceed %d detections", p.Detected)
 		}
+		detected += c.Count
 	}
-	return nil
-}
-
-// SampleRange checks that every sample index lies in [start, end) — the
-// coordinator's per-lease range check.
-func (p Partial) SampleRange(start, end int) error {
-	for _, list := range [][]Sample{p.Latencies, p.DistRMSE, p.VelRMSE} {
-		for _, s := range list {
-			if s.Index < start || s.Index >= end {
-				return fmt.Errorf("campaign: partial sample index %d outside lease [%d, %d)", s.Index, start, end)
-			}
+	if detected != p.Detected {
+		return fmt.Errorf("campaign: partial latency counts sum to %d for %d detections", detected, p.Detected)
+	}
+	for _, s := range []stats.ExactSum{p.DistRMSE, p.VelRMSE} {
+		if (len(s) > 0) != (p.EstimatedRuns > 0) {
+			return fmt.Errorf("campaign: partial RMSE sum of %d terms for %d estimated runs", len(s), p.EstimatedRuns)
+		}
+		if err := s.Validate(); err != nil {
+			return fmt.Errorf("campaign: partial RMSE sum: %w", err)
+		}
+		if v := s.Value(); v < 0 {
+			return fmt.Errorf("campaign: partial RMSE sum %g negative", v)
 		}
 	}
 	return nil

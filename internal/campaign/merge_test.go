@@ -3,8 +3,11 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
+
+	"safesense/internal/stats"
 )
 
 // syntheticOutcomes builds a deterministic outcome list exercising every
@@ -156,9 +159,9 @@ func TestPartialMergeAssociativity(t *testing.T) {
 
 // TestPartialMergeRealCampaign runs a real (small) sweep and checks the
 // lease-shaped partition — contiguous fixed-size shards, the exact
-// shape the distributed coordinator uses — against the engine's own
-// aggregate, both merged pairwise and concatenated in one pass (with an
-// empty partial in between, as an unreported shard holds).
+// shape the distributed coordinator uses, with an empty partial in
+// between as an unreported shard holds — merged pairwise, against the
+// engine's own aggregate.
 func TestPartialMergeRealCampaign(t *testing.T) {
 	spec := Spec{
 		Name:    "merge-oracle",
@@ -174,26 +177,13 @@ func TestPartialMergeRealCampaign(t *testing.T) {
 
 	for _, leaseJobs := range []int{1, 2, 3, 5, len(sum.Outcomes)} {
 		var merged Partial
-		parts := []*Partial{{}}
 		for start := 0; start < len(sum.Outcomes); start += leaseJobs {
-			end := start + leaseJobs
-			if end > len(sum.Outcomes) {
-				end = len(sum.Outcomes)
-			}
-			p := PartialOfOutcomes(sum.Outcomes[start:end])
-			merged = merged.Merge(p)
-			parts = append(parts, &p, &Partial{})
+			end := min(start+leaseJobs, len(sum.Outcomes))
+			merged = merged.Merge(PartialOfOutcomes(sum.Outcomes[start:end])).Merge(Partial{})
 		}
 		if got := mustJSON(t, merged.Finalize()); string(got) != string(want) {
 			t.Fatalf("lease size %d: merged aggregate diverges\n got: %s\nwant: %s", leaseJobs, got, want)
 		}
-		concat := Concat(parts)
-		if got, want := mustJSON(t, concat), mustJSON(t, merged); string(got) != string(want) {
-			t.Fatalf("lease size %d: concatenated partial differs from the merge\n got: %s\nwant: %s", leaseJobs, got, want)
-		}
-	}
-	if got := mustJSON(t, Concat(nil)); string(got) != string(mustJSON(t, PartialOfOutcomes(nil))) {
-		t.Fatalf("empty concat = %s", got)
 	}
 }
 
@@ -234,18 +224,37 @@ func TestPartialValidate(t *testing.T) {
 	if err := (Partial{}).Validate(); err != nil {
 		t.Fatalf("empty partial rejected: %v", err)
 	}
+	// A detector false positive before the onset is a detection with a
+	// negative latency: honest, so accepted.
+	early := syntheticOutcomes(t, 1, 3)[0]
+	early.Point = Point{Attack: AttackDoS, Defended: true}
+	early.DetectedAt, early.DetectionLatency = 3, -7
+	if err := PartialOfOutcomes([]Outcome{early}).Validate(); err != nil {
+		t.Fatalf("negative-latency partial rejected: %v", err)
+	}
 
 	cases := map[string]func(p *Partial){
-		"negative jobs":      func(p *Partial) { p.Jobs = -1 },
-		"attacked over jobs": func(p *Partial) { p.Attacked = p.Jobs + 1 },
-		"detected over":      func(p *Partial) { p.Detected = p.Attacked + 1 },
-		"collisions over":    func(p *Partial) { p.Collisions = p.Jobs + 1 },
-		"latency mismatch":   func(p *Partial) { p.Latencies = append(p.Latencies, Sample{Index: 999}) },
-		"rmse mismatch":      func(p *Partial) { p.DistRMSE = p.DistRMSE[:len(p.DistRMSE)-1] },
-		"unsorted samples":   func(p *Partial) { p.Latencies[0].Index = 1 << 30 },
-		"negative confusion": func(p *Partial) { p.FalsePositives = -2 },
+		"negative jobs":        func(p *Partial) { p.Jobs = -1 },
+		"attacked over jobs":   func(p *Partial) { p.Attacked = p.Jobs + 1 },
+		"detected over":        func(p *Partial) { p.Detected = p.Attacked + 1 },
+		"collisions over":      func(p *Partial) { p.Collisions = p.Jobs + 1 },
+		"latency count over":   func(p *Partial) { p.Latencies[0].Count++ },
+		"latency count short":  func(p *Partial) { p.Latencies = p.Latencies[1:] },
+		"zero latency count":   func(p *Partial) { p.Latencies = append(p.Latencies, LatencyCount{Steps: 1 << 20}) },
+		"huge latency count":   func(p *Partial) { p.Latencies[1].Count = math.MaxInt },
+		"unsorted latencies":   func(p *Partial) { p.Latencies[0].Steps = 1 << 20 },
+		"rmse sum missing":     func(p *Partial) { p.DistRMSE = nil },
+		"rmse sum not exact":   func(p *Partial) { p.VelRMSE = append(stats.ExactSum{1}, p.VelRMSE...) },
+		"rmse sum negative":    func(p *Partial) { p.DistRMSE = stats.ExactSum{-2} },
+		"rmse sum overflow":    func(p *Partial) { p.DistRMSE = stats.ExactSum{math.MaxFloat64, math.MaxFloat64} },
+		"rmse sum too long":    func(p *Partial) { p.DistRMSE = make(stats.ExactSum, stats.MaxTerms+1) },
+		"negative worst error": func(p *Partial) { p.WorstDistErrM = -1 },
+		"negative confusion":   func(p *Partial) { p.FalsePositives = -2 },
 		"nonempty zero partial": func(p *Partial) {
 			*p = Partial{Jobs: 0, Attacked: 1}
+		},
+		"zero partial with sums": func(p *Partial) {
+			*p = Partial{VelRMSE: stats.ExactSum{0}}
 		},
 	}
 	for name, mutate := range cases {
@@ -255,11 +264,38 @@ func TestPartialValidate(t *testing.T) {
 			t.Errorf("%s: corrupt partial accepted", name)
 		}
 	}
+}
 
-	if err := good.SampleRange(0, 50); err != nil {
-		t.Fatalf("in-range samples rejected: %v", err)
+// TestPartialSizeBound states what a partial costs on the wire: a
+// 16-job lease of the 1008-job benchmark grid (two leaders x two
+// attacks x three onsets x 84 seeds at 301 steps) and the whole grid
+// both encode under 512 bytes. The size follows the distinct latencies
+// and the exact sums' terms, not the job count.
+func TestPartialSizeBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the 1008-job grid")
 	}
-	if err := good.SampleRange(10, 50); err == nil {
-		t.Fatal("out-of-range samples accepted")
+	spec := Spec{
+		Steps:      301,
+		BaseSeed:   1,
+		Replicates: 84,
+		Attacks:    []string{AttackDoS, AttackDelay},
+		Leaders:    []string{LeaderConst, LeaderPhased},
+		Onsets:     []int{175, 178, 182},
+	}
+	sum, err := Run(context.Background(), spec, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 512
+	for name, outcomes := range map[string][]Outcome{
+		"16-job lease": sum.Outcomes[:16],
+		"whole grid":   sum.Outcomes,
+	} {
+		if n := len(mustJSON(t, PartialOfOutcomes(outcomes))); n >= bound {
+			t.Errorf("%s partial is %d bytes, want under %d", name, n, bound)
+		} else {
+			t.Logf("%s partial: %d bytes", name, n)
+		}
 	}
 }

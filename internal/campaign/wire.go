@@ -57,10 +57,11 @@ func Incidents(o Outcome) []Incident {
 	return incs
 }
 
-// SSE event types on a campaign's stream topic (the campaign ID). The
-// "partial" payload is an Aggregate paced by Cadence; the last one
-// (PublishClose) equals the "done" frame's aggregate byte for byte.
-// The dist coordinator adds "lease" frames of its own.
+// SSE event types on a campaign's stream topic (the campaign ID), the
+// same on both routes. "progress" and "partial" frames go out together,
+// paced by Cadence; the last "partial" (PublishClose) equals the "done"
+// frame's aggregate byte for byte. "flight" frames, one per incident,
+// follow the anomalies rather than the cadence.
 const (
 	StreamProgress = "progress"
 	StreamPartial  = "partial"
@@ -68,15 +69,16 @@ const (
 	StreamDone     = "done"
 )
 
-// Cadence paces a campaign's "partial" frames, whose payload is the
-// Aggregate of the jobs finished so far: one each time the finished
-// count crosses a multiple of max(1, jobs/32), none before the first
-// job, and the last one from PublishClose. Both routes use it, so a
-// campaign's live view costs O(jobs): at most 33 frames of constant
-// size once it has 1024 jobs. Counts may jump (a dist lease completes
-// many jobs at once) or dip (an expired lease's live view is dropped);
-// only a count above every earlier one can be due, so frame job counts
-// never decrease.
+// Cadence paces a campaign's "progress" and "partial" frames (the
+// partial payload is the Aggregate of the jobs finished so far): one of
+// each every time the finished count crosses a multiple of
+// max(1, jobs/32), none before the first job, plus the last partial
+// from PublishClose. Both routes use it, so once a campaign has 1024
+// jobs it streams at most 32 progress frames, 33 partial frames and one
+// done frame, of constant size, whatever its lease size. Counts may
+// jump (a dist lease completes many jobs at once) or dip (an expired
+// lease's live view is dropped); only a count above every earlier one
+// can be due, so frame job counts never decrease.
 type Cadence struct {
 	jobs, every, high int
 }
@@ -86,10 +88,10 @@ func NewCadence(jobs int) Cadence {
 	return Cadence{jobs: jobs, every: max(1, jobs/32)}
 }
 
-// Due records that done jobs have finished and reports whether a
-// partial frame should go out now. It is never due at the last job,
-// even when a dist lease reports it before completing: the closing
-// frame is built from completed work only.
+// Due records that done jobs have finished and reports whether the
+// progress and partial frames should go out now. It is never due at
+// the last job, even when a dist lease reports it before completing:
+// the closing frame is built from completed work only.
 func (c *Cadence) Due(done int) bool {
 	done = min(done, c.jobs-1)
 	if done <= c.high {

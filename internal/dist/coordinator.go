@@ -128,7 +128,7 @@ type dcampaign struct {
 
 	doneShards int
 	doneJobs   int
-	cadence    campaign.Cadence // paces the "partial" frames
+	cadence    campaign.Cadence // paces the "progress" and "partial" frames
 	workers    map[string]*workerProgress
 	events     []campaign.Incident
 	captures   int // forensic captures newly stored for this campaign
@@ -229,7 +229,6 @@ func (c *Coordinator) Submit(req SubmitRequest, traceID string) (SubmitResponse,
 	metricCampaignsActive.With().Add(1)
 	c.cfg.Log.Info("dist campaign submitted",
 		"id", d.id, "jobs", jobs, "leases", len(d.shards), "lease_jobs", leaseJobs)
-	c.publishProgressLocked(d)
 	if jobs == 0 {
 		c.closeCampaignLocked(d)
 	}
@@ -302,7 +301,6 @@ func (c *Coordinator) Acquire(workerID string) (AcquireResponse, bool) {
 				metricLeasesExpired.With().Inc()
 				c.cfg.Log.Warn("dist lease expired",
 					"campaign", d.id, "shard", i, "worker", sh.worker, "lease", sh.leaseID)
-				c.publishLeaseLocked(d, i, sh, leaseExpired)
 				sh.partial = campaign.Partial{}
 			}
 			c.nextLease++
@@ -316,7 +314,6 @@ func (c *Coordinator) Acquire(workerID string) (AcquireResponse, bool) {
 			c.cfg.Log.Info("dist lease granted",
 				"campaign", d.id, "shard", i, "worker", workerID,
 				"start", sh.start, "end", sh.end, "grant", sh.grants)
-			c.publishLeaseLocked(d, i, sh, leaseGranted)
 			return AcquireResponse{
 				LeaseID:    sh.leaseID,
 				Campaign:   d.id,
@@ -364,9 +361,6 @@ func (c *Coordinator) Progress(req ProgressRequest) error {
 	if span := sh.end - sh.start; req.Partial.Jobs > span {
 		return fmt.Errorf("dist: progress covers %d jobs, lease %q spans %d", req.Partial.Jobs, req.LeaseID, span)
 	}
-	if err := req.Partial.SampleRange(sh.start, sh.end); err != nil {
-		return err
-	}
 	sh.expires = now.Add(c.cfg.LeaseTTL)
 	c.touchWorkerLocked(d, req.WorkerID, now)
 	c.appendEventsLocked(d, req.Events)
@@ -382,8 +376,8 @@ func (c *Coordinator) Progress(req ProgressRequest) error {
 // lease's job range; completion is idempotent (a duplicate for a closed
 // shard is acknowledged and discarded) and holder-agnostic (a stale
 // holder's deterministic result is as good as the current holder's).
-// The partial is kept on its shard, not merged into a campaign-wide
-// one, so a completion costs O(shard) work.
+// The partial stays on its shard; partial() merges the shards on
+// demand.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	now := c.cfg.Clock()
 	c.mu.Lock()
@@ -400,12 +394,8 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if got, want := req.Partial.Jobs, sh.end-sh.start; got != want {
 		return CompleteResponse{}, fmt.Errorf("dist: partial covers %d jobs, lease %q spans %d", got, req.LeaseID, want)
 	}
-	if err := req.Partial.SampleRange(sh.start, sh.end); err != nil {
-		return CompleteResponse{}, err
-	}
 
 	sh.completed = true
-	sh.worker = req.WorkerID // completed-by, for the lease event below
 	sh.partial = req.Partial
 	d.doneShards++
 	d.doneJobs += req.Partial.Jobs
@@ -417,8 +407,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if len(req.Spans) > 0 {
 		c.cfg.Traces.Import(req.Spans)
 	}
-	c.publishLeaseLocked(d, ref.shard, sh, leaseCompleted)
-	sh.worker = ""
 	c.publishProgressLocked(d)
 	c.checkpointLocked(checkpointRecord{Kind: recordLease, Lease: &LeaseRecord{
 		Campaign: d.id, Shard: ref.shard, Start: sh.start, End: sh.end,
@@ -437,8 +425,8 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 }
 
 // closeCampaignLocked finalizes a fully-completed campaign: the shards'
-// completed partials, concatenated in grid order, become the summary
-// aggregate, and are then dropped. Callers hold c.mu.
+// completed partials, merged, become the summary aggregate, and are
+// then dropped. Callers hold c.mu.
 func (c *Coordinator) closeCampaignLocked(d *dcampaign) {
 	d.status = StatusDone
 	workers := 0

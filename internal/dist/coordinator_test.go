@@ -269,7 +269,8 @@ func TestCheckpointResume(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruptLog exercises the checkpoint loader's
-// validation: truncated JSON, unknown kinds, range mismatches.
+// validation: truncated JSON, unknown kinds, range mismatches, and
+// partials that cannot finalize to a finite, non-negative aggregate.
 func TestRestoreRejectsCorruptLog(t *testing.T) {
 	spec := testSpec("corrupt")
 	jobs, err := spec.NumJobs()
@@ -284,18 +285,58 @@ func TestRestoreRejectsCorruptLog(t *testing.T) {
 		return string(b)
 	}
 	cases := map[string]string{
-		"bad json":          "{not json",
-		"unknown kind":      `{"kind":"mystery"}`,
-		"lease first":       `{"kind":"lease","lease":{"campaign":"d000001","shard":0,"start":0,"end":2,"partial":{"jobs":2,"worst_min_gap_m":1}}}`,
-		"wrong jobs":        strings.Replace(campaignLine(), `"jobs":`+itoa(jobs), `"jobs":`+itoa(jobs+1), 1),
-		"shard range":       campaignLine() + "\n" + `{"kind":"lease","lease":{"campaign":"d000001","shard":0,"start":0,"end":3,"partial":{"jobs":3,"worst_min_gap_m":1}}}`,
-		"oversized partial": campaignLine() + "\n" + `{"kind":"lease","lease":{"campaign":"d000001","shard":0,"start":0,"end":2,"partial":{"jobs":5,"worst_min_gap_m":1}}}`,
+		"bad json":             "{not json",
+		"unknown kind":         `{"kind":"mystery"}`,
+		"lease first":          `{"kind":"lease","lease":{"campaign":"d000001","shard":0,"start":0,"end":2,"partial":{"jobs":2,"worst_min_gap_m":1}}}`,
+		"wrong jobs":           strings.Replace(campaignLine(), `"jobs":`+itoa(jobs), `"jobs":`+itoa(jobs+1), 1),
+		"shard range":          campaignLine() + "\n" + `{"kind":"lease","lease":{"campaign":"d000001","shard":0,"start":0,"end":3,"partial":{"jobs":3,"worst_min_gap_m":1}}}`,
+		"oversized partial":    campaignLine() + "\n" + `{"kind":"lease","lease":{"campaign":"d000001","shard":0,"start":0,"end":2,"partial":{"jobs":5,"worst_min_gap_m":1}}}`,
+		"overflowing RMSE sum": campaignLine() + "\n" + leaseLine(`"worst_dist_err_m":1,"dist_rmse":[1.7e308,1.7e308],"vel_rmse":[0.5]`),
+		"negative RMSE sum":    campaignLine() + "\n" + leaseLine(`"worst_dist_err_m":1,"dist_rmse":[0.5],"vel_rmse":[-0.5]`),
+		"negative worst error": campaignLine() + "\n" + leaseLine(`"worst_dist_err_m":-1,"dist_rmse":[0.5],"vel_rmse":[0.5]`),
 	}
 	for name, log := range cases {
 		c := NewCoordinator(Config{Clock: newFakeClock().Now})
 		if err := c.Restore(strings.NewReader(log)); err == nil {
 			t.Errorf("%s: corrupt checkpoint accepted", name)
 		}
+	}
+}
+
+// leaseLine is a checkpoint record completing shard 0 of d000001 with
+// a 2-job, 2-estimate partial whose remaining fields are rest.
+func leaseLine(rest string) string {
+	return `{"kind":"lease","lease":{"campaign":"d000001","shard":0,"start":0,"end":2,` +
+		`"partial":{"jobs":2,"estimated_runs":2,"worst_min_gap_m":1,` + rest + `}}}`
+}
+
+// TestRestoreRefusesSampleListCheckpoint: a checkpoint written when
+// partials carried index-tagged sample lists fails to restore with an
+// error: latency samples decode as zero counts and RMSE samples do not
+// decode as exact-sum terms. Nothing restores to a wrong aggregate.
+func TestRestoreRefusesSampleListCheckpoint(t *testing.T) {
+	spec := testSpec("sample-lists")
+	jobs, err := spec.NumJobs()
+	if err != nil {
+		t.Fatalf("NumJobs: %v", err)
+	}
+	b, err := json.Marshal(checkpointRecord{Kind: recordCampaign, Campaign: &CampaignRecord{
+		ID: "d000001", Spec: spec, Jobs: jobs, LeaseJobs: 2,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rest := range map[string]string{
+		"latency samples": `"attacked":2,"detected":1,"latencies":[{"i":0,"v":6}],"dist_rmse":[0.5],"vel_rmse":[0.5]`,
+		"rmse samples":    `"dist_rmse":[{"i":0,"v":0.7},{"i":1,"v":0.2}],"vel_rmse":[{"i":0,"v":0.1},{"i":1,"v":0.3}]`,
+	} {
+		c := NewCoordinator(Config{Clock: newFakeClock().Now})
+		err := c.Restore(strings.NewReader(string(b) + "\n" + leaseLine(rest)))
+		if err == nil {
+			t.Errorf("%s: sample-list checkpoint restored", name)
+			continue
+		}
+		t.Logf("%s: %v", name, err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"safesense/internal/campaign"
+	"safesense/internal/stats"
 )
 
 // FuzzDecodeLease fuzzes every dist wire decoder with one corpus: any
@@ -12,7 +13,8 @@ import (
 // decoders must stay panic-free on the same inputs, and anything they
 // accept must satisfy the documented bounds (worker-ID shape, lease
 // size, event cap, partial-aggregate consistency) — those bounds are
-// what keeps a hostile worker from bloating coordinator state.
+// what keeps a hostile worker from bloating coordinator state — and
+// every accepted partial must finalize to an Aggregate that encodes.
 func FuzzDecodeLease(f *testing.F) {
 	// Valid messages of each kind seed the corpus.
 	spec := campaign.Spec{Steps: 60, Attacks: []string{campaign.AttackDoS}, Onsets: []int{20}}
@@ -29,9 +31,9 @@ func FuzzDecodeLease(f *testing.F) {
 	partial := campaign.Partial{
 		Jobs: 2, Attacked: 2, Detected: 1, EstimatedRuns: 1,
 		WorstMinGapM: 3.5, WorstDistErrM: 1.25, WorstVelErrMps: 0.5,
-		Latencies: []campaign.Sample{{Index: 4, V: 6}},
-		DistRMSE:  []campaign.Sample{{Index: 5, V: 0.7}},
-		VelRMSE:   []campaign.Sample{{Index: 5, V: 0.2}},
+		Latencies: []campaign.LatencyCount{{Steps: 6, Count: 1}},
+		DistRMSE:  stats.ExactSum{0.7},
+		VelRMSE:   stats.ExactSum{0.2},
 	}
 	if b, err := json.Marshal(CompleteRequest{
 		LeaseID: "d000001.0.1", WorkerID: "fuzz-worker", Partial: partial,
@@ -79,6 +81,9 @@ func FuzzDecodeLease(f *testing.F) {
 			if verr := req.Partial.Validate(); verr != nil {
 				t.Fatalf("accepted progress with inconsistent partial: %v", verr)
 			}
+			if _, err := json.Marshal(req.Partial.Finalize()); err != nil {
+				t.Fatalf("accepted progress whose aggregate does not encode: %v", err)
+			}
 			if len(req.Events) > MaxCompleteEvents {
 				t.Fatalf("accepted progress with %d events", len(req.Events))
 			}
@@ -89,6 +94,9 @@ func FuzzDecodeLease(f *testing.F) {
 		}
 		if verr := req.Partial.Validate(); verr != nil {
 			t.Fatalf("accepted complete with inconsistent partial: %v", verr)
+		}
+		if _, err := json.Marshal(req.Partial.Finalize()); err != nil {
+			t.Fatalf("accepted complete whose aggregate does not encode: %v", err)
 		}
 		if req.Partial.Jobs > MaxLeaseJobs {
 			t.Fatalf("accepted complete covering %d jobs", req.Partial.Jobs)

@@ -12,9 +12,10 @@ import (
 )
 
 // maxDistBodyBytes bounds coordinator-endpoint request bodies. A
-// completion for a MaxLeaseJobs shard carries up to 3×65536 samples,
-// which serializes to a few megabytes; 16 MiB leaves headroom without
-// letting a hostile worker stream gigabytes.
+// completion's partial is a few hundred bytes whatever the lease size;
+// its forensic captures and trace spans, each capped in count, are the
+// bulk. 16 MiB leaves headroom without letting a hostile worker stream
+// gigabytes.
 const maxDistBodyBytes = 16 << 20
 
 // Register mounts the coordinator's endpoints on mux:
@@ -24,10 +25,10 @@ const maxDistBodyBytes = 16 << 20
 //	                                    forwarded flight events, summary when done
 //	GET  /v1/dist/campaigns/{id}/stream live SSE feed: progress, the live
 //	                                    aggregate over completed and in-flight
-//	                                    jobs (every jobs/32), flight events, lease
-//	                                    transitions, and a terminal "done" event
-//	                                    carrying the final aggregate; supports
-//	                                    Last-Event-ID resume
+//	                                    jobs (both every jobs/32), flight events,
+//	                                    and a terminal "done" event carrying the
+//	                                    final aggregate; supports Last-Event-ID
+//	                                    resume
 //	GET  /v1/fleet                      fleet view: worker liveness, throughput,
 //	                                    per-campaign lease counts, hub health
 //	POST /v1/dist/lease                 worker pull: acquire the next lease (204

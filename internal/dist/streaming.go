@@ -7,53 +7,20 @@ import (
 	"safesense/internal/campaign"
 )
 
-// streamTypeLease is the SSE event type of a lease transition, the
-// one frame the dist route adds to the campaign vocabulary
-// (campaign.StreamProgress and friends).
-const streamTypeLease = "lease"
-
-// Lease transition states carried by "lease" events.
-const (
-	leaseGranted   = "granted"
-	leaseExpired   = "expired"
-	leaseCompleted = "completed"
-)
-
-// streamLease is the "lease" payload: one shard transition.
-type streamLease struct {
-	Campaign string `json:"campaign"`
-	Shard    int    `json:"shard"`
-	Start    int    `json:"start"`
-	End      int    `json:"end"`
-	Worker   string `json:"worker,omitempty"`
-	State    string `json:"state"`
-	Grants   int    `json:"grants"`
-}
-
-// publishLeaseLocked emits one shard transition. Callers hold c.mu.
-func (c *Coordinator) publishLeaseLocked(d *dcampaign, i int, sh *shard, state string) {
-	c.cfg.Streams.PublishJSON(d.id, streamTypeLease, streamLease{
-		Campaign: d.id, Shard: i, Start: sh.start, End: sh.end,
-		Worker: sh.worker, State: state, Grants: sh.grants,
-	})
-}
-
-// publishProgressLocked emits the campaign's current counters and,
-// when the cadence says so, the live aggregate over completed and
-// in-flight jobs (the last one goes out with "done", from
-// closeCampaignLocked). Callers hold c.mu.
+// publishProgressLocked emits, each time the campaign's cadence says
+// so, its counters and the live aggregate over completed and in-flight
+// jobs; the last aggregate goes out with "done", from
+// closeCampaignLocked. Callers hold c.mu.
 func (c *Coordinator) publishProgressLocked(d *dcampaign) {
-	if c.cfg.Streams == nil {
+	done := d.doneJobs + liveJobs(d)
+	if c.cfg.Streams == nil || !d.cadence.Due(done) {
 		return
 	}
-	done := d.doneJobs + liveJobs(d)
 	c.cfg.Streams.PublishJSON(d.id, campaign.StreamProgress, campaign.ProgressFrame{
 		Campaign: d.id, Status: d.status, Jobs: d.jobs, Done: done,
 		Leases: len(d.shards), DoneLeases: d.doneShards,
 	})
-	if d.cadence.Due(done) {
-		c.cfg.Streams.PublishJSON(d.id, campaign.StreamPartial, d.partial().Finalize())
-	}
+	c.cfg.Streams.PublishJSON(d.id, campaign.StreamPartial, d.partial().Finalize())
 }
 
 // doneFrame is the campaign's terminal "done" payload. Callers hold
@@ -93,15 +60,14 @@ func liveJobs(d *dcampaign) int {
 }
 
 // partial is the campaign view over every shard's partial, completed
-// or live: the freshest consistent view of the whole campaign, built
-// in one in-order pass (shards are disjoint, contiguous and
-// index-ordered). Callers hold c.mu.
+// or live: the freshest consistent view of the whole campaign, folded
+// with Merge. Callers hold c.mu.
 func (d *dcampaign) partial() campaign.Partial {
-	parts := make([]*campaign.Partial, len(d.shards))
-	for i, sh := range d.shards {
-		parts[i] = &sh.partial
+	var p campaign.Partial
+	for _, sh := range d.shards {
+		p = p.Merge(sh.partial)
 	}
-	return campaign.Concat(parts)
+	return p
 }
 
 // FleetWorker is one worker's row in the fleet view, aggregated across

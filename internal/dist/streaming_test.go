@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -273,20 +274,16 @@ func checkPartialFrames(t *testing.T, events []*stream.Event, maxFrames int, wan
 // TestCoordinatorStreamBounded: a 4096-job campaign driven through
 // Acquire, Progress and Complete — one lease lapsing mid-shard, so its
 // re-grant drops the live view and the in-flight count dips — streams
-// its live view in O(jobs): at most 33 partial frames, each under 1 KiB,
-// never covering fewer jobs than the one before, and the last equal
-// byte for byte to the done frame's oracle aggregate.
+// a fixed event budget on a hub of the default ring size, whatever the
+// lease size: 31 progress frames (one per 128 jobs below the last), 32
+// partial frames (those plus the closing one) and one done frame, 64
+// events in all. Every frame is retained, so a replay from 0 after done
+// starts at the campaign's first frame. The partial frames obey the
+// live-view contract of checkPartialFrames.
 func TestCoordinatorStreamBounded(t *testing.T) {
-	clock := newFakeClock()
-	hub := stream.NewHub(4096)
-	c := NewCoordinator(Config{LeaseJobs: 16, LeaseTTL: time.Minute, Clock: clock.Now, Streams: hub})
 	spec := testSpec("stream-bounded")
 	spec.Attacks = []string{campaign.AttackDoS, campaign.AttackDelay}
 	spec.Replicates = 1024 // 2 attacks x 2 onsets x 1024 seeds = 4096 jobs
-	sub, err := c.Submit(SubmitRequest{Spec: spec}, "")
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
 	jobs, err := spec.Expand()
 	if err != nil {
 		t.Fatalf("Expand: %v", err)
@@ -295,36 +292,58 @@ func TestCoordinatorStreamBounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunJobs: %v", err)
 	}
-
-	lapsed := false
-	for {
-		lease, ok := c.Acquire("w1")
-		if !ok {
-			break
-		}
-		shard := outcomes[lease.Start:lease.End]
-		err := c.Progress(ProgressRequest{LeaseID: lease.LeaseID, WorkerID: "w1",
-			Partial: campaign.PartialOfOutcomes(shard[:len(shard)/2])})
-		if err != nil {
-			t.Fatalf("Progress: %v", err)
-		}
-		if !lapsed && lease.Shard == sub.Leases/2 {
-			lapsed = true
-			clock.Advance(2 * time.Minute)
-			continue
-		}
-		if _, err := c.Complete(CompleteRequest{LeaseID: lease.LeaseID, WorkerID: "w1",
-			Partial: campaign.PartialOfOutcomes(shard)}); err != nil {
-			t.Fatalf("Complete: %v", err)
-		}
-	}
-	if st, _ := c.CampaignStatus(sub.ID); st.Status != StatusDone {
-		t.Fatalf("campaign %s, want done", st.Status)
-	}
 	want, err := json.Marshal(campaign.AggregateOutcomes(outcomes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := checkPartialFrames(t, hub.Replay(sub.ID, 0), 33, want)
-	t.Logf("%d jobs over %d leases: %d partial bytes", sub.Jobs, sub.Leases, total)
+	budget := map[string]int{campaign.StreamProgress: 31, campaign.StreamPartial: 32, campaign.StreamDone: 1}
+
+	for _, leaseJobs := range []int{16, 256} {
+		clock := newFakeClock()
+		hub := stream.NewHub(stream.DefaultRingSize)
+		c := NewCoordinator(Config{LeaseJobs: leaseJobs, LeaseTTL: time.Minute, Clock: clock.Now, Streams: hub})
+		first := hub.LastID() + 1
+		sub, err := c.Submit(SubmitRequest{Spec: spec}, "")
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		lapsed := false
+		for {
+			lease, ok := c.Acquire("w1")
+			if !ok {
+				break
+			}
+			shard := outcomes[lease.Start:lease.End]
+			err := c.Progress(ProgressRequest{LeaseID: lease.LeaseID, WorkerID: "w1",
+				Partial: campaign.PartialOfOutcomes(shard[:len(shard)/2])})
+			if err != nil {
+				t.Fatalf("Progress: %v", err)
+			}
+			if !lapsed && lease.Shard == sub.Leases/2 {
+				lapsed = true
+				clock.Advance(2 * time.Minute)
+				continue
+			}
+			if _, err := c.Complete(CompleteRequest{LeaseID: lease.LeaseID, WorkerID: "w1",
+				Partial: campaign.PartialOfOutcomes(shard)}); err != nil {
+				t.Fatalf("Complete: %v", err)
+			}
+		}
+		if st, _ := c.CampaignStatus(sub.ID); st.Status != StatusDone {
+			t.Fatalf("lease size %d: campaign %s, want done", leaseJobs, st.Status)
+		}
+		events := hub.Replay(sub.ID, 0)
+		if len(events) == 0 || events[0].ID != first {
+			t.Fatalf("lease size %d: replay from 0 does not start at the campaign's first frame, event %d", leaseJobs, first)
+		}
+		counts := map[string]int{}
+		for _, ev := range events {
+			counts[ev.Type]++
+		}
+		if !maps.Equal(counts, budget) {
+			t.Fatalf("lease size %d over %d leases: events %v, want %v", leaseJobs, sub.Leases, counts, budget)
+		}
+		total := checkPartialFrames(t, events, 33, want)
+		t.Logf("%d jobs over %d leases: %d events, %d partial bytes", sub.Jobs, sub.Leases, len(events), total)
+	}
 }
