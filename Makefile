@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCapture -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=100x ./internal/obs/forensic
 	$(GO) test -run='^$$' -fuzz=FuzzReadShares -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=100x ./internal/obs/profile
 	$(GO) test -run='^$$' -fuzz=FuzzFrequencies -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=100x ./internal/dsp/music
+	$(GO) test -run='^$$' -fuzz=FuzzSourceMatchesMathRand -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=100x ./internal/noise
 
 # dist-smoke is the distributed-execution gate: an in-process
 # coordinator plus two pull workers shard a 64-job campaign over the

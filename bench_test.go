@@ -238,6 +238,7 @@ func BenchmarkRecoveryEstimator(b *testing.B) { benchSuiteScenario(b, "kernel_re
 func BenchmarkDetectorStep(b *testing.B)      { benchSuiteScenario(b, "kernel_cra_check") }
 func BenchmarkRootMUSIC256(b *testing.B)      { benchSuiteScenario(b, "kernel_root_music_256") }
 func BenchmarkFFT1024(b *testing.B)           { benchSuiteScenario(b, "kernel_fft_1024") }
+func BenchmarkNoiseSeed(b *testing.B)         { benchSuiteScenario(b, "kernel_noise_seed") }
 func BenchmarkSynthesizeSweep(b *testing.B)   { benchSuiteScenario(b, "kernel_synthesize_sweep") }
 func BenchmarkBeatExtract128(b *testing.B)    { benchSuiteScenario(b, "kernel_beat_extract_128") }
 func BenchmarkSignalMeasure(b *testing.B)     { benchSuiteScenario(b, "kernel_signal_measure") }

@@ -24,7 +24,7 @@ func TestLMSConverges(t *testing.T) {
 	l, _ := NewLMS(2, 0.5)
 	src := noise.NewSource(1)
 	for k := 0; k < 5000; k++ {
-		h := src.GaussianVec(2, 0, 1)
+		h := []float64{src.Gaussian(0, 1), src.Gaussian(0, 1)}
 		y := want[0]*h[0] + want[1]*h[1]
 		if _, _, err := l.Update(h, y); err != nil {
 			t.Fatal(err)

@@ -274,10 +274,11 @@ func poolSize(workers, n int) int {
 // failing job cancels the pool and surfaces the first error. After
 // every successful job it records the timing in slowest (nil skips
 // that), hands the result to the forensic capturer, then reports the
-// outcome to opt.OnOutcome under one lock, in that order. The engine
-// retains no sim result past that point. Jobs run at sim.Summary
-// detail (no series, no event log, no clock reads), or at sim.Timed
-// when the capturer captures latency outliers.
+// outcome to opt.OnOutcome under one lock, in that order. Each worker
+// runs its jobs on one sim.Runner, whose result the next job
+// overwrites, so the engine retains no sim result past that point.
+// Jobs run at sim.Summary detail (no series, no event log, no clock
+// reads), or at sim.Timed when the capturer captures latency outliers.
 func runJobs(ctx context.Context, jobs []Job, workers int, opt Options, slowest *topK) ([]Outcome, error) {
 	logger := opt.Log
 	if logger == nil {
@@ -323,6 +324,8 @@ func runJobs(ctx context.Context, jobs []Job, workers int, opt Options, slowest 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The worker's run state, reused by every job it runs.
+			var runner sim.Runner
 			for {
 				_, qspan := obstrace.StartSpan(ctx, "campaign.queue_wait")
 				idle := wallClock()
@@ -347,12 +350,12 @@ func runJobs(ctx context.Context, jobs []Job, workers int, opt Options, slowest 
 					var res *sim.Result
 					if profile.Enabled() {
 						// Tag the job's CPU samples; the sim's own phase
-						// labels merge on top inside RunContext.
+						// labels merge on top inside the run.
 						profile.DoJob(jobCtx, opt.Campaign, j.Index, func(c context.Context) {
-							res, err = sim.RunContext(c, s)
+							res, err = runner.Run(c, s)
 						})
 					} else {
-						res, err = sim.RunContext(jobCtx, s)
+						res, err = runner.Run(jobCtx, s)
 					}
 					if err == nil {
 						_, aspan := obstrace.StartSpan(jobCtx, "campaign.aggregate")

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -151,7 +152,7 @@ func CaptureOf(campaignID, specHash string, j Job, label string, res *sim.Result
 		Attack:    orDefault(j.Point.Attack, AttackNone),
 		Point:     point,
 		Kinds:     kinds,
-		Flight:    res.Flight,
+		Flight:    slices.Clone(res.Flight), // res may belong to a reused sim.Runner
 		Anomalies: res.Anomalies,
 		Numerics:  sim.NumericsVersion,
 		Phases:    res.Phases,

@@ -333,3 +333,67 @@ func TestReplayDiffIdenticalAndTampered(t *testing.T) {
 		t.Error("seed-mismatched capture replayed without error")
 	}
 }
+
+// TestCaptureOutlivesReusedRunner runs two collision-bearing jobs back
+// to back on one sim.Runner, as a campaign worker does. Each outcome
+// must equal a fresh run's, and the capture taken from the first job
+// must be unchanged, byte for byte, after the second job reuses the
+// runner's flight buffer.
+func TestCaptureOutlivesReusedRunner(t *testing.T) {
+	spec := undefendedDoSSpec()
+	spec.Onsets = []int{120, 150}
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := sim.WithDetail(context.Background(), sim.Summary)
+	capture := func(j Job, res *sim.Result) (forensic.Capture, []byte) {
+		t.Helper()
+		c, err := CaptureOf("c1", spec.Hash(), j, j.Point.Label(), res, res.AnomalyKinds())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, b
+	}
+	var runner sim.Runner
+	var first forensic.Capture
+	var firstJSON []byte
+	for i, j := range jobs[:2] {
+		label := j.Point.Label()
+		s, err := j.Point.scenario(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runner.Run(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Anomalies) == 0 {
+			t.Fatalf("job %d: no anomaly to capture", j.Index)
+		}
+		fresh, err := sim.RunContext(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := outcomeOf(j, label, res), outcomeOf(j, label, fresh); got != want {
+			t.Errorf("job %d on a reused runner: %+v, fresh %+v", j.Index, got, want)
+		}
+		if i == 0 {
+			first, firstJSON = capture(j, res)
+			if _, want := capture(j, fresh); string(firstJSON) != string(want) {
+				t.Fatal("capture from a reused runner differs from a fresh run's")
+			}
+		}
+	}
+	after, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(firstJSON) {
+		t.Fatal("the second job on the runner changed the first job's capture")
+	}
+}

@@ -182,7 +182,7 @@ func sameBits(r *RLS, ref *denseRLS) (string, bool) {
 
 // gauss2 draws a regressor of two standard normal entries.
 func gauss2(src *noise.Source) [2]float64 {
-	return [2]float64(src.GaussianVec(2, 0, 1))
+	return [2]float64{src.Gaussian(0, 1), src.Gaussian(0, 1)}
 }
 
 // TestRLSBitExactWithDenseReference drives the in-place filter and the

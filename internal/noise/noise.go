@@ -13,39 +13,38 @@ import (
 
 // Source is a seedable Gaussian noise source. All safesense randomness flows
 // through Source so every experiment is reproducible from its seed.
+//
+// Its stream is math/rand's, bit for bit: a *rand.Rand over an additive
+// lagged-Fibonacci generator held by value in the Source, seeded without
+// stdlib's serial seeding chain (see lfib.Seed). NormFloat64's ziggurat and
+// Float64 are stdlib's own.
 type Source struct {
+	gen lfib
 	rng *rand.Rand
 }
 
-// NewSource returns a Source seeded deterministically.
+// NewSource returns a Source seeded deterministically: it draws exactly
+// what rand.New(rand.NewSource(seed)) draws. Like math/rand it reduces the
+// seed mod 2^31−1, so seeds s and s + (2^31−1) give the same stream.
 func NewSource(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed))}
+	s := new(Source)
+	s.gen.Seed(seed)
+	s.rng = rand.New(&s.gen)
+	return s
 }
+
+// Seed re-seeds the source in place, without allocating: afterwards it
+// draws exactly what NewSource(seed) would.
+func (s *Source) Seed(seed int64) { s.rng.Seed(seed) }
 
 // Gaussian returns a sample from N(mean, stddev^2).
 func (s *Source) Gaussian(mean, stddev float64) float64 {
 	return mean + stddev*s.rng.NormFloat64()
 }
 
-// GaussianVec returns n independent samples from N(mean, stddev^2).
-func (s *Source) GaussianVec(n int, mean, stddev float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.Gaussian(mean, stddev)
-	}
-	return out
-}
-
 // Uniform returns a sample from U[lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.rng.Float64()
-}
-
-// ComplexGaussian returns a circularly-symmetric complex Gaussian sample
-// with total variance sigma2 (i.e. each quadrature has variance sigma2/2).
-func (s *Source) ComplexGaussian(sigma2 float64) complex128 {
-	sd := math.Sqrt(sigma2 / 2)
-	return complex(sd*s.rng.NormFloat64(), sd*s.rng.NormFloat64())
 }
 
 // AddAWGN adds complex white Gaussian noise to the signal so that the
@@ -71,8 +70,8 @@ func (s *Source) ComplexNoiseVec(n int, sigma2 float64) []complex128 {
 }
 
 // FillComplexNoise overwrites x with circularly-symmetric complex Gaussian
-// samples of total per-sample power sigma2, drawing exactly as
-// ComplexGaussian does, in index order.
+// samples of total per-sample power sigma2. Each sample draws its real part
+// first, then its imaginary part, in index order.
 //
 //safesense:hotpath
 func (s *Source) FillComplexNoise(x []complex128, sigma2 float64) {
@@ -83,8 +82,8 @@ func (s *Source) FillComplexNoise(x []complex128, sigma2 float64) {
 }
 
 // AddComplexNoise adds circularly-symmetric complex Gaussian noise of total
-// per-sample power sigma2 to x in place, drawing exactly as
-// ComplexGaussian does, in index order.
+// per-sample power sigma2 to x in place. Each sample draws its real part
+// first, then its imaginary part, in index order.
 //
 //safesense:hotpath
 func (s *Source) AddComplexNoise(x []complex128, sigma2 float64) {

@@ -2,6 +2,7 @@ package noise
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -44,20 +45,6 @@ func TestUniformRange(t *testing.T) {
 		if v < -3 || v >= 5 {
 			t.Fatalf("Uniform out of range: %v", v)
 		}
-	}
-}
-
-func TestComplexGaussianPower(t *testing.T) {
-	s := NewSource(9)
-	n := 100000
-	p := 0.0
-	for i := 0; i < n; i++ {
-		v := s.ComplexGaussian(4)
-		p += real(v)*real(v) + imag(v)*imag(v)
-	}
-	p /= float64(n)
-	if math.Abs(p-4) > 0.15 {
-		t.Fatalf("complex Gaussian power = %v, want ~4", p)
 	}
 }
 
@@ -133,15 +120,17 @@ func TestComplexNoiseVecPowerProperty(t *testing.T) {
 	}
 }
 
-// TestInPlaceNoiseMatchesComplexGaussian: the in-place fill and add draw
-// the same samples, bit for bit and in the same order, as per-sample
-// ComplexGaussian calls, and allocate nothing.
-func TestInPlaceNoiseMatchesComplexGaussian(t *testing.T) {
+// TestInPlaceNoiseDrawOrder: the in-place fill and add draw each sample's
+// real part, then its imaginary part, in index order, and allocate
+// nothing.
+func TestInPlaceNoiseDrawOrder(t *testing.T) {
 	const n, sigma2 = 64, 3e-13
-	ref := NewSource(9)
+	ref := rand.New(rand.NewSource(9))
+	sd := math.Sqrt(sigma2 / 2)
 	want := make([]complex128, 2*n)
 	for i := range want {
-		want[i] = ref.ComplexGaussian(sigma2)
+		re := sd * ref.NormFloat64()
+		want[i] = complex(re, sd*ref.NormFloat64())
 	}
 	src := NewSource(9)
 	filled := make([]complex128, n)

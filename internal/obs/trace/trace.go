@@ -113,9 +113,12 @@ func (s *Span) SetAttr(key, value string) {
 	s.rec.Attrs = append(s.rec.Attrs, Attr{Key: key, Value: value})
 }
 
-// SetAttrInt annotates the span with an integer value.
+// SetAttrInt annotates the span with an integer value. Inert spans skip
+// the formatting too.
 func (s *Span) SetAttrInt(key string, value int64) {
-	s.SetAttr(key, strconv.FormatInt(value, 10))
+	if s.active() && !s.ended {
+		s.SetAttr(key, strconv.FormatInt(value, 10))
+	}
 }
 
 // End closes the span, flushes it into its store, and returns the

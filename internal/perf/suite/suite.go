@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 
 	"safesense/internal/campaign"
@@ -139,6 +140,24 @@ func registerKernels(g *perf.Registry) {
 			return func(*perf.Rep) error {
 				_, err := est.Frequencies(sweep.Up)
 				return err
+			}, nil
+		},
+	})
+
+	g.MustRegister(perf.Scenario{
+		Name:  "kernel_noise_seed",
+		Group: GroupKernel,
+		Doc: "One noise.NewSource plus its first draw: the seeding every closed-loop run " +
+			"pays, checked against math/rand's first draw for the seed.",
+		Ops: 1,
+		Setup: func() (func(r *perf.Rep) error, error) {
+			const seed = 42
+			want := rand.New(rand.NewSource(seed)).NormFloat64()
+			return func(*perf.Rep) error {
+				if got := noise.NewSource(seed).Gaussian(0, 1); got != want {
+					return fmt.Errorf("first draw %v, math/rand draws %v", got, want)
+				}
+				return nil
 			}, nil
 		},
 	})

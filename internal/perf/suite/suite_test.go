@@ -14,7 +14,7 @@ func TestDefaultRegistryShape(t *testing.T) {
 	want := []string{
 		"fig2a_dos", "fig2a_dos_untimed", "fig2b_delay", "fig3a_dos", "fig3b_delay",
 		"s1_signal_dos", "s1_signal_delay",
-		"kernel_root_music_256", "kernel_fft_1024", "kernel_recovery_estimator",
+		"kernel_root_music_256", "kernel_noise_seed", "kernel_fft_1024", "kernel_recovery_estimator",
 		"kernel_cra_check", "kernel_synthesize_sweep", "kernel_beat_extract_128",
 		"kernel_signal_measure",
 	}

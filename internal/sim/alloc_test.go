@@ -9,6 +9,13 @@ import "testing"
 // to stay at zero only while inside its preallocated event buffer, and
 // endStep only on anomaly-free steps — both are the steady state).
 
+// newRecorder returns a recorder reset as a run starts it, with no sink.
+func newRecorder() *flightRecorder {
+	fr := new(flightRecorder)
+	fr.reset(nil)
+	return fr
+}
+
 func assertZeroAllocs(t *testing.T, name string, f func()) {
 	t.Helper()
 	if avg := testing.AllocsPerRun(200, f); avg != 0 {
@@ -17,7 +24,7 @@ func assertZeroAllocs(t *testing.T, name string, f func()) {
 }
 
 func TestFlightRecorderEmitZeroAlloc(t *testing.T) {
-	fr := newFlightRecorder()
+	fr := newRecorder()
 	assertZeroAllocs(t, "emit", func() {
 		fr.events = fr.events[:0] // stay inside the preallocated buffer
 		fr.emit(EventChallenge, 1e-13, "")
@@ -31,7 +38,7 @@ type countingSink struct{ n int }
 func (s *countingSink) FlightEvent(FlightEvent) { s.n++ }
 
 func TestFlightRecorderEmitWithSinkZeroAlloc(t *testing.T) {
-	fr := newFlightRecorder()
+	fr := newRecorder()
 	sink := &countingSink{}
 	fr.sink = sink
 	assertZeroAllocs(t, "emit+sink", func() {
@@ -44,13 +51,13 @@ func TestFlightRecorderEmitWithSinkZeroAlloc(t *testing.T) {
 }
 
 func TestFlightRecorderRecordZeroAlloc(t *testing.T) {
-	fr := newFlightRecorder()
+	fr := newRecorder()
 	st := StepState{K: 1, GapM: 30, UsedM: 30}
 	assertZeroAllocs(t, "record", func() { fr.record(st) })
 }
 
 func TestFlightRecorderFlagAnomalyZeroAlloc(t *testing.T) {
-	fr := newFlightRecorder()
+	fr := newRecorder()
 	assertZeroAllocs(t, "flagAnomaly", func() {
 		fr.npending = 0 // re-arm the fixed pending buffer
 		fr.flagAnomaly(AnomalyCollision, "gap 0")
@@ -58,7 +65,7 @@ func TestFlightRecorderFlagAnomalyZeroAlloc(t *testing.T) {
 }
 
 func TestFlightRecorderEndStepZeroAlloc(t *testing.T) {
-	fr := newFlightRecorder()
+	fr := newRecorder()
 	st := StepState{K: 2, GapM: 28}
 	// The steady state: no pending anomalies, so endStep is one ring
 	// store.
@@ -68,11 +75,11 @@ func TestFlightRecorderEndStepZeroAlloc(t *testing.T) {
 // TestRunAllocationCeiling bounds a whole closed-form figure run at
 // Traced detail: the per-step path (radar, CRA, estimator, controller,
 // series appends) is allocation-free and the estimator snapshot is a
-// by-value copy into one slot, so what remains is per-run setup, the
-// series and the flight events. The ceiling is the measured 52 plus a
-// margin of 5.
+// by-value copy into one slot, so what remains is the fresh run state
+// RunContext builds, the series and the flight events. The ceiling is the
+// measured 48 plus a margin of 5.
 func TestRunAllocationCeiling(t *testing.T) {
-	const ceiling = 57
+	const ceiling = 53
 	s := Fig2aDoS()
 	avg := testing.AllocsPerRun(20, func() {
 		if _, err := Run(s); err != nil {
@@ -88,9 +95,9 @@ func TestRunAllocationCeiling(t *testing.T) {
 // signal-level pipeline: sweep synthesis, jamming and FFT beat extraction
 // run in front-end-owned buffers, so a run allocates no more than the
 // closed-form one plus the front end's setup. The ceiling is the measured
-// 57 plus a margin of 5.
+// 53 plus a margin of 5.
 func TestSignalRunAllocationCeiling(t *testing.T) {
-	const ceiling = 62
+	const ceiling = 58
 	s := Fig2aDoS()
 	s.SignalLevel = true
 	avg := testing.AllocsPerRun(5, func() {

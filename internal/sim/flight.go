@@ -35,6 +35,11 @@ const (
 	// EventCollision marks the first step the leader-follower gap
 	// reached zero. Value is the gap (m, <= 0).
 	EventCollision = "collision"
+	// EventEstimateFault marks the step a run ended on a predictor fault:
+	// the RLS filter rejected a trusted measurement, or a free-run
+	// estimate came out non-finite (ErrNonFiniteEstimate). Detail says
+	// which.
+	EventEstimateFault = "estimate_fault"
 )
 
 // Anomaly kinds attached to state-ring dumps.
@@ -117,8 +122,8 @@ func (r *Result) AnomalyKinds() []string {
 	return kinds
 }
 
-// flightRecorder is the per-run event and state recorder. It is owned by
-// one Run goroutine; nothing is shared.
+// flightRecorder is the run's event and state recorder, held by a Runner
+// and reset per run. It is owned by one Run goroutine; nothing is shared.
 type flightRecorder struct {
 	k      int // current timestep, stamped onto emitted events
 	events []FlightEvent
@@ -147,8 +152,15 @@ type flightRecorder struct {
 // covers a typical run without growing.
 const flightEventPrealloc = 32
 
-func newFlightRecorder() *flightRecorder {
-	return &flightRecorder{events: make([]FlightEvent, 0, flightEventPrealloc)}
+// reset empties the recorder for a new run and installs the run's live
+// sink (nil for none). The event buffer is kept; anomaly dumps start a
+// new list, so a finished run's dumps stay its own.
+func (fr *flightRecorder) reset(sink FlightSink) {
+	events := fr.events[:0]
+	if events == nil {
+		events = make([]FlightEvent, 0, flightEventPrealloc)
+	}
+	*fr = flightRecorder{events: events, sink: sink}
 }
 
 // emit appends one event stamped with the current step.

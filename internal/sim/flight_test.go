@@ -163,7 +163,7 @@ func TestFlightRecorderFastAdversary(t *testing.T) {
 // capacity the dump holds exactly the last stateRingCap steps, oldest
 // first, ending at the anomaly step.
 func TestStateRingEvictionOrdering(t *testing.T) {
-	fr := newFlightRecorder()
+	fr := newRecorder()
 	const steps = stateRingCap*2 + 5
 	for k := 0; k < steps; k++ {
 		fr.k = k
@@ -193,7 +193,7 @@ func TestStateRingEvictionOrdering(t *testing.T) {
 // TestFlightShortRing: dumps before the ring fills carry exactly the
 // steps seen so far.
 func TestFlightShortRing(t *testing.T) {
-	fr := newFlightRecorder()
+	fr := newRecorder()
 	for k := 0; k < 5; k++ {
 		fr.k = k
 		if k == 4 {

@@ -81,11 +81,11 @@ type phaseTracker struct {
 	region *rt.Region
 }
 
-// startPhases opens the other phase at the start of a run; an untimed
-// tracker makes no clock read. The execution-tracer check is hoisted
-// here so a phase boundary costs one branch when tracing is off.
-func startPhases(ctx context.Context, timed bool) *phaseTracker {
-	t := &phaseTracker{
+// start resets the tracker for a run and opens the other phase; an
+// untimed tracker makes no clock read. The execution-tracer check is
+// hoisted here so a phase boundary costs one branch when tracing is off.
+func (t *phaseTracker) start(ctx context.Context, timed bool) {
+	*t = phaseTracker{
 		timed: timed,
 		ctx:   ctx, rtOn: rt.IsEnabled(), cur: phaseOther,
 	}
@@ -100,7 +100,6 @@ func startPhases(ctx context.Context, timed bool) *phaseTracker {
 	if t.timed {
 		t.base = clock()
 	}
-	return t
 }
 
 // enter closes the open phase and opens phase i.

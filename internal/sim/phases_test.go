@@ -247,7 +247,8 @@ func checkUntimed(t *testing.T, res *Result, reads clockReads, samples uint64) {
 // profiling off and with phase labels on.
 func TestPhaseEnterZeroAlloc(t *testing.T) {
 	check := func(timed bool, name string) {
-		tr := startPhases(context.Background(), timed)
+		tr := new(phaseTracker)
+		tr.start(context.Background(), timed)
 		defer tr.stop()
 		i := 0
 		assertZeroAllocs(t, name, func() {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -123,17 +124,75 @@ type Result struct {
 	Anomalies []AnomalyDump
 }
 
+// ErrNonFiniteEstimate reports a free-run estimate that is NaN or
+// infinite: the recovery estimator's state is poisoned, and the
+// controller's clamps would let the value through. The run ends with it
+// (wrapped) rather than deliver the estimate.
+var ErrNonFiniteEstimate = errors.New("sim: recovery estimate not finite")
+
 // Run executes the scenario at Traced detail, without a trace span (see
 // RunContext).
 func Run(s Scenario) (*Result, error) { return RunContext(context.Background(), s) }
 
-// RunContext executes the scenario at the context's Detail (see
-// WithDetail). When ctx carries a trace span (see internal/obs/trace)
-// the run records a child span annotated with the scenario identity and
-// outcome, and — when the Go execution tracer is on — per-phase
-// runtime/trace regions, so `go tool trace` shows the pipeline phases
-// natively.
+// RunContext executes the scenario on a fresh Runner (see Runner.Run), so
+// the Result is the caller's alone.
 func RunContext(ctx context.Context, s Scenario) (*Result, error) {
+	return new(Runner).Run(ctx, s)
+}
+
+// Runner is the state of a closed-loop run, kept from one run to the
+// next: the noise source (re-seeded), the flight recorder's ring and
+// event buffer, the phase tracker, the recovery estimator and its
+// snapshot slot, and the Result. The attack, radar front end, estimator
+// and controller are built from the scenario's configuration and kept
+// while later scenarios share it (see partsKey); each run resets them by
+// value. A campaign worker owns one Runner and runs every job on it.
+//
+// The zero Runner is ready to use. A Runner is not safe for concurrent
+// use.
+type Runner struct {
+	src  *noise.Source
+	fr   flightRecorder
+	tr   phaseTracker
+	res  Result
+	hook func(takeover bool) // r.transition, bound once
+
+	// Built by build for key. predInit and lowerInit are the fresh
+	// estimator and actuator state each run starts from.
+	key       partsKey
+	atk       attack.Attack
+	sweepAtk  radar.SweepCorruptor  // atk's sweep-level form, if any
+	fe        *radar.FrontEnd       // closed-form pipeline; nil at signal level
+	sfe       *radar.SignalFrontEnd // signal-level pipeline; nil in closed form
+	predInit  *estimate.RecoveryEstimator
+	ctl       *acc.Controller
+	lowerInit acc.LowerController
+
+	pred, snapshot estimate.RecoveryEstimator
+}
+
+// partsKey is the part of a scenario a Runner's built parts depend on.
+// The zero key matches no valid scenario (its radar parameters fail
+// Validate), so a zero Runner builds on its first run.
+type partsKey struct {
+	radar     radar.Params
+	signal    bool
+	samples   int
+	attack    AttackSpec
+	predictor estimate.PredictorConfig
+	setSpeed  float64
+}
+
+// Run executes the scenario at the context's Detail (see WithDetail).
+// When ctx carries a trace span (see internal/obs/trace) the run records
+// a child span annotated with the scenario identity and outcome, and —
+// when the Go execution tracer is on — per-phase runtime/trace regions,
+// so `go tool trace` shows the pipeline phases natively.
+//
+// The Result belongs to the Runner: the next Run overwrites it and its
+// Flight timeline. Copy what must outlive that. The series, Events,
+// Phases and Anomalies are allocated per run and are the caller's.
+func (r *Runner) Run(ctx context.Context, s Scenario) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -152,14 +211,10 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 	traced := detail >= Traced
 	// The tracker starts in the other phase; every exit stops it, and
 	// the success path stops it explicitly before recording.
-	tr := startPhases(ctx, detail >= Timed)
+	tr := &r.tr
+	tr.start(ctx, detail >= Timed)
 	defer tr.stop()
-	src := noise.NewSource(s.Seed)
-	atk, err := buildAttack(s, src)
-	if err != nil {
-		return nil, err
-	}
-	measure, threshold, err := buildMeasurePipeline(s, atk, src, tr)
+	threshold, err := r.reset(s, flightSinkFrom(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -167,25 +222,7 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred, err := estimate.NewRecoveryEstimator(s.Predictor)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := acc.NewController(acc.DefaultConfig(s.SetSpeed))
-	if err != nil {
-		return nil, err
-	}
-
-	fr := newFlightRecorder()
-	fr.sink = flightSinkFrom(ctx)
-	res := new(Result) // declared early so the estimate hook can read EstimateSteps
-	pred.SetTransitionHook(func(takeover bool) {
-		if takeover {
-			fr.emit(EventRLSTakeover, 0, "estimates replacing the measurement channel")
-		} else {
-			fr.emit(EventRLSRelease, float64(res.EstimateSteps), "trusted measurements resumed")
-		}
-	})
+	atk, pred, ctl, fr, res := r.atk, &r.pred, r.ctl, &r.fr, &r.res
 
 	leader := vehicle.State{Position: s.InitialGap, Velocity: s.LeaderSpeed}
 	follower := vehicle.State{Position: 0, Velocity: s.SetSpeed}
@@ -229,7 +266,6 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 	// clean challenge is suspect. The predictor is snapshotted (by value,
 	// into one slot) at each verified-clean challenge and rolled back on
 	// detection, then caught up to "now" with discarded free-run steps.
-	var snapshot estimate.RecoveryEstimator
 	haveSnapshot := false
 
 	for k := 0; k < s.Steps; k++ {
@@ -250,7 +286,7 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 
 		// measure leaves its last phase open; the detector check, when
 		// defended, shares that boundary.
-		m := measure(k, d, dv)
+		m := r.measure(k, d, dv)
 		var ev cra.Event
 		if s.Defended {
 			tr.enter(phaseCRACheck)
@@ -289,13 +325,13 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 				// Discard the possibly poisoned samples absorbed since
 				// the last verified-clean challenge: restore and free-run
 				// the restored filter up to the current step.
-				*pred = snapshot
+				*pred = r.snapshot
 				for pred.Wall() < k-1 {
 					pred.CatchUp()
 				}
 			}
 			if ev.Challenged && ev.State == cra.Clear {
-				snapshot, haveSnapshot = *pred, true
+				r.snapshot, haveSnapshot = *pred, true
 			}
 		}
 		// The RLS phase covers only Predict/Observe and runs straight
@@ -307,6 +343,10 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 				// Algorithm 2 line 11: estimate for the attack duration.
 				tr.enter(phaseRLSEstimation)
 				useD, useV = pred.Predict(follower.Velocity)
+				if !finite(useD) || !finite(useV) {
+					fr.emit(EventEstimateFault, 0, "free-run estimate not finite")
+					return nil, fmt.Errorf("%w at step %d", ErrNonFiniteEstimate, k)
+				}
 				estimated = true
 			} else {
 				// Attack flagged before the fit is determined: the
@@ -329,6 +369,7 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 			if s.Defended {
 				tr.enter(phaseRLSEstimation)
 				if err := pred.Observe(m.Distance, m.RelVelocity, follower.Velocity); err != nil {
+					fr.emit(EventEstimateFault, 0, "predictor rejected a trusted measurement")
 					return nil, fmt.Errorf("sim: predictor: %w", err)
 				}
 			}
@@ -423,6 +464,96 @@ func reserve(steps int, series ...*trace.Series) {
 	}
 }
 
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// reset readies the run state for s: it re-seeds the noise source,
+// empties the flight recorder, builds the parts when s needs other ones
+// than the last run, and resets them by value. A scenario with its own
+// Extractor always gets fresh parts: the extractor may keep state across
+// sweeps. It returns the detector's quiet-channel threshold.
+func (r *Runner) reset(s Scenario, sink FlightSink) (threshold float64, err error) {
+	if r.src == nil {
+		r.src = noise.NewSource(s.Seed)
+	} else {
+		r.src.Seed(s.Seed)
+	}
+	r.fr.reset(sink)
+	key := partsKey{
+		radar: s.Radar, signal: s.SignalLevel, samples: s.SignalSamples,
+		attack: s.Attack, predictor: s.Predictor, setSpeed: s.SetSpeed,
+	}
+	if key != r.key || s.Extractor != nil {
+		r.key = partsKey{} // unbuilt until build succeeds
+		if err := r.build(s); err != nil {
+			return 0, err
+		}
+		r.key = key
+	}
+	r.pred = *r.predInit
+	*r.ctl.Lower = r.lowerInit
+	if r.sfe != nil {
+		r.sfe.Schedule = s.Schedule
+		return r.sfe.ZeroThreshold(), nil
+	}
+	r.fe.Schedule = s.Schedule
+	return r.fe.ZeroThreshold(), nil
+}
+
+// build makes the run's parts for s with their constructors: the attack
+// (drawing from the run's noise source), the fast closed-form front end
+// or the high-fidelity signal one, the recovery estimator with the
+// transition hook installed, and the controller.
+func (r *Runner) build(s Scenario) error {
+	atk, err := buildAttack(s, r.src)
+	if err != nil {
+		return err
+	}
+	r.atk = atk
+	r.sweepAtk, _ = atk.(radar.SweepCorruptor)
+	r.fe, r.sfe = nil, nil
+	if !s.SignalLevel {
+		if r.fe, err = radar.NewFrontEnd(s.Radar, s.Schedule, r.src); err != nil {
+			return err
+		}
+	} else {
+		samples := s.SignalSamples
+		if samples == 0 {
+			samples = 128
+		}
+		ext := s.Extractor
+		if ext == nil {
+			ext = radar.FFTExtractor{}
+		}
+		if r.sfe, err = radar.NewSignalFrontEnd(s.Radar, s.Schedule, ext, samples, r.src); err != nil {
+			return err
+		}
+	}
+	pred, err := estimate.NewRecoveryEstimator(s.Predictor)
+	if err != nil {
+		return err
+	}
+	if r.hook == nil {
+		r.hook = r.transition
+	}
+	pred.SetTransitionHook(r.hook)
+	r.predInit = pred
+	if r.ctl, err = acc.NewController(acc.DefaultConfig(s.SetSpeed)); err != nil {
+		return err
+	}
+	r.lowerInit = *r.ctl.Lower
+	return nil
+}
+
+// transition is the recovery estimator's hook: it stamps the RLS
+// takeover and release boundaries into the flight record.
+func (r *Runner) transition(takeover bool) {
+	if takeover {
+		r.fr.emit(EventRLSTakeover, 0, "estimates replacing the measurement channel")
+	} else {
+		r.fr.emit(EventRLSRelease, float64(r.res.EstimateSteps), "trusted measurements resumed")
+	}
+}
+
 func buildAttack(s Scenario, src *noise.Source) (attack.Attack, error) {
 	switch s.Attack.Kind {
 	case NoAttack:
@@ -438,55 +569,26 @@ func buildAttack(s Scenario, src *noise.Source) (attack.Attack, error) {
 	}
 }
 
-// measureFunc produces the (possibly attacked) step measurement for the
-// true relative state.
-type measureFunc func(k int, d, dv float64) radar.Measurement
-
-// buildMeasurePipeline selects between the fast closed-form pipeline
-// (radar.FrontEnd + measurement-level attack transform) and the
-// high-fidelity signal pipeline (radar.SignalFrontEnd + sweep-level attack
-// transform), returning the measurement closure and the detector's
-// quiet-channel threshold. The closure enters radar_synthesis for sweep
-// synthesis and corruption and, on the signal pipeline, beat_extraction
-// for the beat-spectrum estimator; it returns with that phase still open
-// so the caller's next phase shares the boundary.
-func buildMeasurePipeline(s Scenario, atk attack.Attack, src *noise.Source, tr *phaseTracker) (measureFunc, float64, error) {
-	if !s.SignalLevel {
-		fe, err := radar.NewFrontEnd(s.Radar, s.Schedule, src)
-		if err != nil {
-			return nil, 0, err
-		}
-		return func(k int, d, dv float64) radar.Measurement {
-			tr.enter(phaseRadarSynthesis)
-			return atk.Corrupt(k, fe.Observe(k, d, dv))
-		}, fe.ZeroThreshold(), nil
+// measure produces the (possibly attacked) step measurement for the true
+// relative state. It enters radar_synthesis for sweep synthesis and
+// corruption and, on the signal pipeline, beat_extraction for the
+// beat-spectrum estimator; it returns with that phase still open so the
+// caller's next phase shares the boundary.
+func (r *Runner) measure(k int, d, dv float64) radar.Measurement {
+	r.tr.enter(phaseRadarSynthesis)
+	if r.sfe == nil {
+		return r.atk.Corrupt(k, r.fe.Observe(k, d, dv))
 	}
-	samples := s.SignalSamples
-	if samples == 0 {
-		samples = 128
+	sweep, challenge := r.sfe.ObserveSweep(k, d, dv)
+	if r.sweepAtk != nil {
+		sweep = r.sweepAtk.CorruptSweep(k, sweep, challenge)
 	}
-	ext := s.Extractor
-	if ext == nil {
-		ext = radar.FFTExtractor{}
+	r.tr.enter(phaseBeatExtraction)
+	m := r.sfe.Measure(k, sweep, challenge)
+	if r.sweepAtk == nil {
+		// Attacks without a physical-channel model (e.g. the fast
+		// adversary) corrupt the extracted measurement instead.
+		m = r.atk.Corrupt(k, m)
 	}
-	sfe, err := radar.NewSignalFrontEnd(s.Radar, s.Schedule, ext, samples, src)
-	if err != nil {
-		return nil, 0, err
-	}
-	sweepAtk, signalCapable := atk.(radar.SweepCorruptor)
-	return func(k int, d, dv float64) radar.Measurement {
-		tr.enter(phaseRadarSynthesis)
-		sweep, challenge := sfe.ObserveSweep(k, d, dv)
-		if signalCapable {
-			sweep = sweepAtk.CorruptSweep(k, sweep, challenge)
-		}
-		tr.enter(phaseBeatExtraction)
-		m := sfe.Measure(k, sweep, challenge)
-		if !signalCapable {
-			// Attacks without a physical-channel model (e.g. the fast
-			// adversary) corrupt the extracted measurement instead.
-			m = atk.Corrupt(k, m)
-		}
-		return m
-	}, sfe.ZeroThreshold(), nil
+	return m
 }
